@@ -12,8 +12,6 @@ Subpackages by concern:
 * :mod:`freewick.cli` -- configuration-driven verification front end.
 """
 
-from ._kernels import BACKEND as kernel_backend
-from ._kernels import HAVE_COMPILED_CORE
 from .errors import (
     CapacityError,
     ConfigError,
@@ -27,8 +25,6 @@ from .ncpart import MarkedPartition, SetPartition, enumerate_gn, enumerate_inter
 __version__ = "0.1.0"
 
 __all__ = [
-    "kernel_backend",
-    "HAVE_COMPILED_CORE",
     "FreewickError",
     "CapacityError",
     "ConfigError",

@@ -6,9 +6,11 @@ partitions, marked non-crossing partitions with the singleton rule, the
 admissible family in which no +1 block nests inside another block, and
 interval partitions.
 
-Every enumerator has an independent brute-force twin (filtering all set
-partitions) so the two routes can be cross-checked; the count-only oracle
-for large ground sets dispatches to the compiled kernel when available.
+Every enumerator has an independent brute-force twin so the two routes can
+be cross-checked.  The direct enumerators recurse on the block of the
+smallest element; the oracles walk restricted growth strings (the string of
+block labels of a set partition) and filter them, so no oracle shares code
+with the enumerator it checks.
 
 All functions are pure and return immutable values; concurrent use is safe.
 """
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from ._kernels import count_set_partitions
 from .errors import EnumerationBoundError
 
 #: Enumeration bound for plain non-crossing partitions (Catalan growth).
@@ -68,6 +69,15 @@ class SetPartition:
         norm = sorted(tuple(sorted(b)) for b in blocks)
         return cls(n, tuple(norm))
 
+    @classmethod
+    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """Build without validation, for enumerators whose output is valid by construction."""
+        p = object.__new__(cls)
+        fields = p.__dict__
+        fields["n"] = n
+        fields["blocks"] = blocks
+        return p
+
     def labels(self) -> list[int]:
         """Block index of each element, as a list indexed by element-1."""
         lab = [0] * self.n
@@ -99,6 +109,15 @@ class MarkedPartition:
                 raise ValueError("singleton blocks must carry mark +1")
         if not is_noncrossing(self.partition):
             raise ValueError("marked partitions must be non-crossing")
+
+    @classmethod
+    def _trusted(cls, partition: SetPartition, marks: tuple[int, ...]) -> "MarkedPartition":
+        """Build without validation, for enumerators whose output is valid by construction."""
+        mp = object.__new__(cls)
+        fields = mp.__dict__
+        fields["partition"] = partition
+        fields["marks"] = marks
+        return mp
 
     @property
     def n(self) -> int:
@@ -144,49 +163,44 @@ def _check_bound(n: int, limit: int) -> None:
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of {1..n}, lexicographic in the block tuple."""
     _check_bound(n, NC_LIMIT)
-    parts = [
-        SetPartition(n, tuple(blocks))
-        for blocks in _nc_blocks(tuple(range(1, n + 1)))
-    ]
-    parts.sort(key=lambda p: p.blocks)
-    return parts
+    return [SetPartition._trusted(n, blocks) for blocks in _nc_interval(1, n, {})]
 
 
-def _nc_blocks(elems: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
-    """Yield the non-crossing partitions of an increasing element tuple.
+def _nc_interval(start: int, length: int, memo: dict) -> list[tuple[tuple[int, ...], ...]]:
+    """Non-crossing partitions of ``start .. start+length-1``, in lexicographic order.
 
     Recursion on the block of the first element: its other members split the
     remaining elements into independent gaps, which is exactly the
-    non-crossing condition.
+    non-crossing condition.  Each partition is ``(block,) + gap_1 + gap_2 +
+    ...``, which is already ordered by block minimum.  The block grows in
+    lexicographic order and each gap list is lexicographic, so the output is
+    too.  ``memo`` caches every interval for the length of one enumeration.
     """
-    if not elems:
-        yield []
-        return
-    first, rest = elems[0], elems[1:]
-    for k in range(len(rest) + 1):
-        for chosen in itertools.combinations(range(len(rest)), k):
-            block = (first,) + tuple(rest[i] for i in chosen)
-            gaps = []
-            prev = -1
-            for i in chosen:
-                gaps.append(rest[prev + 1:i])
-                prev = i
-            gaps.append(rest[prev + 1:])
-            for combo in itertools.product(*map(_nc_gap, gaps)):
-                out = [block]
-                for sub in combo:
-                    out.extend(sub)
-                out.sort()
-                yield out
+    if length == 0:
+        return [()]
+    key = (start, length)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    stop = start + length
+    out = []
 
+    def grow(block, heads, last):
+        # heads: the product of the gaps closed so far, concatenated
+        tail = _nc_interval(last + 1, stop - last - 1, memo)
+        out.extend((block,) + head + rest for head in heads for rest in tail)
+        for nxt in range(last + 1, stop):
+            gap = _nc_interval(last + 1, nxt - last - 1, memo)
+            grow(block + (nxt,), [head + sub for head in heads for sub in gap], nxt)
 
-def _nc_gap(elems: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
-    return list(_nc_blocks(elems))
+    grow((start,), [()], start)
+    memo[key] = out
+    return out
 
 
 def _marks_sort_key(mp: MarkedPartition):
     # +1 before -1 within a fixed block structure
-    return (mp.partition.blocks, tuple(0 if m == 1 else 1 for m in mp.marks))
+    return (mp.partition.blocks, tuple([-m for m in mp.marks]))
 
 
 def enumerate_gn(n: int) -> list[MarkedPartition]:
@@ -211,11 +225,10 @@ def enumerate_gn(n: int) -> list[MarkedPartition]:
     for _ in range(n - 1):
         grown = []
         for blocks, marks in current:
-            shifted = tuple(tuple(x + 1 for x in b) for b in blocks)
+            shifted = tuple([tuple([x + 1 for x in b]) for b in blocks])
             grown.append((((1,),) + shifted, (1,) + marks))
-            first_plus = next((j for j, m in enumerate(marks) if m == 1), None)
-            if first_plus is not None:
-                j = first_plus
+            if 1 in marks:
+                j = marks.index(1)
                 absorbed = (1,) + shifted[j]
                 others = shifted[:j] + shifted[j + 1:]
                 other_marks = marks[:j] + marks[j + 1:]
@@ -223,7 +236,8 @@ def enumerate_gn(n: int) -> list[MarkedPartition]:
                 grown.append(((absorbed,) + others, (-1,) + other_marks))
         current = grown
     out = [
-        MarkedPartition(SetPartition(n, blocks), marks) for blocks, marks in current
+        MarkedPartition._trusted(SetPartition._trusted(n, blocks), marks)
+        for blocks, marks in current
     ]
     out.sort(key=_marks_sort_key)
     return out
@@ -251,12 +265,21 @@ def enumerate_interval(n: int) -> list[MarkedPartition]:
     return out
 
 
-def _compositions(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
+def _compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Ordered tuples of positive integers summing to ``n``.
+
+    With ``parts`` given, only those of that length; otherwise all of them,
+    grouped by length.
+    """
+    if parts is None:
+        for k in range(1, n + 1):
+            yield from _compositions(n, k)
         return
-    for head in range(1, n + 1):
-        for tail in _compositions(n - head):
+    if parts == 1:
+        yield (n,)
+        return
+    for head in range(1, n - parts + 2):
+        for tail in _compositions(n - head, parts - 1):
             yield (head,) + tail
 
 
@@ -298,37 +321,102 @@ def brute_noncrossing(n: int) -> list[SetPartition]:
 def brute_noncrossing_count(n: int) -> tuple[int, int]:
     """Count-only oracle ``(total set partitions, non-crossing ones)``.
 
-    Dispatches to the compiled kernel when available; the pure fallback is
-    the same algorithm and noticeably slower for n around 12.
+    A pruned depth-first search over restricted growth strings: every
+    non-crossing string is visited, and each crossing prefix is counted at
+    once by its number of completions (see :func:`_walk_noncrossing_rgs`), so
+    ``total`` is the Bell number without visiting every set partition.
     """
-    return count_set_partitions(n)
+    if n < 1:
+        raise ValueError("ground-set size must be positive")
+    noncrossing = 0
+
+    def count(labels):
+        nonlocal noncrossing
+        noncrossing += 1
+
+    crossing = _walk_noncrossing_rgs(n, count)
+    return noncrossing + crossing, noncrossing
+
+
+def _walk_noncrossing_rgs(n: int, visit) -> int:
+    """Call ``visit(labels)`` on every non-crossing restricted growth string.
+
+    ``labels[i]`` is the block label of element i+1, and a new label is one
+    more than the largest so far.  The search keeps the stack of open
+    labels, in order of first use.  A prefix grows by a new label, pushed
+    on top, or by an open label, which closes (pops) every label above it:
+    a later use of a closed label would make a crossing x1 < y1 < x2 < y2.
+    A crossing prefix is not followed; its completions are counted from the
+    table ``C(r, k) = k*C(r-1, k) + C(r-1, k+1)``, the number of ways to
+    finish a string with ``r`` places left and ``k`` labels used.  Returns
+    the number of crossing strings.
+
+    ``visit`` receives one list, overwritten in place between calls.
+    """
+    # completions[r][k] = C(r, k), for r + k <= n
+    completions = [[1] * (n + 1)]
+    for r in range(1, n):
+        prev = completions[-1]
+        completions.append([k * prev[k] + prev[k + 1] for k in range(n - r + 1)])
+    labels = [0] * n
+    stack = [0]
+    crossing = 0
+
+    def extend(i: int, used: int) -> None:
+        nonlocal crossing
+        if i == n:
+            visit(labels)
+            return
+        depth = len(stack)
+        crossing += (used - depth) * completions[n - i - 1][used]
+        for j in range(depth):
+            closed = stack[j + 1:]
+            del stack[j + 1:]
+            labels[i] = stack[j]
+            extend(i + 1, used)
+            stack.extend(closed)
+        stack.append(used)
+        labels[i] = used
+        extend(i + 1, used + 1)
+        stack.pop()
+
+    extend(1, 1)
+    return crossing
 
 
 def has_nested_plus(blocks: tuple[tuple[int, ...], ...], marks: tuple[int, ...]) -> bool:
     """True if some +1 block lies strictly inside another block's span."""
-    for j, (bj, mj) in enumerate(zip(blocks, marks)):
-        if mj != 1:
-            continue
-        for i, bi in enumerate(blocks):
-            if i != j and bi[0] < bj[0] and bj[-1] < bi[-1]:
-                return True
+    for block, mark in zip(blocks, marks):
+        if mark == 1:
+            lo, hi = block[0], block[-1]
+            for other in blocks:
+                if other[0] < lo and hi < other[-1]:
+                    return True
     return False
 
 
 def brute_gn(n: int) -> list[MarkedPartition]:
     """Filter-based oracle for :func:`enumerate_gn`.
 
-    Enumerates all set partitions, keeps the non-crossing ones, assigns all
-    mark vectors obeying the singleton rule, then rejects nested +1 blocks.
+    Walks the non-crossing restricted growth strings, assigns all mark
+    vectors obeying the singleton rule, then rejects nested +1 blocks.
     """
+    if n < 1:
+        raise ValueError("ground-set size must be positive")
     out = []
-    for p in all_set_partitions(n):
-        if not is_noncrossing(p):
-            continue
-        choices = [(1,) if len(b) == 1 else (1, -1) for b in p.blocks]
+
+    def keep(labels):
+        blocks: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+        for x, lab in enumerate(labels, 1):
+            blocks[lab].append(x)
+        frozen = tuple(map(tuple, blocks))
+        p = SetPartition._trusted(n, frozen)
+        choices = [(1,) if len(b) == 1 else (1, -1) for b in frozen]
         for marks in itertools.product(*choices):
-            if not has_nested_plus(p.blocks, marks):
-                out.append(MarkedPartition(p, marks))
+            if not has_nested_plus(frozen, marks):
+                out.append(MarkedPartition._trusted(p, marks))
+
+    _walk_noncrossing_rgs(n, keep)
     out.sort(key=_marks_sort_key)
     return out
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import cumulant, field, fock, jacobi, ncpart, xfock
-from ._kernels import BACKEND
 from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fiber
 
 __all__ = ["Check", "SuiteReport", "run_suite", "SUITE_NAMES", "SuiteParams"]
@@ -62,7 +61,6 @@ class SuiteReport:
             "suite": self.suite,
             "passed": self.passed,
             "elapsed_seconds": self.elapsed,
-            "kernel_backend": BACKEND,
             "checks": [c.to_json_dict() for c in self.checks],
         }
 
@@ -138,7 +136,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
     for n in range(2, p.n_max + 1):
         worst = 0.0
         for parts in range(2, min(3, n) + 1):
-            for comp in _compositions(n, parts):
+            for comp in ncpart._compositions(n, parts):
                 g = _random_grid(p.m, rng)
                 kernels = [rng.standard_normal((p.m,) * k) for k in comp]
                 joint = _outer(kernels)
@@ -402,15 +400,6 @@ def _outer(kernels) -> np.ndarray:
     for k in kernels[1:]:
         out = np.multiply.outer(out, np.asarray(k, dtype=float))
     return out
-
-
-def _compositions(n, parts):
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(1, n - parts + 2):
-        for tail in _compositions(n - head, parts - 1):
-            yield (head,) + tail
 
 
 def _xplus_word(fs, sys) -> xfock.XFockVector:

@@ -39,6 +39,7 @@ from .errors import CapacityError
 from .fock import FockVector
 from .grid import GridMeasure, ProductGrid
 from .jacobi import JacobiSystem, poly_eval
+from .ncpart import _compositions
 
 __all__ = [
     "XFockVector",
@@ -75,15 +76,6 @@ def multi_indices_exact(n: int):
 def multi_indices_up_to(max_degree: int):
     for n in range(1, max_degree + 1):
         yield from multi_indices_exact(n)
-
-
-def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(1, n - parts + 2):
-        for tail in _compositions(n - head, parts - 1):
-            yield (head,) + tail
 
 
 class XFockVector:

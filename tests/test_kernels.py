@@ -1,15 +1,15 @@
-"""Backend equivalence for the compiled counting core and its Python twin."""
+"""The pure-Python counting oracle against independent Bell and Catalan numbers."""
 
 import math
 
 import pytest
 
-from freewick import _corepy, _kernels
+from freewick import ncpart
 
 
 def bell_numbers(nmax):
-    # Bell triangle, independent of the counting kernels: each row starts
-    # with the previous row's last entry and ends with the next Bell number
+    # Bell triangle, independent of the oracles: each row starts with the
+    # previous row's last entry and ends with the next Bell number
     row = [1]
     out = [1]
     for _ in range(nmax - 1):
@@ -22,36 +22,11 @@ def bell_numbers(nmax):
 
 
 class TestPurePython:
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_counts(self, n):
-        total, nc = _corepy.count_set_partitions(n)
-        assert total == bell_numbers(n)[-1]
-        assert nc == math.comb(2 * n, n) // (n + 1)
+        catalan = math.comb(2 * n, n) // (n + 1)
+        assert ncpart.brute_noncrossing_count(n) == (bell_numbers(n)[-1], catalan)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            _corepy.count_set_partitions(0)
-
-
-class TestCompiled:
-    @pytest.fixture(autouse=True)
-    def _require_compiled(self):
-        if not _kernels.HAVE_COMPILED_CORE:
-            pytest.skip("compiled core not built")
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_matches_python_twin(self, n):
-        from freewick import _core
-
-        assert _core.count_set_partitions(n) == _corepy.count_set_partitions(n)
-
-    def test_invalid(self):
-        from freewick import _core
-
-        with pytest.raises(ValueError):
-            _core.count_set_partitions(0)
-
-
-def test_dispatch_exposes_backend():
-    assert _kernels.BACKEND in ("compiled", "python")
-    assert _kernels.count_set_partitions(4) == (15, 14)
+            ncpart.brute_noncrossing_count(0)

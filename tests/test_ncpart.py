@@ -191,6 +191,58 @@ class TestEnumerateInterval:
 class TestCountingKernels:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_dispatch_matches_enumeration(self, n):
-        total, noncrossing = ncpart.brute_noncrossing_count(n)
-        assert noncrossing == ncpart.catalan(n)
-        assert total == sum(1 for _ in ncpart.all_set_partitions(n))
+        # the pruned search against the unpruned filter of every set partition
+        parts = list(ncpart.all_set_partitions(n))
+        unpruned = (len(parts), sum(1 for p in parts if ncpart.is_noncrossing(p)))
+        assert ncpart.brute_noncrossing_count(n) == unpruned
+
+
+def unpruned_gn(n):
+    """Every non-crossing partition with every mark vector, filtered by definition."""
+    out = []
+    for p in ncpart.all_set_partitions(n):
+        if not ncpart.is_noncrossing(p):
+            continue
+        for marks in itertools.product((1, -1), repeat=len(p.blocks)):
+            pairs = list(zip(p.blocks, marks))
+            if any(len(b) == 1 and m == -1 for b, m in pairs):
+                continue
+            if any(m == 1 and any(o[0] < b[0] and b[-1] < o[-1] for o in p.blocks) for b, m in pairs):
+                continue
+            out.append((p.blocks, marks))
+    return sorted(out)
+
+
+class TestBruteGn:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_unpruned_filter(self, n):
+        assert sorted(marked_key(mp) for mp in ncpart.brute_gn(n)) == unpruned_gn(n)
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            ncpart.brute_gn(0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_unchecked_outputs_pass_validation(n):
+    # the enumerators build their outputs without validation; rebuilding
+    # each one through the checked constructors must give an equal value
+    for p in ncpart.enumerate_nc(n):
+        assert SetPartition(n, p.blocks) == p
+    for mp in ncpart.enumerate_gn(n) + ncpart.brute_gn(n):
+        assert MarkedPartition(SetPartition(n, mp.partition.blocks), mp.marks) == mp
+
+
+def test_oracles_and_enumerators_share_no_search(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("route called the other route's search")
+
+    for name in ("enumerate_nc", "enumerate_gn", "_nc_interval"):
+        monkeypatch.setattr(ncpart, name, forbidden)
+    assert ncpart.brute_noncrossing_count(6) == (203, 132)
+    assert len(ncpart.brute_gn(6)) == 141
+    monkeypatch.undo()
+    for name in ("brute_noncrossing_count", "brute_gn", "_walk_noncrossing_rgs"):
+        monkeypatch.setattr(ncpart, name, forbidden)
+    assert len(ncpart.enumerate_nc(6)) == 132
+    assert len(ncpart.enumerate_gn(6)) == 141
