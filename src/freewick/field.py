@@ -56,35 +56,14 @@ def field_apply(f, v: FockVector, g=None) -> FockVector:
 def monomial_apply(f, v: FockVector, g=None) -> FockVector:
     """Apply the monomial with kernel ``f``, one field factor per kernel axis.
 
-    Expands the kernel along its first axis and recurses: the leftmost
-    factor is a field operator applied after the remaining factors, which
-    is exactly the product rule for elementary tensor kernels extended by
-    multilinearity.
+    Runs the batched peel kernel keeping all three parts of every factor:
+    the rightmost factor acts first while the axes not yet consumed ride
+    along as leading batch axes, so there is no loop over node tuples.
     """
     if g is None:
         g = v.base
     f = np.asarray(f, dtype=float)
-    if f.ndim == 0:
-        return v * float(f)
-    w = g.weights
-    lam = g.lambda_values
-    out = fock.zero(v.base, v.max_level)
-    for i in range(g.size):
-        sub = monomial_apply(f[i], v, g)
-        # accumulate the field factor supported at node i
-        for k, arr in enumerate(sub.levels):
-            if not np.any(arr):
-                continue
-            if k + 1 > v.max_level:
-                raise CapacityError(
-                    f"monomial would push level {k} content past budget {v.max_level}"
-                )
-            out.levels[k + 1][i, ...] += arr
-            if k >= 1:
-                first_slot = arr[i, ...]
-                out.levels[k - 1] += w[i] * first_slot
-                out.levels[k][i, ...] += lam[i] * first_slot
-    return out
+    return _to_vector(_peel(_lift(f, v), ("+-0",) * f.ndim, g), v.base)
 
 
 def word_apply(ops, f, v: FockVector, g=None) -> FockVector:
@@ -94,7 +73,9 @@ def word_apply(ops, f, v: FockVector, g=None) -> FockVector:
     ``'+'`` creation, ``'-'`` annihilation, ``'0'`` the coefficient-weighted
     neutral factor (first-slot multiplication at the variable's node times
     the grid's coefficient table).  Meant for verifying individual terms of
-    the monomial expansion; cost grows like ``size ** order``.
+    the monomial expansion.  Runs the batched peel kernel keeping one part
+    per factor: a few array operations per factor, on arrays of at most
+    ``size ** (order + top_level(v))`` entries.
     """
     if g is None:
         g = v.base
@@ -105,34 +86,59 @@ def word_apply(ops, f, v: FockVector, g=None) -> FockVector:
     for op in ops:
         if op not in ("+", "-", "0"):
             raise ValueError(f"unknown op {op!r}")
-    return _word_rec(ops, f, v, g)
+    return _to_vector(_peel(_lift(f, v), ops, g), v.base)
 
 
-def _word_rec(ops, f, v, g):
-    if not ops:
-        return v * float(f)
-    op = ops[0]
-    w = g.weights
-    lam = g.lambda_values
-    out = fock.zero(v.base, v.max_level)
-    for i in range(g.size):
-        sub = _word_rec(ops[1:], f[i], v, g)
-        for k, arr in enumerate(sub.levels):
-            if op == "+":
-                if not np.any(arr):
-                    continue
-                if k + 1 > v.max_level:
+def _lift(f: np.ndarray, v: FockVector) -> list:
+    # the kernel axes lead every nonzero level of v as batch axes; zero
+    # levels are None, so only levels up to top_level(v) allocate
+    return [np.multiply.outer(f, a) if np.any(a) else None for a in v.levels]
+
+
+def _peel(levels: list, parts, g) -> list:
+    """Consume the last ``len(parts)`` batch axes, rightmost factor first.
+
+    The consumed variable is the last batch axis; the first Fock slot is the
+    axis after it.  ``parts[j]``, a string over ``+-0``, names the parts of
+    the j-th consumed factor to keep: creation relabels that axis as the new
+    first slot (one level up); annihilation contracts its diagonal with the
+    first slot against the weights; neutral keeps that diagonal, times the
+    coefficient table, as the first slot.  ``None`` is a zero level;
+    nonzero content pushed past the budget raises.
+    """
+    w, lam = g.weights, g.lambda_values
+    budget = len(levels) - 1
+    for keep in reversed(parts):
+        out = [None] * len(levels)
+        for k, a in enumerate(levels):
+            if a is None:
+                continue
+            if "+" in keep:
+                if k < budget:
+                    out[k + 1] = _acc(out[k + 1], a)
+                elif np.any(a):
                     raise CapacityError(
-                        f"word would push level {k} content past budget {v.max_level}"
+                        f"operator word would push level {k} content past budget {budget}"
                     )
-                out.levels[k + 1][i, ...] += arr
-            elif k >= 1:
-                first_slot = arr[i, ...]
-                if op == "-":
-                    out.levels[k - 1] += w[i] * first_slot
-                else:
-                    out.levels[k][i, ...] += lam[i] * first_slot
-    return out
+            if k and keep != "+":
+                ax = a.ndim - k - 1
+                d = np.diagonal(a, axis1=ax, axis2=ax + 1)
+                if "-" in keep:
+                    out[k - 1] = _acc(out[k - 1], d @ w)
+                if "0" in keep:
+                    out[k] = _acc(out[k], np.moveaxis(d * lam, -1, ax))
+        levels = out
+    return levels
+
+
+def _acc(a, b):
+    return b if a is None else a if b is None else a + b
+
+
+def _to_vector(levels: list, base) -> FockVector:
+    m = base.size
+    levels = [np.zeros((m,) * k) if a is None else a for k, a in enumerate(levels)]
+    return FockVector(base, levels)
 
 
 def _weight_axes(arr: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
@@ -224,23 +230,15 @@ def wick_apply(f, v: FockVector, g=None, form: str = "explicit") -> FockVector:
 
 
 def _wick_recursive(f, v, g):
-    n = f.ndim
-    if n == 0:
-        return v * float(f)
-    if n == 1:
-        return field_apply(f, v, g)
-    out = word_apply("0" + "-" * (n - 1), f, v, g) + word_apply("-" * n, f, v, g)
-    for i in range(g.size):
-        sub = _wick_recursive(f[i], v, g)
-        for k, arr in enumerate(sub.levels):
-            if not np.any(arr):
-                continue
-            if k + 1 > v.max_level:
-                raise CapacityError(
-                    f"wick product would push level {k} content past budget {v.max_level}"
-                )
-            out.levels[k + 1][i, ...] += arr
-    return out
+    # W(j): the Wick product of variables j..n-1, the first j axes batched.
+    # Its leading factor is neutral or annihilates in front of the all-
+    # annihilation tail, or creates in front of W(j+1); W(n) is the lift.
+    tail = wick = _lift(f, v)
+    for _ in range(f.ndim):
+        raised = _peel(wick, "+", g)
+        wick = [_acc(a, b) for a, b in zip(_peel(tail, ("-0",), g), raised)]
+        tail = _peel(tail, "-", g)
+    return _to_vector(wick, v.base)
 
 
 def reduce_kernel(kappa: ncpart.MarkedPartition, f, g) -> np.ndarray:

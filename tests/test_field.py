@@ -98,6 +98,70 @@ class TestMonomialApply:
             total = total + field.word_apply(ops, f, v, g)
         assert rel(total, field.monomial_apply(f, v, g)) < 1e-13
 
+    # The two tests below check the batched operator kernel against the Fock
+    # primitives alone, on rank-one kernels f1 x ... x fn.
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rank_one_monomial_equals_nested_fields(self, n, rng):
+        g = random_grid(3, rng)
+        fs = [rng.standard_normal(3) for _ in range(n)]
+        v = low_levels_vector(g, n, rng)
+        expect = v
+        for f in reversed(fs):
+            expect = field.field_apply(f, expect, g)
+        assert rel(field.monomial_apply(_outer(fs), v, g), expect) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rank_one_words_equal_primitive_compositions(self, n, rng):
+        g = random_grid(3, rng)
+        fs = [rng.standard_normal(3) for _ in range(n)]
+        v = low_levels_vector(g, n, rng)
+        factor = {
+            "+": fock.create,
+            "-": fock.annihilate,
+            "0": lambda f, u: fock.neutral(g.lambda_values * f, u),
+        }
+        for ops in itertools.product("+-0", repeat=n):
+            expect = v
+            for op, f in reversed(list(zip(ops, fs))):
+                expect = factor[op](f, expect)
+            assert rel(field.word_apply(ops, _outer(fs), v, g), expect) < 1e-12, ops
+
+    def test_capacity_error_on_creation_past_budget(self, rng):
+        g = random_grid(4, rng)
+        f = rng.standard_normal((4, 4))
+        v = fock.random_vector(g, 2, rng)
+        with pytest.raises(CapacityError):
+            field.monomial_apply(f, v, g)
+        with pytest.raises(CapacityError):
+            field.word_apply("++", f, v, g)
+        with pytest.raises(CapacityError):
+            field.wick_apply(f, v, g, form="recursive")
+
+    def test_no_capacity_error_without_content_past_budget(self, rng):
+        g = random_grid(4, rng)
+        f = rng.standard_normal((4, 4))
+        v = fock.random_vector(g, 2, rng)
+        lowered = field.word_apply("--", f, v, g)
+        expect = float(np.einsum("ab,ba,a,b->", f, v.levels[2], g.weights, g.weights))
+        assert abs(float(lowered.levels[0]) - expect) < 1e-12 * max(abs(expect), 1.0)
+        assert not np.any(lowered.levels[1]) and not np.any(lowered.levels[2])
+        zero = np.zeros((4, 4))
+        for out in (
+            field.monomial_apply(zero, v, g),
+            field.word_apply("++", zero, v, g),
+            field.wick_apply(zero, v, g, form="recursive"),
+        ):
+            assert not any(np.any(level) for level in out.levels)
+
+
+def low_levels_vector(g, n, rng):
+    """Random content on levels 0-2, with room for n creations above it."""
+    v = fock.random_vector(g, n + 2, rng)
+    for level in v.levels[3:]:
+        level[...] = 0.0
+    return v
+
 
 class TestWickApply:
     def test_projection_property(self, rng):
@@ -123,6 +187,14 @@ class TestWickApply:
         v = fock.random_vector(g, n + 2, rng)
         for k in range(3, n + 3):
             v.levels[k][:] = 0
+        explicit = field.wick_apply(f, v, g, form="explicit")
+        recursive = field.wick_apply(f, v, g, form="recursive")
+        assert rel(explicit, recursive) < 1e-12
+
+    def test_forms_agree_order_five(self, rng):
+        g = random_grid(4, rng)
+        f = rng.standard_normal((4,) * 5)
+        v = low_levels_vector(g, 5, rng)
         explicit = field.wick_apply(f, v, g, form="explicit")
         recursive = field.wick_apply(f, v, g, form="recursive")
         assert rel(explicit, recursive) < 1e-12
@@ -277,6 +349,12 @@ class TestWickRuleExpand:
         g = random_grid(6, rng)
         f = rng.standard_normal((6,) * n)
         mono = field.monomial_apply(f, fock.vacuum(g, n), g)
+        assert rel(mono, field.wick_rule_expand(f, g)) < 1e-10
+
+    def test_matches_monomial_order_six(self, rng):
+        g = random_grid(4, rng)
+        f = rng.standard_normal((4,) * 6)
+        mono = field.monomial_apply(f, fock.vacuum(g, 6), g)
         assert rel(mono, field.wick_rule_expand(f, g)) < 1e-10
 
     @given(st.integers(0, 2**32 - 1))

@@ -82,7 +82,9 @@ class TestEnumerateNC:
 
     def test_crossing_pair_excluded(self):
         out = {p.blocks for p in ncpart.enumerate_nc(4)}
-        assert ((1, 3), (2, 4)) not in {b for bs in out for b in bs if len(bs) == 2} or True
+        assert not any({(1, 3), (2, 4)} <= set(bs) for bs in out)
+        # S(4, 2) = 7 two-block partitions, less the crossing one
+        assert sum(len(bs) == 2 for bs in out) == 6
         assert (((1, 3), (2, 4))) not in out
 
     @pytest.mark.parametrize("n", range(1, 9))
