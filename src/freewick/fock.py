@@ -4,8 +4,9 @@ Level ``k`` of a vector is a dense order-``k`` array over grid indices
 (level 0 is a scalar).  The inner product carries one quadrature weight
 per tensor slot.  Creation prepends a slot, annihilation contracts the
 first slot against the weights, and the neutral operator multiplies the
-first slot pointwise; together they satisfy the free relation
-``annihilate(g, create(f, v)) == <g, f> v`` exactly in quadrature.
+first slot pointwise (the diagonal case of :func:`first_slot`, which
+applies a one-particle matrix there); together they satisfy the free
+relation ``annihilate(g, create(f, v)) == <g, f> v`` exactly in quadrature.
 
 Budgets are explicit: any raising step that would push nonzero content
 past ``max_level`` raises :class:`~freewick.errors.CapacityError` rather
@@ -15,6 +16,8 @@ Operations never mutate their inputs; vectors are plain values.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -27,6 +30,7 @@ __all__ = [
     "create",
     "annihilate",
     "neutral",
+    "first_slot",
     "point_create",
     "point_annihilate",
     "inner",
@@ -60,22 +64,21 @@ class FockVector:
         if self.base is not other.base and self.base.size != other.base.size:
             raise ValueError("vectors live over different grids")
 
-    def _combine(self, other: "FockVector", sign: float) -> "FockVector":
-        # budgets are allocations, not content: pad to the larger one
+    def _combine(self, other: "FockVector", op) -> "FockVector":
+        # budgets are allocations, not content: a missing level counts as zero
         self._compat(other)
-        m = self.base.size
         levels = []
         for k in range(max(self.max_level, other.max_level) + 1):
-            a = self.levels[k] if k <= self.max_level else np.zeros((m,) * k)
-            b = other.levels[k] if k <= other.max_level else np.zeros((m,) * k)
-            levels.append(a + sign * b)
+            a = self.levels[k] if k <= self.max_level else 0.0
+            b = other.levels[k] if k <= other.max_level else 0.0
+            levels.append(op(a, b))
         return FockVector(self.base, levels)
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        return self._combine(other, 1.0)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self._combine(other, -1.0)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, scalar: float) -> "FockVector":
         return FockVector(self.base, [a * float(scalar) for a in self.levels])
@@ -113,39 +116,46 @@ def _node_values(f, base) -> np.ndarray:
     return f
 
 
+def _first(mat, a: np.ndarray) -> np.ndarray:
+    """``mat`` on the first slot of the level ``a``; zeros, not computed, for a zero ``a``."""
+    shape = mat.shape[:-1] + a.shape[1:]
+    return (mat @ a.reshape(a.shape[0], -1)).reshape(shape) if np.any(a) else np.zeros(shape)
+
+
 def create(f, v: FockVector) -> FockVector:
     """Prepend a slot sampled from ``f``: level k of ``v`` feeds level k+1."""
     f = _node_values(f, v.base)
-    out = zero(v.base, v.max_level)
-    for k, arr in enumerate(v.levels):
-        if not np.any(arr):
-            continue
-        if k + 1 > v.max_level:
-            raise CapacityError(
-                f"create would push level {k} content past budget {v.max_level}"
-            )
-        out.levels[k + 1] = np.multiply.outer(f, arr)
-    return out
+    if np.any(f) and np.any(v.levels[-1]):
+        raise CapacityError(f"create would push level {v.max_level} content past the budget")
+    # f as an (m, 1) matrix acting on a new unit slot
+    return FockVector(v.base, [np.zeros(())] + [_first(f[:, None], a[None]) for a in v.levels[:-1]])
 
 
 def annihilate(f, v: FockVector) -> FockVector:
     """Contract the first slot against ``f`` with quadrature weights."""
     wf = v.base.weights * _node_values(f, v.base)
-    out = zero(v.base, v.max_level)
-    for k in range(1, v.max_level + 1):
-        out.levels[k - 1] = np.tensordot(wf, v.levels[k], axes=(0, 0))
-    return out
+    levels = [_first(wf, a) for a in v.levels[1:]]
+    return FockVector(v.base, levels + [np.zeros(v.levels[-1].shape)])
 
 
 def neutral(f, v: FockVector) -> FockVector:
     """Multiply the first slot pointwise by ``f``; kills level 0."""
     f = _node_values(f, v.base)
-    out = zero(v.base, v.max_level)
-    m = v.base.size
-    for k in range(1, v.max_level + 1):
-        shape = (m,) + (1,) * (k - 1)
-        out.levels[k] = f.reshape(shape) * v.levels[k]
-    return out
+    levels = [
+        f.reshape((-1,) + (1,) * (a.ndim - 1)) * a if np.any(a) else np.zeros(a.shape)
+        for a in v.levels[1:]
+    ]
+    return FockVector(v.base, [np.zeros(())] + levels)
+
+
+def first_slot(a, v: FockVector) -> FockVector:
+    """Apply the one-particle matrix ``a`` to the first slot; kills level 0.
+
+    ``out[i, ...] = sum_j a[i, j] v[j, ...]`` on every level; :func:`neutral`
+    is the diagonal case.
+    """
+    a = np.asarray(a, dtype=float)
+    return FockVector(v.base, [np.zeros(())] + [_first(a, lv) for lv in v.levels[1:]])
 
 
 def point_create(i: int, v: FockVector) -> FockVector:
@@ -183,10 +193,10 @@ def inner(u: FockVector, v: FockVector) -> float:
     w = u.base.weights
     total = 0.0
     for k in range(min(u.max_level, v.max_level) + 1):
-        prod = u.levels[k] * v.levels[k]
+        prod = (u.levels[k] * v.levels[k]).reshape(-1)
         for _ in range(k):
-            prod = np.tensordot(w, prod, axes=(0, 0))
-        total += float(prod)
+            prod = w @ prod.reshape(w.size, -1)
+        total += float(prod[0])
     return total
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "JacobiNode",
     "JacobiSystem",
     "poly_eval",
+    "poly_values",
     "coeffs_from_measure",
     "norms",
     "gauss_rule",
@@ -65,22 +66,27 @@ class JacobiNode:
         return self.b.size - 1
 
 
-def poly_eval(node: JacobiNode, l: int, s):
-    """Monic orthogonal polynomial of degree ``l`` at ``s`` (scalar or array).
+def poly_values(node: JacobiNode, lmax: int, s) -> np.ndarray:
+    """Monic orthogonal polynomials of degrees ``0..lmax`` at ``s``, stacked.
 
-    Identically zero from the support size on, matching the finite-support
-    convention.
+    Row ``l`` is identically zero from the support size on, matching the
+    finite-support convention.
     """
-    if l < 0 or l > node.max_degree:
-        raise ValueError(f"degree {l} outside tabulated range 0..{node.max_degree}")
+    if lmax < 0 or lmax > node.max_degree:
+        raise ValueError(f"degree {lmax} outside tabulated range 0..{node.max_degree}")
     s = np.asarray(s, dtype=float)
-    if node.finite_support_n is not None and l >= node.finite_support_n:
-        return np.zeros_like(s)
-    p_prev = np.zeros_like(s)
-    p = np.ones_like(s)
-    for k in range(l):
+    out = np.zeros((lmax + 1,) + s.shape)
+    n = lmax + 1 if node.finite_support_n is None else min(lmax + 1, node.finite_support_n)
+    p_prev, p = np.zeros_like(s), np.ones_like(s)
+    for k in range(n):
+        out[k] = p
         p, p_prev = (s - node.b[k]) * p - (node.a[k] if k else 0.0) * p_prev, p
-    return p
+    return out
+
+
+def poly_eval(node: JacobiNode, l: int, s):
+    """Monic orthogonal polynomial of degree ``l`` at ``s`` (scalar or array)."""
+    return poly_values(node, l, s)[l]
 
 
 def coeffs_from_measure(

@@ -1,36 +1,35 @@
-"""Extended Fock space: multi-index components, graded field parts, and the
-basis transform to the joint-quadrature Fock space.
+"""Extended Fock space: the full Fock space over {0..L} x T, the graded
+field parts on it, and the basis transform to the joint-quadrature space.
 
-A vector is a scalar plus components keyed by multi-indices
-``(l_1, ..., l_i)``: each component is a dense order-``i`` array over the
-base grid, weighted per slot ``j`` by the measure with density ``g_{l_j}``
-(the squared norm of the degree-``l_j`` monic orthogonal polynomial of the
-node's law).  The degree of a multi-index is ``sum(l) + i`` and grades the
-space.
+A vector is a Fock vector over the one-particle space {0..L} x T, laid
+out ``l*m + t`` and weighted by ``w(t) g_l(t)`` (the squared norm of the
+degree-``l`` monic orthogonal polynomial of the node's law): a scalar plus
+dense levels, level ``i`` of shape ``((L+1)m,)*i``.  Its multi-index
+component ``(l_1, ..., l_i)`` is the slice of level ``i`` at those ``l``,
+of degree ``sum(l) + i``.  The degree budget ``max_degree`` is a capacity
+check, not an allocation: ``L`` is the smaller of the system's tabulated
+degree and ``max_degree - 1``, and levels stop at the top nonzero one.
 
-The field splits into a raising, a preserving, and a lowering part.  The
-raising part either prepends a fresh ``l = 0`` slot or bumps the leading
-index; the lowering part either contracts an ``l_1 = 0`` slot against the
-base quadrature or lowers the leading index with the recurrence
-coefficient ``a``; the preserving part multiplies by ``b``.  With
-level-independent coefficients these collapse to the closed second-order
-form of the field at a point (creation + coefficient-weighted neutral +
-annihilation + second-order contraction).
+The field is creation and annihilation at ``l = 0`` plus the node's
+Jacobi matrix times ``f`` on the first slot, all on :mod:`fock`
+primitives.  Raising creates at ``l = 0`` and shifts the first slot
+``l -> l+1``; preserving multiplies it by ``b_l f``; lowering annihilates
+at ``l = 0`` and shifts ``l -> l-1`` times ``a_l f``.  With level-independent
+coefficients these collapse to the closed second-order form of the field
+at a point.  Raising nonzero content past the budget, or shifting it past
+``L`` where it is not null, raises :class:`CapacityError`.
 
 The per-slot polynomial transform between this space and the Fock space
 over the joint (node, atom) quadrature is an exact isometry on the grid
 and intertwines the two realizations of the field; both facts are what the
 verification suites check numerically.
-
-Components keyed by different multi-indices never interact except through
-the slot-prepending and slot-contracting parts, so per-component work can
-be parallelized with a final merge.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 import string
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from . import field, fock
 from .errors import CapacityError
 from .fock import FockVector
 from .grid import GridMeasure, ProductGrid
-from .jacobi import JacobiSystem, poly_eval
+from .jacobi import JacobiSystem, poly_values
 from .ncpart import _compositions
 
 __all__ = [
@@ -58,8 +57,10 @@ __all__ = [
     "power_jump",
     "kernel_lift",
     "multi_indices_exact",
-    "multi_indices_up_to",
 ]
+
+# {0..L} x T as a Fock base; not a GridMeasure, because g_l may vanish
+_SlotBase = namedtuple("_SlotBase", "size weights", defaults=(None,))
 
 
 def multi_index_degree(ls: tuple[int, ...]) -> int:
@@ -73,92 +74,138 @@ def multi_indices_exact(n: int):
             yield tuple(c - 1 for c in comp)
 
 
-def multi_indices_up_to(max_degree: int):
-    for n in range(1, max_degree + 1):
-        yield from multi_indices_exact(n)
+def _block_index(ls) -> tuple:
+    return tuple(part for l in ls for part in (l, slice(None)))
 
 
 class XFockVector:
-    """Scalar plus multi-index-keyed dense components over the base grid."""
+    """Scalar plus dense levels over {0..lmax} x T, with a degree budget."""
 
-    __slots__ = ("grid", "max_degree", "scalar", "components")
+    __slots__ = ("grid", "max_degree", "lmax", "levels")
 
-    def __init__(self, grid: GridMeasure, max_degree: int, scalar: float = 0.0, components=None):
+    def __init__(self, grid: GridMeasure, max_degree: int, scalar: float = 0.0):
         if max_degree < 0:
             raise ValueError("max_degree must be non-negative")
         self.grid = grid
         self.max_degree = int(max_degree)
-        self.scalar = float(scalar)
-        self.components: dict[tuple[int, ...], np.ndarray] = {}
-        if components:
-            for ls, arr in components.items():
-                self.set_component(ls, arr)
+        self.lmax = max(self.max_degree - 1, 0)
+        self.levels = [np.asarray(float(scalar))]
 
-    def set_component(self, ls, arr) -> None:
-        ls = tuple(int(l) for l in ls)
-        if any(l < 0 for l in ls) or not ls:
-            raise ValueError(f"invalid multi-index {ls}")
-        if multi_index_degree(ls) > self.max_degree:
-            raise CapacityError(f"multi-index {ls} exceeds degree budget {self.max_degree}")
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (self.grid.size,) * len(ls):
-            raise ValueError(f"component {ls} must have shape {(self.grid.size,) * len(ls)}")
-        self.components[ls] = arr
+    @classmethod
+    def _of(cls, grid, max_degree: int, lmax: int, levels) -> "XFockVector":
+        out = cls(grid, max_degree)
+        out.lmax, out.levels = lmax, list(levels)
+        while len(out.levels) > 1 and not np.any(out.levels[-1]):
+            out.levels.pop()
+        return out
 
-    def add_component(self, ls, arr) -> None:
-        ls = tuple(int(l) for l in ls)
-        got = self.components.get(ls)
-        if got is None:
-            self.set_component(ls, arr)
-        else:
-            self.components[ls] = got + arr
+    @property
+    def scalar(self) -> float:
+        return float(self.levels[0])
+
+    @scalar.setter
+    def scalar(self, value: float) -> None:
+        self.levels[0] = np.asarray(float(value))
+
+    def _blocks(self, i: int) -> np.ndarray:
+        """Level ``i`` with axes ``(l_1, t_1, ..., l_i, t_i)``."""
+        return self.levels[i].reshape((self.lmax + 1, self.grid.size) * i)
 
     def component(self, ls) -> np.ndarray:
         ls = tuple(int(l) for l in ls)
-        got = self.components.get(ls)
-        if got is not None:
-            return got
-        return np.zeros((self.grid.size,) * len(ls))
+        if len(ls) >= len(self.levels) or max(ls, default=0) > self.lmax:
+            return np.zeros((self.grid.size,) * len(ls))
+        return self._blocks(len(ls))[_block_index(ls)]
 
-    def sorted_keys(self) -> list[tuple[int, ...]]:
-        return sorted(self.components, key=lambda ls: (multi_index_degree(ls), ls))
+    def set_component(self, ls, arr) -> None:
+        ls = tuple(int(l) for l in ls)
+        i, m = len(ls), self.grid.size
+        if any(l < 0 for l in ls) or not ls:
+            raise ValueError(f"invalid multi-index {ls}")
+        if multi_index_degree(ls) > self.max_degree or max(ls) > self.lmax:
+            raise CapacityError(f"multi-index {ls} exceeds degree budget {self.max_degree}")
+        arr = np.asarray(arr, dtype=float)
+        if arr.shape != (m,) * i:
+            raise ValueError(f"component {ls} must have shape {(m,) * i}")
+        while len(self.levels) <= i:
+            self.levels.append(np.zeros(((self.lmax + 1) * m,) * len(self.levels)))
+        blocks = self._blocks(i)  # a copy when the level is not contiguous
+        blocks[_block_index(ls)] = arr
+        self.levels[i] = blocks.reshape(self.levels[i].shape)
 
-    def copy(self) -> "XFockVector":
-        out = XFockVector(self.grid, self.max_degree, self.scalar)
-        out.components = {ls: arr.copy() for ls, arr in self.components.items()}
-        return out
+    @property
+    def components(self) -> dict[tuple[int, ...], np.ndarray]:
+        """Nonzero components by degree, then lexicographically; views into the levels."""
+        found = []
+        for i in range(1, len(self.levels)):
+            nonzero = np.any(self._blocks(i) != 0, axis=tuple(range(1, 2 * i, 2)))
+            found.extend(tuple(int(l) for l in ls) for ls in np.argwhere(nonzero))
+        found.sort(key=lambda ls: (sum(ls) + len(ls), ls))
+        return {ls: self._blocks(len(ls))[_block_index(ls)] for ls in found}
 
-    def _compat(self, other: "XFockVector") -> None:
+    def _combine(self, other: "XFockVector", op) -> "XFockVector":
         if self.grid.size != other.grid.size:
             raise ValueError("vectors live over different grids")
+        lmax = max(self.lmax, other.lmax)
+        base = _SlotBase((lmax + 1) * self.grid.size)
+        a, b = (FockVector(base, _levels_at(x, lmax)) for x in (self, other))
+        budget = max(self.max_degree, other.max_degree)
+        return XFockVector._of(self.grid, budget, lmax, op(a, b).levels)
 
     def __add__(self, other: "XFockVector") -> "XFockVector":
-        self._compat(other)
-        out = XFockVector(self.grid, max(self.max_degree, other.max_degree), self.scalar + other.scalar)
-        for src in (self, other):
-            for ls, arr in src.components.items():
-                out.add_component(ls, arr)
-        return out
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "XFockVector") -> "XFockVector":
-        return self + (other * -1.0)
-
-    def __mul__(self, scalar: float) -> "XFockVector":
-        out = XFockVector(self.grid, self.max_degree, self.scalar * float(scalar))
-        out.components = {ls: arr * float(scalar) for ls, arr in self.components.items()}
-        return out
-
-    __rmul__ = __mul__
+        return self._combine(other, operator.sub)
 
     def to_json_dict(self) -> dict:
         return {
             "max_degree": self.max_degree,
             "scalar": self.scalar,
-            "components": {
-                ",".join(map(str, ls)): self.components[ls].tolist()
-                for ls in self.sorted_keys()
-            },
+            "components": {",".join(map(str, ls)): a.tolist() for ls, a in self.components.items()},
         }
+
+
+def _levels_at(v: XFockVector, lmax: int, sys: JacobiSystem | None = None) -> list:
+    """Levels of ``v`` over {0..lmax} x T: zero-padded, or cut past ``lmax``.
+
+    Cut content must be null: ``g`` and ``a`` vanish from a node's support
+    size on, so content there has zero norm and never lowers back.
+    """
+    if lmax == v.lmax:
+        return list(v.levels)
+    out = [v.levels[0]]
+    for i in range(1, len(v.levels)):
+        x = v._blocks(i)
+        if lmax > v.lmax:
+            x = np.pad(x, [(0, lmax - v.lmax), (0, 0)] * i)
+        else:
+            kept = x[(slice(lmax + 1), slice(None)) * i]
+            if np.count_nonzero(kept) != np.count_nonzero(x):
+                _require_null_past(sys, lmax)
+            x = kept
+        out.append(x.reshape(((lmax + 1) * v.grid.size,) * i))
+    return out
+
+
+def _require_null_past(sys: JacobiSystem | None, lmax: int) -> None:
+    if sys is None or any((n.finite_support_n or np.inf) > lmax + 1 for n in sys.nodes):
+        raise CapacityError(f"nonzero content past degree {lmax} exceeds the budget or tabulation")
+
+
+def _check_budget(levels, lmax: int, m: int, max_degree: int) -> None:
+    """Raise unless every nonzero component has degree at most ``max_degree``."""
+    for i, arr in enumerate(levels):
+        if i * (lmax + 1) > max_degree:
+            nonzero = np.any(arr.reshape((lmax + 1, m) * i) != 0, axis=tuple(range(1, 2 * i, 2)))
+            if np.any(nonzero[np.indices(nonzero.shape).sum(axis=0) + i > max_degree]):
+                raise CapacityError(f"level {i} content exceeds the degree budget {max_degree}")
+
+
+def _weighted(v: XFockVector, sys: JacobiSystem, lmax: int) -> FockVector:
+    """``v`` over {0..lmax} x T with the per-slot weights ``w(t) g_l(t)``."""
+    weights = np.ravel([sys.grid.weights * sys.g_values(l) for l in range(lmax + 1)])
+    return FockVector(_SlotBase(weights.size, weights), _levels_at(v, lmax, sys))
 
 
 def x_vacuum(grid: GridMeasure, max_degree: int) -> XFockVector:
@@ -166,79 +213,65 @@ def x_vacuum(grid: GridMeasure, max_degree: int) -> XFockVector:
 
 
 def x_inner(u: XFockVector, v: XFockVector, sys: JacobiSystem) -> float:
-    """Inner product with per-slot weight ``w(t) g_{l_j}(t)``."""
-    total = u.scalar * v.scalar
-    w = sys.grid.weights
-    for ls, arr in u.components.items():
-        other = v.components.get(ls)
-        if other is None:
-            continue
-        prod = arr * other
-        for l in ls:
-            prod = np.tensordot(w * sys.g_values(l), prod, axes=(0, 0))
-        total += float(prod)
-    return total
+    """Inner product with per-slot weight ``w(t) g_{l_j}(t)``: :func:`fock.inner`."""
+    lmax = min(sys.max_degree, max(u.lmax, v.lmax))
+    return fock.inner(_weighted(u, sys, lmax), _weighted(v, sys, lmax))
 
 
 def x_norm(v: XFockVector, sys: JacobiSystem) -> float:
     return float(np.sqrt(max(x_inner(v, v, sys), 0.0)))
 
 
-def xplus(f, v: XFockVector, sys: JacobiSystem) -> XFockVector:
-    """Degree-raising part: prepend a fresh l=0 slot, or bump the leading index."""
+def _field_part(f, v: XFockVector, sys: JacobiSystem, parts: str) -> XFockVector:
+    """The field parts named in ``parts`` (``+``, ``0``, ``-``) applied to ``v``.
+
+    Creation and annihilation act at l=0; the kept bands of the node's
+    Jacobi matrix times ``f`` act on the first slot in one product.
+    """
     f = np.asarray(f, dtype=float)
-    out = XFockVector(v.grid, v.max_degree)
-    if v.scalar != 0.0:
-        if v.max_degree < 1:
-            raise CapacityError("raising the scalar exceeds the degree budget")
-        out.add_component((0,), v.scalar * f)
-    for ls, arr in v.components.items():
-        if not np.any(arr):
-            continue
-        if multi_index_degree(ls) + 1 > v.max_degree:
-            raise CapacityError(
-                f"raising {ls} exceeds the degree budget {v.max_degree}"
-            )
-        out.add_component((0,) + ls, np.multiply.outer(f, arr))
-        bump = f.reshape((-1,) + (1,) * (len(ls) - 1)) * arr
-        out.add_component((ls[0] + 1,) + ls[1:], bump)
-    return out
+    m = f.size
+    lmax = max(0, min(sys.max_degree, v.max_degree - 1))
+    u = _weighted(v, sys, lmax)
+    at_l0 = np.concatenate([f, np.zeros(lmax * m)])
+    band = np.zeros((u.base.size,) * 2)
+    if "+" in parts:
+        band += np.diag(np.tile(f, lmax), -m)
+    if "0" in parts:
+        band += np.diag(np.ravel([sys.b_values(l) * f for l in range(lmax + 1)]))
+    if "-" in parts:
+        band += np.diag(np.ravel([sys.a_values(l) * f for l in range(1, lmax + 1)]), m)
+    out = fock.first_slot(band, u)
+    if "-" in parts:
+        out = out + fock.annihilate(at_l0, u)
+    if "+" in parts:
+        if any(np.any(arr[lmax * m:][f != 0]) for arr in u.levels[1:]):
+            _require_null_past(sys, lmax)  # the shift would push it past lmax
+        # create into one more read-only zero level; its result is not copied
+        room = np.broadcast_to(0.0, (u.base.size,) * len(u.levels))
+        raised = fock.create(at_l0, FockVector(u.base, u.levels + [room])).levels
+        out = FockVector(u.base, [a + b for a, b in zip(out.levels, raised)] + raised[-1:])
+        _check_budget(out.levels, lmax, m, v.max_degree)
+    return XFockVector._of(v.grid, v.max_degree, lmax, out.levels)
+
+
+def xplus(f, v: XFockVector, sys: JacobiSystem) -> XFockVector:
+    """Degree-raising part: create ``f`` at l=0, plus the first-slot shift l -> l+1."""
+    return _field_part(f, v, sys, "+")
 
 
 def xzero(f, v: XFockVector, sys: JacobiSystem) -> XFockVector:
-    """Degree-preserving part: leading-slot multiplication by ``b_{l_1} f``."""
-    f = np.asarray(f, dtype=float)
-    out = XFockVector(v.grid, v.max_degree)
-    for ls, arr in v.components.items():
-        coeff = sys.b_values(ls[0]) * f
-        out.add_component(ls, coeff.reshape((-1,) + (1,) * (len(ls) - 1)) * arr)
-    return out
+    """Degree-preserving part: first-slot multiplication by ``b_l f``."""
+    return _field_part(f, v, sys, "0")
 
 
 def xminus(f, v: XFockVector, sys: JacobiSystem) -> XFockVector:
-    """Degree-lowering part: contract an l=0 slot, or lower the leading index."""
-    f = np.asarray(f, dtype=float)
-    out = XFockVector(v.grid, v.max_degree)
-    w = sys.grid.weights
-    for ls, arr in v.components.items():
-        if ls[0] == 0:
-            contracted = np.tensordot(w * f, arr, axes=(0, 0))
-            if len(ls) == 1:
-                out.scalar += float(contracted)
-            else:
-                out.add_component(ls[1:], contracted)
-        else:
-            coeff = sys.a_values(ls[0]) * f
-            out.add_component(
-                (ls[0] - 1,) + ls[1:],
-                coeff.reshape((-1,) + (1,) * (len(ls) - 1)) * arr,
-            )
-    return out
+    """Degree-lowering part: annihilate ``f`` at l=0, plus the shift l -> l-1 times ``a_l``."""
+    return _field_part(f, v, sys, "-")
 
 
 def xfield(f, v: XFockVector, sys: JacobiSystem) -> XFockVector:
-    """The full field: raising + preserving + lowering parts."""
-    return xplus(f, v, sys) + xzero(f, v, sys) + xminus(f, v, sys)
+    """The full field: raising + preserving + lowering parts, in one pass."""
+    return _field_part(f, v, sys, "+0-")
 
 
 def xmoment(fs, sys: JacobiSystem) -> float:
@@ -272,104 +305,69 @@ def big_fock_realize(f, v: FockVector, pg: ProductGrid) -> FockVector:
 
 
 def _poly_table(pg: ProductGrid, sys: JacobiSystem, lmax: int) -> np.ndarray:
-    """Values of the per-node monic polynomials at the joint nodes."""
-    table = np.zeros((lmax + 1, pg.size))
-    for t in range(pg.grid.size):
-        sl = pg.slices[t]
-        s = pg.svalues[sl]
-        for l in range(lmax + 1):
-            table[l, sl] = poly_eval(sys.nodes[t], l, s)
-    return table
+    """Values of the per-node monic polynomials of degrees 0..lmax at the joint nodes."""
+    rows = [poly_values(node, lmax, pg.svalues[sl]) for node, sl in zip(sys.nodes, pg.slices)]
+    return np.concatenate(rows, axis=1)
 
 
-def _require_complete(pg: ProductGrid, sys: JacobiSystem) -> int:
-    lmax = sys.max_degree
-    largest = max(fb.size for fb in pg.fibers)
+def _slot_maps(pg: ProductGrid, sys: JacobiSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Projection onto and synthesis from the node polynomials, ``((L+1)m) x joint``.
+
+    Synthesis row ``l*m + t`` is ``p_l`` on node ``t``'s atoms; the
+    projection row is that times the atom weights over ``g_l(t)`` (zero
+    where ``g_l(t)`` vanishes).  The tabulated degree must span every fiber.
+    """
+    lmax, largest = sys.max_degree, max(fb.size for fb in pg.fibers)
     if lmax < largest - 1:
         raise ValueError(
             f"system tabulated to degree {lmax} cannot span fibers with {largest} atoms"
         )
-    return lmax
+    on_node = pg.tindex == np.arange(pg.grid.size)[:, None]
+    synth = (_poly_table(pg, sys, lmax)[:, None, :] * on_node).reshape(-1, pg.size)
+    g = np.ravel([sys.g_values(l) for l in range(lmax + 1)])[:, None]
+    return np.divide(synth * pg.fweights, g, out=np.zeros_like(synth), where=g > 0.0), synth
+
+
+def _slotwise(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` to every slot of a level array."""
+    for _ in range(arr.ndim):
+        arr = np.tensordot(arr, mat, axes=(0, 1))
+    return arr
 
 
 def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None) -> XFockVector:
     """Per-slot change of basis from atom samples to polynomial coefficients.
 
-    Each tensor slot of a level-``i`` array over the joint quadrature is
-    expanded in the node's monic polynomials; the coefficient arrays land
-    in the multi-index components.  Exact isometry on the grid (the
-    polynomials are orthogonal for the discrete node laws); requires the
-    tabulated degree to span every fiber.
+    Each slot of a level-``i`` array over the joint quadrature is expanded
+    in the node's monic polynomials.  Exact isometry on the grid (the
+    polynomials are orthogonal for the discrete node laws).  The default
+    budget is ``i * (L + 1)`` for the top nonzero level ``i``.
     """
     pg = v.base
     if not isinstance(pg, ProductGrid):
         raise TypeError("the transform acts on vectors over the joint quadrature")
-    lmax = _require_complete(pg, sys)
-    m = pg.grid.size
-    table = _poly_table(pg, sys, lmax)
-
-    # projection rows: fiber weight times polynomial over squared norm
-    proj = np.zeros(((lmax + 1) * m, pg.size))
-    for t in range(m):
-        sl = pg.slices[t]
-        for l in range(lmax + 1):
-            gl = sys.nodes[t].g[l]
-            if gl > 0.0:
-                proj[l * m + t, sl] = pg.fweights[sl] * table[l, sl] / gl
-
-    if max_degree is None:
-        max_degree = 0
-        for i in range(1, v.max_level + 1):
-            if np.any(v.levels[i]):
-                max_degree = max(max_degree, i * (lmax + 1))
-    out = XFockVector(pg.grid, max_degree, scalar=float(v.levels[0]))
-    for i in range(1, v.max_level + 1):
-        arr = v.levels[i]
-        if not np.any(arr):
-            continue
-        x = arr
-        for ax in range(i):
-            x = np.moveaxis(np.tensordot(proj, x, axes=(1, ax)), 0, ax)
-        x = x.reshape((lmax + 1, m) * i)
-        for ls in itertools.product(range(lmax + 1), repeat=i):
-            idx = tuple(
-                part for l in ls for part in (l, slice(None))
-            )
-            comp = x[idx]
-            if np.any(comp):
-                out.add_component(ls, comp)
-    return out
+    proj, _ = _slot_maps(pg, sys)
+    top = max(fock.top_level(v), 0)
+    max_degree = top * (sys.max_degree + 1) if max_degree is None else max_degree
+    levels = [_slotwise(proj, a) for a in v.levels[: top + 1]]
+    full = XFockVector._of(pg.grid, max_degree, sys.max_degree, levels)
+    lmax = max(0, min(sys.max_degree, max_degree - 1))
+    levels = _levels_at(full, lmax, sys)
+    _check_budget(levels, lmax, pg.grid.size, max_degree)
+    return XFockVector._of(pg.grid, max_degree, lmax, levels)
 
 
 def k_inverse(xv: XFockVector, sys: JacobiSystem, pg: ProductGrid) -> FockVector:
     """Reconstruct the joint-quadrature vector from polynomial coefficients."""
-    lmax = _require_complete(pg, sys)
-    m = pg.grid.size
-    table = _poly_table(pg, sys, lmax)
-    synth = np.zeros(((lmax + 1) * m, pg.size))
-    for t in range(m):
-        sl = pg.slices[t]
-        for l in range(lmax + 1):
-            synth[l * m + t, sl] = table[l, sl]
+    _, synth = _slot_maps(pg, sys)
+    return FockVector(pg, [_slotwise(synth.T, a) for a in _levels_at(xv, sys.max_degree, sys)])
 
-    orders = [len(ls) for ls in xv.components] or [0]
-    out = fock.zero(pg, max(orders))
-    out.levels[0] = np.asarray(xv.scalar)
-    by_order: dict[int, list[tuple[tuple[int, ...], np.ndarray]]] = {}
-    for ls, arr in xv.components.items():
-        by_order.setdefault(len(ls), []).append((ls, arr))
-    for i, items in by_order.items():
-        y = np.zeros(((lmax + 1), m) * i)
-        for ls, arr in items:
-            if any(l > lmax for l in ls):
-                raise ValueError(f"component {ls} outside the tabulated degree {lmax}")
-            idx = tuple(part for l in ls for part in (l, slice(None)))
-            y[idx] += arr
-        y = y.reshape(((lmax + 1) * m,) * i)
-        for ax in range(i):
-            y = np.moveaxis(np.tensordot(synth, y, axes=(0, ax)), 0, ax)
-        out.levels[i] = y
-    return out
+
+def _diagonal(kern: np.ndarray, ls) -> np.ndarray:
+    """The kernel sampled with slot ``j`` repeated ``l_j + 1`` times."""
+    letters = string.ascii_lowercase
+    labels = "".join(letters[j] * (l + 1) for j, l in enumerate(ls))
+    return np.einsum(labels + "->" + letters[: len(ls)], kern)
 
 
 def inner_product_formula(fk, gk, sys: JacobiSystem) -> float:
@@ -383,16 +381,11 @@ def inner_product_formula(fk, gk, sys: JacobiSystem) -> float:
     gk = np.asarray(gk, dtype=float)
     if fk.shape != gk.shape or fk.ndim < 1:
         raise ValueError("kernels must have equal positive order")
-    n = fk.ndim
-    letters = string.ascii_lowercase
     w = sys.grid.weights
     total = 0.0
-    for ls in multi_indices_exact(n):
-        i = len(ls)
-        labels = "".join(letters[j] * (l + 1) for j, l in enumerate(ls))
-        sub = labels + "->" + letters[:i]
-        prod = np.einsum(sub, fk) * np.einsum(sub, gk)
-        for j, l in enumerate(ls):
+    for ls in multi_indices_exact(fk.ndim):
+        prod = _diagonal(fk, ls) * _diagonal(gk, ls)
+        for l in ls:
             prod = np.tensordot(w * sys.g_values(l), prod, axes=(0, 0))
         total += float(prod)
     return total
@@ -407,15 +400,9 @@ def kernel_lift(kern, grid: GridMeasure, max_degree: int | None = None) -> XFock
     """
     kern = np.asarray(kern, dtype=float)
     n = kern.ndim
-    out = XFockVector(grid, n if max_degree is None else max_degree)
-    if n == 0:
-        out.scalar = float(kern)
-        return out
-    letters = string.ascii_lowercase
+    out = XFockVector(grid, n if max_degree is None else max_degree, scalar=kern if n == 0 else 0.0)
     for ls in multi_indices_exact(n):
-        i = len(ls)
-        labels = "".join(letters[j] * (l + 1) for j, l in enumerate(ls))
-        out.add_component(ls, np.einsum(labels + "->" + letters[:i], kern))
+        out.set_component(ls, _diagonal(kern, ls))
     return out
 
 

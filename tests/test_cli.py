@@ -91,6 +91,18 @@ class TestMoments:
         assert code == 0
         assert json.loads(out)["max_gap"] < 1e-10
 
+    def test_laws_tabulated_below_half_word(self, tmp_path, capsys):
+        # shifts past the tabulated degree carry null content (g and a vanish
+        # from the support size on), so the extended route drops them
+        for fiber_nodes, power in ((1, 6), (2, 8)):
+            cfg = tmp_path / f"cfg{fiber_nodes}.json"
+            cfg.write_text(json.dumps({"m": 3, "fiber_nodes": fiber_nodes}))
+            code, out = run(["moments", "--config", str(cfg), "--power", str(power)], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert set(payload["paths"]) == {"big_fock", "extended_fock", "nc_sum"}
+            assert payload["max_gap"] < 1e-10
+
     def test_word_factors(self, capsys):
         code, out = run(["moments", "--word", "0:0.5,0.5:1", "--power", "1"], capsys)
         assert code == 0

@@ -254,6 +254,18 @@ class TestWickApply:
         with pytest.raises(CapacityError):
             field.wick_apply(f, v, g)
 
+    def test_zero_kernel_at_full_budget_is_zero(self, rng):
+        # nothing nonzero is written past the budget, so no form may raise
+        g = random_grid(4, rng)
+        v = fock.random_vector(g, 2, rng)
+        for out in (
+            field.wick_apply(np.zeros((4, 4)), v, g, form="explicit"),
+            field.wick_apply(np.zeros((4, 4)), v, g, form="recursive"),
+            fock.create(np.zeros(4), v),
+        ):
+            assert out.max_level == 2
+            assert not any(np.any(level) for level in out.levels)
+
 
 class TestReduceKernel:
     def test_pair_contraction(self, rng):

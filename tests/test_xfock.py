@@ -319,6 +319,87 @@ class TestMeixnerRepresentation:
         assert abs(outs[0] - outs[1]) > 0.4
 
 
+def random_content(g, budget, rng):
+    """Dense random content on every multi-index of degree below the budget."""
+    v = XFockVector(g, budget, scalar=rng.standard_normal())
+    for n in range(1, budget):
+        for ls in xfock.multi_indices_exact(n):
+            v.set_component(ls, rng.standard_normal((g.size,) * len(ls)))
+    return v
+
+
+class TestDenseLayout:
+    @pytest.mark.parametrize("system", ["meixner", "general"])
+    def test_field_is_symmetric(self, system, request, rng):
+        # xmoment's half-split relies on this symmetry
+        g, _, _, sys = request.getfixturevalue(system)
+        for _ in range(3):
+            u, v = random_content(g, 4, rng), random_content(g, 4, rng)
+            f = rng.standard_normal(M_GRID)
+            lhs = xfock.x_inner(u, xfock.xfield(f, v, sys), sys)
+            rhs = xfock.x_inner(xfock.xfield(f, u, sys), v, sys)
+            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+    def test_levels_sized_by_tabulated_degree(self, meixner, rng):
+        g, _, pg, sys = meixner
+        v = headroom(pg, rng)
+        xv = xfock.k_transform(v, sys, max_degree=40)
+        assert xv.lmax == sys.max_degree
+        out = xfock.xfield(rng.standard_normal(M_GRID), xv, sys)
+        size = (sys.max_degree + 1) * M_GRID
+        assert [a.shape for a in out.levels] == [(size,) * k for k in range(4)]
+        assert XFockVector(g, 5).lmax == 4
+
+    def test_small_meixner_degree_raises(self):
+        g = grid.make_grid(M_GRID, lam=1.0, eta=1.0)
+        sys = JacobiSystem.meixner(g, 1)
+        with pytest.raises(CapacityError):
+            xfock.xmoment([np.ones(M_GRID)] * 6, sys)
+
+    def test_null_content_past_tabulation_dropped(self):
+        # one-atom laws: g_l = a_l = 0 from l = 1 on
+        g = grid.make_grid(M_GRID, lam=0.5, eta=1.0)
+        fibers = [grid.point_fiber(0.5)] * M_GRID
+        sys = JacobiSystem.from_fibers(g, fibers, 1)
+        assert np.all(sys.g_values(1) == 0.0)
+        spec = cumulant.CumulantSpec("fiber", g, fibers)
+        chi = np.ones(M_GRID)
+        a, b = cumulant.moment([chi] * 6, spec), xfock.xmoment([chi] * 6, sys)
+        assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
+
+
+@pytest.mark.parametrize("case", ["one_cell", "point_mass"])
+class TestEdges:
+    """One cell (m=1), and point-mass fibers (eta=0: g_l = 0 for l >= 1)."""
+
+    def model(self, case):
+        if case == "one_cell":
+            g = grid.make_grid(1, lam=0.4, eta=0.7)
+        else:
+            g = grid.make_grid(M_GRID, lam=np.linspace(-1.0, 1.0, M_GRID), eta=0.0)
+        coeffs = zip(g.lambda_values, g.eta_values)
+        fibers = [grid.semicircle_fiber(l, e, M_FIBER) for l, e in coeffs]
+        pg = ProductGrid(g, fibers)
+        return g, fibers, pg, JacobiSystem.from_fibers(g, fibers, M_FIBER)
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_moments_agree(self, case, degree, rng):
+        g, fibers, _, sys = self.model(case)
+        spec = cumulant.CumulantSpec("fiber", g, fibers)
+        fs = [rng.standard_normal(g.size) for _ in range(degree)]
+        a, b = cumulant.moment(fs, spec), xfock.xmoment(fs, sys)
+        assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0)
+
+    def test_transform_isometry_and_roundtrip(self, case, rng):
+        _, _, pg, sys = self.model(case)
+        for _ in range(3):
+            v = headroom(pg, rng)
+            xv = xfock.k_transform(v, sys)
+            assert abs(xfock.x_norm(xv, sys) - fock.norm(v)) <= 1e-10 * fock.norm(v)
+            back = xfock.k_inverse(xv, sys, pg)
+            assert fock.norm(back - v) <= 1e-10 * fock.norm(v)
+
+
 class TestSerialization:
     def test_json_dict(self, meixner, rng):
         g, _, _, sys = meixner
