@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cumulant, jacobi, ncpart, suites, xfock
-from .errors import ConfigError, EnumerationBoundError, FreewickError
+from .errors import CapacityError, ConfigError, EnumerationBoundError, FreewickError
 from .grid import FiberMeasure, GridMeasure, make_grid, semicircle_fiber
 
 MODES = ("gauss_poisson", "general", "meixner")
@@ -230,6 +230,14 @@ def _parse_word(config: ModelConfig, grid: GridMeasure, args) -> list[np.ndarray
     return factors * args.power
 
 
+def _require_memory(level_bytes: int) -> None:
+    """Refuse, before any work, a Fock level larger than physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    log.debug("largest Fock level: %d bytes of %d", level_bytes, memory)
+    if level_bytes > memory:
+        raise CapacityError(f"a {level_bytes / 2**30:.1f} GiB Fock level exceeds physical memory")
+
+
 def cmd_moments(args) -> int:
     config = load_config(args.config)
     grid = config.build_grid()
@@ -238,14 +246,19 @@ def cmd_moments(args) -> int:
     if len(word) > 2 * config.degree:
         raise ConfigError(f"word length {len(word)} exceeds twice the degree budget")
 
+    top = (len(word) + 1) // 2  # the Fock level each half of the split word reaches
     paths: dict[str, float] = {}
     if config.mode == "gauss_poisson":
         spec = cumulant.CumulantSpec("lambda", grid)
+        _require_memory(8 * grid.size**top)
         paths["fock"] = cumulant.moment(word, spec)
         paths["nc_sum"] = cumulant.nc_moment_sum(word, spec)
     else:
         spec = cumulant.CumulantSpec("fiber", grid, fibers)
         sys_ = jacobi.JacobiSystem.from_fibers(grid, fibers, config.fiber_nodes)
+        # the joint quadrature, and the extended space's slots {0..L} x T
+        sizes = (spec.operator_base()[0].size, (min(sys_.max_degree, top - 1) + 1) * grid.size)
+        _require_memory(8 * max(sizes) ** top)
         paths["big_fock"] = cumulant.moment(word, spec)
         paths["extended_fock"] = xfock.xmoment(word, sys_)
         paths["nc_sum"] = cumulant.nc_moment_sum(word, spec)

@@ -91,8 +91,10 @@ def word_apply(ops, f, v: FockVector, g=None) -> FockVector:
 
 def _lift(f: np.ndarray, v: FockVector) -> list:
     # the kernel axes lead every nonzero level of v as batch axes; zero
-    # levels are None, so only levels up to top_level(v) allocate
-    return [np.multiply.outer(f, a) if np.any(a) else None for a in v.levels]
+    # levels, stored or not, are None up to the budget, so only nonzero
+    # levels allocate
+    lifted = [np.multiply.outer(f, a) if np.any(a) else None for a in v.levels]
+    return lifted + [None] * (v.max_level + 1 - len(lifted))
 
 
 def _peel(levels: list, parts, g) -> list:
@@ -103,8 +105,9 @@ def _peel(levels: list, parts, g) -> list:
     the j-th consumed factor to keep: creation relabels that axis as the new
     first slot (one level up); annihilation contracts its diagonal with the
     first slot against the weights; neutral keeps that diagonal, times the
-    coefficient table, as the first slot.  ``None`` is a zero level;
-    nonzero content pushed past the budget raises.
+    coefficient table, as the first slot.  ``levels`` holds one entry per
+    level up to the budget, ``None`` for a zero level; nonzero content
+    pushed past the budget raises.
     """
     w, lam = g.weights, g.lambda_values
     budget = len(levels) - 1
@@ -136,9 +139,11 @@ def _acc(a, b):
 
 
 def _to_vector(levels: list, base) -> FockVector:
+    # one entry per level up to the budget; nothing past the last non-None one is stored
     m = base.size
-    levels = [np.zeros((m,) * k) if a is None else a for k, a in enumerate(levels)]
-    return FockVector(base, levels)
+    top = max((k for k, a in enumerate(levels) if a is not None), default=0)
+    stored = [np.zeros((m,) * k) if a is None else a for k, a in enumerate(levels[: top + 1])]
+    return FockVector(base, stored, len(levels) - 1)
 
 
 def _weight_axes(arr: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:

@@ -8,6 +8,12 @@ first slot pointwise (the diagonal case of :func:`first_slot`, which
 applies a one-particle matrix there); together they satisfy the free
 relation ``annihilate(g, create(f, v)) == <g, f> v`` exactly in quadrature.
 
+Levels are stored only up to the content: ``levels`` stops at or before
+the budget ``max_level``, a number kept with the vector, and a level that
+is not stored is zero (level 0 is always stored).  :func:`vacuum` stores
+level 0 only and every operator emits only the levels its stored input
+feeds; :func:`zero` allocates every level, for callers that write in place.
+
 Budgets are explicit: any raising step that would push nonzero content
 past ``max_level`` raises :class:`~freewick.errors.CapacityError` rather
 than truncating.
@@ -17,6 +23,7 @@ Operations never mutate their inputs; vectors are plain values.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
@@ -41,38 +48,34 @@ __all__ = [
 
 
 class FockVector:
-    """A graded finite sequence of dense coefficient arrays over grid indices."""
+    """A graded finite sequence of dense coefficient arrays over grid indices.
 
-    __slots__ = ("base", "levels")
+    Levels past ``len(levels) - 1``, up to the budget ``max_level``, are zero.
+    """
 
-    def __init__(self, base, levels):
+    __slots__ = ("base", "levels", "max_level")
+
+    def __init__(self, base, levels, max_level=None):
         self.base = base
         self.levels = [np.asarray(a, dtype=float) for a in levels]
+        self.max_level = len(self.levels) - 1 if max_level is None else int(max_level)
+        if not 0 < len(self.levels) <= self.max_level + 1:
+            raise ValueError(f"stored levels must be 0..k with k <= the budget {self.max_level}")
         m = base.size
         for k, arr in enumerate(self.levels):
             if arr.shape != (m,) * k:
                 raise ValueError(f"level {k} must have shape {(m,) * k}")
-
-    @property
-    def max_level(self) -> int:
-        return len(self.levels) - 1
-
-    def copy(self) -> "FockVector":
-        return FockVector(self.base, [a.copy() for a in self.levels])
 
     def _compat(self, other: "FockVector") -> None:
         if self.base is not other.base and self.base.size != other.base.size:
             raise ValueError("vectors live over different grids")
 
     def _combine(self, other: "FockVector", op) -> "FockVector":
-        # budgets are allocations, not content: a missing level counts as zero
         self._compat(other)
-        levels = []
-        for k in range(max(self.max_level, other.max_level) + 1):
-            a = self.levels[k] if k <= self.max_level else 0.0
-            b = other.levels[k] if k <= other.max_level else 0.0
-            levels.append(op(a, b))
-        return FockVector(self.base, levels)
+        pairs = itertools.zip_longest(self.levels, other.levels, fillvalue=0.0)
+        return FockVector(
+            self.base, [op(a, b) for a, b in pairs], max(self.max_level, other.max_level)
+        )
 
     def __add__(self, other: "FockVector") -> "FockVector":
         return self._combine(other, operator.add)
@@ -81,7 +84,7 @@ class FockVector:
         return self._combine(other, operator.sub)
 
     def __mul__(self, scalar: float) -> "FockVector":
-        return FockVector(self.base, [a * float(scalar) for a in self.levels])
+        return FockVector(self.base, [a * float(scalar) for a in self.levels], self.max_level)
 
     __rmul__ = __mul__
 
@@ -90,20 +93,19 @@ class FockVector:
 
 
 def zero(base, max_level: int) -> FockVector:
+    """The zero vector with every level up to the budget allocated, for in-place writers."""
     m = base.size
     return FockVector(base, [np.zeros((m,) * k) for k in range(max_level + 1)])
 
 
 def vacuum(base, max_level: int) -> FockVector:
-    """The vector (1, 0, 0, ...)."""
-    v = zero(base, max_level)
-    v.levels[0] = np.asarray(1.0)
-    return v
+    """The vector (1, 0, 0, ...): level 0 stored, the budget kept."""
+    return FockVector(base, [1.0], max_level)
 
 
 def top_level(v: FockVector) -> int:
     """Highest level carrying a nonzero entry, or -1 for the zero vector."""
-    for k in range(v.max_level, -1, -1):
+    for k in range(len(v.levels) - 1, -1, -1):
         if np.any(v.levels[k]):
             return k
     return -1
@@ -117,35 +119,32 @@ def _node_values(f, base) -> np.ndarray:
 
 
 def _first(mat, a: np.ndarray) -> np.ndarray:
-    """``mat`` on the first slot of the level ``a``; zeros, not computed, for a zero ``a``."""
-    shape = mat.shape[:-1] + a.shape[1:]
-    return (mat @ a.reshape(a.shape[0], -1)).reshape(shape) if np.any(a) else np.zeros(shape)
+    """``mat`` on the first slot of the level ``a``."""
+    return (mat @ a.reshape(a.shape[0], -1)).reshape(mat.shape[:-1] + a.shape[1:])
 
 
 def create(f, v: FockVector) -> FockVector:
     """Prepend a slot sampled from ``f``: level k of ``v`` feeds level k+1."""
     f = _node_values(f, v.base)
-    if np.any(f) and np.any(v.levels[-1]):
+    if len(v.levels) > v.max_level and np.any(v.levels[-1]) and np.any(f):
         raise CapacityError(f"create would push level {v.max_level} content past the budget")
     # f as an (m, 1) matrix acting on a new unit slot
-    return FockVector(v.base, [np.zeros(())] + [_first(f[:, None], a[None]) for a in v.levels[:-1]])
+    raised = [_first(f[:, None], a[None]) for a in v.levels[: v.max_level]]
+    return FockVector(v.base, [np.zeros(())] + raised, v.max_level)
 
 
 def annihilate(f, v: FockVector) -> FockVector:
     """Contract the first slot against ``f`` with quadrature weights."""
     wf = v.base.weights * _node_values(f, v.base)
     levels = [_first(wf, a) for a in v.levels[1:]]
-    return FockVector(v.base, levels + [np.zeros(v.levels[-1].shape)])
+    return FockVector(v.base, levels or [np.zeros(())], v.max_level)
 
 
 def neutral(f, v: FockVector) -> FockVector:
     """Multiply the first slot pointwise by ``f``; kills level 0."""
     f = _node_values(f, v.base)
-    levels = [
-        f.reshape((-1,) + (1,) * (a.ndim - 1)) * a if np.any(a) else np.zeros(a.shape)
-        for a in v.levels[1:]
-    ]
-    return FockVector(v.base, [np.zeros(())] + levels)
+    levels = [f.reshape((-1,) + (1,) * (a.ndim - 1)) * a for a in v.levels[1:]]
+    return FockVector(v.base, [np.zeros(())] + levels, v.max_level)
 
 
 def first_slot(a, v: FockVector) -> FockVector:
@@ -155,7 +154,8 @@ def first_slot(a, v: FockVector) -> FockVector:
     is the diagonal case.
     """
     a = np.asarray(a, dtype=float)
-    return FockVector(v.base, [np.zeros(())] + [_first(a, lv) for lv in v.levels[1:]])
+    levels = [_first(a, lv) for lv in v.levels[1:]]
+    return FockVector(v.base, [np.zeros(())] + levels, v.max_level)
 
 
 def point_create(i: int, v: FockVector) -> FockVector:
@@ -181,18 +181,17 @@ def point_create(i: int, v: FockVector) -> FockVector:
 def point_annihilate(i: int, v: FockVector) -> FockVector:
     """Annihilation at a single node: select the first-slot slice there."""
     out = zero(v.base, v.max_level)
-    for k in range(1, v.max_level + 1):
+    for k in range(1, len(v.levels)):
         out.levels[k - 1] = v.levels[k][i, ...].copy()
     return out
 
 
 def inner(u: FockVector, v: FockVector) -> float:
     """Vacuum-grade inner product with one weight per tensor slot."""
-    if u.base.size != v.base.size:
-        raise ValueError("vectors live over different grids")
+    u._compat(v)
     w = u.base.weights
     total = 0.0
-    for k in range(min(u.max_level, v.max_level) + 1):
+    for k in range(min(len(u.levels), len(v.levels))):
         prod = (u.levels[k] * v.levels[k]).reshape(-1)
         for _ in range(k):
             prod = w @ prod.reshape(w.size, -1)

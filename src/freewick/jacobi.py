@@ -17,7 +17,7 @@ and are computed both ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -35,9 +35,6 @@ __all__ = [
     "fiber_from_coefficients",
     "meixner_moments",
 ]
-
-#: Scale-relative breakdown threshold for finite-support detection.
-BREAKDOWN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,44 +86,42 @@ def poly_eval(node: JacobiNode, l: int, s):
     return poly_values(node, l, s)[l]
 
 
-def coeffs_from_measure(
-    fiber: FiberMeasure, max_degree: int, breakdown_rtol: float = BREAKDOWN_RTOL
-) -> JacobiNode:
+def coeffs_from_measure(fiber: FiberMeasure, max_degree: int) -> JacobiNode:
     """Recover recurrence coefficients from a discrete measure.
 
-    Stieltjes walk: build the monic polynomials on the atoms, reading off
-    ``b_n = <s p_n, p_n>/<p_n, p_n>`` and ``a_n = <p_n, p_n>/<p_{n-1},
-    p_{n-1}>``.  Breakdown (squared norm below ``breakdown_rtol`` relative
-    to degree zero) marks finite support and zero-fills the remainder.
-
-    Coefficients are exact only while the implied moments are exact for the
-    measure, i.e. for degrees below the atom count.
+    The support size N is the number of distinct atoms (repeated atoms
+    merge).  The RKPW update builds the N x N Jacobi matrix of the law one
+    atom at a time by plane rotations (Gragg & Harrod, Numer. Math. 44,
+    1984; Gautschi 2004, ch. 2); unlike the Stieltjes walk it needs no
+    breakdown threshold, so nothing depends on the units of the atoms.
+    With N <= ``max_degree`` the coefficients from degree N on are zero
+    and ``finite_support_n = N``.  The norms ``g`` are the quadrature norms
+    of the recovered polynomials on the atoms, a second route to the
+    product of the ``a``'s that :func:`norms` checks.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    s = fiber.atoms
-    mu = fiber.weights
-    size = max_degree + 1
-    b = np.zeros(size)
-    a = np.zeros(size)
-    g = np.zeros(size)
-    finite_n: int | None = None
-
-    p_prev = np.zeros_like(s)
-    p = np.ones_like(s)
-    nrm_prev = 0.0
-    nrm = 1.0  # probability normalization: <p_0, p_0> = 1
-    for k in range(size):
-        if nrm < breakdown_rtol:
-            finite_n = k
-            break
-        g[k] = nrm
-        b[k] = float(np.sum(mu * s * p * p)) / nrm
-        if k >= 1:
-            a[k] = nrm / nrm_prev
-        p, p_prev = (s - b[k]) * p - (a[k] if k else 0.0) * p_prev, p
-        nrm_prev, nrm = nrm, float(np.sum(mu * p * p))
-    return JacobiNode(b, a, g, finite_n)
+    atoms, where = np.unique(fiber.atoms, return_inverse=True)
+    weights = np.bincount(where, weights=fiber.weights)
+    # the rotations chase downward, so the leading entries never read the rest
+    size = min(atoms.size, max_degree + 1)
+    b = [float(atoms[0])] + [0.0] * (size - 1)  # the diagonal
+    beta = [float(weights[0])] + [0.0] * (size - 1)  # the mass, then a_1, a_2, ...
+    for x, pn in zip(atoms[1:].tolist(), weights[1:].tolist()):
+        gam, sig, t = 1.0, 0.0, 0.0
+        for k in range(size):
+            rho = beta[k] + pn
+            tmp, tsig = gam * rho, sig
+            gam, sig = (beta[k] / rho, pn / rho) if rho > 0 else (1.0, 0.0)
+            tk = sig * (b[k] - x) - gam * t
+            b[k] -= tk - t
+            t = tk
+            pn = t * t / sig if sig > 0 else tsig * beta[k]
+            beta[k] = tmp
+    pad = [0.0] * (max_degree + 1 - size)
+    finite_n = atoms.size if atoms.size <= max_degree else None
+    node = JacobiNode(b + pad, [0.0] + beta[1:] + pad, np.zeros(max_degree + 1), finite_n)
+    return replace(node, g=poly_values(node, max_degree, atoms) ** 2 @ weights)
 
 
 def norms(node: JacobiNode, rtol: float = 1e-10) -> np.ndarray:
@@ -242,7 +237,7 @@ class JacobiSystem:
             if eta == 0:
                 b = np.zeros(size)
                 b[0] = lam
-                nodes.append(JacobiNode(b, np.zeros(size), _point_norms(size), 1))
+                nodes.append(JacobiNode(b, np.zeros(size), np.eye(1, size)[0], 1))
             else:
                 b = np.full(size, lam)
                 a = np.full(size, eta)
@@ -274,9 +269,3 @@ class JacobiSystem:
                 for t, node in zip(self.grid.nodes, self.nodes)
             ],
         }
-
-
-def _point_norms(size: int) -> np.ndarray:
-    g = np.zeros(size)
-    g[0] = 1.0
-    return g

@@ -123,9 +123,6 @@ class MarkedPartition:
     def n(self) -> int:
         return self.partition.n
 
-    def plus_blocks(self) -> list[tuple[int, ...]]:
-        return [b for b, m in zip(self.partition.blocks, self.marks) if m == 1]
-
 
 def is_noncrossing(p: SetPartition) -> bool:
     """True iff no x1 < y1 < x2 < y2 exists with x's in one block, y's in another."""

@@ -203,9 +203,13 @@ def _check_budget(levels, lmax: int, m: int, max_degree: int) -> None:
 
 
 def _weighted(v: XFockVector, sys: JacobiSystem, lmax: int) -> FockVector:
-    """``v`` over {0..lmax} x T with the per-slot weights ``w(t) g_l(t)``."""
+    """``v`` over {0..lmax} x T with the per-slot weights ``w(t) g_l(t)``.
+
+    Its budget is one level above the stored ones: room for one raise.
+    """
     weights = np.ravel([sys.grid.weights * sys.g_values(l) for l in range(lmax + 1)])
-    return FockVector(_SlotBase(weights.size, weights), _levels_at(v, lmax, sys))
+    levels = _levels_at(v, lmax, sys)
+    return FockVector(_SlotBase(weights.size, weights), levels, len(levels))
 
 
 def x_vacuum(grid: GridMeasure, max_degree: int) -> XFockVector:
@@ -246,10 +250,7 @@ def _field_part(f, v: XFockVector, sys: JacobiSystem, parts: str) -> XFockVector
     if "+" in parts:
         if any(np.any(arr[lmax * m:][f != 0]) for arr in u.levels[1:]):
             _require_null_past(sys, lmax)  # the shift would push it past lmax
-        # create into one more read-only zero level; its result is not copied
-        room = np.broadcast_to(0.0, (u.base.size,) * len(u.levels))
-        raised = fock.create(at_l0, FockVector(u.base, u.levels + [room])).levels
-        out = FockVector(u.base, [a + b for a, b in zip(out.levels, raised)] + raised[-1:])
+        out = out + fock.create(at_l0, u)
         _check_budget(out.levels, lmax, m, v.max_degree)
     return XFockVector._of(v.grid, v.max_degree, lmax, out.levels)
 

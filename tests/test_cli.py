@@ -103,6 +103,20 @@ class TestMoments:
             assert set(payload["paths"]) == {"big_fock", "extended_fock", "nc_sum"}
             assert payload["max_gap"] < 1e-10
 
+    def test_word_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
+        # a length-12 word at m=12 needs a level of 96**6 joint-quadrature
+        # floats; it is refused before any route runs
+        def reached(*args, **kwargs):
+            raise AssertionError("a moment route ran")
+
+        monkeypatch.setattr(cli.cumulant, "moment", reached)
+        monkeypatch.setattr(cli.cumulant, "nc_moment_sum", reached)
+        monkeypatch.setattr(cli.xfock, "xmoment", reached)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 12}))
+        code, _ = run(["moments", "--config", str(cfg), "--power", "12"], capsys)
+        assert code == 2
+
     def test_word_factors(self, capsys):
         code, out = run(["moments", "--word", "0:0.5,0.5:1", "--power", "1"], capsys)
         assert code == 0

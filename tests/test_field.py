@@ -46,6 +46,17 @@ class TestFieldApply:
         assert abs(float(v.levels[0]) - 1.0) < 1e-12
 
 
+    def test_levels_stop_at_content(self, rng):
+        # a degree-8 word over a Meixner joint quadrature stores no zero level
+        g = grid.make_grid(2, lam=1.0, eta=1.0)
+        pg = grid.ProductGrid(g, [grid.semicircle_fiber(1.0, 1.0, 2) for _ in range(2)])
+        v = fock.vacuum(pg, 8)
+        for _ in range(8):
+            v = field.field_apply(pg.lift(rng.standard_normal(2)), v)
+            assert len(v.levels) - 1 == fock.top_level(v)
+            assert v.max_level == 8
+
+
 class TestMonomialApply:
     def test_order_one_reduces(self, rng):
         g = random_grid(5, rng)
@@ -145,7 +156,7 @@ class TestMonomialApply:
         lowered = field.word_apply("--", f, v, g)
         expect = float(np.einsum("ab,ba,a,b->", f, v.levels[2], g.weights, g.weights))
         assert abs(float(lowered.levels[0]) - expect) < 1e-12 * max(abs(expect), 1.0)
-        assert not np.any(lowered.levels[1]) and not np.any(lowered.levels[2])
+        assert fock.top_level(lowered) == 0 and lowered.max_level == 2
         zero = np.zeros((4, 4))
         for out in (
             field.monomial_apply(zero, v, g),

@@ -46,7 +46,7 @@ class TestCreate:
         f = np.arange(5.0)
         v = fock.create(f, fock.vacuum(g, 2))
         assert np.allclose(v.levels[1], f)
-        assert not np.any(v.levels[0]) and not np.any(v.levels[2])
+        assert not np.any(v.levels[0]) and fock.top_level(v) == 1 and v.max_level == 2
 
     def test_twice_gives_outer(self, g, rng):
         f1, f2 = rng.standard_normal(5), rng.standard_normal(5)
@@ -178,6 +178,47 @@ class TestGrading:
         assert fock.top_level(fock.create(f, v)) == 2
         assert fock.top_level(fock.annihilate(f, v)) == 0
         assert fock.top_level(fock.neutral(f, v)) == 1
+
+
+def padded(v):
+    """``v`` with every level up to its budget stored, zeros above its content."""
+    m = v.base.size
+    pad = [np.zeros((m,) * k) for k in range(len(v.levels), v.max_level + 1)]
+    return fock.FockVector(v.base, v.levels + pad, v.max_level)
+
+
+class TestLevelRule:
+    def test_vacuum_stores_level_zero_only(self, g):
+        v = fock.vacuum(g, 6)
+        assert len(v.levels) == 1 and v.max_level == 6
+
+    def test_more_levels_than_budget_rejected(self, g, rng):
+        levels = fock.random_vector(g, 3, rng).levels
+        with pytest.raises(ValueError):
+            fock.FockVector(g, levels, 2)
+        assert fock.FockVector(g, levels[:2], 3).max_level == 3
+
+    def test_missing_levels_read_as_zero(self, g, rng):
+        u = fock.FockVector(g, fock.random_vector(g, 1, rng).levels, 3)
+        v = fock.random_vector(g, 3, rng)
+        for a, b in ((u, v), (v, u)):
+            for op in (lambda x, y: x + y, lambda x, y: x - y):
+                short, full = op(a, b), op(padded(a), padded(b))
+                assert short.max_level == full.max_level == 3
+                assert len(short.levels) == len(full.levels)
+                for x, y in zip(short.levels, full.levels):
+                    assert np.array_equal(x, y)
+            assert fock.inner(a, b) == fock.inner(padded(a), padded(b))
+
+    def test_create_raises_for_nonzero_top_content_only(self, g, rng):
+        f = rng.standard_normal(5)
+        v = fock.random_vector(g, 2, rng)
+        with pytest.raises(CapacityError):
+            fock.create(f, v)
+        v.levels[2][:] = 0
+        assert fock.top_level(fock.create(f, v)) == 2
+        below = fock.FockVector(g, v.levels[:2], 2)
+        assert len(fock.create(f, below).levels) == 3
 
 
 class TestLinearity:

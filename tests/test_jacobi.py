@@ -82,6 +82,49 @@ class TestCoeffsFromMeasure:
                     assert abs(cross) < 1e-10
 
 
+def _law(kind, n, rng):
+    if kind == "clustered":
+        # pairs 1e-4 to 1e-3 apart, pairs at least 1e-3 from each other
+        centers = np.cumsum(rng.uniform(2e-3, 0.1, size=(n + 1) // 2))
+        pairs = np.stack([centers, centers + rng.uniform(1e-4, 1e-3, size=centers.size)])
+        atoms = np.sort(pairs.T.ravel()[:n])
+        atoms -= atoms.mean()
+    else:
+        atoms = np.sort(rng.uniform(-1.5, 1.5, size=n))
+    if kind == "rescaled":
+        atoms *= 10.0 ** rng.uniform(-3.0, 1.0)
+    w = rng.uniform(0.2, 1.0, size=n)
+    return grid.FiberMeasure(atoms, w / w.sum())
+
+
+class TestRecoveryProperty:
+    @pytest.mark.parametrize("kind", ["random", "clustered", "rescaled"])
+    def test_gauss_rule_returns_the_law(self, kind, rng):
+        for n in (1, 2, 3, 5, 8, 12, 16, 24, 32, 48, 64):
+            for _ in range(3):
+                fb = _law(kind, n, rng)
+                node = jacobi.coeffs_from_measure(fb, n)
+                assert node.finite_support_n == n
+                atoms, weights = jacobi.gauss_rule(node.b, node.a, n)
+                assert np.abs(atoms - fb.atoms).max() <= 1e-10 * np.abs(fb.atoms).max()
+                assert np.abs(weights - fb.weights).max() <= 1e-10
+
+    def test_support_size_is_scale_free(self, rng):
+        fb = _law("random", 12, rng)
+        for scale in (1e-3, 0.1, 1.0, 10.0):
+            scaled = grid.FiberMeasure(scale * fb.atoms, fb.weights)
+            assert jacobi.coeffs_from_measure(scaled, 12).finite_support_n == 12
+            assert jacobi.coeffs_from_measure(scaled, 11).finite_support_n is None
+
+    def test_repeated_atoms_merge(self):
+        fb = grid.FiberMeasure(np.array([-1.0, 0.5, 0.5]), np.array([0.5, 0.25, 0.25]))
+        node = jacobi.coeffs_from_measure(fb, 4)
+        assert node.finite_support_n == 2
+        atoms, weights = jacobi.gauss_rule(node.b, node.a, 2)
+        assert np.abs(atoms - [-1.0, 0.5]).max() < 1e-14
+        assert np.abs(weights - 0.5).max() < 1e-14
+
+
 class TestNorms:
     def test_dual_route(self, rng):
         atoms = np.sort(rng.uniform(-1.5, 1.5, size=7))
