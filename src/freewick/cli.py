@@ -4,7 +4,8 @@ Subcommands:
 
 * ``partitions`` dumps an enumeration with counts,
 * ``moments`` computes one vacuum moment by every applicable route and
-  reports the values with their largest pairwise gap,
+  reports the values with their largest pairwise gap and the wall time
+  of each route,
 * ``verify`` runs the seeded verification suites and emits a
   machine-readable report.
 
@@ -18,6 +19,7 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,12 +232,12 @@ def _parse_word(config: ModelConfig, grid: GridMeasure, args) -> list[np.ndarray
     return factors * args.power
 
 
-def _require_memory(level_bytes: int) -> None:
-    """Refuse, before any work, a Fock level larger than physical memory."""
+def _require_memory(nbytes: int, what: str) -> None:
+    """Refuse, before any work, a route needing more than physical memory."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    log.debug("largest Fock level: %d bytes of %d", level_bytes, memory)
-    if level_bytes > memory:
-        raise CapacityError(f"a {level_bytes / 2**30:.1f} GiB Fock level exceeds physical memory")
+    log.debug("%s: %d bytes of %d", what, nbytes, memory)
+    if nbytes > memory:
+        raise CapacityError(f"{what} would take {nbytes / 2**30:.1f} GiB, past physical memory")
 
 
 def cmd_moments(args) -> int:
@@ -247,27 +249,35 @@ def cmd_moments(args) -> int:
         raise ConfigError(f"word length {len(word)} exceeds twice the degree budget")
 
     top = (len(word) + 1) // 2  # the Fock level each half of the split word reaches
-    paths: dict[str, float] = {}
     if config.mode == "gauss_poisson":
         spec = cumulant.CumulantSpec("lambda", grid)
-        _require_memory(8 * grid.size**top)
-        paths["fock"] = cumulant.moment(word, spec)
-        paths["nc_sum"] = cumulant.nc_moment_sum(word, spec)
+        routes = {"fock": lambda: cumulant.moment(word, spec)}
     else:
         spec = cumulant.CumulantSpec("fiber", grid, fibers)
         sys_ = jacobi.JacobiSystem.from_fibers(grid, fibers, config.fiber_nodes)
-        # the joint quadrature, and the extended space's slots {0..L} x T
-        sizes = (spec.operator_base()[0].size, (min(sys_.max_degree, top - 1) + 1) * grid.size)
-        _require_memory(8 * max(sizes) ** top)
-        paths["big_fock"] = cumulant.moment(word, spec)
-        paths["extended_fock"] = xfock.xmoment(word, sys_)
-        paths["nc_sum"] = cumulant.nc_moment_sum(word, spec)
+        # the extended space's slots {0..L} x T, one dense level of them
+        slots = (min(sys_.max_degree, top - 1) + 1) * grid.size
+        _require_memory(8 * slots**top, "an extended Fock level")
+        routes = {
+            "big_fock": lambda: cumulant.moment(word, spec),
+            "extended_fock": lambda: xfock.xmoment(word, sys_),
+        }
+    # a half word runs on the vacuum as at most 3**top rank-one terms of top slots
+    _require_memory(8 * 3**top * top * spec.operator_base()[0].size, "the rank-one term lists")
+    routes["nc_sum"] = lambda: cumulant.nc_moment_sum(word, spec)
+    paths: dict[str, float] = {}
+    route_seconds: dict[str, float] = {}
+    for name, route in routes.items():
+        started = time.perf_counter()
+        paths[name] = route()
+        route_seconds[name] = time.perf_counter() - started
     values = list(paths.values())
     max_gap = max(abs(a - b) for a in values for b in values)
     payload = {
         "mode": config.mode,
         "word_length": len(word),
         "paths": paths,
+        "route_seconds": route_seconds,
         "max_gap": max_gap,
     }
     _emit(payload, args.format, args.out)

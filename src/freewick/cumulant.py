@@ -8,10 +8,17 @@ value equal to the atom coordinate, and ``lambda**(n-2)`` is replaced by
 the (n-2)-th raw moment of the per-node measure.  Order-1 cumulants vanish
 identically in both modes.
 
-Moments are computed operator-style: the word is split in half, each half
-is applied to the vacuum, and the two sides meet in the inner product
-(every field operator is self-adjoint, so this is exact and keeps the
-level budget at half the word length).
+Moments are computed on the full Fock space without dense levels.  Every
+part of the field keeps a rank-one tensor ``g_1 (x) ... (x) g_k``
+rank-one: creation prepends ``f``, annihilation drops ``g_1`` and scales
+by ``<g_1, w f>``, and the neutral part multiplies ``g_1`` by
+``lambda f``.  So a word applied to the vacuum is a list of weighted
+rank-one terms per level, at most ``3**len(word)`` of them, each holding
+``k`` slot vectors over the operator base.  The word is split in half,
+each half runs on the vacuum as such a list, and the two lists meet in
+the inner product, a product of weighted dots per slot (every field
+operator is self-adjoint, so this is exact and keeps each list to
+``3**ceil(n/2)`` terms).  None of this runs the dense :mod:`fock` code.
 
 Complex scalars appear only in the transforms; everything else is real.
 """
@@ -22,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import field, fock, ncpart
+from . import ncpart
 from .errors import DomainBoundError
 from .grid import GridMeasure, ProductGrid
 
 __all__ = [
     "CumulantSpec",
     "moment",
-    "apply_word",
     "cumulant_direct",
     "cumulant_from_moments",
     "nc_moment_sum",
@@ -88,30 +94,68 @@ class CumulantSpec:
 
 
 def moment(fs, spec: CumulantSpec) -> float:
-    """Vacuum expectation of the field word with the given node functions."""
-    fs = [np.asarray(f, dtype=float) for f in fs]
-    n = len(fs)
-    if n == 0:
+    """Vacuum expectation of the field word with the given node functions.
+
+    Each half of the word runs on the vacuum as a list of rank-one terms
+    and the two lists meet in the inner product; no dense Fock level is
+    built and no :mod:`fock` or :mod:`field` code runs.
+    """
+    base, lift = spec.operator_base()
+    fs = [lift(f) for f in fs]
+    if not fs:
         return 1.0
-    base, lift = spec.operator_base()
-    split = n // 2
-    right = fock.vacuum(base, n - split)
-    for f in reversed(fs[split:]):
-        right = field.field_apply(lift(f), right, base)
-    left = fock.vacuum(base, split)
-    for f in fs[:split]:
-        left = field.field_apply(lift(f), left, base)
-    return fock.inner(right, left)
+    split = len(fs) // 2
+    right = _rank_one_terms(fs[split:][::-1], base)
+    left = _rank_one_terms(fs[:split], base)
+    return _pair(left, right, base.weights)
 
 
-def apply_word(fs, spec: CumulantSpec, max_level: int | None = None) -> fock.FockVector:
-    """Apply the whole field word to the vacuum (full level budget)."""
-    fs = [np.asarray(f, dtype=float) for f in fs]
-    base, lift = spec.operator_base()
-    v = fock.vacuum(base, len(fs) if max_level is None else max_level)
-    for f in reversed(fs):
-        v = field.field_apply(lift(f), v, base)
-    return v
+# pairs of terms contracted at once in :func:`_pair`, bounding its scratch
+_PAIR_BLOCK = 1 << 16
+
+
+def _rank_one_terms(fs, base) -> dict:
+    """The fields of ``fs``, first one first, on the vacuum as rank-one terms.
+
+    Level ``k`` maps to coefficients ``c`` of shape ``(T,)`` and slots ``S``
+    of shape ``(T, k, N)``: the vector there is the sum over ``t`` of
+    ``c[t] S[t, 0] (x) ... (x) S[t, k-1]``.
+    """
+    w, lam = base.weights, base.lambda_values
+    levels = {0: (np.ones(1), np.empty((1, 0, base.size)))}
+    for f in fs:
+        wf, lf = w * f, lam * f
+        out: dict[int, list] = {}
+        for k, (c, s) in levels.items():
+            # creation prepends f; annihilation drops slot 0 against w f;
+            # the neutral part multiplies slot 0 by lambda f
+            terms = [(k + 1, c, np.concatenate((np.broadcast_to(f, (c.size, 1, f.size)), s), 1))]
+            if k:
+                terms.append((k - 1, c * (s[:, 0] @ wf), s[:, 1:]))
+                terms.append((k, c, np.concatenate(((s[:, 0] * lf)[:, None], s[:, 1:]), 1)))
+            for level, coef, slots in terms:
+                out.setdefault(level, []).append((coef, slots))
+        levels = {
+            k: (np.concatenate([c for c, _ in parts]), np.concatenate([s for _, s in parts]))
+            for k, parts in out.items()
+        }
+    return levels
+
+
+def _pair(left: dict, right: dict, w: np.ndarray) -> float:
+    """Inner product of two term lists: per shared level, the coefficient
+    pairs times the product over slots of their weighted dots."""
+    total = 0.0
+    for k in sorted(left.keys() & right.keys()):
+        cl, sl = left[k]
+        cr, sr = right[k]
+        rows = max(1, _PAIR_BLOCK // cr.size)
+        for a in range(0, cl.size, rows):
+            g = np.outer(cl[a:a + rows], cr)
+            for i in range(k):
+                g *= (sl[a:a + rows, i] * w) @ sr[:, i].T
+            total += float(g.sum())
+    return total
 
 
 def cumulant_direct(fs, spec: CumulantSpec) -> float:

@@ -104,8 +104,8 @@ class TestMoments:
             assert payload["max_gap"] < 1e-10
 
     def test_word_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
-        # a length-12 word at m=12 needs a level of 96**6 joint-quadrature
-        # floats; it is refused before any route runs
+        # a length-12 word at m=12 needs an extended-space level of 72**6
+        # floats (slots {0..5} x 12 nodes); it is refused before any route runs
         def reached(*args, **kwargs):
             raise AssertionError("a moment route ran")
 
@@ -116,6 +116,27 @@ class TestMoments:
         cfg.write_text(json.dumps({"m": 12}))
         code, _ = run(["moments", "--config", str(cfg), "--power", "12"], capsys)
         assert code == 2
+
+    def test_big_fock_runs_past_dense_level_size(self, tmp_path, capsys):
+        # a dense level 5 over 80 nodes would take 24.4 GiB; the rank-one
+        # term lists hold at most 3**5 terms of 5 slots
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 80, "mode": "gauss_poisson"}))
+        code, out = run(["moments", "--config", str(cfg), "--power", "10"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload["paths"]) == {"fock", "nc_sum"}
+        assert payload["max_gap"] < 1e-10
+
+    def test_route_seconds(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "gauss_poisson", "m": 4}))
+        for config in ([], ["--config", str(cfg)]):
+            code, out = run(["moments", *config, "--power", "4"], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert list(payload["route_seconds"]) == list(payload["paths"])
+            assert all(t >= 0.0 for t in payload["route_seconds"].values())
 
     def test_word_factors(self, capsys):
         code, out = run(["moments", "--word", "0:0.5,0.5:1", "--power", "1"], capsys)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from freewick import cumulant, grid
+from freewick import cumulant, field, fock, grid, jacobi, xfock
 from freewick.cumulant import CumulantSpec
 from freewick.errors import DomainBoundError
 
@@ -55,9 +57,97 @@ class TestMoment:
             assert abs(cumulant.moment([chi] * k, spec)) < 1e-14
 
     def test_split_matches_full_application(self, lam_spec, rng):
+        # dense oracle: the whole word applied to the vacuum on the Fock levels
         fs = [rng.standard_normal(6) for _ in range(4)]
-        full = float(cumulant.apply_word(fs, lam_spec).levels[0])
-        assert abs(cumulant.moment(fs, lam_spec) - full) < 1e-12
+        base = lam_spec.grid
+        v = fock.vacuum(base, len(fs))
+        for f in reversed(fs):
+            v = field.field_apply(f, v, base)
+        assert abs(cumulant.moment(fs, lam_spec) - float(v.levels[0])) < 1e-12
+
+
+def _close(a, b, tol=1e-10):
+    return abs(a - b) <= tol * max(abs(a), abs(b), 1.0)
+
+
+class TestMomentEdges:
+    @pytest.mark.parametrize("mode", ["lambda", "fiber"])
+    def test_one_cell(self, mode, rng):
+        fibers = [grid.FiberMeasure(np.array([-0.5, 1.5]), np.array([0.5, 0.5]))]
+        spec = CumulantSpec(mode, grid.make_grid(1, lam=0.7), fibers if mode == "fiber" else None)
+        for n in range(1, 8):
+            fs = [rng.standard_normal(1) for _ in range(n)]
+            assert _close(cumulant.moment(fs, spec), cumulant.nc_moment_sum(fs, spec))
+
+    def test_point_mass_fibers(self):
+        # eta = 0 collapses every node law to the point mass at lambda
+        g = grid.make_grid(5, lam=1.5, eta=0.0)
+        spec = CumulantSpec("fiber", g, [grid.semicircle_fiber(1.5, 0.0, 8) for _ in range(5)])
+        assert spec.operator_base()[0].size == 5
+        tri = jacobi.meixner_moments(1.5, 0.0, 1.0, 8)
+        for k in range(1, 9):
+            assert _close(cumulant.moment([np.ones(5)] * k, spec), tri[k])
+
+    def test_large_atoms(self, rng):
+        g = grid.make_grid(3)
+        fibers = [grid.FiberMeasure(np.array([-40.0, 0.0, 55.0]), np.array([0.3, 0.4, 0.3]))] * 3
+        spec = CumulantSpec("fiber", g, fibers)
+        for n in range(2, 7):
+            fs = [rng.standard_normal(3) for _ in range(n)]
+            assert _close(cumulant.moment(fs, spec), cumulant.nc_moment_sum(fs, spec))
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_odd_words(self, n, fiber_spec, rng):
+        fs = [rng.standard_normal(4) for _ in range(n)]
+        assert _close(cumulant.moment(fs, fiber_spec), cumulant.nc_moment_sum(fs, fiber_spec))
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_zero_factor(self, at, lam_spec, rng):
+        fs = [rng.standard_normal(6) for _ in range(5)]
+        fs[at] = np.zeros(6)
+        assert cumulant.nc_moment_sum(fs, lam_spec) == 0.0
+        assert abs(cumulant.moment(fs, lam_spec)) < 1e-10
+
+    def test_pairing_in_blocks(self, fiber_spec, rng, monkeypatch):
+        fs = [rng.standard_normal(4) for _ in range(6)]
+        whole = cumulant.moment(fs, fiber_spec)
+        monkeypatch.setattr(cumulant, "_PAIR_BLOCK", 5)
+        assert _close(cumulant.moment(fs, fiber_spec), whole, 1e-13)
+
+    def test_degree_eight_meixner_at_scale(self):
+        # N = 24 * 8 = 192 joint nodes: a dense level 4 alone takes 10 GiB
+        g = grid.make_grid(24, lam=1.0, eta=1.0)
+        spec = CumulantSpec("fiber", g, [grid.semicircle_fiber(1.0, 1.0, 8) for _ in range(24)])
+        tracemalloc.start()
+        try:
+            got = cumulant.moment([np.ones(24)] * 8, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.operator_base()[0].size == 192
+        assert _close(got, jacobi.meixner_moments(1.0, 1.0, 1.0, 8)[8])
+        assert peak < 5 * 2**20
+
+
+def test_moment_and_xmoment_share_no_fock_route(monkeypatch, lam_spec, fiber_spec, rng):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("route called the other route's machinery")
+
+    for name in ("vacuum", "create", "annihilate", "neutral", "inner"):
+        monkeypatch.setattr(fock, name, forbidden)
+    monkeypatch.setattr(field, "field_apply", forbidden)
+    for spec, m in ((lam_spec, 6), (fiber_spec, 4)):
+        fs = [rng.standard_normal(m) for _ in range(5)]
+        assert _close(cumulant.moment(fs, spec), cumulant.nc_moment_sum(fs, spec))
+    monkeypatch.undo()
+    for name in ("_rank_one_terms", "_pair"):
+        monkeypatch.setattr(cumulant, name, forbidden)
+    g = grid.make_grid(4, lam=1.0, eta=1.0)
+    fibers = [grid.semicircle_fiber(1.0, 1.0, 4) for _ in range(4)]
+    spec = CumulantSpec("fiber", g, fibers)
+    sys_ = jacobi.JacobiSystem.from_fibers(g, fibers, 4)
+    fs = [rng.standard_normal(4) for _ in range(5)]
+    assert _close(xfock.xmoment(fs, sys_), cumulant.nc_moment_sum(fs, spec))
 
 
 class TestCumulantDirect:
