@@ -171,16 +171,25 @@ def cumulant_direct(fs, spec: CumulantSpec) -> float:
 
 
 def nc_moment_sum(fs, spec: CumulantSpec) -> float:
-    """Moment predicted by the non-crossing sum of products of cumulants."""
+    """Moment predicted by the non-crossing sum of products of cumulants.
+
+    Each distinct block's cumulant is computed once per call: there are at
+    most ``2**n`` blocks, against one factor per block of every one of the
+    Catalan-many partitions.
+    """
     fs = [np.asarray(f, dtype=float) for f in fs]
     n = len(fs)
     if n == 0:
         return 1.0
+    kappa: dict[tuple[int, ...], float] = {}
     total = 0.0
     for p in ncpart.enumerate_nc(n):
         term = 1.0
         for block in p.blocks:
-            term *= cumulant_direct([fs[x - 1] for x in block], spec)
+            k = kappa.get(block)
+            if k is None:
+                k = kappa[block] = cumulant_direct([fs[x - 1] for x in block], spec)
+            term *= k
             if term == 0.0:
                 break
         total += term

@@ -7,10 +7,18 @@ admissible family in which no +1 block nests inside another block, and
 interval partitions.
 
 Every enumerator has an independent brute-force twin so the two routes can
-be cross-checked.  The direct enumerators recurse on the block of the
-smallest element; the oracles walk restricted growth strings (the string of
-block labels of a set partition) and filter them, so no oracle shares code
-with the enumerator it checks.
+be cross-checked:
+
+* :func:`enumerate_nc` recurses on the block of the smallest element, and
+  :func:`enumerate_gn` prepends the elements ``n-1, ..., 1`` one at a time
+  by a three-way rule, so it never visits an inadmissible partition;
+* the oracles walk the non-crossing restricted growth strings (the string
+  of block labels of a set partition) and apply the definition to each,
+  so no oracle shares code with the enumerator it checks.
+
+The marked routes carry partitions as plain ``(blocks, negated marks)``
+tuples, whose natural order is the output order, and build the
+:class:`MarkedPartition` objects only once, after the sort.
 
 All functions are pure and return immutable values; concurrent use is safe.
 """
@@ -205,39 +213,43 @@ def enumerate_gn(n: int) -> list[MarkedPartition]:
 
     These are the marked partitions with no +1 block strictly nested inside
     another block; they index the terms of the Wick rule.  Generated by the
-    three-way extension that prepends a new smallest element to each
-    admissible partition of the remaining ground set:
+    three-way extension that prepends the elements ``n-1, ..., 1`` in turn,
+    each to every admissible partition of ``{x+1..n}``:
 
-    * add it as a fresh singleton with mark +1, or
+    * add ``x`` as a fresh singleton with mark +1, or
     * absorb it into the first +1 block (mark kept), or
     * absorb it into the first +1 block and flip the mark to -1.
+
+    The new element is always the smallest, so no block is ever relabelled
+    and the blocks stay ordered by their minimum.  Partitions are carried as
+    plain ``(blocks, negated marks)`` tuples, whose natural order is the
+    output order (blocks first, then +1 before -1), and become
+    :class:`MarkedPartition` objects only after the sort.
 
     The filter-based brute force :func:`brute_gn` is the independent oracle
     for this construction.
     """
     _check_bound(n, MARKED_LIMIT)
     current: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [
-        (((1,),), (1,))
+        (((n,),), (-1,))
     ]
-    for _ in range(n - 1):
+    for x in range(n - 1, 0, -1):
         grown = []
-        for blocks, marks in current:
-            shifted = tuple([tuple([x + 1 for x in b]) for b in blocks])
-            grown.append((((1,),) + shifted, (1,) + marks))
-            if 1 in marks:
-                j = marks.index(1)
-                absorbed = (1,) + shifted[j]
-                others = shifted[:j] + shifted[j + 1:]
-                other_marks = marks[:j] + marks[j + 1:]
-                grown.append(((absorbed,) + others, (1,) + other_marks))
-                grown.append(((absorbed,) + others, (-1,) + other_marks))
+        single = ((x,),)
+        for blocks, neg in current:
+            grown.append((single + blocks, (-1,) + neg))
+            if -1 in neg:
+                j = neg.index(-1)
+                absorbed = ((x,) + blocks[j],) + blocks[:j] + blocks[j + 1:]
+                other_neg = neg[:j] + neg[j + 1:]
+                grown.append((absorbed, (-1,) + other_neg))
+                grown.append((absorbed, (1,) + other_neg))
         current = grown
-    out = [
-        MarkedPartition._trusted(SetPartition._trusted(n, blocks), marks)
-        for blocks, marks in current
+    current.sort()
+    return [
+        MarkedPartition._trusted(SetPartition._trusted(n, blocks), tuple([-m for m in neg]))
+        for blocks, neg in current
     ]
-    out.sort(key=_marks_sort_key)
-    return out
 
 
 def enumerate_interval(n: int) -> list[MarkedPartition]:
@@ -395,8 +407,17 @@ def has_nested_plus(blocks: tuple[tuple[int, ...], ...], marks: tuple[int, ...])
 def brute_gn(n: int) -> list[MarkedPartition]:
     """Filter-based oracle for :func:`enumerate_gn`.
 
-    Walks the non-crossing restricted growth strings, assigns all mark
-    vectors obeying the singleton rule, then rejects nested +1 blocks.
+    Walks the non-crossing restricted growth strings and keeps every mark
+    vector that the definition allows: singletons carry +1, and no +1 block
+    lies strictly inside another block.  Both rules are conjunctions over
+    blocks, so the allowed mark vectors are the product of each block's
+    allowed marks, and nesting is tested once per block rather than once
+    per mark vector.  The blocks come in order of their minimum; ``reach``
+    is the furthest end of the blocks before ``b``, so ``reach > b[-1]``
+    says exactly that some block with a smaller minimum ends after ``b``,
+    i.e. that ``b`` is nested.  A nested singleton admits no mark and
+    rejects the partition; a nested larger block admits only -1; any other
+    larger block admits either mark.
     """
     if n < 1:
         raise ValueError("ground-set size must be positive")
@@ -407,15 +428,27 @@ def brute_gn(n: int) -> list[MarkedPartition]:
         for x, lab in enumerate(labels, 1):
             blocks[lab].append(x)
         frozen = tuple(map(tuple, blocks))
-        p = SetPartition._trusted(n, frozen)
-        choices = [(1,) if len(b) == 1 else (1, -1) for b in frozen]
-        for marks in itertools.product(*choices):
-            if not has_nested_plus(frozen, marks):
-                out.append(MarkedPartition._trusted(p, marks))
+        # allowed negated marks per block: -1 is mark +1, 1 is mark -1
+        choices = []
+        reach = 0
+        for b in frozen:
+            end = b[-1]
+            if reach > end:
+                if len(b) == 1:
+                    return
+                choices.append((1,))
+            else:
+                choices.append((-1,) if len(b) == 1 else (-1, 1))
+                reach = end
+        for neg in itertools.product(*choices):
+            out.append((frozen, neg))
 
     _walk_noncrossing_rgs(n, keep)
-    out.sort(key=_marks_sort_key)
-    return out
+    out.sort()
+    return [
+        MarkedPartition._trusted(SetPartition._trusted(n, blocks), tuple([-m for m in neg]))
+        for blocks, neg in out
+    ]
 
 
 def gn_count_recursion(n: int) -> int:

@@ -112,13 +112,12 @@ def suite_wick(p: SuiteParams) -> list[Check]:
     rng = np.random.default_rng(p.seed)
     checks = []
 
-    for n in range(1, 11):
-        direct = len(ncpart.enumerate_nc(n))
+    nc_counts = {n: len(ncpart.enumerate_nc(n)) for n in range(1, 11)}
+    for n, direct in nc_counts.items():
         checks.append(Check(f"nc_count_catalan_n{n}", abs(direct - ncpart.catalan(n)), 0))
     for n in range(1, 9):
-        direct = len(ncpart.enumerate_nc(n))
         _, brute = ncpart.brute_noncrossing_count(n)
-        checks.append(Check(f"nc_count_brute_n{n}", abs(direct - brute), 0))
+        checks.append(Check(f"nc_count_brute_n{n}", abs(nc_counts[n] - brute), 0))
         gn = len(ncpart.enumerate_gn(n))
         checks.append(Check(f"gn_count_brute_n{n}", abs(gn - len(ncpart.brute_gn(n))), 0))
         checks.append(Check(f"gn_count_recursion_n{n}", abs(gn - ncpart.gn_count_recursion(n)), 0))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freewick import cumulant, field, fock, grid, jacobi, xfock
+from freewick import cumulant, field, fock, grid, jacobi, ncpart, xfock
 from freewick.cumulant import CumulantSpec
 from freewick.errors import DomainBoundError
 
@@ -187,6 +187,33 @@ class TestMomentCumulantConsistency:
         a = cumulant.moment(fs, fiber_spec)
         b = cumulant.nc_moment_sum(fs, fiber_spec)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0)
+
+    @pytest.mark.parametrize("mode", ["lambda", "fiber"])
+    def test_one_cumulant_per_distinct_block(self, mode, lam_spec, fiber_spec, rng, monkeypatch):
+        spec = lam_spec if mode == "lambda" else fiber_spec
+        fs = [rng.standard_normal(spec.grid.size) for _ in range(7)]
+        # reference: one cumulant per block of every partition, same order
+        want = 0.0
+        requested = set()
+        for p in ncpart.enumerate_nc(len(fs)):
+            term = 1.0
+            for block in p.blocks:
+                requested.add(block)
+                term *= cumulant.cumulant_direct([fs[x - 1] for x in block], spec)
+                if term == 0.0:
+                    break
+            want += term
+        calls = 0
+        direct = cumulant.cumulant_direct
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return direct(*args)
+
+        monkeypatch.setattr(cumulant, "cumulant_direct", counted)
+        assert cumulant.nc_moment_sum(fs, spec) == want
+        assert calls == len(requested) < 2 ** len(fs)
 
 
 class TestCumulantFromMoments:

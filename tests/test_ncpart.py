@@ -139,12 +139,17 @@ class TestEnumerateGn:
         assert len(out) == 7
         assert all(mp.partition.blocks != ((1, 3), (2,)) for mp in out)
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_brute_force(self, n):
         direct = [marked_key(mp) for mp in ncpart.enumerate_gn(n)]
         brute = [marked_key(mp) for mp in ncpart.brute_gn(n)]
         assert direct == brute
         assert len(direct) == len(set(direct))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sorted_plus_before_minus(self, n):
+        out = [marked_key(mp) for mp in ncpart.enumerate_gn(n)]
+        assert out == sorted(out, key=lambda k: (k[0], tuple(-m for m in k[1])))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_count_recursion(self, n):
@@ -216,9 +221,22 @@ def unpruned_gn(n):
 
 
 class TestBruteGn:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_unpruned_filter(self, n):
         assert sorted(marked_key(mp) for mp in ncpart.brute_gn(n)) == unpruned_gn(n)
+
+    @pytest.mark.parametrize("route", [ncpart.brute_gn, ncpart.enumerate_gn])
+    def test_nested_singleton_rejects_partition(self, route):
+        # a nested singleton admits no mark, whatever the other blocks carry
+        nested = {((1, 3), (2,), (4,)), ((1, 2, 4), (3,)), ((1, 4), (2,), (3,))}
+        assert nested <= {p.blocks for p in ncpart.enumerate_nc(4)}
+        assert not nested & {mp.partition.blocks for mp in route(4)}
+
+    @pytest.mark.parametrize("route", [ncpart.brute_gn, ncpart.enumerate_gn])
+    def test_nested_pair_carries_minus_only(self, route):
+        # {2,3} inside {1,4}: the inner pair is -1, the outer pair is free
+        marks = sorted(m for bs, m in map(marked_key, route(4)) if bs == ((1, 4), (2, 3)))
+        assert marks == [(-1, -1), (1, -1)]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
