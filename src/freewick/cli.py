@@ -313,6 +313,7 @@ def cmd_verify(args) -> int:
         "suites": [rep.suite for rep in reports],
         "passed": all(rep.passed for rep in reports),
         "elapsed_seconds": sum(rep.elapsed for rep in reports),
+        "suite_seconds": {rep.suite: rep.elapsed for rep in reports},
         "checks": checks,
     }
     _emit(payload, args.format, args.out)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .grid import FiberMeasure, GridMeasure
 
@@ -136,9 +135,10 @@ def norms(node: JacobiNode, rtol: float = 1e-10) -> np.ndarray:
 def gauss_rule(b, a, m_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes/weights from recurrence coefficients.
 
-    Eigendecomposition of the symmetric tridiagonal truncation: nodes are
-    the eigenvalues, weights the squared first eigenvector components.
-    Exact for polynomials of degree <= 2*m_nodes - 1.
+    Golub-Welsch: ``numpy.linalg.eigh`` of the dense symmetric tridiagonal
+    truncation (diagonal ``b``, off-diagonal ``sqrt(a)``); nodes are the
+    ascending eigenvalues, weights the squared first eigenvector
+    components.  Exact for polynomials of degree <= 2*m_nodes - 1.
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -150,7 +150,8 @@ def gauss_rule(b, a, m_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         return np.array([b[0]]), np.array([1.0])
     if np.any(a[1:m_nodes] <= 0):
         raise ValueError("a coefficients must be positive for the requested size")
-    vals, vecs = eigh_tridiagonal(b[:m_nodes], np.sqrt(a[1:m_nodes]))
+    off = np.sqrt(a[1:m_nodes])
+    vals, vecs = np.linalg.eigh(np.diag(b[:m_nodes]) + np.diag(off, 1) + np.diag(off, -1))
     return vals, vecs[0] ** 2
 
 

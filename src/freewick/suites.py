@@ -148,9 +148,8 @@ def suite_wick(p: SuiteParams) -> list[Check]:
     for n in range(1, min(p.n_max, 4) + 1):
         g = _random_grid(p.m, rng)
         f = rng.standard_normal((p.m,) * n)
-        v = fock.random_vector(g, n + 2, rng)
-        for k in range(3, n + 3):
-            v.levels[k][:] = 0
+        # levels 0..2 hold content; all n+2 are drawn so the seeded stream is unchanged
+        v = fock.FockVector(g, fock.random_vector(g, n + 2, rng).levels[:3], n + 2)
         explicit = field.wick_apply(f, v, g, form="explicit")
         recursive = field.wick_apply(f, v, g, form="recursive")
         worst = max(worst, _rel_vec(explicit, recursive))
@@ -268,8 +267,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
     worst_norm = 0.0
     worst_tw = 0.0
     for _ in range(20):
-        v = fock.random_vector(pg, 3, rng)
-        v.levels[3][:] = 0
+        v = fock.FockVector(pg, fock.random_vector(pg, 3, rng).levels[:3], 3)
         f = rng.standard_normal(p.m)
         lhs = xfock.k_transform(xfock.big_fock_realize(f, v, pg), sys)
         # one transform serves both checks: its lmax is sys.max_degree either way

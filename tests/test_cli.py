@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from freewick import cli
 
@@ -7,6 +11,18 @@ def run(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this checkout's freewick."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestPartitions:
@@ -204,3 +220,31 @@ class TestVerify:
         r1 = [c["residual"] for c in json.loads(out1)["checks"]]
         r2 = [c["residual"] for c in json.loads(out2)["checks"]]
         assert r1 == r2
+
+    def test_suite_seconds(self, capsys):
+        code, out = run(["verify", "--suite", "all"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload["suite_seconds"]) == payload["suites"]
+        assert sum(payload["suite_seconds"].values()) == payload["elapsed_seconds"]
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        out = run_fresh(
+            "import sys, freewick.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert out.strip() == "[]"
+
+    def test_verify_all_runs_without_scipy(self):
+        # a None entry makes any `import scipy` raise ImportError
+        out = run_fresh(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from freewick import cli\n"
+            "sys.exit(cli.main(['verify', '--suite', 'all']))"
+        )
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert sum(c["passed"] for c in payload["checks"]) == 69

@@ -165,6 +165,18 @@ class TestGaussRule:
         for j in range(2 * m_nodes):
             assert abs(fb.moment(j) - oracle[j]) <= 1e-10 * max(1.0, abs(oracle[j]))
 
+    @pytest.mark.parametrize("m_nodes", [2, 3, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("lam,eta", [(0.0, 1.0), (0.7, 1e-6), (-3.0, 1e4), (1e3, 0.25)])
+    def test_semicircle_closed_form(self, m_nodes, lam, eta):
+        # constant coefficients give the semicircle's Gauss rule, whose
+        # atoms and weights are trigonometric closed forms
+        atoms, weights = jacobi.gauss_rule(
+            np.full(m_nodes, lam), [0.0] + [eta] * (m_nodes - 1), m_nodes
+        )
+        exact = grid.semicircle_fiber(lam, eta, m_nodes)
+        assert np.abs(atoms - exact.atoms).max() <= 1e-10 * (abs(lam) + 2.0 * np.sqrt(eta))
+        assert np.abs(weights - exact.weights).max() <= 1e-10
+
     def test_single_node(self):
         nodes, weights = jacobi.gauss_rule(np.array([0.7]), np.array([0.0]), 1)
         assert nodes[0] == 0.7 and weights[0] == 1.0
