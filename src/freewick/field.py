@@ -178,13 +178,15 @@ def wick_apply(f, v: FockVector, g=None, form: str = "explicit") -> FockVector:
     w = g.weights
     lam = g.lambda_values
     m = g.size
-    out = fock.zero(v.base, v.max_level)
     top = fock.top_level(v)
-    if not np.any(f):
-        return out
+    if top < 0 or not np.any(f):
+        return fock.FockVector(v.base, [0.0], v.max_level)
 
     # the creation word writes the highest level, so its budget check
-    # covers the tails below
+    # covers the tails below; only the levels it can reach are allocated
+    out = fock.FockVector(
+        v.base, [np.zeros((m,) * k) for k in range(min(top + n, v.max_level) + 1)], v.max_level
+    )
     for k in range(top + 1):
         arr = v.levels[k]
         if not np.any(arr):
@@ -304,7 +306,7 @@ def wick_rule_expand(f, g, v: FockVector | None = None) -> FockVector:
         raise ValueError("kernel order must be at least 1")
     if v is None:
         v = fock.vacuum(g, n)
-    out = fock.zero(v.base, v.max_level)
+    out = fock.FockVector(v.base, [0.0], v.max_level)
     for kappa in ncpart.enumerate_gn(n):
         out = out + wick_apply(reduce_kernel(kappa, f, g), v, g)
     return out
@@ -327,7 +329,7 @@ def wick_product_expand(orders, f, g, v: FockVector | None = None) -> FockVector
     group = np.repeat(np.arange(len(orders)), orders)
     if v is None:
         v = fock.vacuum(g, n)
-    out = fock.zero(v.base, v.max_level)
+    out = fock.FockVector(v.base, [0.0], v.max_level)
     for kappa in ncpart.enumerate_gn(n):
         admissible = all(
             len({group[p - 1] for p in block}) == len(block)

@@ -165,25 +165,24 @@ def point_create(i: int, v: FockVector) -> FockVector:
     so smearing with weights ``sum_i w_i f(t_i) point_create(i, .)``
     reproduces :func:`create` exactly.
     """
-    out = zero(v.base, v.max_level)
+    if len(v.levels) > v.max_level and np.any(v.levels[-1]):
+        raise CapacityError(
+            f"point creation would push level {v.max_level} content past budget {v.max_level}"
+        )
+    m = v.base.size
     scale = 1.0 / v.base.weights[i]
-    for k, arr in enumerate(v.levels):
-        if not np.any(arr):
-            continue
-        if k + 1 > v.max_level:
-            raise CapacityError(
-                f"point creation would push level {k} content past budget {v.max_level}"
-            )
-        out.levels[k + 1][i, ...] = scale * arr
-    return out
+    levels = [np.zeros(())]
+    for k, arr in enumerate(v.levels[: v.max_level]):
+        raised = np.zeros((m,) * (k + 1))
+        raised[i, ...] = scale * arr
+        levels.append(raised)
+    return FockVector(v.base, levels, v.max_level)
 
 
 def point_annihilate(i: int, v: FockVector) -> FockVector:
     """Annihilation at a single node: select the first-slot slice there."""
-    out = zero(v.base, v.max_level)
-    for k in range(1, len(v.levels)):
-        out.levels[k - 1] = v.levels[k][i, ...].copy()
-    return out
+    levels = [a[i, ...].copy() for a in v.levels[1:]]
+    return FockVector(v.base, levels or [np.zeros(())], v.max_level)
 
 
 def inner(u: FockVector, v: FockVector) -> float:

@@ -20,7 +20,15 @@ The marked routes carry partitions as plain ``(blocks, negated marks)``
 tuples, whose natural order is the output order, and build the
 :class:`MarkedPartition` objects only once, after the sort.
 
-All functions are pure and return immutable values; concurrent use is safe.
+The records are slotted frozen dataclasses, so an instance carries no
+``__dict__``.  The recursions take their state as arguments rather than
+from a closure that refers to itself, so no reference cycle forms and
+all scratch (memo tables, unsorted work lists) is freed by reference
+counting when the call that built it returns, not at a later
+garbage-collector pass.
+
+All functions are pure: the enumerators return fresh lists of immutable
+records, and concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ NC_LIMIT = 14
 MARKED_LIMIT = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetPartition:
     """A set partition of {1..n}, blocks sorted internally and by minimum."""
 
@@ -81,9 +89,8 @@ class SetPartition:
     def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
         """Build without validation, for enumerators whose output is valid by construction."""
         p = object.__new__(cls)
-        fields = p.__dict__
-        fields["n"] = n
-        fields["blocks"] = blocks
+        _SP_N(p, n)
+        _SP_BLOCKS(p, blocks)
         return p
 
     def labels(self) -> list[int]:
@@ -95,7 +102,7 @@ class SetPartition:
         return lab
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkedPartition:
     """A non-crossing partition with a +1/-1 mark per block.
 
@@ -122,14 +129,21 @@ class MarkedPartition:
     def _trusted(cls, partition: SetPartition, marks: tuple[int, ...]) -> "MarkedPartition":
         """Build without validation, for enumerators whose output is valid by construction."""
         mp = object.__new__(cls)
-        fields = mp.__dict__
-        fields["partition"] = partition
-        fields["marks"] = marks
+        _MP_PARTITION(mp, partition)
+        _MP_MARKS(mp, marks)
         return mp
 
     @property
     def n(self) -> int:
         return self.partition.n
+
+
+# Slot setters for the trusted builders: the frozen ``__setattr__`` refuses
+# assignment, and the slot descriptors are the fastest way around it.
+_SP_N = SetPartition.n.__set__
+_SP_BLOCKS = SetPartition.blocks.__set__
+_MP_PARTITION = MarkedPartition.partition.__set__
+_MP_MARKS = MarkedPartition.marks.__set__
 
 
 def is_noncrossing(p: SetPartition) -> bool:
@@ -187,20 +201,25 @@ def _nc_interval(start: int, length: int, memo: dict) -> list[tuple[tuple[int, .
     hit = memo.get(key)
     if hit is not None:
         return hit
-    stop = start + length
     out = []
-
-    def grow(block, heads, last):
-        # heads: the product of the gaps closed so far, concatenated
-        tail = _nc_interval(last + 1, stop - last - 1, memo)
-        out.extend((block,) + head + rest for head in heads for rest in tail)
-        for nxt in range(last + 1, stop):
-            gap = _nc_interval(last + 1, nxt - last - 1, memo)
-            grow(block + (nxt,), [head + sub for head in heads for sub in gap], nxt)
-
-    grow((start,), [()], start)
+    _nc_grow(out, memo, start + length, (start,), [()], start)
     memo[key] = out
     return out
+
+
+def _nc_grow(out: list, memo: dict, stop: int, block: tuple, heads: list, last: int) -> None:
+    """Append to ``out`` every partition whose first block extends ``block``.
+
+    ``block`` ends at ``last``; ``heads`` is the product of the gaps it has
+    closed so far, concatenated.  The state is passed in rather than closed
+    over, so the recursion leaves no reference cycle holding ``memo``.
+    """
+    tail = _nc_interval(last + 1, stop - last - 1, memo)
+    out.extend((block,) + head + rest for head in heads for rest in tail)
+    for nxt in range(last + 1, stop):
+        gap = _nc_interval(last + 1, nxt - last - 1, memo)
+        grown = [head + sub for head in heads for sub in gap]
+        _nc_grow(out, memo, stop, block + (nxt,), grown, nxt)
 
 
 def _marks_sort_key(mp: MarkedPartition):
@@ -367,29 +386,32 @@ def _walk_noncrossing_rgs(n: int, visit) -> int:
     for r in range(1, n):
         prev = completions[-1]
         completions.append([k * prev[k] + prev[k + 1] for k in range(n - r + 1)])
-    labels = [0] * n
-    stack = [0]
-    crossing = 0
+    return _rgs_extend(visit, completions, [0] * n, [0], 1, 1)
 
-    def extend(i: int, used: int) -> None:
-        nonlocal crossing
-        if i == n:
-            visit(labels)
-            return
-        depth = len(stack)
-        crossing += (used - depth) * completions[n - i - 1][used]
-        for j in range(depth):
-            closed = stack[j + 1:]
-            del stack[j + 1:]
-            labels[i] = stack[j]
-            extend(i + 1, used)
-            stack.extend(closed)
-        stack.append(used)
-        labels[i] = used
-        extend(i + 1, used + 1)
-        stack.pop()
 
-    extend(1, 1)
+def _rgs_extend(visit, completions: list, labels: list, stack: list, i: int, used: int) -> int:
+    """Extend the prefix ``labels[:i]``, with ``used`` labels and open ``stack``.
+
+    Returns the number of crossing completions.  The state is passed in
+    rather than closed over, so the recursion leaves no reference cycle
+    holding ``visit`` and whatever it collects.
+    """
+    n = len(labels)
+    if i == n:
+        visit(labels)
+        return 0
+    depth = len(stack)
+    crossing = (used - depth) * completions[n - i - 1][used]
+    for j in range(depth):
+        closed = stack[j + 1:]
+        del stack[j + 1:]
+        labels[i] = stack[j]
+        crossing += _rgs_extend(visit, completions, labels, stack, i + 1, used)
+        stack.extend(closed)
+    stack.append(used)
+    labels[i] = used
+    crossing += _rgs_extend(visit, completions, labels, stack, i + 1, used + 1)
+    stack.pop()
     return crossing
 
 

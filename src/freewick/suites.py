@@ -95,6 +95,24 @@ def _meixner_model(p: SuiteParams, lam=1.0, eta=1.0):
     return g, fibers, pg, sys
 
 
+def _random_low_levels(
+    base, max_level: int, keep: int, rng: np.random.Generator
+) -> fock.FockVector:
+    """``fock.random_vector(base, max_level, rng)`` with only levels ``0..keep-1`` stored.
+
+    The levels above are still drawn, so the seeded stream advances exactly
+    as in the full draw, but one row (first-slot slice) at a time: the
+    generator fills arrays in C order, so the kept values and the final
+    state are the same, and the transient is one row, not a whole level.
+    """
+    m = base.size
+    levels = [rng.standard_normal((m,) * k) for k in range(keep)]
+    for k in range(keep, max_level + 1):
+        for _ in range(m):
+            rng.standard_normal((m,) * (k - 1))
+    return fock.FockVector(base, levels, max_level)
+
+
 def _random_fibers(m: int, nodes: int, rng: np.random.Generator) -> list[FiberMeasure]:
     fibers = []
     for _ in range(m):
@@ -148,8 +166,8 @@ def suite_wick(p: SuiteParams) -> list[Check]:
     for n in range(1, min(p.n_max, 4) + 1):
         g = _random_grid(p.m, rng)
         f = rng.standard_normal((p.m,) * n)
-        # levels 0..2 hold content; all n+2 are drawn so the seeded stream is unchanged
-        v = fock.FockVector(g, fock.random_vector(g, n + 2, rng).levels[:3], n + 2)
+        # levels 0..2 hold content under the budget n + 2
+        v = _random_low_levels(g, n + 2, 3, rng)
         explicit = field.wick_apply(f, v, g, form="explicit")
         recursive = field.wick_apply(f, v, g, form="recursive")
         worst = max(worst, _rel_vec(explicit, recursive))
@@ -267,7 +285,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
     worst_norm = 0.0
     worst_tw = 0.0
     for _ in range(20):
-        v = fock.FockVector(pg, fock.random_vector(pg, 3, rng).levels[:3], 3)
+        v = _random_low_levels(pg, 3, 3, rng)
         f = rng.standard_normal(p.m)
         lhs = xfock.k_transform(xfock.big_fock_realize(f, v, pg), sys)
         # one transform serves both checks: its lmax is sys.max_degree either way

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,32 @@ class TestWickApply:
         ):
             assert out.max_level == 2
             assert not any(np.any(level) for level in out.levels)
+
+
+    def test_explicit_stores_only_written_levels(self, rng):
+        # content on levels 0..1 under budget 6: the order-2 product writes
+        # levels up to 3, and levels 4..6 (1e6 entries at level 6) stay unstored
+        g = random_grid(10, rng)
+        f = rng.standard_normal((10, 10))
+        v = fock.FockVector(g, fock.random_vector(g, 1, rng).levels, 6)
+        tracemalloc.start()
+        try:
+            out = field.wick_apply(f, v, g, form="explicit")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert len(out.levels) == 4 and out.max_level == 6
+        assert rel(out, field.wick_apply(f, v, g, form="recursive")) < 1e-10
+
+    def test_zero_kernel_or_input_stores_level_zero_only(self, rng):
+        g = random_grid(4, rng)
+        f = rng.standard_normal((4, 4))
+        v = fock.random_vector(g, 2, rng)
+        zero_in = fock.FockVector(g, [0.0, np.zeros(4)], 5)
+        for out in (field.wick_apply(np.zeros((4, 4)), v, g), field.wick_apply(f, zero_in, g)):
+            assert len(out.levels) == 1 and float(out.levels[0]) == 0.0
+        assert field.wick_apply(f, zero_in, g).max_level == 5
 
 
 class TestReduceKernel:

@@ -169,6 +169,19 @@ class TestPointOps:
         with pytest.raises(CapacityError):
             fock.point_create(0, v)
 
+    def test_point_ops_store_only_fed_levels(self, g, rng):
+        assert len(fock.point_create(2, fock.vacuum(g, 5)).levels) == 2
+        v = headroom_vector(g, rng, top=2, budget=5)
+        v = fock.FockVector(g, v.levels[:3], 5)
+        up = fock.point_create(2, v)
+        assert len(up.levels) == 4 and up.max_level == 5
+        assert np.allclose(up.levels[3][2], v.levels[2] / g.weights[2], rtol=1e-14, atol=0)
+        assert not np.any(np.delete(up.levels[3], 2, axis=0))
+        down = fock.point_annihilate(2, v)
+        assert len(down.levels) == 2 and down.max_level == 5
+        assert np.array_equal(down.levels[1], v.levels[2][2])
+        assert len(fock.point_annihilate(2, fock.vacuum(g, 5)).levels) == 1
+
 
 class TestGrading:
     def test_levels_shift_exactly(self, g, rng):

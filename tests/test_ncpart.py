@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import gc
 import itertools
+import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -266,3 +271,78 @@ def test_oracles_and_enumerators_share_no_search(monkeypatch):
         monkeypatch.setattr(ncpart, name, forbidden)
     assert len(ncpart.enumerate_nc(6)) == 132
     assert len(ncpart.enumerate_gn(6)) == 141
+
+
+def test_search_helpers_stay_on_their_side(monkeypatch):
+    # the recursion helpers behind the two searches are private to them too
+    def forbidden(*args):
+        raise AssertionError("route called the other route's search")
+
+    monkeypatch.setattr(ncpart, "_nc_grow", forbidden)
+    assert ncpart.brute_noncrossing_count(6) == (203, 132)
+    assert len(ncpart.brute_gn(6)) == 141
+    monkeypatch.undo()
+    monkeypatch.setattr(ncpart, "_rgs_extend", forbidden)
+    assert len(ncpart.enumerate_nc(6)) == 132
+    assert len(ncpart.enumerate_gn(6)) == 141
+
+
+class TestRecords:
+    def records(self):
+        # one record of each kind from an unchecked builder, and its checked twin
+        p = ncpart.enumerate_nc(5)[7]
+        mp = ncpart.enumerate_gn(5)[11]
+        checked_mp = MarkedPartition(SetPartition(5, mp.partition.blocks), mp.marks)
+        return [(p, SetPartition(5, p.blocks)), (mp, checked_mp)]
+
+    def test_no_instance_dict(self):
+        for rec, checked in self.records():
+            assert not hasattr(rec, "__dict__")
+            assert not hasattr(checked, "__dict__")
+
+    def test_fields_are_frozen(self):
+        p, mp = (rec for rec, _ in self.records())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.n = 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mp.marks = ()
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for rec, _ in self.records():
+            for back in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
+                assert back == rec and hash(back) == hash(rec) and repr(back) == repr(rec)
+
+    def test_match_checked_construction(self):
+        for rec, checked in self.records():
+            assert rec == checked
+            assert hash(rec) == hash(checked)
+            assert repr(rec) == repr(checked)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [ncpart.enumerate_nc, ncpart.enumerate_gn, ncpart.brute_gn, ncpart.brute_noncrossing_count],
+)
+def test_routes_leave_no_cyclic_garbage(route):
+    # every scratch object is freed by reference counting when the call returns
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        route(8)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_enumerate_nc_peak_memory():
+    # 58786 slotted records; the memo of sub-intervals is freed before they are built
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ncpart.enumerate_nc(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5e6
