@@ -20,7 +20,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -314,6 +314,7 @@ def cmd_verify(args) -> int:
         "passed": all(rep.passed for rep in reports),
         "elapsed_seconds": sum(rep.elapsed for rep in reports),
         "suite_seconds": {rep.suite: rep.elapsed for rep in reports},
+        "params": asdict(params),
         "checks": checks,
     }
     _emit(payload, args.format, args.out)

@@ -13,7 +13,10 @@ The expansion of a monomial over admissible marked non-crossing partitions
 Wick products (:func:`wick_product_expand`) are implemented over reduced
 kernels: each block collapses to a single integration variable weighted by
 a power of the coefficient table, exactly as in quadrature the discrete
-delta collapses repeated slots.
+delta collapses repeated slots.  The Wick product is linear in its kernel,
+so the reduced kernels are summed per order (the number of +1 blocks) and
+each order's sum is Wick-ordered once: an order-n expansion makes at most
+n + 1 Wick products, however many partitions it walks.
 
 Everything here is stateless; the partition sums are plain reductions and
 may be parallelized by the caller.
@@ -42,6 +45,8 @@ __all__ = [
     "wick_product_expand",
     "wick_product_sequential",
 ]
+
+_LETTERS = string.ascii_lowercase
 
 
 def field_apply(f, v: FockVector, g=None) -> FockVector:
@@ -253,52 +258,74 @@ def reduce_kernel(kappa: ncpart.MarkedPartition, f, g) -> np.ndarray:
     ``lambda**(l-1)`` at it.  The returned kernel has one axis per +1 block.
     """
     f = np.asarray(f, dtype=float)
-    n = kappa.n
-    if f.ndim != n:
+    if f.ndim != kappa.n:
         raise ValueError("kernel order must match the partition's ground-set size")
+    return _reduce(kappa, f, _power_table(g, f.ndim))
+
+
+def _power_table(g, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``k = 0..n-1`` of ``lambda**k`` and of ``w * lambda**k``.
+
+    Every block factor of an order-n reduction is one of these rows: a
+    +1 block of size l reads ``lambda**(l-1)``, a -1 block ``w * lambda**(l-2)``.
+    """
+    lam_pow = g.lambda_values ** np.arange(n)[:, np.newaxis]
+    return lam_pow, g.weights * lam_pow
+
+
+def _reduce(kappa: ncpart.MarkedPartition, f: np.ndarray, powers) -> np.ndarray:
+    # one einsum: the kernel with one label per block, a w * lambda**(l-2)
+    # operand per -1 block and a lambda**(l-1) operand per +1 block of size
+    # l >= 2; the +1 labels, in block order, are the output axes
     blocks = kappa.partition.blocks
     marks = kappa.marks
     if ncpart.has_nested_plus(blocks, marks):
         raise ValueError("partition has a +1 block nested inside another block")
-    letters = string.ascii_lowercase
-    if len(blocks) > len(letters):
+    if len(blocks) > len(_LETTERS):
         raise ValueError("too many blocks for the einsum reduction")
-
-    pos_label = [""] * n
-    out_labels: list[str] = []
-    plus_sizes: list[int] = []
-    operands: list[np.ndarray] = []
-    operand_labels: list[str] = []
-    lam = g.lambda_values
-    for j, (block, mark) in enumerate(zip(blocks, marks)):
-        lab = letters[j]
+    lam_pow, wlam_pow = powers
+    pos_label = [""] * kappa.n
+    out_labels = ""
+    operands = [f]
+    operand_labels = []
+    for lab, block, mark in zip(_LETTERS, blocks, marks):
         for p in block:
             pos_label[p - 1] = lab
+        size = len(block)
         if mark == 1:
-            out_labels.append(lab)
-            plus_sizes.append(len(block))
+            out_labels += lab
+            if size >= 2:
+                operands.append(lam_pow[size - 1])
+                operand_labels.append(lab)
         else:
-            operands.append(g.weights * lam ** (len(block) - 2))
+            operands.append(wlam_pow[size - 2])
             operand_labels.append(lab)
+    sub = ",".join(["".join(pos_label), *operand_labels]) + "->" + out_labels
+    return np.einsum(sub, *operands)
 
-    sub = "".join(pos_label)
-    if operand_labels:
-        sub += "," + ",".join(operand_labels)
-    sub += "->" + "".join(out_labels)
-    red = np.einsum(sub, f, *operands)
 
-    for axis, size in enumerate(plus_sizes):
-        if size >= 2:
-            shape = (1,) * axis + (-1,) + (1,) * (len(plus_sizes) - axis - 1)
-            red = red * (lam ** (size - 1)).reshape(shape)
-    return red
+def _expand(partitions, f: np.ndarray, g, v: FockVector) -> FockVector:
+    # the Wick product is linear in its kernel: sum the reduced kernels per
+    # order (number of +1 blocks), then one Wick product per order
+    powers = _power_table(g, f.ndim)
+    by_order: dict[int, np.ndarray] = {}
+    for kappa in partitions:
+        red = _reduce(kappa, f, powers)
+        k = red.ndim
+        by_order[k] = by_order[k] + red if k in by_order else red
+    out = fock.FockVector(v.base, [0.0], v.max_level)
+    for k in sorted(by_order):
+        out = out + wick_apply(by_order[k], v, g)
+    return out
 
 
 def wick_rule_expand(f, g, v: FockVector | None = None) -> FockVector:
     """Expand a monomial as the sum of Wick products over admissible partitions.
 
-    Must reproduce :func:`monomial_apply` exactly (to roundoff); applied to
-    the vacuum by default.
+    The kernel is reduced once per partition of ``G_n``; the reduced kernels
+    are summed per order and each sum is Wick-ordered once (the Wick product
+    is linear in its kernel).  Must reproduce :func:`monomial_apply` exactly
+    (to roundoff); applied to the vacuum by default.
     """
     f = np.asarray(f, dtype=float)
     n = f.ndim
@@ -306,10 +333,7 @@ def wick_rule_expand(f, g, v: FockVector | None = None) -> FockVector:
         raise ValueError("kernel order must be at least 1")
     if v is None:
         v = fock.vacuum(g, n)
-    out = fock.FockVector(v.base, [0.0], v.max_level)
-    for kappa in ncpart.enumerate_gn(n):
-        out = out + wick_apply(reduce_kernel(kappa, f, g), v, g)
-    return out
+    return _expand(ncpart.enumerate_gn(n), f, g, v)
 
 
 def wick_product_expand(orders, f, g, v: FockVector | None = None) -> FockVector:
@@ -317,7 +341,9 @@ def wick_product_expand(orders, f, g, v: FockVector | None = None) -> FockVector
 
     ``orders`` splits the kernel axes into consecutive groups, one per Wick
     factor; only partitions whose blocks meet each group at most once
-    contribute.  Must match sequentially applying the factors.
+    contribute.  As in :func:`wick_rule_expand`, their reduced kernels are
+    summed per order before one Wick product per order.  Must match
+    sequentially applying the factors.
     """
     orders = tuple(int(k) for k in orders)
     if any(k < 1 for k in orders):
@@ -326,18 +352,19 @@ def wick_product_expand(orders, f, g, v: FockVector | None = None) -> FockVector
     f = np.asarray(f, dtype=float)
     if f.ndim != n:
         raise ValueError("kernel order must equal the sum of the factor orders")
-    group = np.repeat(np.arange(len(orders)), orders)
+    # group[p - 1] is the factor that element p belongs to
+    group = tuple(j for j, k in enumerate(orders) for _ in range(k))
     if v is None:
         v = fock.vacuum(g, n)
-    out = fock.FockVector(v.base, [0.0], v.max_level)
-    for kappa in ncpart.enumerate_gn(n):
-        admissible = all(
+    admissible = (
+        kappa
+        for kappa in ncpart.enumerate_gn(n)
+        if all(
             len({group[p - 1] for p in block}) == len(block)
             for block in kappa.partition.blocks
         )
-        if admissible:
-            out = out + wick_apply(reduce_kernel(kappa, f, g), v, g)
-    return out
+    )
+    return _expand(admissible, f, g, v)
 
 
 def wick_product_sequential(kernels, g, v: FockVector | None = None) -> FockVector:

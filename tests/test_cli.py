@@ -221,6 +221,14 @@ class TestVerify:
         r2 = [c["residual"] for c in json.loads(out2)["checks"]]
         assert r1 == r2
 
+    def test_params_echo_overrides(self, capsys):
+        code, out = run(["verify", "--suite", "wick", "--seed", "5", "--n-max", "2"], capsys)
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert set(params) == {"m", "fiber_nodes", "degree", "n_max", "seed", "tol"}
+        assert params["seed"] == 5 and params["n_max"] == 2
+        assert params["m"] == 6 and params["tol"] == 1e-10
+
     def test_suite_seconds(self, capsys):
         code, out = run(["verify", "--suite", "all"], capsys)
         assert code == 0

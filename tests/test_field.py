@@ -334,13 +334,16 @@ class TestReduceKernel:
         assert np.abs(red - expect).max() < 1e-12
 
     def test_matches_naive_loop_reduction(self, rng):
-        g = random_grid(3, rng)
-        n = 5
-        f = rng.standard_normal((3,) * n)
-        for kappa in ncpart.enumerate_gn(n)[::7]:
-            fast = field.reduce_kernel(kappa, f, g)
-            slow = naive_reduce(kappa, f, g)
-            assert np.abs(np.asarray(fast) - slow).max() < 1e-12
+        # a zero node (0**0 = 1) and a node at |lambda| ~ 30, where the top
+        # power reaches 30**4 ~ 8e5
+        g = grid.make_grid(3, lam=np.array([0.0, -29.7, 0.8]))
+        for n in range(1, 6):
+            f = rng.standard_normal((3,) * n)
+            for kappa in ncpart.enumerate_gn(n):
+                fast = np.asarray(field.reduce_kernel(kappa, f, g))
+                slow = naive_reduce(kappa, f, g)
+                assert fast.shape == slow.shape
+                assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max(), kappa
 
     def test_rejects_inadmissible(self, rng):
         g = random_grid(4, rng)
@@ -427,6 +430,49 @@ class TestWickRuleExpand:
         rhs = field.wick_rule_expand(f, g, v)
         assert rel(lhs, rhs) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_per_partition_sum(self, n, rng):
+        g = random_grid(3, rng)
+        f = rng.standard_normal((3,) * n)
+        for v in (fock.vacuum(g, n), low_levels_vector(g, n, rng)):
+            expect = per_partition_sum(ncpart.enumerate_gn(n), f, g, v)
+            assert rel(field.wick_rule_expand(f, g, v), expect) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_one_wick_product_per_order(self, n, rng, monkeypatch):
+        g = random_grid(3, rng)
+        f = rng.standard_normal((3,) * n)
+        orders = {field.reduce_kernel(kappa, f, g).ndim for kappa in ncpart.enumerate_gn(n)}
+        called = []
+        wick_apply = field.wick_apply
+
+        def counted(kernel, *args, **kwargs):
+            called.append(np.ndim(kernel))
+            return wick_apply(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(field, "wick_apply", counted)
+        field.wick_rule_expand(f, g, low_levels_vector(g, n, rng))
+        assert sorted(called) == sorted(orders)
+        called.clear()
+        field.wick_product_expand((2, n - 2), f, g)
+        assert len(called) == len(set(called)) <= n + 1
+
+
+def per_partition_sum(partitions, f, g, v):
+    """One Wick product per partition, summed in enumeration order."""
+    out = fock.FockVector(v.base, [0.0], v.max_level)
+    for kappa in partitions:
+        out = out + field.wick_apply(field.reduce_kernel(kappa, f, g), v, g)
+    return out
+
+
+def compositions(n, max_parts):
+    """Every ordered split of n into at most max_parts positive parts."""
+    for parts in range(1, max_parts + 1):
+        for cuts in itertools.combinations(range(1, n), parts - 1):
+            bounds = (0,) + cuts + (n,)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
 
 class TestWickProductExpand:
     def test_single_factor_collapses(self, rng):
@@ -452,3 +498,25 @@ class TestWickProductExpand:
         lhs = field.wick_product_expand(comp, joint, g)
         rhs = field.wick_product_sequential(kernels, g)
         assert rel(lhs, rhs) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_per_partition_sum(self, n, rng):
+        g = random_grid(3, rng)
+        f = rng.standard_normal((3,) * n)
+        v = low_levels_vector(g, n, rng)
+        for comp in compositions(n, 3):
+            # the factor of each element: p lies in factor j when it falls
+            # between the j-th and (j+1)-th cut
+            ends = list(itertools.accumulate(comp))
+            factor = [next(j for j, e in enumerate(ends) if p <= e) for p in range(1, n + 1)]
+            kept = [
+                kappa
+                for kappa in ncpart.enumerate_gn(n)
+                if all(
+                    factor[p - 1] != factor[q - 1]
+                    for block in kappa.partition.blocks
+                    for p, q in itertools.combinations(block, 2)
+                )
+            ]
+            expect = per_partition_sum(kept, f, g, v)
+            assert rel(field.wick_product_expand(comp, f, g, v), expect) < 1e-12, comp
