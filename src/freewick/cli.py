@@ -96,10 +96,9 @@ class ModelConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad grid/coefficient spec: {exc}") from exc
 
-    def build_fibers(self, grid: GridMeasure) -> list[FiberMeasure] | None:
-        if self.mode == "gauss_poisson":
-            return None
-        if self.mode == "meixner":
+    def build_fibers(self, grid: GridMeasure) -> list[FiberMeasure]:
+        if self.mode != "general":
+            # the gauss_poisson grid has eta = 0: each law is the point mass at lambda
             return [
                 semicircle_fiber(l, e, self.fiber_nodes)
                 for l, e in zip(grid.lambda_values, grid.eta_values)
@@ -187,8 +186,11 @@ def _to_text(payload: dict) -> str:
     table = [header] + [[str(x) for x in row] for row in rows]
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in table]
-    meta = {k: v for k, v in payload.items() if not isinstance(v, (list, dict))}
-    lines += [f"{k}: {v}" for k, v in meta.items()]
+    for k, v in payload.items():
+        if isinstance(v, dict) and k != "paths":  # paths are the table's rows
+            lines += [f"{k}.{sub}: {x}" for sub, x in v.items()]
+        elif not isinstance(v, (list, dict)):
+            lines.append(f"{k}: {v}")
     return "\n".join(lines) + "\n"
 
 
@@ -249,11 +251,10 @@ def cmd_moments(args) -> int:
         raise ConfigError(f"word length {len(word)} exceeds twice the degree budget")
 
     top = (len(word) + 1) // 2  # the Fock level each half of the split word reaches
+    spec = cumulant.CumulantSpec(grid, fibers)
     if config.mode == "gauss_poisson":
-        spec = cumulant.CumulantSpec("lambda", grid)
         routes = {"fock": lambda: cumulant.moment(word, spec)}
     else:
-        spec = cumulant.CumulantSpec("fiber", grid, fibers)
         sys_ = jacobi.JacobiSystem.from_fibers(grid, fibers, config.fiber_nodes)
         # the extended space's slots {0..L} x T, one dense level of them
         slots = (min(sys_.max_degree, top - 1) + 1) * grid.size
@@ -263,7 +264,7 @@ def cmd_moments(args) -> int:
             "extended_fock": lambda: xfock.xmoment(word, sys_),
         }
     # a half word runs on the vacuum as at most 3**top rank-one terms of top slots
-    _require_memory(8 * 3**top * top * spec.operator_base()[0].size, "the rank-one term lists")
+    _require_memory(8 * 3**top * top * spec.base.size, "the rank-one term lists")
     routes["nc_sum"] = lambda: cumulant.nc_moment_sum(word, spec)
     paths: dict[str, float] = {}
     route_seconds: dict[str, float] = {}

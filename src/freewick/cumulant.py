@@ -1,12 +1,12 @@
 """Vacuum moments, free cumulants, and cumulant transforms.
 
-Two model modes share one interface.  In ``lambda`` mode the field lives
-over the base grid and the order-n joint cumulant of node functions is the
-quadrature of their product against ``lambda**(n-2)``.  In ``fiber`` mode
-the field lives over the joint (node, atom) quadrature with coefficient
-value equal to the atom coordinate, and ``lambda**(n-2)`` is replaced by
-the (n-2)-th raw moment of the per-node measure.  Order-1 cumulants vanish
-identically in both modes.
+The model gives every grid node ``t`` a probability law, its fiber; by
+default the point mass at ``lambda(t)``, the eta = 0 case of Brownian
+motion and Poisson.  The field lives over the joint (node, atom)
+quadrature with coefficient value equal to the atom coordinate, and the
+order-n joint cumulant of node functions is the quadrature of their
+product against the (n-2)-th raw moment of the node's law, which is
+``lambda**(n-2)`` at a point mass.  Order-1 cumulants vanish identically.
 
 Moments are computed on the full Fock space without dense levels.  Every
 part of the field keeps a rank-one tensor ``g_1 (x) ... (x) g_k``
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import ncpart
 from .errors import DomainBoundError
-from .grid import GridMeasure, ProductGrid
+from .grid import GridMeasure, ProductGrid, point_fiber
 
 __all__ = [
     "CumulantSpec",
@@ -46,51 +46,25 @@ __all__ = [
 
 
 class CumulantSpec:
-    """Model selector: ``lambda`` mode or ``fiber`` mode with per-node measures."""
+    """The model: one law per grid node, the point mass at ``lambda`` by default.
 
-    def __init__(self, mode: str, grid: GridMeasure, fibers=None):
-        if mode not in ("lambda", "fiber"):
-            raise ValueError("mode must be 'lambda' or 'fiber'")
-        if mode == "fiber":
-            if fibers is None:
-                raise ValueError("fiber mode requires per-node measures")
-            fibers = tuple(fibers)
-            if len(fibers) != grid.size:
-                raise ValueError("one fiber measure per grid node required")
-        self.mode = mode
+    ``base`` is the joint quadrature the field operators run over.
+    """
+
+    def __init__(self, grid: GridMeasure, fibers=None):
+        if fibers is None:
+            fibers = [point_fiber(lam) for lam in grid.lambda_values]
         self.grid = grid
-        self.fibers = fibers
-        self._product_grid: ProductGrid | None = None
-        self._fiber_moments: dict[int, np.ndarray] = {}
-
-    def operator_base(self):
-        """The measure the field operators run over, and the kernel lift."""
-        if self.mode == "lambda":
-            return self.grid, lambda f: np.asarray(f, dtype=float)
-        if self._product_grid is None:
-            self._product_grid = ProductGrid(self.grid, self.fibers)
-        pg = self._product_grid
-        return pg, pg.lift
+        self.base = ProductGrid(grid, fibers)
 
     def coefficient_moment(self, order: int) -> np.ndarray:
-        """Per-node values replacing ``lambda**order`` in cumulants.
-
-        ``lambda`` mode: the table's power.  ``fiber`` mode: the order-th
-        raw moment of the node's measure.
-        """
-        if self.mode == "lambda":
-            return self.grid.lambda_values**order
-        got = self._fiber_moments.get(order)
-        if got is None:
-            got = np.array([fb.moment(order) for fb in self.fibers])
-            self._fiber_moments[order] = got
-        return got
+        """Per-node order-th raw moment of the node law, replacing ``lambda**order``."""
+        b = self.base
+        return np.bincount(b.tindex, b.fweights * b.svalues**order, minlength=self.grid.size)
 
     def radius_values(self) -> np.ndarray:
         """Nodewise convergence-radius scale for the cumulant transform."""
-        if self.mode == "lambda":
-            return np.abs(self.grid.lambda_values)
-        return np.array([fb.radius for fb in self.fibers])
+        return np.array([fb.radius for fb in self.base.fibers])
 
 
 def moment(fs, spec: CumulantSpec) -> float:
@@ -100,8 +74,8 @@ def moment(fs, spec: CumulantSpec) -> float:
     and the two lists meet in the inner product; no dense Fock level is
     built and no :mod:`fock` or :mod:`field` code runs.
     """
-    base, lift = spec.operator_base()
-    fs = [lift(f) for f in fs]
+    base = spec.base
+    fs = [base.lift(f) for f in fs]
     if not fs:
         return 1.0
     split = len(fs) // 2
@@ -257,14 +231,9 @@ def cumulant_transform(fvals, spec: CumulantSpec, degree: int = 30) -> Transform
     if np.any(rho >= 1.0):
         raise DomainBoundError("|f| exceeds the nodewise convergence radius")
 
-    if spec.mode == "lambda":
-        lam = spec.grid.lambda_values
-        closed = complex(np.sum(w * f**2 / (1.0 - lam * f)))
-    else:
-        closed = 0.0j
-        for i, fb in enumerate(spec.fibers):
-            closed += w[i] * f[i] ** 2 * np.sum(fb.weights / (1.0 - fb.atoms * f[i]))
-        closed = complex(closed)
+    b = spec.base
+    fj = f[b.tindex]
+    closed = complex(np.sum(b.weights * fj**2 / (1.0 - b.svalues * fj)))
 
     series = 0.0j
     for n in range(2, degree + 1):
@@ -294,12 +263,10 @@ def fiber_transform_split(fvals, spec: CumulantSpec) -> complex:
     enter through the measure rescaled by ``1/s**2``.  Algebraically equal
     to the direct closed form; kept as a consistency re-expression.
     """
-    if spec.mode != "fiber":
-        raise ValueError("the split form applies to fiber mode only")
     f = np.asarray(fvals, dtype=complex)
     w = spec.grid.weights
     total = 0.0j
-    for i, fb in enumerate(spec.fibers):
+    for i, fb in enumerate(spec.base.fibers):
         at_zero = fb.atoms == 0.0
         c = float(fb.weights[at_zero].sum())
         total += w[i] * c * f[i] ** 2

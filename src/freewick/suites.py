@@ -95,24 +95,6 @@ def _meixner_model(p: SuiteParams, lam=1.0, eta=1.0):
     return g, fibers, pg, sys
 
 
-def _random_low_levels(
-    base, max_level: int, keep: int, rng: np.random.Generator
-) -> fock.FockVector:
-    """``fock.random_vector(base, max_level, rng)`` with only levels ``0..keep-1`` stored.
-
-    The levels above are still drawn, so the seeded stream advances exactly
-    as in the full draw, but one row (first-slot slice) at a time: the
-    generator fills arrays in C order, so the kept values and the final
-    state are the same, and the transient is one row, not a whole level.
-    """
-    m = base.size
-    levels = [rng.standard_normal((m,) * k) for k in range(keep)]
-    for k in range(keep, max_level + 1):
-        for _ in range(m):
-            rng.standard_normal((m,) * (k - 1))
-    return fock.FockVector(base, levels, max_level)
-
-
 def _random_fibers(m: int, nodes: int, rng: np.random.Generator) -> list[FiberMeasure]:
     fibers = []
     for _ in range(m):
@@ -167,7 +149,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
         g = _random_grid(p.m, rng)
         f = rng.standard_normal((p.m,) * n)
         # levels 0..2 hold content under the budget n + 2
-        v = _random_low_levels(g, n + 2, 3, rng)
+        v = fock.FockVector(g, fock.random_vector(g, 2, rng).levels, n + 2)
         explicit = field.wick_apply(f, v, g, form="explicit")
         recursive = field.wick_apply(f, v, g, form="recursive")
         worst = max(worst, _rel_vec(explicit, recursive))
@@ -191,11 +173,9 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
     checks = []
 
     lam_grid = _random_grid(p.m, rng)
-    lam_spec = cumulant.CumulantSpec("lambda", lam_grid)
+    lam_spec = cumulant.CumulantSpec(lam_grid)
     fib_grid = make_grid(p.m)
-    fib_spec = cumulant.CumulantSpec(
-        "fiber", fib_grid, _random_fibers(p.m, p.fiber_nodes, rng)
-    )
+    fib_spec = cumulant.CumulantSpec(fib_grid, _random_fibers(p.m, p.fiber_nodes, rng))
     for label, spec in (("lambda", lam_spec), ("fiber", fib_spec)):
         worst = 0.0
         for n in range(1, p.degree + 1):
@@ -238,13 +218,13 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
     checks.append(Check("traciality", worst, p.tol))
 
     ones_grid = make_grid(p.m, lam=1.0, eta=1.0)
-    ones_spec = cumulant.CumulantSpec("lambda", ones_grid)
+    ones_spec = cumulant.CumulantSpec(ones_grid)
     tr = cumulant.cumulant_transform(0.5 * np.ones(p.m), ones_spec, degree=30)
     checks.append(Check("transform_lambda_closed_vs_series", tr.gap, 1e-8))
     tr = cumulant.cumulant_transform(0.25 * np.ones(p.m), fib_spec, degree=30)
     checks.append(Check("transform_fiber_closed_vs_series", tr.gap, 1e-8))
     mei_fibers = [semicircle_fiber(1.0, 1.0, p.fiber_nodes) for _ in range(p.m)]
-    mei_spec = cumulant.CumulantSpec("fiber", ones_grid, mei_fibers)
+    mei_spec = cumulant.CumulantSpec(ones_grid, mei_fibers)
     fv = (1.0 / 6.0) * np.ones(p.m)
     closed = cumulant.meixner_transform_closed_form(fv, ones_grid)
     series = cumulant.cumulant_transform(fv, mei_spec, degree=30).series
@@ -256,7 +236,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
     rng = np.random.default_rng(p.seed + 2)
     checks = []
     g, fibers, pg, sys = _meixner_model(p)
-    spec = cumulant.CumulantSpec("fiber", g, fibers)
+    spec = cumulant.CumulantSpec(g, fibers)
 
     # words over a fixed pair of kernels, all patterns up to the budget
     fa, fb = rng.standard_normal(p.m), rng.standard_normal(p.m)
@@ -273,9 +253,8 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
 
     # general (non-semicircle) fibers as well
     gen_fibers = _random_fibers(p.m, p.fiber_nodes, rng)
-    gen_pg = ProductGrid(g, gen_fibers)
     gen_sys = jacobi.JacobiSystem.from_fibers(g, gen_fibers, p.fiber_nodes)
-    gen_spec = cumulant.CumulantSpec("fiber", g, gen_fibers)
+    gen_spec = cumulant.CumulantSpec(g, gen_fibers)
     worst = 0.0
     for d in range(1, p.degree + 1):
         word = [rng.standard_normal(p.m) for _ in range(d)]
@@ -285,7 +264,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
     worst_norm = 0.0
     worst_tw = 0.0
     for _ in range(20):
-        v = _random_low_levels(pg, 3, 3, rng)
+        v = fock.FockVector(pg, fock.random_vector(pg, 2, rng).levels, 3)
         f = rng.standard_normal(p.m)
         lhs = xfock.k_transform(xfock.big_fock_realize(f, v, pg), sys)
         # one transform serves both checks: its lmax is sys.max_degree either way
@@ -393,7 +372,7 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     sigma_delta = 1.0
     window = np.ones(p.m, dtype=bool)
     chi = window.astype(float)
-    spec = cumulant.CumulantSpec("fiber", g, fibers)
+    spec = cumulant.CumulantSpec(g, fibers)
     tri = jacobi.meixner_moments(lam0, eta0, sigma_delta, 8)
     worst_big = worst_x = worst_nc = 0.0
     for k in range(1, 9):

@@ -89,13 +89,13 @@ def test_criterion_3_normal_product_rule():
 
 def test_criterion_4_moment_cumulant():
     rng = np.random.default_rng(40)
-    lam_spec = CumulantSpec("lambda", make_grid(M, lam=rng.standard_normal(M)))
+    lam_spec = CumulantSpec(make_grid(M, lam=rng.standard_normal(M)))
     fibers = []
     for _ in range(M):
         atoms = np.sort(rng.uniform(-1.0, 1.0, size=FIBER_NODES))
         w = rng.uniform(0.2, 1.0, size=FIBER_NODES)
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
-    fib_spec = CumulantSpec("fiber", make_grid(M), fibers)
+    fib_spec = CumulantSpec(make_grid(M), fibers)
     worst = 0.0
     for spec in (lam_spec, fib_spec):
         for n in range(1, 7):
@@ -116,12 +116,12 @@ def test_criterion_4_moment_cumulant():
 def test_criterion_5_cumulant_transforms():
     # half the admissible radius in both regimes
     g1 = make_grid(M, lam=1.0)
-    res = cumulant.cumulant_transform(0.5 * np.ones(M), CumulantSpec("lambda", g1), degree=30)
+    res = cumulant.cumulant_transform(0.5 * np.ones(M), CumulantSpec(g1), degree=30)
     gap_lambda = res.gap
 
     gm = make_grid(M, lam=1.0, eta=1.0)
     fibers = [semicircle_fiber(1.0, 1.0, FIBER_NODES) for _ in range(M)]
-    spec = CumulantSpec("fiber", gm, fibers)
+    spec = CumulantSpec(gm, fibers)
     fv = (1.0 / 6.0) * np.ones(M)  # support radius 3, half of 1/3
     closed = cumulant.meixner_transform_closed_form(fv, gm)
     series = cumulant.cumulant_transform(fv, spec, degree=30).series
@@ -166,7 +166,7 @@ def test_criterion_7_extended_fock_consistency():
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
     pg = ProductGrid(g, fibers)
     sys = JacobiSystem.from_fibers(g, fibers, FIBER_NODES)
-    spec = CumulantSpec("fiber", g, fibers)
+    spec = CumulantSpec(g, fibers)
 
     # all words over a fixed kernel pair up to the degree budget, plus
     # fresh random kernels at each degree
@@ -220,7 +220,7 @@ def test_criterion_9_meixner_characterization():
     g = make_grid(M, lam=lam0, eta=eta0)
     fibers = [semicircle_fiber(lam0, eta0, FIBER_NODES) for _ in range(M)]
     sys = JacobiSystem.from_fibers(g, fibers, FIBER_NODES)
-    spec = CumulantSpec("fiber", g, fibers)
+    spec = CumulantSpec(g, fibers)
 
     # slotwise closed forms of the graded actions, exact for constant coefficients
     worst_slot = 0.0

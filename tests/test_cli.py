@@ -202,6 +202,23 @@ class TestVerify:
         assert code == 0
         assert "passed: True" in out
 
+    def test_text_format_flattens_dict_keys(self, capsys):
+        code, out = run(["verify", "--suite", "cumulant", "--seed", "3", "--format", "text"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        for key, value in (("m", 6), ("fiber_nodes", 8), ("n_max", 4), ("seed", 3), ("tol", 1e-10)):
+            assert f"params.{key}: {value}" in lines
+        assert [line.split(":")[0] for line in lines if line.startswith("suite_seconds.")] == [
+            "suite_seconds.cumulant"
+        ]
+        code, out = run(["moments", "--power", "2", "--format", "text"], capsys)
+        assert code == 0
+        keys = [line.split(":")[0] for line in out.splitlines() if ":" in line]
+        assert [k for k in keys if k.startswith("route_seconds.")] == [
+            "route_seconds.big_fock", "route_seconds.extended_fock", "route_seconds.nc_sum"
+        ]
+        assert not any(k.startswith("paths.") for k in keys)
+
     def test_meixner_json_serializable(self, capsys):
         # residuals coming out as numpy scalars must not break the encoder
         code, out = run(["verify", "--suite", "meixner", "--format", "json"], capsys)

@@ -107,19 +107,19 @@ class TestMoments:
     def test_big_fock_gaussian_fourth(self):
         g = grid.make_grid(M_GRID, lam=0.0, eta=1.0)
         fibers = [grid.semicircle_fiber(0.0, 1.0, M_FIBER) for _ in range(M_GRID)]
-        spec = cumulant.CumulantSpec("fiber", g, fibers)
+        spec = cumulant.CumulantSpec(g, fibers)
         chi = np.ones(M_GRID)
         assert abs(cumulant.moment([chi] * 4, spec) - 3.0) < 1e-10
 
     def test_big_fock_field_centered(self, general, rng):
         g, fibers, _, _ = general
-        spec = cumulant.CumulantSpec("fiber", g, fibers)
+        spec = cumulant.CumulantSpec(g, fibers)
         assert cumulant.moment([rng.standard_normal(M_GRID)], spec) == 0.0
 
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_paths_agree(self, degree, general, rng):
         g, fibers, pg, sys = general
-        spec = cumulant.CumulantSpec("fiber", g, fibers)
+        spec = cumulant.CumulantSpec(g, fibers)
         fs = [rng.standard_normal(M_GRID) for _ in range(degree)]
         a = cumulant.moment(fs, spec)
         b = xfock.xmoment(fs, sys)
@@ -362,7 +362,7 @@ class TestDenseLayout:
         fibers = [grid.point_fiber(0.5)] * M_GRID
         sys = JacobiSystem.from_fibers(g, fibers, 1)
         assert np.all(sys.g_values(1) == 0.0)
-        spec = cumulant.CumulantSpec("fiber", g, fibers)
+        spec = cumulant.CumulantSpec(g, fibers)
         chi = np.ones(M_GRID)
         a, b = cumulant.moment([chi] * 6, spec), xfock.xmoment([chi] * 6, sys)
         assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
@@ -385,7 +385,7 @@ class TestEdges:
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_moments_agree(self, case, degree, rng):
         g, fibers, _, sys = self.model(case)
-        spec = cumulant.CumulantSpec("fiber", g, fibers)
+        spec = cumulant.CumulantSpec(g, fibers)
         fs = [rng.standard_normal(g.size) for _ in range(degree)]
         a, b = cumulant.moment(fs, spec), xfock.xmoment(fs, sys)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0)
