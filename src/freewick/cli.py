@@ -18,15 +18,16 @@ import argparse
 import json
 import logging
 import os
+import resource
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import cumulant, jacobi, ncpart, suites, xfock
 from .errors import CapacityError, ConfigError, EnumerationBoundError, FreewickError
-from .grid import FiberMeasure, GridMeasure, make_grid, semicircle_fiber
+from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fibers
 
 MODES = ("gauss_poisson", "general", "meixner")
 
@@ -59,16 +60,18 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.m < 1:
-            raise ConfigError("grid size must be positive")
-        if self.fiber_nodes < 1:
-            raise ConfigError("fiber_nodes must be positive")
-        if self.degree < 1:
-            raise ConfigError("degree budget must be positive")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
-        if self.mode == "general" and not self.fibers:
-            raise ConfigError("general mode requires explicit per-node fibers")
+        # a bool is an int to Python, but not a count or a seed
+        for name, low in (("m", 1), ("fiber_nodes", 1), ("degree", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an integer of at least {low}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < np.inf:
+            raise ConfigError("tolerance must be a positive finite number")
+        if len(self.interval) != 2:
+            raise ConfigError("interval must be a pair [a, b]")
+        if (self.mode == "general") != (self.fibers is not None):
+            raise ConfigError("per-node fibers are given in general mode and only there")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
@@ -82,27 +85,23 @@ class ModelConfig:
         kwargs = dict(raw)
         if "lambda" in kwargs:
             kwargs["lam"] = kwargs.pop("lambda")
-        if "interval" in kwargs:
-            kwargs["interval"] = tuple(kwargs["interval"])
         try:
+            if "interval" in kwargs:
+                kwargs["interval"] = tuple(kwargs["interval"])
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def build_grid(self) -> GridMeasure:
+    def build_model(self) -> ProductGrid:
+        """The grid and its node laws, as one joint quadrature."""
         try:
             eta = self.eta if self.mode != "gauss_poisson" else 0.0
-            return make_grid(self.m, self.interval, lam=self.lam, eta=eta)
+            grid = make_grid(self.m, self.interval, lam=self.lam, eta=eta)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad grid/coefficient spec: {exc}") from exc
-
-    def build_fibers(self, grid: GridMeasure) -> list[FiberMeasure]:
         if self.mode != "general":
             # the gauss_poisson grid has eta = 0: each law is the point mass at lambda
-            return [
-                semicircle_fiber(l, e, self.fiber_nodes)
-                for l, e in zip(grid.lambda_values, grid.eta_values)
-            ]
+            return ProductGrid(grid, semicircle_fibers(grid, self.fiber_nodes))
         fibers = []
         try:
             for item in self.fibers:
@@ -116,7 +115,7 @@ class ModelConfig:
             raise ConfigError(f"bad fiber spec: {exc}") from exc
         if len(fibers) != grid.size:
             raise ConfigError("one fiber per grid node required")
-        return fibers
+        return ProductGrid(grid, fibers)
 
 
 def load_config(path: str | None) -> ModelConfig:
@@ -234,38 +233,46 @@ def _parse_word(config: ModelConfig, grid: GridMeasure, args) -> list[np.ndarray
     return factors * args.power
 
 
-def _require_memory(nbytes: int, what: str) -> None:
-    """Refuse, before any work, a route needing more than physical memory."""
+def _memory_limit() -> int:
+    """Bytes the process may hold: physical memory, or a lower ``RLIMIT_AS``."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    log.debug("%s: %d bytes of %d", what, nbytes, memory)
-    if nbytes > memory:
-        raise CapacityError(f"{what} would take {nbytes / 2**30:.1f} GiB, past physical memory")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return memory if soft == resource.RLIM_INFINITY else min(memory, soft)
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Refuse, before any work, a route needing more memory than the process may hold."""
+    limit = _memory_limit()
+    log.debug("%s: %d bytes of %d", what, nbytes, limit)
+    if nbytes > limit:
+        raise CapacityError(f"{what} would take {nbytes / 2**30:.1f} of {limit / 2**30:.1f} GiB")
 
 
 def cmd_moments(args) -> int:
     config = load_config(args.config)
-    grid = config.build_grid()
-    fibers = config.build_fibers(grid)
+    pg = config.build_model()
+    grid = pg.grid
     word = _parse_word(config, grid, args)
     if len(word) > 2 * config.degree:
         raise ConfigError(f"word length {len(word)} exceeds twice the degree budget")
 
     top = (len(word) + 1) // 2  # the Fock level each half of the split word reaches
-    spec = cumulant.CumulantSpec(grid, fibers)
     if config.mode == "gauss_poisson":
-        routes = {"fock": lambda: cumulant.moment(word, spec)}
+        routes = {"fock": lambda: cumulant.moment(word, pg)}
     else:
-        sys_ = jacobi.JacobiSystem.from_fibers(grid, fibers, config.fiber_nodes)
-        # the extended space's slots {0..L} x T, one dense level of them
+        sys_ = jacobi.JacobiSystem.from_fibers(grid, pg.fibers, config.fiber_nodes)
+        # the extended space's slots {0..L} x T; xmoment holds four dense levels
+        # of them at once (its tracemalloc peak measures 3.2 to 3.7 levels)
         slots = (min(sys_.max_degree, top - 1) + 1) * grid.size
-        _require_memory(8 * slots**top, "an extended Fock level")
+        _require_memory(4 * 8 * slots**top, "the extended Fock levels")
         routes = {
-            "big_fock": lambda: cumulant.moment(word, spec),
+            "big_fock": lambda: cumulant.moment(word, pg),
             "extended_fock": lambda: xfock.xmoment(word, sys_),
         }
-    # a half word runs on the vacuum as at most 3**top rank-one terms of top slots
-    _require_memory(8 * 3**top * top * spec.base.size, "the rank-one term lists")
-    routes["nc_sum"] = lambda: cumulant.nc_moment_sum(word, spec)
+    # a half word runs on the vacuum as at most 3**top rank-one terms of top
+    # slots; the route's tracemalloc peak measures 0.2 to 0.9 times this
+    _require_memory(8 * 3**top * top * pg.size, "the rank-one term lists")
+    routes["nc_sum"] = lambda: cumulant.nc_moment_sum(word, pg)
     paths: dict[str, float] = {}
     route_seconds: dict[str, float] = {}
     for name, route in routes.items():
@@ -287,6 +294,10 @@ def cmd_moments(args) -> int:
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)  # checked as a config seed
+    # the suites build their own seeded models; this rejects what moments rejects
+    config.build_model()
     if not 1 <= args.n_max <= 6:
         raise ConfigError("--n-max must lie in 1..6 (expansion cost grows fast)")
     names = list(suites.SUITE_NAMES) if args.suite == "all" else [args.suite]
@@ -295,7 +306,7 @@ def cmd_verify(args) -> int:
         fiber_nodes=config.fiber_nodes,
         degree=config.degree,
         n_max=args.n_max,
-        seed=config.seed if args.seed is None else args.seed,
+        seed=config.seed,
         tol=config.tolerance,
     )
     reports = []

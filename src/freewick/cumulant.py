@@ -1,12 +1,13 @@
 """Vacuum moments, free cumulants, and cumulant transforms.
 
-The model gives every grid node ``t`` a probability law, its fiber; by
-default the point mass at ``lambda(t)``, the eta = 0 case of Brownian
-motion and Poisson.  The field lives over the joint (node, atom)
-quadrature with coefficient value equal to the atom coordinate, and the
-order-n joint cumulant of node functions is the quadrature of their
-product against the (n-2)-th raw moment of the node's law, which is
-``lambda**(n-2)`` at a point mass.  Order-1 cumulants vanish identically.
+The model is a :class:`~freewick.grid.ProductGrid`: every grid node ``t``
+carries a probability law, its fiber; by default the point mass at
+``lambda(t)``, the eta = 0 case of Brownian motion and Poisson.  The field
+lives over the joint (node, atom) quadrature with coefficient value equal
+to the atom coordinate, and the order-n joint cumulant of node functions
+is the quadrature of their product against the (n-2)-th raw moment of the
+node's law, which is ``lambda**(n-2)`` at a point mass.  Order-1
+cumulants vanish identically.
 
 Moments are computed on the full Fock space without dense levels.  Every
 part of the field keeps a rank-one tensor ``g_1 (x) ... (x) g_k``
@@ -31,10 +32,9 @@ import numpy as np
 
 from . import ncpart
 from .errors import DomainBoundError
-from .grid import GridMeasure, ProductGrid, point_fiber
+from .grid import GridMeasure, ProductGrid
 
 __all__ = [
-    "CumulantSpec",
     "moment",
     "cumulant_direct",
     "cumulant_from_moments",
@@ -45,58 +45,35 @@ __all__ = [
 ]
 
 
-class CumulantSpec:
-    """The model: one law per grid node, the point mass at ``lambda`` by default.
-
-    ``base`` is the joint quadrature the field operators run over.
-    """
-
-    def __init__(self, grid: GridMeasure, fibers=None):
-        if fibers is None:
-            fibers = [point_fiber(lam) for lam in grid.lambda_values]
-        self.grid = grid
-        self.base = ProductGrid(grid, fibers)
-
-    def coefficient_moment(self, order: int) -> np.ndarray:
-        """Per-node order-th raw moment of the node law, replacing ``lambda**order``."""
-        b = self.base
-        return np.bincount(b.tindex, b.fweights * b.svalues**order, minlength=self.grid.size)
-
-    def radius_values(self) -> np.ndarray:
-        """Nodewise convergence-radius scale for the cumulant transform."""
-        return np.array([fb.radius for fb in self.base.fibers])
-
-
-def moment(fs, spec: CumulantSpec) -> float:
+def moment(fs, pg: ProductGrid) -> float:
     """Vacuum expectation of the field word with the given node functions.
 
     Each half of the word runs on the vacuum as a list of rank-one terms
     and the two lists meet in the inner product; no dense Fock level is
     built and no :mod:`fock` or :mod:`field` code runs.
     """
-    base = spec.base
-    fs = [base.lift(f) for f in fs]
+    fs = [pg.lift(f) for f in fs]
     if not fs:
         return 1.0
     split = len(fs) // 2
-    right = _rank_one_terms(fs[split:][::-1], base)
-    left = _rank_one_terms(fs[:split], base)
-    return _pair(left, right, base.weights)
+    right = _rank_one_terms(fs[split:][::-1], pg)
+    left = _rank_one_terms(fs[:split], pg)
+    return _pair(left, right, pg.weights)
 
 
 # pairs of terms contracted at once in :func:`_pair`, bounding its scratch
 _PAIR_BLOCK = 1 << 16
 
 
-def _rank_one_terms(fs, base) -> dict:
+def _rank_one_terms(fs, pg: ProductGrid) -> dict:
     """The fields of ``fs``, first one first, on the vacuum as rank-one terms.
 
     Level ``k`` maps to coefficients ``c`` of shape ``(T,)`` and slots ``S``
     of shape ``(T, k, N)``: the vector there is the sum over ``t`` of
     ``c[t] S[t, 0] (x) ... (x) S[t, k-1]``.
     """
-    w, lam = base.weights, base.lambda_values
-    levels = {0: (np.ones(1), np.empty((1, 0, base.size)))}
+    w, lam = pg.weights, pg.lambda_values
+    levels = {0: (np.ones(1), np.empty((1, 0, pg.size)))}
     for f in fs:
         wf, lf = w * f, lam * f
         out: dict[int, list] = {}
@@ -132,7 +109,7 @@ def _pair(left: dict, right: dict, w: np.ndarray) -> float:
     return total
 
 
-def cumulant_direct(fs, spec: CumulantSpec) -> float:
+def cumulant_direct(fs, pg: ProductGrid) -> float:
     """Closed-form joint cumulant of node functions; zero at order 1."""
     fs = [np.asarray(f, dtype=float) for f in fs]
     n = len(fs)
@@ -141,10 +118,10 @@ def cumulant_direct(fs, spec: CumulantSpec) -> float:
     if n == 1:
         return 0.0
     prod = np.multiply.reduce(fs)
-    return float(np.sum(spec.grid.weights * prod * spec.coefficient_moment(n - 2)))
+    return float(np.sum(pg.grid.weights * prod * pg.coefficient_moment(n - 2)))
 
 
-def nc_moment_sum(fs, spec: CumulantSpec) -> float:
+def nc_moment_sum(fs, pg: ProductGrid) -> float:
     """Moment predicted by the non-crossing sum of products of cumulants.
 
     Each distinct block's cumulant is computed once per call: there are at
@@ -162,7 +139,7 @@ def nc_moment_sum(fs, spec: CumulantSpec) -> float:
         for block in p.blocks:
             k = kappa.get(block)
             if k is None:
-                k = kappa[block] = cumulant_direct([fs[x - 1] for x in block], spec)
+                k = kappa[block] = cumulant_direct([fs[x - 1] for x in block], pg)
             term *= k
             if term == 0.0:
                 break
@@ -170,7 +147,7 @@ def nc_moment_sum(fs, spec: CumulantSpec) -> float:
     return total
 
 
-def cumulant_from_moments(fs, spec: CumulantSpec) -> float:
+def cumulant_from_moments(fs, pg: ProductGrid) -> float:
     """Top cumulant solved out of the moment = partition-sum recursion.
 
     Uses operator moments of subwords and lower cumulants recursively;
@@ -187,7 +164,7 @@ def cumulant_from_moments(fs, spec: CumulantSpec) -> float:
         got = memo.get(idx)
         if got is not None:
             return got
-        value = moment([fs[i] for i in idx], spec)
+        value = moment([fs[i] for i in idx], pg)
         k = len(idx)
         for p in ncpart.enumerate_nc(k):
             if len(p.blocks) == 1:
@@ -213,7 +190,7 @@ class TransformResult:
     degree: int
 
 
-def cumulant_transform(fvals, spec: CumulantSpec, degree: int = 30) -> TransformResult:
+def cumulant_transform(fvals, pg: ProductGrid, degree: int = 30) -> TransformResult:
     """Cumulant transform of a (complex) node function.
 
     Evaluates the closed form and the series truncated at ``degree``,
@@ -222,22 +199,21 @@ def cumulant_transform(fvals, spec: CumulantSpec, degree: int = 30) -> Transform
     since the series may then diverge.
     """
     f = np.asarray(fvals, dtype=complex)
-    if f.shape != spec.grid.nodes.shape:
+    if f.shape != pg.grid.nodes.shape:
         raise ValueError("values must align with grid nodes")
     if degree < 2:
         raise ValueError("series degree must be at least 2")
-    w = spec.grid.weights
-    rho = np.abs(f) * spec.radius_values()
+    w = pg.grid.weights
+    rho = np.abs(f) * np.array([fb.radius for fb in pg.fibers])
     if np.any(rho >= 1.0):
         raise DomainBoundError("|f| exceeds the nodewise convergence radius")
 
-    b = spec.base
-    fj = f[b.tindex]
-    closed = complex(np.sum(b.weights * fj**2 / (1.0 - b.svalues * fj)))
+    fj = f[pg.tindex]
+    closed = complex(np.sum(pg.weights * fj**2 / (1.0 - pg.svalues * fj)))
 
     series = 0.0j
     for n in range(2, degree + 1):
-        series += complex(np.sum(w * f**n * spec.coefficient_moment(n - 2)))
+        series += complex(np.sum(w * f**n * pg.coefficient_moment(n - 2)))
 
     tail = float(np.sum(w * np.abs(f) ** 2 * rho ** (degree - 1) / (1.0 - rho)))
     return TransformResult(closed, series, abs(closed - series), tail, degree)
@@ -256,7 +232,7 @@ def meixner_transform_closed_form(fvals, grid: GridMeasure) -> complex:
     return complex(np.sum(grid.weights * 2.0 * f**2 / (1.0 - lam * f + root)))
 
 
-def fiber_transform_split(fvals, spec: CumulantSpec) -> complex:
+def fiber_transform_split(fvals, pg: ProductGrid) -> complex:
     """Closed form regrouped through the atom at zero and the jump measure.
 
     The mass at zero enters as a pure quadratic term; atoms away from zero
@@ -264,9 +240,9 @@ def fiber_transform_split(fvals, spec: CumulantSpec) -> complex:
     to the direct closed form; kept as a consistency re-expression.
     """
     f = np.asarray(fvals, dtype=complex)
-    w = spec.grid.weights
+    w = pg.grid.weights
     total = 0.0j
-    for i, fb in enumerate(spec.base.fibers):
+    for i, fb in enumerate(pg.fibers):
         at_zero = fb.atoms == 0.0
         c = float(fb.weights[at_zero].sum())
         total += w[i] * c * f[i] ** 2

@@ -27,6 +27,7 @@ __all__ = [
     "make_grid",
     "integrate",
     "semicircle_fiber",
+    "semicircle_fibers",
     "point_fiber",
 ]
 
@@ -165,8 +166,9 @@ def integrate(g: GridMeasure, values) -> float:
 
 
 class ProductGrid:
-    """Joint quadrature over index-space nodes times per-node fiber atoms.
+    """The model: joint quadrature over index-space nodes times per-node fiber atoms.
 
+    Every node carries one law, by default the point mass at ``lambda``.
     Flattened node ``k`` represents a pair ``(t, s)``: it carries weight
     ``w_t * p_atom`` and coefficient value ``s``, realizing the coefficient
     choice ``lambda(t, s) = s`` of the joint model.  Exposes the same
@@ -176,7 +178,9 @@ class ProductGrid:
 
     __slots__ = ("grid", "fibers", "weights", "svalues", "fweights", "tindex", "slices")
 
-    def __init__(self, grid: GridMeasure, fibers):
+    def __init__(self, grid: GridMeasure, fibers=None):
+        if fibers is None:
+            fibers = [point_fiber(lam) for lam in grid.lambda_values]
         fibers = tuple(fibers)
         if len(fibers) != grid.size:
             raise ValueError("one fiber measure per grid node required")
@@ -206,6 +210,11 @@ class ProductGrid:
             raise ValueError("values must align with the base grid nodes")
         return fvals[self.tindex]
 
+    def coefficient_moment(self, order: int) -> np.ndarray:
+        """Per-node order-th raw moment of the node law, replacing ``lambda**order``."""
+        moments = self.fweights * self.svalues**order
+        return np.bincount(self.tindex, moments, minlength=self.grid.size)
+
 
 def point_fiber(lam: float) -> FiberMeasure:
     """The measure concentrated at a single point."""
@@ -233,3 +242,8 @@ def semicircle_fiber(lam: float, eta: float, m_nodes: int) -> FiberMeasure:
     # sort ascending; the closed form lists atoms in decreasing order
     order = np.argsort(atoms)
     return FiberMeasure(atoms[order], weights[order], radius=abs(lam) + 2.0 * np.sqrt(eta))
+
+
+def semicircle_fibers(grid: GridMeasure, m_nodes: int) -> list[FiberMeasure]:
+    """:func:`semicircle_fiber` of every node's ``lambda`` and ``eta``."""
+    return [semicircle_fiber(l, e, m_nodes) for l, e in zip(grid.lambda_values, grid.eta_values)]

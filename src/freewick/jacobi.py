@@ -204,7 +204,7 @@ def meixner_moments(
 class JacobiSystem:
     """Per-node recurrence systems over a grid, with node-aligned tables."""
 
-    def __init__(self, grid: GridMeasure, nodes, fibers=None):
+    def __init__(self, grid: GridMeasure, nodes):
         nodes = list(nodes)
         if len(nodes) != grid.size:
             raise ValueError("one recurrence system per grid node required")
@@ -213,7 +213,6 @@ class JacobiSystem:
             raise ValueError("nodes must share one tabulated degree")
         self.grid = grid
         self.nodes = nodes
-        self.fibers = tuple(fibers) if fibers is not None else None
         self.max_degree = degrees.pop()
         self._b = np.stack([node.b for node in nodes])
         self._a = np.stack([node.a for node in nodes])
@@ -221,9 +220,7 @@ class JacobiSystem:
 
     @classmethod
     def from_fibers(cls, grid: GridMeasure, fibers, max_degree: int) -> "JacobiSystem":
-        fibers = tuple(fibers)
-        nodes = [coeffs_from_measure(fb, max_degree) for fb in fibers]
-        return cls(grid, nodes, fibers)
+        return cls(grid, [coeffs_from_measure(fb, max_degree) for fb in fibers])
 
     @classmethod
     def meixner(cls, grid: GridMeasure, max_degree: int) -> "JacobiSystem":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import cumulant, field, fock, jacobi, ncpart, xfock
-from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fiber
+from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fiber, semicircle_fibers
 
 __all__ = ["Check", "SuiteReport", "run_suite", "SUITE_NAMES", "SuiteParams"]
 
@@ -89,10 +89,8 @@ def _random_grid(m: int, rng: np.random.Generator) -> GridMeasure:
 
 def _meixner_model(p: SuiteParams, lam=1.0, eta=1.0):
     g = make_grid(p.m, lam=lam, eta=eta)
-    fibers = [semicircle_fiber(l, e, p.fiber_nodes) for l, e in zip(g.lambda_values, g.eta_values)]
-    pg = ProductGrid(g, fibers)
-    sys = jacobi.JacobiSystem.from_fibers(g, fibers, p.fiber_nodes)
-    return g, fibers, pg, sys
+    pg = ProductGrid(g, semicircle_fibers(g, p.fiber_nodes))
+    return pg, jacobi.JacobiSystem.from_fibers(g, pg.fibers, p.fiber_nodes)
 
 
 def _random_fibers(m: int, nodes: int, rng: np.random.Generator) -> list[FiberMeasure]:
@@ -172,15 +170,13 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
     rng = np.random.default_rng(p.seed + 1)
     checks = []
 
-    lam_grid = _random_grid(p.m, rng)
-    lam_spec = cumulant.CumulantSpec(lam_grid)
-    fib_grid = make_grid(p.m)
-    fib_spec = cumulant.CumulantSpec(fib_grid, _random_fibers(p.m, p.fiber_nodes, rng))
-    for label, spec in (("lambda", lam_spec), ("fiber", fib_spec)):
+    lam_pg = ProductGrid(_random_grid(p.m, rng))
+    fib_pg = ProductGrid(make_grid(p.m), _random_fibers(p.m, p.fiber_nodes, rng))
+    for label, pg in (("lambda", lam_pg), ("fiber", fib_pg)):
         worst = 0.0
         for n in range(1, p.degree + 1):
             fs = [rng.standard_normal(p.m) for _ in range(n)]
-            worst = max(worst, _rel(cumulant.moment(fs, spec), cumulant.nc_moment_sum(fs, spec)))
+            worst = max(worst, _rel(cumulant.moment(fs, pg), cumulant.nc_moment_sum(fs, pg)))
         checks.append(Check(f"moment_cumulant_{label}", worst, p.tol))
 
     worst = 0.0
@@ -188,7 +184,7 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
         fs = [rng.standard_normal(p.m) for _ in range(n)]
         worst = max(
             worst,
-            _rel(cumulant.cumulant_from_moments(fs, lam_spec), cumulant.cumulant_direct(fs, lam_spec)),
+            _rel(cumulant.cumulant_from_moments(fs, lam_pg), cumulant.cumulant_direct(fs, lam_pg)),
         )
     checks.append(Check("cumulant_recursion_vs_direct", worst, p.tol))
 
@@ -198,36 +194,34 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
     fb = np.concatenate([np.zeros(half), np.abs(rng.standard_normal(p.m - half)) + 0.5])
     worst = 0.0
     for word in ([fa, fb], [fa, fb, fa], [fa, fa, fb, fb], [fa, fb, fa, fb]):
-        worst = max(worst, abs(cumulant.cumulant_direct(word, lam_spec)))
+        worst = max(worst, abs(cumulant.cumulant_direct(word, lam_pg)))
     checks.append(Check("mixed_cumulants_vanish", worst, 0))
     worst = 0.0
     for word in ([fa, fb, fa, fb], [fa, fa, fb, fb]):
-        worst = max(worst, _rel(cumulant.moment(word, lam_spec), cumulant.nc_moment_sum(word, lam_spec)))
+        worst = max(worst, _rel(cumulant.moment(word, lam_pg), cumulant.nc_moment_sum(word, lam_pg)))
     checks.append(Check("free_independence_moments", worst, p.tol))
 
     worst = 0.0
     fs = [rng.standard_normal(p.m) for _ in range(3)]
     for cut in range(1, 3):
-        ab = cumulant.moment(fs, lam_spec)
-        ba = cumulant.moment(fs[cut:] + fs[:cut], lam_spec)
+        ab = cumulant.moment(fs, lam_pg)
+        ba = cumulant.moment(fs[cut:] + fs[:cut], lam_pg)
         worst = max(worst, _rel(ab, ba))
     for na, nb in ((2, 2), (2, 4), (3, 3)):
         a = [rng.standard_normal(p.m) for _ in range(na)]
         b = [rng.standard_normal(p.m) for _ in range(nb)]
-        worst = max(worst, _rel(cumulant.moment(a + b, lam_spec), cumulant.moment(b + a, lam_spec)))
+        worst = max(worst, _rel(cumulant.moment(a + b, lam_pg), cumulant.moment(b + a, lam_pg)))
     checks.append(Check("traciality", worst, p.tol))
 
     ones_grid = make_grid(p.m, lam=1.0, eta=1.0)
-    ones_spec = cumulant.CumulantSpec(ones_grid)
-    tr = cumulant.cumulant_transform(0.5 * np.ones(p.m), ones_spec, degree=30)
+    tr = cumulant.cumulant_transform(0.5 * np.ones(p.m), ProductGrid(ones_grid), degree=30)
     checks.append(Check("transform_lambda_closed_vs_series", tr.gap, 1e-8))
-    tr = cumulant.cumulant_transform(0.25 * np.ones(p.m), fib_spec, degree=30)
+    tr = cumulant.cumulant_transform(0.25 * np.ones(p.m), fib_pg, degree=30)
     checks.append(Check("transform_fiber_closed_vs_series", tr.gap, 1e-8))
-    mei_fibers = [semicircle_fiber(1.0, 1.0, p.fiber_nodes) for _ in range(p.m)]
-    mei_spec = cumulant.CumulantSpec(ones_grid, mei_fibers)
+    mei_pg = ProductGrid(ones_grid, semicircle_fibers(ones_grid, p.fiber_nodes))
     fv = (1.0 / 6.0) * np.ones(p.m)
     closed = cumulant.meixner_transform_closed_form(fv, ones_grid)
-    series = cumulant.cumulant_transform(fv, mei_spec, degree=30).series
+    series = cumulant.cumulant_transform(fv, mei_pg, degree=30).series
     checks.append(Check("transform_meixner_closed_vs_series", abs(closed - series), 1e-8))
     return checks
 
@@ -235,8 +229,8 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
 def suite_xfock(p: SuiteParams) -> list[Check]:
     rng = np.random.default_rng(p.seed + 2)
     checks = []
-    g, fibers, pg, sys = _meixner_model(p)
-    spec = cumulant.CumulantSpec(g, fibers)
+    pg, sys = _meixner_model(p)
+    g = pg.grid
 
     # words over a fixed pair of kernels, all patterns up to the budget
     fa, fb = rng.standard_normal(p.m), rng.standard_normal(p.m)
@@ -248,17 +242,16 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
             words = ([rng.standard_normal(p.m) for _ in range(d)] for _ in range(8))
         for word in words:
             word = list(word)
-            worst = max(worst, _rel(cumulant.moment(word, spec), xfock.xmoment(word, sys)))
+            worst = max(worst, _rel(cumulant.moment(word, pg), xfock.xmoment(word, sys)))
     checks.append(Check("moments_big_fock_vs_extended", worst, p.tol))
 
     # general (non-semicircle) fibers as well
-    gen_fibers = _random_fibers(p.m, p.fiber_nodes, rng)
-    gen_sys = jacobi.JacobiSystem.from_fibers(g, gen_fibers, p.fiber_nodes)
-    gen_spec = cumulant.CumulantSpec(g, gen_fibers)
+    gen_pg = ProductGrid(g, _random_fibers(p.m, p.fiber_nodes, rng))
+    gen_sys = jacobi.JacobiSystem.from_fibers(g, gen_pg.fibers, p.fiber_nodes)
     worst = 0.0
     for d in range(1, p.degree + 1):
         word = [rng.standard_normal(p.m) for _ in range(d)]
-        worst = max(worst, _rel(cumulant.moment(word, gen_spec), xfock.xmoment(word, gen_sys)))
+        worst = max(worst, _rel(cumulant.moment(word, gen_pg), xfock.xmoment(word, gen_sys)))
     checks.append(Check("moments_general_fibers", worst, p.tol))
 
     worst_norm = 0.0
@@ -320,7 +313,8 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     rng = np.random.default_rng(p.seed + 3)
     checks = []
     lam0, eta0 = 1.0, 1.0
-    g, fibers, pg, sys = _meixner_model(p, lam=lam0, eta=eta0)
+    pg, sys = _meixner_model(p, lam=lam0, eta=eta0)
+    g = pg.grid
 
     # recovery through degree 8 needs atoms past the breakdown point
     rec_nodes = max(p.fiber_nodes, 10)
@@ -372,14 +366,13 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     sigma_delta = 1.0
     window = np.ones(p.m, dtype=bool)
     chi = window.astype(float)
-    spec = cumulant.CumulantSpec(g, fibers)
     tri = jacobi.meixner_moments(lam0, eta0, sigma_delta, 8)
     worst_big = worst_x = worst_nc = 0.0
     for k in range(1, 9):
         word = [chi] * k
-        worst_big = max(worst_big, _rel(tri[k], cumulant.moment(word, spec)))
+        worst_big = max(worst_big, _rel(tri[k], cumulant.moment(word, pg)))
         worst_x = max(worst_x, _rel(tri[k], xfock.xmoment(word, sys)))
-        worst_nc = max(worst_nc, _rel(tri[k], cumulant.nc_moment_sum(word, spec)))
+        worst_nc = max(worst_nc, _rel(tri[k], cumulant.nc_moment_sum(word, pg)))
     checks.append(Check("meixner_moments_vs_big_fock", worst_big, p.tol))
     checks.append(Check("meixner_moments_vs_extended", worst_x, p.tol))
     checks.append(Check("meixner_moments_vs_nc_sum", worst_nc, p.tol))

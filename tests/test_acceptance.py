@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from freewick import cumulant, field, fock, grid, jacobi, ncpart, suites, xfock
-from freewick.cumulant import CumulantSpec
 from freewick.grid import ProductGrid, make_grid, semicircle_fiber
 from freewick.jacobi import JacobiSystem
 
@@ -89,23 +88,23 @@ def test_criterion_3_normal_product_rule():
 
 def test_criterion_4_moment_cumulant():
     rng = np.random.default_rng(40)
-    lam_spec = CumulantSpec(make_grid(M, lam=rng.standard_normal(M)))
+    lam_pg = ProductGrid(make_grid(M, lam=rng.standard_normal(M)))
     fibers = []
     for _ in range(M):
         atoms = np.sort(rng.uniform(-1.0, 1.0, size=FIBER_NODES))
         w = rng.uniform(0.2, 1.0, size=FIBER_NODES)
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
-    fib_spec = CumulantSpec(make_grid(M), fibers)
+    fib_pg = ProductGrid(make_grid(M), fibers)
     worst = 0.0
-    for spec in (lam_spec, fib_spec):
+    for pg in (lam_pg, fib_pg):
         for n in range(1, 7):
             fs = [rng.standard_normal(M) for _ in range(n)]
-            worst = max(worst, rel(cumulant.moment(fs, spec), cumulant.nc_moment_sum(fs, spec)))
+            worst = max(worst, rel(cumulant.moment(fs, pg), cumulant.nc_moment_sum(fs, pg)))
     fa = np.array([1.0, 0.5, 2.0, 0.0, 0.0, 0.0])
     fb = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 0.5])
     mixed = 0.0
     for word in ([fa, fb], [fa, fb, fa], [fa, fa, fb], [fa, fb, fa, fb]):
-        mixed = max(mixed, abs(cumulant.cumulant_direct(word, lam_spec)))
+        mixed = max(mixed, abs(cumulant.cumulant_direct(word, lam_pg)))
     report(
         "criterion-4 moment-cumulant recursion",
         worst <= 1e-10 and mixed == 0.0,
@@ -116,15 +115,15 @@ def test_criterion_4_moment_cumulant():
 def test_criterion_5_cumulant_transforms():
     # half the admissible radius in both regimes
     g1 = make_grid(M, lam=1.0)
-    res = cumulant.cumulant_transform(0.5 * np.ones(M), CumulantSpec(g1), degree=30)
+    res = cumulant.cumulant_transform(0.5 * np.ones(M), ProductGrid(g1), degree=30)
     gap_lambda = res.gap
 
     gm = make_grid(M, lam=1.0, eta=1.0)
     fibers = [semicircle_fiber(1.0, 1.0, FIBER_NODES) for _ in range(M)]
-    spec = CumulantSpec(gm, fibers)
+    pg = ProductGrid(gm, fibers)
     fv = (1.0 / 6.0) * np.ones(M)  # support radius 3, half of 1/3
     closed = cumulant.meixner_transform_closed_form(fv, gm)
-    series = cumulant.cumulant_transform(fv, spec, degree=30).series
+    series = cumulant.cumulant_transform(fv, pg, degree=30).series
     gap_meixner = abs(closed - series)
     report(
         "criterion-5 cumulant transforms",
@@ -166,7 +165,6 @@ def test_criterion_7_extended_fock_consistency():
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
     pg = ProductGrid(g, fibers)
     sys = JacobiSystem.from_fibers(g, fibers, FIBER_NODES)
-    spec = CumulantSpec(g, fibers)
 
     # all words over a fixed kernel pair up to the degree budget, plus
     # fresh random kernels at each degree
@@ -175,10 +173,10 @@ def test_criterion_7_extended_fock_consistency():
     for d in range(1, DEGREE + 1):
         for word in itertools.product((fa, fb), repeat=d):
             word = list(word)
-            worst = max(worst, rel(cumulant.moment(word, spec), xfock.xmoment(word, sys)))
+            worst = max(worst, rel(cumulant.moment(word, pg), xfock.xmoment(word, sys)))
         for _ in range(5):
             word = [rng.standard_normal(M) for _ in range(d)]
-            worst = max(worst, rel(cumulant.moment(word, spec), xfock.xmoment(word, sys)))
+            worst = max(worst, rel(cumulant.moment(word, pg), xfock.xmoment(word, sys)))
 
     worst_norm = worst_tw = 0.0
     for _ in range(20):
@@ -201,7 +199,7 @@ def test_criterion_7_extended_fock_consistency():
 def test_criterion_8_inner_product_formula():
     rng = np.random.default_rng(80)
     g = make_grid(M, lam=0.7, eta=1.2)
-    fibers = [semicircle_fiber(l, e, FIBER_NODES) for l, e in zip(g.lambda_values, g.eta_values)]
+    fibers = grid.semicircle_fibers(g, FIBER_NODES)
     sys = JacobiSystem.from_fibers(g, fibers, FIBER_NODES)
     worst = 0.0
     for n in range(1, 5):
@@ -220,7 +218,7 @@ def test_criterion_9_meixner_characterization():
     g = make_grid(M, lam=lam0, eta=eta0)
     fibers = [semicircle_fiber(lam0, eta0, FIBER_NODES) for _ in range(M)]
     sys = JacobiSystem.from_fibers(g, fibers, FIBER_NODES)
-    spec = CumulantSpec(g, fibers)
+    pg = ProductGrid(g, fibers)
 
     # slotwise closed forms of the graded actions, exact for constant coefficients
     worst_slot = 0.0
@@ -258,9 +256,9 @@ def test_criterion_9_meixner_characterization():
     worst_mom = 0.0
     for k in range(1, 9):
         word = [chi] * k
-        worst_mom = max(worst_mom, rel(tri[k], cumulant.moment(word, spec)))
+        worst_mom = max(worst_mom, rel(tri[k], cumulant.moment(word, pg)))
         worst_mom = max(worst_mom, rel(tri[k], xfock.xmoment(word, sys)))
-        worst_mom = max(worst_mom, rel(tri[k], cumulant.nc_moment_sum(word, spec)))
+        worst_mom = max(worst_mom, rel(tri[k], cumulant.nc_moment_sum(word, pg)))
     ok = worst_slot <= 1e-10 and level_dependent and frozen_ok and worst_mom <= 1e-10
     report(
         "criterion-9 meixner characterization",

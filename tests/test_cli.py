@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from freewick import cli
 
 
@@ -23,6 +25,10 @@ def run_fresh(code):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _reached(*args, **kwargs):
+    raise AssertionError("a moment route ran")
 
 
 class TestPartitions:
@@ -122,12 +128,9 @@ class TestMoments:
     def test_word_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
         # a length-12 word at m=12 needs an extended-space level of 72**6
         # floats (slots {0..5} x 12 nodes); it is refused before any route runs
-        def reached(*args, **kwargs):
-            raise AssertionError("a moment route ran")
-
-        monkeypatch.setattr(cli.cumulant, "moment", reached)
-        monkeypatch.setattr(cli.cumulant, "nc_moment_sum", reached)
-        monkeypatch.setattr(cli.xfock, "xmoment", reached)
+        monkeypatch.setattr(cli.cumulant, "moment", _reached)
+        monkeypatch.setattr(cli.cumulant, "nc_moment_sum", _reached)
+        monkeypatch.setattr(cli.xfock, "xmoment", _reached)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 12}))
         code, _ = run(["moments", "--config", str(cfg), "--power", "12"], capsys)
@@ -175,6 +178,72 @@ class TestMoments:
     def test_missing_config_file(self, capsys):
         code, _ = run(["moments", "--config", "/nonexistent.json"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["meixner", "gauss_poisson"])
+    def test_routes_refused_past_memory_limit(self, mode, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_memory_limit", lambda: 64)
+        monkeypatch.setattr(cli.cumulant, "moment", _reached)
+        monkeypatch.setattr(cli.cumulant, "nc_moment_sum", _reached)
+        monkeypatch.setattr(cli.xfock, "xmoment", _reached)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": mode}))
+        code, _ = run(["moments", "--config", str(cfg), "--power", "4"], capsys)
+        assert code == 2
+
+    def test_extended_route_charged_past_one_level(self, capsys, monkeypatch):
+        # the default word to the 8th power reaches levels of 24**4 floats
+        # (slots {0..3} x 6 nodes); xmoment's peak holds more than two of them
+        monkeypatch.setattr(cli, "_memory_limit", lambda: 2 * 8 * 24**4)
+        monkeypatch.setattr(cli.xfock, "xmoment", _reached)
+        code, _ = run(["moments", "--power", "8"], capsys)
+        assert code == 2
+
+    def test_address_space_limit_refuses_extended_route(self, tmp_path):
+        # one level of this length-12 word is 30**6 floats (5.4 GiB): past
+        # a 3 GB RLIMIT_AS, so it is refused before the first allocation
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "meixner", "lambda": 0.7, "eta": 0.4, "m": 5}))
+        args = ["moments", "--config", str(cfg), "--word", "0:0.6,0.3:1", "--power", "6"]
+        out = run_fresh(
+            "import resource\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "soft = 3 * 10**9 if hard == resource.RLIM_INFINITY else min(3 * 10**9, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+            "from freewick import cli\n"
+            "assert cli._memory_limit() <= 3 * 10**9\n"
+            f"print(cli.main({args!r}))"
+        )
+        assert out.strip() == "2"
+
+
+BAD_CONFIGS = [
+    {"m": 6.5},
+    {"degree": 2.5},
+    {"fiber_nodes": 2.5},
+    {"seed": 1.5},
+    {"m": True},
+    {"seed": True},
+    {"seed": -1},
+    {"tolerance": "small"},
+    {"tolerance": float("inf")},
+    {"interval": [1, 0]},
+    {"interval": [0]},
+    {"interval": 5},
+    {"mode": "general", "fibers": 3},
+    {"mode": "general"},
+    {"fibers": [{"atoms": [0.0], "weights": [1.0]}]},
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "moments"])
+@pytest.mark.parametrize("config", BAD_CONFIGS, ids=json.dumps)
+def test_bad_config_exits_2(command, config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    extra = ["--suite", "cumulant"] if command == "verify" else []
+    code, out = run([command, "--config", str(cfg), *extra], capsys)
+    assert code == 2
+    assert out == ""
 
 
 class TestVerify:
@@ -228,6 +297,10 @@ class TestVerify:
 
     def test_n_max_bounded(self, capsys):
         code, _ = run(["verify", "--suite", "wick", "--n-max", "99"], capsys)
+        assert code == 2
+
+    def test_negative_seed_override(self, capsys):
+        code, _ = run(["verify", "--suite", "wick", "--seed", "-1"], capsys)
         assert code == 2
 
     def test_seed_override_deterministic(self, capsys):

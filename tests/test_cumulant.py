@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from freewick import cumulant, field, fock, grid, jacobi, ncpart, xfock
-from freewick.cumulant import CumulantSpec
+from freewick.grid import ProductGrid
 from freewick.errors import DomainBoundError
 
 
 @pytest.fixture
 def lam_spec(rng):
-    return CumulantSpec(grid.make_grid(6, lam=rng.standard_normal(6)))
+    return ProductGrid(grid.make_grid(6, lam=rng.standard_normal(6)))
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def fiber_spec(rng):
         atoms = np.sort(rng.uniform(-1.0, 1.0, size=5))
         w = rng.uniform(0.2, 1.0, size=5)
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
-    return CumulantSpec(g, fibers)
+    return ProductGrid(g, fibers)
 
 
 class TestPointMassDefault:
@@ -29,8 +29,8 @@ class TestPointMassDefault:
 
     def test_coefficient_moments_are_lambda_powers(self, rng):
         lam = np.append(rng.standard_normal(5), 0.0)
-        spec = CumulantSpec(grid.make_grid(6, lam=lam))
-        assert spec.base.size == 6
+        spec = ProductGrid(grid.make_grid(6, lam=lam))
+        assert spec.size == 6
         for k in range(7):
             assert np.array_equal(spec.coefficient_moment(k), lam**k)
 
@@ -39,11 +39,11 @@ class TestPointMassDefault:
         g = grid.make_grid(6, lam=lam)
         f = rng.uniform(-0.5, 0.5, 6) + 0.1j * rng.uniform(-0.5, 0.5, 6)
         want = np.sum(g.weights * f**2 / (1.0 - lam * f))
-        got = cumulant.cumulant_transform(f, CumulantSpec(g)).closed_form
+        got = cumulant.cumulant_transform(f, ProductGrid(g)).closed_form
         assert abs(got - want) <= 1e-15 * max(abs(want), 1.0)
 
     def test_radius_is_lambda(self):
-        spec = CumulantSpec(grid.make_grid(4, lam=[0.0, 1.0, -2.0, 0.5]))
+        spec = ProductGrid(grid.make_grid(4, lam=[0.0, 1.0, -2.0, 0.5]))
         # the node at lambda = 0 bounds nothing
         res = cumulant.cumulant_transform(np.array([5.0, 0.1, 0.1, 0.1]), spec)
         assert res.gap < 1e-14
@@ -58,19 +58,19 @@ class TestMoment:
         assert cumulant.moment([rng.standard_normal(6)], lam_spec) == 0.0
 
     def test_gaussian_moments(self):
-        spec = CumulantSpec(grid.make_grid(6, lam=0.0))
+        spec = ProductGrid(grid.make_grid(6, lam=0.0))
         chi = np.ones(6)
         got = [cumulant.moment([chi] * k, spec) for k in (2, 4, 6)]
         assert np.allclose(got, [1.0, 2.0, 5.0], atol=1e-12)
 
     def test_centered_poisson_moments(self):
-        spec = CumulantSpec(grid.make_grid(6, lam=1.0))
+        spec = ProductGrid(grid.make_grid(6, lam=1.0))
         chi = np.ones(6)
         got = [cumulant.moment([chi] * k, spec) for k in (2, 3, 4)]
         assert np.allclose(got, [1.0, 1.0, 3.0], atol=1e-12)
 
     def test_odd_moments_vanish_when_symmetric(self):
-        spec = CumulantSpec(grid.make_grid(6, lam=0.0))
+        spec = ProductGrid(grid.make_grid(6, lam=0.0))
         chi = np.ones(6)
         for k in (1, 3, 5):
             assert abs(cumulant.moment([chi] * k, spec)) < 1e-14
@@ -93,7 +93,7 @@ class TestMomentEdges:
     @pytest.mark.parametrize("law", ["lambda", "fiber"])
     def test_one_cell(self, law, rng):
         fibers = [grid.FiberMeasure(np.array([-0.5, 1.5]), np.array([0.5, 0.5]))]
-        spec = CumulantSpec(grid.make_grid(1, lam=0.7), fibers if law == "fiber" else None)
+        spec = ProductGrid(grid.make_grid(1, lam=0.7), fibers if law == "fiber" else None)
         for n in range(1, 8):
             fs = [rng.standard_normal(1) for _ in range(n)]
             assert _close(cumulant.moment(fs, spec), cumulant.nc_moment_sum(fs, spec))
@@ -101,8 +101,8 @@ class TestMomentEdges:
     def test_point_mass_fibers(self):
         # eta = 0 collapses every node law to the point mass at lambda
         g = grid.make_grid(5, lam=1.5, eta=0.0)
-        spec = CumulantSpec(g, [grid.semicircle_fiber(1.5, 0.0, 8) for _ in range(5)])
-        assert spec.base.size == 5
+        spec = ProductGrid(g, [grid.semicircle_fiber(1.5, 0.0, 8) for _ in range(5)])
+        assert spec.size == 5
         tri = jacobi.meixner_moments(1.5, 0.0, 1.0, 8)
         for k in range(1, 9):
             assert _close(cumulant.moment([np.ones(5)] * k, spec), tri[k])
@@ -110,7 +110,7 @@ class TestMomentEdges:
     def test_large_atoms(self, rng):
         g = grid.make_grid(3)
         fibers = [grid.FiberMeasure(np.array([-40.0, 0.0, 55.0]), np.array([0.3, 0.4, 0.3]))] * 3
-        spec = CumulantSpec(g, fibers)
+        spec = ProductGrid(g, fibers)
         for n in range(2, 7):
             fs = [rng.standard_normal(3) for _ in range(n)]
             assert _close(cumulant.moment(fs, spec), cumulant.nc_moment_sum(fs, spec))
@@ -136,14 +136,14 @@ class TestMomentEdges:
     def test_degree_eight_meixner_at_scale(self):
         # N = 24 * 8 = 192 joint nodes: a dense level 4 alone takes 10 GiB
         g = grid.make_grid(24, lam=1.0, eta=1.0)
-        spec = CumulantSpec(g, [grid.semicircle_fiber(1.0, 1.0, 8) for _ in range(24)])
+        spec = ProductGrid(g, [grid.semicircle_fiber(1.0, 1.0, 8) for _ in range(24)])
         tracemalloc.start()
         try:
             got = cumulant.moment([np.ones(24)] * 8, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert spec.base.size == 192
+        assert spec.size == 192
         assert _close(got, jacobi.meixner_moments(1.0, 1.0, 1.0, 8)[8])
         assert peak < 5 * 2**20
 
@@ -163,7 +163,7 @@ def test_moment_and_xmoment_share_no_fock_route(monkeypatch, lam_spec, fiber_spe
         monkeypatch.setattr(cumulant, name, forbidden)
     g = grid.make_grid(4, lam=1.0, eta=1.0)
     fibers = [grid.semicircle_fiber(1.0, 1.0, 4) for _ in range(4)]
-    spec = CumulantSpec(g, fibers)
+    spec = ProductGrid(g, fibers)
     sys_ = jacobi.JacobiSystem.from_fibers(g, fibers, 4)
     fs = [rng.standard_normal(4) for _ in range(5)]
     assert _close(xfock.xmoment(fs, sys_), cumulant.nc_moment_sum(fs, spec))
@@ -171,19 +171,19 @@ def test_moment_and_xmoment_share_no_fock_route(monkeypatch, lam_spec, fiber_spe
 
 class TestCumulantDirect:
     def test_order_two_is_mass(self, rng):
-        spec = CumulantSpec(grid.make_grid(6, lam=rng.standard_normal(6)))
+        spec = ProductGrid(grid.make_grid(6, lam=rng.standard_normal(6)))
         chi = np.ones(6)
         assert abs(cumulant.cumulant_direct([chi, chi], spec) - 1.0) < 1e-12
 
     def test_order_three_poisson(self):
-        spec = CumulantSpec(grid.make_grid(6, lam=1.0))
+        spec = ProductGrid(grid.make_grid(6, lam=1.0))
         chi = np.ones(6)
         assert abs(cumulant.cumulant_direct([chi] * 3, spec) - 1.0) < 1e-12
 
     def test_fiber_semicircle_fourth(self):
         g = grid.make_grid(5, lam=1.0, eta=1.0)
         fibers = [grid.semicircle_fiber(1.0, 1.0, 6) for _ in range(5)]
-        spec = CumulantSpec(g, fibers)
+        spec = ProductGrid(g, fibers)
         chi = np.ones(5)
         # second raw moment of the node law: variance + mean^2 = 2
         assert abs(cumulant.cumulant_direct([chi] * 4, spec) - 2.0) < 1e-12
@@ -260,14 +260,14 @@ class TestCumulantFromMoments:
 
 class TestFreeIndependence:
     def test_mixed_cumulants_exactly_zero(self, rng):
-        spec = CumulantSpec(grid.make_grid(6, lam=rng.standard_normal(6)))
+        spec = ProductGrid(grid.make_grid(6, lam=rng.standard_normal(6)))
         fa = np.array([1.0, 2.0, 0.5, 0.0, 0.0, 0.0])
         fb = np.array([0.0, 0.0, 0.0, 1.5, 1.0, 2.0])
         for word in ([fa, fb], [fa, fb, fa], [fa, fa, fb, fb], [fb, fa, fb]):
             assert cumulant.cumulant_direct(word, spec) == 0.0
 
     def test_alternating_word_matches_prediction(self, rng):
-        spec = CumulantSpec(grid.make_grid(6, lam=rng.standard_normal(6)))
+        spec = ProductGrid(grid.make_grid(6, lam=rng.standard_normal(6)))
         fa = np.array([1.0, 2.0, 0.5, 0.0, 0.0, 0.0])
         fb = np.array([0.0, 0.0, 0.0, 1.5, 1.0, 2.0])
         word = [fa, fb, fa, fb]
@@ -287,13 +287,13 @@ class TestTraciality:
 
 class TestTransform:
     def test_gaussian_is_quadratic(self):
-        spec = CumulantSpec(grid.make_grid(6, lam=0.0))
+        spec = ProductGrid(grid.make_grid(6, lam=0.0))
         res = cumulant.cumulant_transform(0.5 * np.ones(6), spec)
         assert abs(res.closed_form - 0.25) < 1e-14
         assert abs(res.series - 0.25) < 1e-14
 
     def test_poisson_geometric_series(self):
-        spec = CumulantSpec(grid.make_grid(6, lam=1.0))
+        spec = ProductGrid(grid.make_grid(6, lam=1.0))
         res = cumulant.cumulant_transform(0.5 * np.ones(6), spec, degree=30)
         assert abs(res.closed_form - 0.5) < 1e-14
         assert res.gap <= 1e-8
@@ -309,20 +309,20 @@ class TestTransform:
     def test_meixner_closed_form(self):
         g = grid.make_grid(6, lam=1.0, eta=1.0)
         fibers = [grid.semicircle_fiber(1.0, 1.0, 8) for _ in range(6)]
-        spec = CumulantSpec(g, fibers)
+        spec = ProductGrid(g, fibers)
         fv = (1.0 / 6.0) * np.ones(6)
         closed = cumulant.meixner_transform_closed_form(fv, g)
         res = cumulant.cumulant_transform(fv, spec, degree=30)
         assert abs(closed - res.series) < 1e-8
 
     def test_complex_arguments(self):
-        spec = CumulantSpec(grid.make_grid(4, lam=1.0))
+        spec = ProductGrid(grid.make_grid(4, lam=1.0))
         fv = (0.3 + 0.2j) * np.ones(4)
         res = cumulant.cumulant_transform(fv, spec, degree=60)
         assert abs(res.closed_form - res.series) < 1e-10
 
     def test_radius_violation(self):
-        spec = CumulantSpec(grid.make_grid(4, lam=2.0))
+        spec = ProductGrid(grid.make_grid(4, lam=2.0))
         with pytest.raises(DomainBoundError):
             cumulant.cumulant_transform(0.6 * np.ones(4), spec)
 
@@ -332,7 +332,7 @@ class TestTransform:
             grid.FiberMeasure(np.array([-0.5, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
             for _ in range(3)
         ]
-        spec = CumulantSpec(g, fibers)
+        spec = ProductGrid(g, fibers)
         fv = 0.4 * np.ones(3)
         direct = cumulant.cumulant_transform(fv, spec).closed_form
         split = cumulant.fiber_transform_split(fv, spec)
@@ -340,7 +340,7 @@ class TestTransform:
 
     def test_split_on_point_masses(self):
         # the node at lambda = 0 is a law whose only atom sits at zero
-        spec = CumulantSpec(grid.make_grid(4, lam=[0.0, 1.0, -0.5, 2.0]))
+        spec = ProductGrid(grid.make_grid(4, lam=[0.0, 1.0, -0.5, 2.0]))
         fv = np.array([0.4, 0.3 + 0.1j, -0.6, 0.2])
         direct = cumulant.cumulant_transform(fv, spec).closed_form
         split = cumulant.fiber_transform_split(fv, spec)

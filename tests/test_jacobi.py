@@ -232,7 +232,7 @@ class TestMeixnerMoments:
 class TestJacobiSystem:
     def test_from_fibers_matches_analytic_meixner(self):
         g = grid.make_grid(5, lam=0.6, eta=1.1)
-        fibers = [grid.semicircle_fiber(l, e, 9) for l, e in zip(g.lambda_values, g.eta_values)]
+        fibers = grid.semicircle_fibers(g, 9)
         recovered = JacobiSystem.from_fibers(g, fibers, 8)
         analytic = JacobiSystem.meixner(g, 8)
         for l in range(8):

@@ -15,7 +15,7 @@ M_FIBER = 8
 @pytest.fixture
 def meixner():
     g = grid.make_grid(M_GRID, lam=1.0, eta=1.0)
-    fibers = [grid.semicircle_fiber(l, e, M_FIBER) for l, e in zip(g.lambda_values, g.eta_values)]
+    fibers = grid.semicircle_fibers(g, M_FIBER)
     pg = ProductGrid(g, fibers)
     sys = JacobiSystem.from_fibers(g, fibers, M_FIBER)
     return g, fibers, pg, sys
@@ -107,21 +107,19 @@ class TestMoments:
     def test_big_fock_gaussian_fourth(self):
         g = grid.make_grid(M_GRID, lam=0.0, eta=1.0)
         fibers = [grid.semicircle_fiber(0.0, 1.0, M_FIBER) for _ in range(M_GRID)]
-        spec = cumulant.CumulantSpec(g, fibers)
+        pg = ProductGrid(g, fibers)
         chi = np.ones(M_GRID)
-        assert abs(cumulant.moment([chi] * 4, spec) - 3.0) < 1e-10
+        assert abs(cumulant.moment([chi] * 4, pg) - 3.0) < 1e-10
 
     def test_big_fock_field_centered(self, general, rng):
-        g, fibers, _, _ = general
-        spec = cumulant.CumulantSpec(g, fibers)
-        assert cumulant.moment([rng.standard_normal(M_GRID)], spec) == 0.0
+        _, _, pg, _ = general
+        assert cumulant.moment([rng.standard_normal(M_GRID)], pg) == 0.0
 
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_paths_agree(self, degree, general, rng):
-        g, fibers, pg, sys = general
-        spec = cumulant.CumulantSpec(g, fibers)
+        _, _, pg, sys = general
         fs = [rng.standard_normal(M_GRID) for _ in range(degree)]
-        a = cumulant.moment(fs, spec)
+        a = cumulant.moment(fs, pg)
         b = xfock.xmoment(fs, sys)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0)
 
@@ -362,9 +360,8 @@ class TestDenseLayout:
         fibers = [grid.point_fiber(0.5)] * M_GRID
         sys = JacobiSystem.from_fibers(g, fibers, 1)
         assert np.all(sys.g_values(1) == 0.0)
-        spec = cumulant.CumulantSpec(g, fibers)
         chi = np.ones(M_GRID)
-        a, b = cumulant.moment([chi] * 6, spec), xfock.xmoment([chi] * 6, sys)
+        a, b = cumulant.moment([chi] * 6, ProductGrid(g, fibers)), xfock.xmoment([chi] * 6, sys)
         assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
 
 
@@ -377,17 +374,15 @@ class TestEdges:
             g = grid.make_grid(1, lam=0.4, eta=0.7)
         else:
             g = grid.make_grid(M_GRID, lam=np.linspace(-1.0, 1.0, M_GRID), eta=0.0)
-        coeffs = zip(g.lambda_values, g.eta_values)
-        fibers = [grid.semicircle_fiber(l, e, M_FIBER) for l, e in coeffs]
+        fibers = grid.semicircle_fibers(g, M_FIBER)
         pg = ProductGrid(g, fibers)
         return g, fibers, pg, JacobiSystem.from_fibers(g, fibers, M_FIBER)
 
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_moments_agree(self, case, degree, rng):
-        g, fibers, _, sys = self.model(case)
-        spec = cumulant.CumulantSpec(g, fibers)
+        g, _, pg, sys = self.model(case)
         fs = [rng.standard_normal(g.size) for _ in range(degree)]
-        a, b = cumulant.moment(fs, spec), xfock.xmoment(fs, sys)
+        a, b = cumulant.moment(fs, pg), xfock.xmoment(fs, sys)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0)
 
     def test_transform_isometry_and_roundtrip(self, case, rng):
