@@ -4,7 +4,7 @@ Subpackages by concern:
 
 * :mod:`freewick.ncpart` -- non-crossing and marked partitions.
 * :mod:`freewick.grid` -- quadrature of the index space and node laws.
-* :mod:`freewick.fock` -- truncated full Fock space and point operators.
+* :mod:`freewick.fock` -- truncated full Fock space.
 * :mod:`freewick.field` -- field operators, Wick products, partition rules.
 * :mod:`freewick.cumulant` -- moments, free cumulants, transforms.
 * :mod:`freewick.jacobi` -- per-node orthogonal polynomial recurrences.
@@ -19,7 +19,7 @@ from .errors import (
     EnumerationBoundError,
     FreewickError,
 )
-from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, integrate, semicircle_fiber
+from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fiber
 from .ncpart import MarkedPartition, SetPartition, enumerate_gn, enumerate_interval, enumerate_nc, is_noncrossing
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "FiberMeasure",
     "ProductGrid",
     "make_grid",
-    "integrate",
     "semicircle_fiber",
     "SetPartition",
     "MarkedPartition",

@@ -29,8 +29,6 @@ from . import cumulant, jacobi, ncpart, suites, xfock
 from .errors import CapacityError, ConfigError, EnumerationBoundError, FreewickError
 from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fibers
 
-MODES = ("gauss_poisson", "general", "meixner")
-
 log = logging.getLogger("freewick")
 
 
@@ -48,7 +46,6 @@ class ModelConfig:
 
     m: int = 6
     interval: tuple[float, float] = (0.0, 1.0)
-    mode: str = "meixner"
     lam: object = 1.0
     eta: object = 1.0
     fibers: list | None = None
@@ -58,8 +55,6 @@ class ModelConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
         # a bool is an int to Python, but not a count or a seed
         for name, low in (("m", 1), ("fiber_nodes", 1), ("degree", 1), ("seed", 0)):
             value = getattr(self, name)
@@ -70,18 +65,18 @@ class ModelConfig:
             raise ConfigError("tolerance must be a positive finite number")
         if len(self.interval) != 2:
             raise ConfigError("interval must be a pair [a, b]")
-        if (self.mode == "general") != (self.fibers is not None):
-            raise ConfigError("per-node fibers are given in general mode and only there")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
         known = {
-            "m", "interval", "mode", "lambda", "eta", "fibers",
+            "m", "interval", "lambda", "eta", "fibers",
             "fiber_nodes", "degree", "seed", "tolerance",
         }
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "fibers" in raw and not raw.keys().isdisjoint({"lambda", "eta"}):
+            raise ConfigError("lambda and eta cannot come with fibers, which give the node laws")
         kwargs = dict(raw)
         if "lambda" in kwargs:
             kwargs["lam"] = kwargs.pop("lambda")
@@ -95,12 +90,11 @@ class ModelConfig:
     def build_model(self) -> ProductGrid:
         """The grid and its node laws, as one joint quadrature."""
         try:
-            eta = self.eta if self.mode != "gauss_poisson" else 0.0
-            grid = make_grid(self.m, self.interval, lam=self.lam, eta=eta)
+            grid = make_grid(self.m, self.interval, lam=self.lam, eta=self.eta)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad grid/coefficient spec: {exc}") from exc
-        if self.mode != "general":
-            # the gauss_poisson grid has eta = 0: each law is the point mass at lambda
+        if self.fibers is None:
+            # semicircle laws from lambda and eta; eta = 0 gives the point mass at lambda
             return ProductGrid(grid, semicircle_fibers(grid, self.fiber_nodes))
         fibers = []
         try:
@@ -234,10 +228,19 @@ def _parse_word(config: ModelConfig, grid: GridMeasure, args) -> list[np.ndarray
 
 
 def _memory_limit() -> int:
-    """Bytes the process may hold: physical memory, or a lower ``RLIMIT_AS``."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Bytes the process may still take: physical memory, or what a lower
+    ``RLIMIT_AS`` leaves past the address space the process already maps."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    memory = page * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    return memory if soft == resource.RLIM_INFINITY else min(memory, soft)
+    if soft == resource.RLIM_INFINITY:
+        return memory
+    try:
+        with open("/proc/self/statm", encoding="ascii") as handle:
+            mapped = page * int(handle.read().split()[0])
+    except (OSError, ValueError, IndexError):
+        mapped = 0  # unreadable: charge nothing for it
+    return min(memory, soft - mapped)
 
 
 def _require_memory(nbytes: int, what: str) -> None:
@@ -257,18 +260,16 @@ def cmd_moments(args) -> int:
         raise ConfigError(f"word length {len(word)} exceeds twice the degree budget")
 
     top = (len(word) + 1) // 2  # the Fock level each half of the split word reaches
-    if config.mode == "gauss_poisson":
-        routes = {"fock": lambda: cumulant.moment(word, pg)}
-    else:
+    routes = {"big_fock": lambda: cumulant.moment(word, pg)}
+    # with point masses only, g_l = 0 for l >= 1: the extended space is then
+    # the Fock space over T that big_fock already runs on
+    if any(fb.size > 1 for fb in pg.fibers):
         sys_ = jacobi.JacobiSystem.from_fibers(grid, pg.fibers, config.fiber_nodes)
         # the extended space's slots {0..L} x T; xmoment holds four dense levels
         # of them at once (its tracemalloc peak measures 3.2 to 3.7 levels)
         slots = (min(sys_.max_degree, top - 1) + 1) * grid.size
         _require_memory(4 * 8 * slots**top, "the extended Fock levels")
-        routes = {
-            "big_fock": lambda: cumulant.moment(word, pg),
-            "extended_fock": lambda: xfock.xmoment(word, sys_),
-        }
+        routes["extended_fock"] = lambda: xfock.xmoment(word, sys_)
     # a half word runs on the vacuum as at most 3**top rank-one terms of top
     # slots; the route's tracemalloc peak measures 0.2 to 0.9 times this
     _require_memory(8 * 3**top * top * pg.size, "the rank-one term lists")
@@ -282,7 +283,6 @@ def cmd_moments(args) -> int:
     values = list(paths.values())
     max_gap = max(abs(a - b) for a in values for b in values)
     payload = {
-        "mode": config.mode,
         "word_length": len(word),
         "paths": paths,
         "route_seconds": route_seconds,
@@ -298,6 +298,9 @@ def cmd_verify(args) -> int:
         config = replace(config, seed=args.seed)  # checked as a config seed
     # the suites build their own seeded models; this rejects what moments rejects
     config.build_model()
+    if config.fiber_nodes < 4:
+        raise ConfigError("verify needs fiber_nodes >= 4: the xfock suite reads "
+                          "the node polynomials up to degree 4")
     if not 1 <= args.n_max <= 6:
         raise ConfigError("--n-max must lie in 1..6 (expansion cost grows fast)")
     names = list(suites.SUITE_NAMES) if args.suite == "all" else [args.suite]

@@ -230,23 +230,3 @@ def meixner_transform_closed_form(fvals, grid: GridMeasure) -> complex:
     eta = grid.eta_values
     root = np.sqrt((1.0 - lam * f) ** 2 - 4.0 * f**2 * eta)
     return complex(np.sum(grid.weights * 2.0 * f**2 / (1.0 - lam * f + root)))
-
-
-def fiber_transform_split(fvals, pg: ProductGrid) -> complex:
-    """Closed form regrouped through the atom at zero and the jump measure.
-
-    The mass at zero enters as a pure quadratic term; atoms away from zero
-    enter through the measure rescaled by ``1/s**2``.  Algebraically equal
-    to the direct closed form; kept as a consistency re-expression.
-    """
-    f = np.asarray(fvals, dtype=complex)
-    w = pg.grid.weights
-    total = 0.0j
-    for i, fb in enumerate(pg.fibers):
-        at_zero = fb.atoms == 0.0
-        c = float(fb.weights[at_zero].sum())
-        total += w[i] * c * f[i] ** 2
-        s = fb.atoms[~at_zero]
-        nu = fb.weights[~at_zero] / s**2
-        total += w[i] * np.sum(nu * f[i] ** 2 * s**2 / (1.0 - s * f[i]))
-    return complex(total)

@@ -38,8 +38,6 @@ __all__ = [
     "annihilate",
     "neutral",
     "first_slot",
-    "point_create",
-    "point_annihilate",
     "inner",
     "norm",
     "top_level",
@@ -156,33 +154,6 @@ def first_slot(a, v: FockVector) -> FockVector:
     a = np.asarray(a, dtype=float)
     levels = [_first(a, lv) for lv in v.levels[1:]]
     return FockVector(v.base, [np.zeros(())] + levels, v.max_level)
-
-
-def point_create(i: int, v: FockVector) -> FockVector:
-    """Creation at a single node: prepend the discrete point mass there.
-
-    The prepended slot function is the discrete delta of height ``1/w_i``,
-    so smearing with weights ``sum_i w_i f(t_i) point_create(i, .)``
-    reproduces :func:`create` exactly.
-    """
-    if len(v.levels) > v.max_level and np.any(v.levels[-1]):
-        raise CapacityError(
-            f"point creation would push level {v.max_level} content past budget {v.max_level}"
-        )
-    m = v.base.size
-    scale = 1.0 / v.base.weights[i]
-    levels = [np.zeros(())]
-    for k, arr in enumerate(v.levels[: v.max_level]):
-        raised = np.zeros((m,) * (k + 1))
-        raised[i, ...] = scale * arr
-        levels.append(raised)
-    return FockVector(v.base, levels, v.max_level)
-
-
-def point_annihilate(i: int, v: FockVector) -> FockVector:
-    """Annihilation at a single node: select the first-slot slice there."""
-    levels = [a[i, ...].copy() for a in v.levels[1:]]
-    return FockVector(v.base, levels or [np.zeros(())], v.max_level)
 
 
 def inner(u: FockVector, v: FockVector) -> float:

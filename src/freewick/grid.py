@@ -25,7 +25,6 @@ __all__ = [
     "FiberMeasure",
     "ProductGrid",
     "make_grid",
-    "integrate",
     "semicircle_fiber",
     "semicircle_fibers",
     "point_fiber",
@@ -112,11 +111,6 @@ class FiberMeasure:
         """k-th raw moment of the discrete measure."""
         return float(np.sum(self.weights * self.atoms**k))
 
-    def moments(self, kmax: int) -> np.ndarray:
-        """Raw moments 0..kmax."""
-        powers = self.atoms[None, :] ** np.arange(kmax + 1)[:, None]
-        return powers @ self.weights
-
 
 def _tabulate(spec, nodes: np.ndarray) -> np.ndarray:
     """Resolve a coefficient spec to per-node values.
@@ -155,14 +149,6 @@ def make_grid(m: int, interval=(0.0, 1.0), lam=0.0, eta=0.0) -> GridMeasure:
     nodes = a + h * (np.arange(m) + 0.5)
     weights = np.full(m, h)
     return GridMeasure(nodes, weights, _tabulate(lam, nodes), _tabulate(eta, nodes))
-
-
-def integrate(g: GridMeasure, values) -> float:
-    """Quadrature of node values against the base measure."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != g.nodes.shape:
-        raise ValueError("values must align with grid nodes")
-    return float(np.sum(g.weights * values))
 
 
 class ProductGrid:

@@ -7,7 +7,7 @@ measure; its monic orthogonal polynomials obey the three-term recursion
 
 with ``a_n > 0`` while the support allows it.  A measure supported on N
 points breaks down at degree N: from there on the polynomials are zero and
-we fix ``a_n = b_n = 0`` so the recursion stays valid and serialization is
+we fix ``a_n = b_n = 0`` so the recursion stays valid and the tables are
 deterministic.
 
 The squared norms ``g_l`` of the monic polynomials double as the component
@@ -252,18 +252,3 @@ class JacobiSystem:
 
     def g_values(self, l: int) -> np.ndarray:
         return self._g[:, l]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_degree": self.max_degree,
-            "nodes": [
-                {
-                    "t": float(t),
-                    "b": node.b.tolist(),
-                    "a": node.a.tolist(),
-                    "g": node.g.tolist(),
-                    "finite_support_n": node.finite_support_n,
-                }
-                for t, node in zip(self.grid.nodes, self.nodes)
-            ],
-        }

@@ -56,14 +56,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "elapsed_seconds": self.elapsed,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
-
 
 @dataclass(frozen=True)
 class SuiteParams:
@@ -217,12 +209,14 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
     tr = cumulant.cumulant_transform(0.5 * np.ones(p.m), ProductGrid(ones_grid), degree=30)
     checks.append(Check("transform_lambda_closed_vs_series", tr.gap, 1e-8))
     tr = cumulant.cumulant_transform(0.25 * np.ones(p.m), fib_pg, degree=30)
-    checks.append(Check("transform_fiber_closed_vs_series", tr.gap, 1e-8))
-    mei_pg = ProductGrid(ones_grid, semicircle_fibers(ones_grid, p.fiber_nodes))
+    checks.append(Check("transform_fiber_closed_vs_series", tr.gap, 1e-10))
+    # the closed form is the continuous law's; the series reads its moments
+    # through degree 28, and an M-atom Gauss rule matches them through 2M - 1
+    mei_pg = ProductGrid(ones_grid, semicircle_fibers(ones_grid, max(p.fiber_nodes, 10)))
     fv = (1.0 / 6.0) * np.ones(p.m)
     closed = cumulant.meixner_transform_closed_form(fv, ones_grid)
     series = cumulant.cumulant_transform(fv, mei_pg, degree=30).series
-    checks.append(Check("transform_meixner_closed_vs_series", abs(closed - series), 1e-8))
+    checks.append(Check("transform_meixner_closed_vs_series", abs(closed - series), 1e-10))
     return checks
 
 
@@ -321,8 +315,8 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     rec = jacobi.coeffs_from_measure(semicircle_fiber(lam0, eta0, rec_nodes), 8)
     worst_b = float(np.abs(rec.b - lam0).max())
     worst_a = float(np.abs(rec.a[1:] - eta0).max())
-    checks.append(Check("semicircle_recovers_b", worst_b, 1e-9))
-    checks.append(Check("semicircle_recovers_a", worst_a, 1e-9))
+    checks.append(Check("semicircle_recovers_b", worst_b, 1e-10))
+    checks.append(Check("semicircle_recovers_a", worst_a, 1e-10))
     worst = float(np.abs(rec.g - eta0 ** np.arange(rec.g.size)).max())
     checks.append(Check("norms_are_eta_powers", worst, 1e-10))
 

@@ -103,10 +103,6 @@ class XFockVector:
     def scalar(self) -> float:
         return float(self.levels[0])
 
-    @scalar.setter
-    def scalar(self, value: float) -> None:
-        self.levels[0] = np.asarray(float(value))
-
     def _blocks(self, i: int) -> np.ndarray:
         """Level ``i`` with axes ``(l_1, t_1, ..., l_i, t_i)``."""
         return self.levels[i].reshape((self.lmax + 1, self.grid.size) * i)
@@ -157,13 +153,6 @@ class XFockVector:
 
     def __sub__(self, other: "XFockVector") -> "XFockVector":
         return self._combine(other, operator.sub)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_degree": self.max_degree,
-            "scalar": self.scalar,
-            "components": {",".join(map(str, ls)): a.tolist() for ls, a in self.components.items()},
-        }
 
 
 def _levels_at(v: XFockVector, lmax: int, sys: JacobiSystem | None = None) -> list:

@@ -31,6 +31,26 @@ def _reached(*args, **kwargs):
     raise AssertionError("a moment route ran")
 
 
+def _capped(nbytes, args):
+    """Run the CLI in a new interpreter under an ``RLIMIT_AS`` of ``nbytes``; its exit code."""
+    out = run_fresh(
+        "import resource\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        f"soft = {nbytes} if hard == resource.RLIM_INFINITY else min({nbytes}, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        "from freewick import cli\n"
+        f"assert cli._memory_limit() <= {nbytes}\n"
+        f"print(cli.main({args!r}))"
+    )
+    return int(out.strip())
+
+
+TWO_LAWS = [
+    {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]},
+    {"atoms": [-0.5, 0.5], "weights": [0.5, 0.5]},
+]
+
+
 class TestPartitions:
     def test_gn_three(self, capsys):
         code, out = run(["partitions", "--n", "3", "--set", "gn"], capsys)
@@ -84,45 +104,40 @@ class TestMoments:
 
     def test_gauss_poisson_paths(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": "gauss_poisson", "lambda": 0.0, "m": 6}))
+        cfg.write_text(json.dumps({"lambda": 0.0, "eta": 0.0, "m": 6}))
         code, out = run(
             ["moments", "--config", str(cfg), "--word", "0:1", "--power", "6"], capsys
         )
         assert code == 0
         payload = json.loads(out)
-        assert set(payload["paths"]) == {"fock", "nc_sum"}
+        # point masses only: the extended space is the one big_fock runs on
+        assert set(payload["paths"]) == {"big_fock", "nc_sum"}
         for value in payload["paths"].values():
             assert abs(value - 5.0) < 1e-10  # sixth moment of the unit window
 
-    def test_general_mode_fibers(self, tmp_path, capsys):
+    def test_fibers_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "mode": "general",
-                    "m": 2,
-                    "fiber_nodes": 2,
-                    "fibers": [
-                        {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]},
-                        {"atoms": [-0.5, 0.5], "weights": [0.5, 0.5]},
-                    ],
-                }
-            )
-        )
+        cfg.write_text(json.dumps({"m": 2, "fiber_nodes": 2, "fibers": TWO_LAWS}))
         code, out = run(["moments", "--config", str(cfg), "--power", "2"], capsys)
         assert code == 0
-        assert json.loads(out)["max_gap"] < 1e-10
+        payload = json.loads(out)
+        assert set(payload["paths"]) == {"big_fock", "extended_fock", "nc_sum"}
+        assert payload["max_gap"] < 1e-10
 
     def test_laws_tabulated_below_half_word(self, tmp_path, capsys):
         # shifts past the tabulated degree carry null content (g and a vanish
-        # from the support size on), so the extended route drops them
-        for fiber_nodes, power in ((1, 6), (2, 8)):
+        # from the support size on), so the extended route drops them; a
+        # one-atom law is a point mass, which leaves no extended route at all
+        for fiber_nodes, power, routes in (
+            (1, 6, {"big_fock", "nc_sum"}),
+            (2, 8, {"big_fock", "extended_fock", "nc_sum"}),
+        ):
             cfg = tmp_path / f"cfg{fiber_nodes}.json"
             cfg.write_text(json.dumps({"m": 3, "fiber_nodes": fiber_nodes}))
             code, out = run(["moments", "--config", str(cfg), "--power", str(power)], capsys)
             assert code == 0
             payload = json.loads(out)
-            assert set(payload["paths"]) == {"big_fock", "extended_fock", "nc_sum"}
+            assert set(payload["paths"]) == routes
             assert payload["max_gap"] < 1e-10
 
     def test_word_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
@@ -140,16 +155,16 @@ class TestMoments:
         # a dense level 5 over 80 nodes would take 24.4 GiB; the rank-one
         # term lists hold at most 3**5 terms of 5 slots
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"m": 80, "mode": "gauss_poisson"}))
+        cfg.write_text(json.dumps({"m": 80, "eta": 0.0}))
         code, out = run(["moments", "--config", str(cfg), "--power", "10"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert set(payload["paths"]) == {"fock", "nc_sum"}
+        assert set(payload["paths"]) == {"big_fock", "nc_sum"}
         assert payload["max_gap"] < 1e-10
 
     def test_route_seconds(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": "gauss_poisson", "m": 4}))
+        cfg.write_text(json.dumps({"eta": 0.0, "m": 4}))
         for config in ([], ["--config", str(cfg)]):
             code, out = run(["moments", *config, "--power", "4"], capsys)
             assert code == 0
@@ -179,14 +194,16 @@ class TestMoments:
         code, _ = run(["moments", "--config", "/nonexistent.json"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("mode", ["meixner", "gauss_poisson"])
-    def test_routes_refused_past_memory_limit(self, mode, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "config", [{}, {"eta": 0.0}], ids=["meixner", "gauss_poisson"]
+    )
+    def test_routes_refused_past_memory_limit(self, config, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_memory_limit", lambda: 64)
         monkeypatch.setattr(cli.cumulant, "moment", _reached)
         monkeypatch.setattr(cli.cumulant, "nc_moment_sum", _reached)
         monkeypatch.setattr(cli.xfock, "xmoment", _reached)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": mode}))
+        cfg.write_text(json.dumps(config))
         code, _ = run(["moments", "--config", str(cfg), "--power", "4"], capsys)
         assert code == 2
 
@@ -202,18 +219,17 @@ class TestMoments:
         # one level of this length-12 word is 30**6 floats (5.4 GiB): past
         # a 3 GB RLIMIT_AS, so it is refused before the first allocation
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": "meixner", "lambda": 0.7, "eta": 0.4, "m": 5}))
+        cfg.write_text(json.dumps({"lambda": 0.7, "eta": 0.4, "m": 5}))
         args = ["moments", "--config", str(cfg), "--word", "0:0.6,0.3:1", "--power", "6"]
-        out = run_fresh(
-            "import resource\n"
-            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
-            "soft = 3 * 10**9 if hard == resource.RLIM_INFINITY else min(3 * 10**9, hard)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
-            "from freewick import cli\n"
-            "assert cli._memory_limit() <= 3 * 10**9\n"
-            f"print(cli.main({args!r}))"
-        )
-        assert out.strip() == "2"
+        assert _capped(3 * 10**9, args) == 2
+
+    def test_mapped_address_space_counts_against_limit(self, tmp_path):
+        # four levels of this length-10 word take 312.5 MB: under a 400 MB
+        # RLIMIT_AS, but not under what the imports have left of it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": 0.7, "eta": 0.4, "m": 5}))
+        args = ["moments", "--config", str(cfg), "--word", "0:0.6,0.3:1", "--power", "5"]
+        assert _capped(4 * 10**8, args) == 2
 
 
 BAD_CONFIGS = [
@@ -231,7 +247,11 @@ BAD_CONFIGS = [
     {"interval": 5},
     {"mode": "general", "fibers": 3},
     {"mode": "general"},
+    {"mode": "meixner"},
+    {"fibers": 3},
     {"fibers": [{"atoms": [0.0], "weights": [1.0]}]},
+    {"lambda": 1.0, "fibers": TWO_LAWS},
+    {"eta": 0.0, "fibers": TWO_LAWS},
 ]
 
 
@@ -318,6 +338,24 @@ class TestVerify:
         assert set(params) == {"m", "fiber_nodes", "degree", "n_max", "seed", "tol"}
         assert params["seed"] == 5 and params["n_max"] == 2
         assert params["m"] == 6 and params["tol"] == 1e-10
+
+    @pytest.mark.parametrize("fiber_nodes", [1, 2, 3])
+    def test_too_few_fiber_nodes_refused(self, fiber_nodes, tmp_path, capsys, monkeypatch):
+        # the xfock suite reads the node polynomials up to degree 4
+        for name in cli.suites.SUITE_NAMES:
+            monkeypatch.setattr(cli.suites, f"suite_{name}", _reached)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fiber_nodes": fiber_nodes}))
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "fiber_nodes" in err
+
+    def test_every_tolerance_at_most_1e_10(self, capsys):
+        # the lambda transform's series leaves a truncation of 2**-30
+        code, out = run(["verify", "--suite", "all"], capsys)
+        assert code == 0
+        loose = {c["name"] for c in json.loads(out)["checks"] if c["tol"] > 1e-10}
+        assert loose == {"transform_lambda_closed_vs_series"}
 
     def test_suite_seconds(self, capsys):
         code, out = run(["verify", "--suite", "all"], capsys)

@@ -325,23 +325,3 @@ class TestTransform:
         spec = ProductGrid(grid.make_grid(4, lam=2.0))
         with pytest.raises(DomainBoundError):
             cumulant.cumulant_transform(0.6 * np.ones(4), spec)
-
-    def test_split_reexpression(self, rng):
-        g = grid.make_grid(3)
-        fibers = [
-            grid.FiberMeasure(np.array([-0.5, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
-            for _ in range(3)
-        ]
-        spec = ProductGrid(g, fibers)
-        fv = 0.4 * np.ones(3)
-        direct = cumulant.cumulant_transform(fv, spec).closed_form
-        split = cumulant.fiber_transform_split(fv, spec)
-        assert abs(direct - split) < 1e-14
-
-    def test_split_on_point_masses(self):
-        # the node at lambda = 0 is a law whose only atom sits at zero
-        spec = ProductGrid(grid.make_grid(4, lam=[0.0, 1.0, -0.5, 2.0]))
-        fv = np.array([0.4, 0.3 + 0.1j, -0.6, 0.2])
-        direct = cumulant.cumulant_transform(fv, spec).closed_form
-        split = cumulant.fiber_transform_split(fv, spec)
-        assert abs(direct - split) < 1e-14

@@ -142,47 +142,6 @@ class TestAdjointPair:
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
-class TestPointOps:
-    def test_point_pair_gives_scaled_delta(self, g):
-        m = g.size
-        for i in range(m):
-            for j in range(m):
-                v = fock.point_annihilate(i, fock.point_create(j, fock.vacuum(g, 1)))
-                expect = (1.0 if i == j else 0.0) / g.weights[i]
-                assert abs(float(v.levels[0]) - expect) < 1e-12
-
-    def test_smeared_creation_identity(self, g, rng):
-        f = rng.standard_normal(5)
-        acc = fock.zero(g, 1)
-        for i in range(g.size):
-            acc = acc + (g.weights[i] * f[i]) * fock.point_create(i, fock.vacuum(g, 1))
-        assert fock.norm(acc - fock.create(f, fock.vacuum(g, 1))) < 1e-12
-
-    def test_point_annihilate_evaluates(self, g, rng):
-        h = rng.standard_normal(5)
-        v = fock.create(h, fock.vacuum(g, 1))
-        for i in range(g.size):
-            assert abs(float(fock.point_annihilate(i, v).levels[0]) - h[i]) < 1e-12
-
-    def test_point_create_capacity(self, g, rng):
-        v = fock.random_vector(g, 1, rng)
-        with pytest.raises(CapacityError):
-            fock.point_create(0, v)
-
-    def test_point_ops_store_only_fed_levels(self, g, rng):
-        assert len(fock.point_create(2, fock.vacuum(g, 5)).levels) == 2
-        v = headroom_vector(g, rng, top=2, budget=5)
-        v = fock.FockVector(g, v.levels[:3], 5)
-        up = fock.point_create(2, v)
-        assert len(up.levels) == 4 and up.max_level == 5
-        assert np.allclose(up.levels[3][2], v.levels[2] / g.weights[2], rtol=1e-14, atol=0)
-        assert not np.any(np.delete(up.levels[3], 2, axis=0))
-        down = fock.point_annihilate(2, v)
-        assert len(down.levels) == 2 and down.max_level == 5
-        assert np.array_equal(down.levels[1], v.levels[2][2])
-        assert len(fock.point_annihilate(2, fock.vacuum(g, 5)).levels) == 1
-
-
 class TestGrading:
     def test_levels_shift_exactly(self, g, rng):
         v = fock.zero(g, 3)

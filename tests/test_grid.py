@@ -46,21 +46,15 @@ class TestMakeGrid:
 class TestIntegrate:
     def test_constant(self):
         g = grid.make_grid(6)
-        assert abs(grid.integrate(g, np.ones(6)) - 1.0) < 1e-12
+        assert abs(g.weights.sum() - 1.0) < 1e-12
 
     def test_half_indicator(self):
         g = grid.make_grid(6)
-        vals = np.zeros(6)
-        vals[:3] = 1.0
-        assert abs(grid.integrate(g, vals) - 0.5) < 1e-12
+        assert abs(g.weights @ g.indicator(0.0, 0.5) - 0.5) < 1e-12
 
     def test_window_mass(self):
-        g = grid.make_grid(5, lam=2.0)
-        assert abs(grid.integrate(g, g.lambda_values**0) - 1.0) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            grid.integrate(grid.make_grid(4), np.ones(5))
+        g = grid.make_grid(5, interval=(0.5, 1.5), lam=2.0)
+        assert abs(g.weights @ g.indicator(0.5, 1.5) - 1.0) < 1e-12
 
 
 class TestSemicircleFiber:
@@ -116,7 +110,7 @@ class TestFiberMeasure:
 
     def test_moments(self):
         fb = grid.FiberMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-        assert np.allclose(fb.moments(4), [1, 0, 1, 0, 1])
+        assert np.allclose([fb.moment(k) for k in range(5)], [1, 0, 1, 0, 1])
 
 
 class TestProductGrid:

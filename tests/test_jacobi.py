@@ -247,11 +247,3 @@ class TestJacobiSystem:
         for node in sys.nodes:
             assert node.finite_support_n == 1
             assert np.all(node.g[1:] == 0.0)
-
-    def test_json_roundtrip_structure(self):
-        g = grid.make_grid(3, lam=1.0, eta=1.0)
-        sys = JacobiSystem.meixner(g, 4)
-        payload = sys.to_json_dict()
-        assert payload["max_degree"] == 4
-        assert len(payload["nodes"]) == 3
-        assert set(payload["nodes"][0]) == {"t", "b", "a", "g", "finite_support_n"}

@@ -396,16 +396,13 @@ class TestEdges:
 
 
 class TestSerialization:
-    def test_json_dict(self, meixner, rng):
+    def test_components_order(self, meixner, rng):
         g, _, _, sys = meixner
         v = XFockVector(g, 3)
-        v.scalar = 2.0
         v.set_component((1,), rng.standard_normal(M_GRID))
         v.set_component((0, 0), rng.standard_normal((M_GRID, M_GRID)))
-        payload = v.to_json_dict()
-        assert payload["scalar"] == 2.0
         # equal degree, then lexicographic
-        assert list(payload["components"]) == ["0,0", "1"]
+        assert list(v.components) == [(0, 0), (1,)]
 
 
 def _outer(kernels):
