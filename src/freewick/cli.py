@@ -21,7 +21,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,27 +51,19 @@ class ModelConfig:
     fibers: list | None = None
     fiber_nodes: int = 8
     degree: int = 6
-    seed: int = 0
-    tolerance: float = 1e-10
 
     def __post_init__(self):
-        # a bool is an int to Python, but not a count or a seed
-        for name, low in (("m", 1), ("fiber_nodes", 1), ("degree", 1), ("seed", 0)):
+        # a bool is an int to Python, but not a count
+        for name in ("m", "fiber_nodes", "degree"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ConfigError(f"{name} must be an integer of at least {low}")
-        tol = self.tolerance
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < np.inf:
-            raise ConfigError("tolerance must be a positive finite number")
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer of at least 1")
         if len(self.interval) != 2:
             raise ConfigError("interval must be a pair [a, b]")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        known = {
-            "m", "interval", "lambda", "eta", "fibers",
-            "fiber_nodes", "degree", "seed", "tolerance",
-        }
+        known = {"m", "interval", "lambda", "eta", "fibers", "fiber_nodes", "degree"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -264,11 +256,11 @@ def cmd_moments(args) -> int:
     # with point masses only, g_l = 0 for l >= 1: the extended space is then
     # the Fock space over T that big_fock already runs on
     if any(fb.size > 1 for fb in pg.fibers):
-        sys_ = jacobi.JacobiSystem.from_fibers(grid, pg.fibers, config.fiber_nodes)
-        # the extended space's slots {0..L} x T; xmoment holds four dense levels
-        # of them at once (its tracemalloc peak measures 3.2 to 3.7 levels)
-        slots = (min(sys_.max_degree, top - 1) + 1) * grid.size
-        _require_memory(4 * 8 * slots**top, "the extended Fock levels")
+        # xmoment reads the laws' recurrences through degree top - 1, so its
+        # slots are {0..top-1} x T; it holds four dense levels of them at once
+        # (its tracemalloc peak measures 3.2 to 3.7 levels)
+        _require_memory(4 * 8 * (top * grid.size)**top, "the extended Fock levels")
+        sys_ = jacobi.JacobiSystem.from_fibers(grid, pg.fibers, top)
         routes["extended_fock"] = lambda: xfock.xmoment(word, sys_)
     # a half word runs on the vacuum as at most 3**top rank-one terms of top
     # slots; the route's tracemalloc peak measures 0.2 to 0.9 times this
@@ -294,8 +286,8 @@ def cmd_moments(args) -> int:
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)  # checked as a config seed
+    if args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
     # the suites build their own seeded models; this rejects what moments rejects
     config.build_model()
     if config.fiber_nodes < 4:
@@ -309,8 +301,7 @@ def cmd_verify(args) -> int:
         fiber_nodes=config.fiber_nodes,
         degree=config.degree,
         n_max=args.n_max,
-        seed=config.seed,
-        tol=config.tolerance,
+        seed=args.seed,
     )
     reports = []
     for name in names:
@@ -362,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=suites.SUITE_NAMES + ("all",), default="all")
     p.add_argument("--n-max", type=int, default=4, dest="n_max",
                    help="largest expansion order for the wick suite (1..6)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed of the suites' random draws")
     _common_output(p)
     p.set_defaults(func=cmd_verify)
     return parser

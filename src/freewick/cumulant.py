@@ -181,10 +181,12 @@ def cumulant_from_moments(fs, pg: ProductGrid) -> float:
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Closed form and truncated series of the cumulant transform."""
+    """Closed form and truncated series of the cumulant transform, with the
+    exact tail the truncation leaves off."""
 
     closed_form: complex
     series: complex
+    remainder: complex
     gap: float
     tail_bound: float
     degree: int
@@ -194,8 +196,9 @@ def cumulant_transform(fvals, pg: ProductGrid, degree: int = 30) -> TransformRes
     """Cumulant transform of a (complex) node function.
 
     Evaluates the closed form and the series truncated at ``degree``,
-    reporting both, their gap, and a geometric tail bound from the
-    nodewise radius condition.  Raises if the radius bound fails anywhere,
+    reporting both, the exact remainder of the series past ``degree`` (a
+    geometric tail at each joint node), their gap, and a geometric tail
+    bound from the nodewise radius condition.  Raises if the radius bound fails anywhere,
     since the series may then diverge.
     """
     f = np.asarray(fvals, dtype=complex)
@@ -209,14 +212,16 @@ def cumulant_transform(fvals, pg: ProductGrid, degree: int = 30) -> TransformRes
         raise DomainBoundError("|f| exceeds the nodewise convergence radius")
 
     fj = f[pg.tindex]
-    closed = complex(np.sum(pg.weights * fj**2 / (1.0 - pg.svalues * fj)))
+    sf = pg.svalues * fj
+    closed = complex(np.sum(pg.weights * fj**2 / (1.0 - sf)))
+    remainder = complex(np.sum(pg.weights * fj**2 * sf ** (degree - 1) / (1.0 - sf)))
 
     series = 0.0j
     for n in range(2, degree + 1):
         series += complex(np.sum(w * f**n * pg.coefficient_moment(n - 2)))
 
     tail = float(np.sum(w * np.abs(f) ** 2 * rho ** (degree - 1) / (1.0 - rho)))
-    return TransformResult(closed, series, abs(closed - series), tail, degree)
+    return TransformResult(closed, series, remainder, abs(closed - series), tail, degree)
 
 
 def meixner_transform_closed_form(fvals, grid: GridMeasure) -> complex:

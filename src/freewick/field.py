@@ -161,10 +161,11 @@ def _weight_axes(arr: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
 def wick_apply(f, v: FockVector, g=None, form: str = "explicit") -> FockVector:
     """Apply the Wick-ordered product of field factors with kernel ``f``.
 
-    ``form="explicit"`` evaluates the closed expansion: the pure creation
-    word, plus for each split point one all-annihilation tail and one
-    neutral-then-annihilation tail.  ``form="recursive"`` peels the leading
-    factor off instead; the two must agree and tests compare them.
+    ``form="explicit"`` evaluates the closed expansion: for each number q
+    of trailing annihilations, the word with creations in front of them,
+    and, when a creation is left, the same word with its last creation
+    made neutral.  ``form="recursive"`` peels the leading factor off
+    instead; the two must agree and tests compare them.
 
     Applied to the vacuum, the result has the kernel itself at its own
     level and zero elsewhere.
@@ -200,40 +201,24 @@ def wick_apply(f, v: FockVector, g=None, form: str = "explicit") -> FockVector:
             raise CapacityError(
                 f"wick product would push level {k} content past budget {v.max_level}"
             )
-        out.levels[k + n] += np.multiply.outer(f, arr)
-
-    for i in range(1, n + 1):
-        # i-1 creations, then annihilations for variables i..n; the tail
-        # factors act first, so kernel axes pair with the leading slots in
-        # reversed order.
-        q = n - i + 1
-        f_axes = list(range(n - 1, i - 2, -1))
-        for k in range(q, top + 1):
-            arr = v.levels[k]
-            if not np.any(arr):
-                continue
-            target = (i - 1) + (k - q)
-            vw = _weight_axes(arr, w, q)
-            out.levels[target] += np.tensordot(f, vw, axes=(f_axes, list(range(q))))
-
-        # i-1 creations, neutral factor at variable i, annihilations after it
-        q2 = n - i
-        f_axes2 = list(range(n - 1, i - 1, -1))
-        for k in range(q2 + 1, top + 1):
-            arr = v.levels[k]
-            if not np.any(arr):
-                continue
-            target = i + (k - q2 - 1)
-            if q2:
-                vw = _weight_axes(arr, w, q2)
-                b = np.tensordot(f, vw, axes=(f_axes2, list(range(q2))))
+        for q in range(min(n, k) + 1):
+            # n - q creations, then annihilations for the last q variables;
+            # the tail factors act first, so kernel axes pair with the
+            # leading slots in reversed order
+            if q:
+                vw = _weight_axes(arr, w, q)
+                c = np.tensordot(f, vw, axes=(list(range(n - 1, n - q - 1, -1)), list(range(q))))
             else:
-                b = np.multiply.outer(f, arr)
-            # diagonal couples the kernel's neutral axis with the surviving
-            # first slot; the coefficient table rides on that slot
-            c = np.moveaxis(np.diagonal(b, axis1=i - 1, axis2=i), -1, i - 1)
-            shape = (1,) * (i - 1) + (m,) + (1,) * (k - q2 - 1)
-            out.levels[target] += c * lam.reshape(shape)
+                c = np.multiply.outer(f, arr)
+            out.levels[n - 2 * q + k] += c
+            if q < n and k > q:
+                # the last creation made neutral instead: the diagonal couples
+                # its kernel axis with the surviving first slot, and the
+                # coefficient table rides on that slot
+                i = n - q - 1
+                d = np.moveaxis(np.diagonal(c, axis1=i, axis2=i + 1), -1, i)
+                shape = (1,) * i + (m,) + (1,) * (k - q - 1)
+                out.levels[n - 2 * q + k - 1] += d * lam.reshape(shape)
     return out
 
 

@@ -173,8 +173,8 @@ def norm(v: FockVector) -> float:
     return float(np.sqrt(max(inner(v, v), 0.0)))
 
 
-def random_vector(base, max_level: int, rng: np.random.Generator, scale=1.0) -> FockVector:
+def random_vector(base, max_level: int, rng: np.random.Generator) -> FockVector:
     """Dense standard-normal vector, used by the seeded verification suites."""
     m = base.size
-    levels = [scale * rng.standard_normal((m,) * k) for k in range(max_level + 1)]
+    levels = [rng.standard_normal((m,) * k) for k in range(max_level + 1)]
     return FockVector(base, levels)

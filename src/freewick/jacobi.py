@@ -155,16 +155,13 @@ def gauss_rule(b, a, m_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs[0] ** 2
 
 
-def fiber_from_coefficients(b, a, m_nodes: int, radius: float = 0.0) -> FiberMeasure:
+def fiber_from_coefficients(b, a, m_nodes: int) -> FiberMeasure:
     """Discretize the measure defined by recurrence coefficients."""
     atoms, weights = gauss_rule(b, a, m_nodes)
-    weights = weights / weights.sum()
-    return FiberMeasure(atoms, weights, radius=radius)
+    return FiberMeasure(atoms, weights / weights.sum())
 
 
-def meixner_moments(
-    lam: float, eta: float, sigma_delta: float, k: int, size: int | None = None
-) -> np.ndarray:
+def meixner_moments(lam: float, eta: float, sigma_delta: float, k: int) -> np.ndarray:
     """Moments 0..k of the one-increment law with the given parameters.
 
     Powers of the truncated symmetric tridiagonal matrix with diagonal
@@ -177,11 +174,7 @@ def meixner_moments(
         raise ValueError("eta must be non-negative")
     if k < 0:
         raise ValueError("moment order must be non-negative")
-    needed = k // 2 + 1
-    if size is None:
-        size = needed
-    elif size < needed:
-        raise ValueError(f"truncation {size} too small for moment order {k}")
+    size = k // 2 + 1  # past index k // 2 a walk cannot return to 0 within k steps
     diag = np.full(size, float(lam))
     diag[0] = 0.0
     off = np.full(max(size - 1, 0), np.sqrt(sigma_delta + eta))

@@ -1,7 +1,8 @@
 """Seeded verification suites shared by the CLI and the acceptance tests.
 
 Each check compares two independently computed quantities and reports a
-residual against a tolerance.  Randomness is always drawn from a seeded
+residual against one fixed tolerance, :data:`TOL`, or against exactly 0
+where the routes are exact.  Randomness is always drawn from a seeded
 generator so reports are reproducible; suite parameters (grid size, fiber
 nodes, degree budget) default to the desk scale the package is tuned for.
 """
@@ -17,9 +18,12 @@ import numpy as np
 from . import cumulant, field, fock, jacobi, ncpart, xfock
 from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fiber, semicircle_fibers
 
-__all__ = ["Check", "SuiteReport", "run_suite", "SUITE_NAMES", "SuiteParams"]
+__all__ = ["Check", "SuiteReport", "run_suite", "SUITE_NAMES", "SuiteParams", "TOL"]
 
 SUITE_NAMES = ("wick", "cumulant", "xfock", "meixner")
+
+# the gate of every check that is not exact; no parameter or config widens it
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,6 @@ class SuiteParams:
     degree: int = 6
     n_max: int = 4
     seed: int = 0
-    tol: float = 1e-10
 
 
 def _rel(a: float, b: float) -> float:
@@ -120,7 +123,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
             mono = field.monomial_apply(f, fock.vacuum(g, n), g)
             expanded = field.wick_rule_expand(f, g)
             worst = max(worst, _rel_vec(mono, expanded))
-        checks.append(Check(f"wick_rule_n{n}", worst, p.tol))
+        checks.append(Check(f"wick_rule_n{n}", worst, TOL))
 
     for n in range(2, p.n_max + 1):
         worst = 0.0
@@ -132,7 +135,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
                 seq = field.wick_product_sequential(kernels, g)
                 exp = field.wick_product_expand(comp, joint, g)
                 worst = max(worst, _rel_vec(seq, exp))
-        checks.append(Check(f"normal_product_rule_n{n}", worst, p.tol))
+        checks.append(Check(f"normal_product_rule_n{n}", worst, TOL))
 
     worst = 0.0
     for n in range(1, min(p.n_max, 4) + 1):
@@ -143,7 +146,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
         explicit = field.wick_apply(f, v, g, form="explicit")
         recursive = field.wick_apply(f, v, g, form="recursive")
         worst = max(worst, _rel_vec(explicit, recursive))
-    checks.append(Check("wick_forms_agree", worst, p.tol))
+    checks.append(Check("wick_forms_agree", worst, TOL))
 
     worst = 0.0
     for n in range(1, p.n_max + 1):
@@ -154,7 +157,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
         for k in range(n):
             err = max(err, float(np.abs(proj.levels[k]).max()))
         worst = max(worst, err)
-    checks.append(Check("wick_projection_property", worst, p.tol))
+    checks.append(Check("wick_projection_property", worst, TOL))
     return checks
 
 
@@ -169,7 +172,7 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
         for n in range(1, p.degree + 1):
             fs = [rng.standard_normal(p.m) for _ in range(n)]
             worst = max(worst, _rel(cumulant.moment(fs, pg), cumulant.nc_moment_sum(fs, pg)))
-        checks.append(Check(f"moment_cumulant_{label}", worst, p.tol))
+        checks.append(Check(f"moment_cumulant_{label}", worst, TOL))
 
     worst = 0.0
     for n in range(2, 5):
@@ -178,7 +181,7 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
             worst,
             _rel(cumulant.cumulant_from_moments(fs, lam_pg), cumulant.cumulant_direct(fs, lam_pg)),
         )
-    checks.append(Check("cumulant_recursion_vs_direct", worst, p.tol))
+    checks.append(Check("cumulant_recursion_vs_direct", worst, TOL))
 
     # disjointly supported functions: mixed cumulants vanish exactly
     half = p.m // 2
@@ -191,7 +194,7 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
     worst = 0.0
     for word in ([fa, fb, fa, fb], [fa, fa, fb, fb]):
         worst = max(worst, _rel(cumulant.moment(word, lam_pg), cumulant.nc_moment_sum(word, lam_pg)))
-    checks.append(Check("free_independence_moments", worst, p.tol))
+    checks.append(Check("free_independence_moments", worst, TOL))
 
     worst = 0.0
     fs = [rng.standard_normal(p.m) for _ in range(3)]
@@ -203,20 +206,21 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
         a = [rng.standard_normal(p.m) for _ in range(na)]
         b = [rng.standard_normal(p.m) for _ in range(nb)]
         worst = max(worst, _rel(cumulant.moment(a + b, lam_pg), cumulant.moment(b + a, lam_pg)))
-    checks.append(Check("traciality", worst, p.tol))
+    checks.append(Check("traciality", worst, TOL))
 
     ones_grid = make_grid(p.m, lam=1.0, eta=1.0)
-    tr = cumulant.cumulant_transform(0.5 * np.ones(p.m), ProductGrid(ones_grid), degree=30)
-    checks.append(Check("transform_lambda_closed_vs_series", tr.gap, 1e-8))
-    tr = cumulant.cumulant_transform(0.25 * np.ones(p.m), fib_pg, degree=30)
-    checks.append(Check("transform_fiber_closed_vs_series", tr.gap, 1e-10))
+    # the closed form is the series plus its exact remainder past degree 30
+    for label, fv, pg in (("lambda", 0.5, ProductGrid(ones_grid)), ("fiber", 0.25, fib_pg)):
+        tr = cumulant.cumulant_transform(fv * np.ones(p.m), pg, degree=30)
+        residual = abs(tr.closed_form - tr.series - tr.remainder)
+        checks.append(Check(f"transform_{label}_closed_vs_series", residual, TOL))
     # the closed form is the continuous law's; the series reads its moments
     # through degree 28, and an M-atom Gauss rule matches them through 2M - 1
     mei_pg = ProductGrid(ones_grid, semicircle_fibers(ones_grid, max(p.fiber_nodes, 10)))
     fv = (1.0 / 6.0) * np.ones(p.m)
     closed = cumulant.meixner_transform_closed_form(fv, ones_grid)
     series = cumulant.cumulant_transform(fv, mei_pg, degree=30).series
-    checks.append(Check("transform_meixner_closed_vs_series", abs(closed - series), 1e-10))
+    checks.append(Check("transform_meixner_closed_vs_series", abs(closed - series), TOL))
     return checks
 
 
@@ -237,7 +241,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
         for word in words:
             word = list(word)
             worst = max(worst, _rel(cumulant.moment(word, pg), xfock.xmoment(word, sys)))
-    checks.append(Check("moments_big_fock_vs_extended", worst, p.tol))
+    checks.append(Check("moments_big_fock_vs_extended", worst, TOL))
 
     # general (non-semicircle) fibers as well
     gen_pg = ProductGrid(g, _random_fibers(p.m, p.fiber_nodes, rng))
@@ -246,7 +250,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
     for d in range(1, p.degree + 1):
         word = [rng.standard_normal(p.m) for _ in range(d)]
         worst = max(worst, _rel(cumulant.moment(word, gen_pg), xfock.xmoment(word, gen_sys)))
-    checks.append(Check("moments_general_fibers", worst, p.tol))
+    checks.append(Check("moments_general_fibers", worst, TOL))
 
     worst_norm = 0.0
     worst_tw = 0.0
@@ -262,15 +266,15 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
             worst_tw,
             xfock.x_norm(diff, sys) / max(xfock.x_norm(lhs, sys), 1e-30),
         )
-    checks.append(Check("k_transform_isometry", worst_norm, p.tol))
-    checks.append(Check("k_transform_intertwines", worst_tw, p.tol))
+    checks.append(Check("k_transform_isometry", worst_norm, TOL))
+    checks.append(Check("k_transform_intertwines", worst_tw, TOL))
 
     worst = 0.0
     for _ in range(5):
         v = fock.random_vector(pg, 2, rng)
         back = xfock.k_inverse(xfock.k_transform(v, sys), sys, pg)
         worst = max(worst, fock.norm(back - v) / max(fock.norm(v), 1e-30))
-    checks.append(Check("k_transform_roundtrip", worst, p.tol))
+    checks.append(Check("k_transform_roundtrip", worst, TOL))
 
     worst = 0.0
     for n in range(1, 5):
@@ -280,7 +284,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
         left = _xplus_word(fs, sys)
         right = _xplus_word(gs, sys)
         worst = max(worst, _rel(formula, xfock.x_inner(left, right, sys)))
-    checks.append(Check("inner_product_formula", worst, p.tol))
+    checks.append(Check("inner_product_formula", worst, TOL))
 
     delta = np.zeros(p.m, dtype=bool)
     delta[: p.m // 2 + 1] = True
@@ -291,7 +295,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
             y = xfock.power_jump(l1, delta, om, pg, sys, orthogonal=False)
             x = xfock.power_jump(l2, delta, om, pg, sys, orthogonal=True)
             worst = max(worst, abs(fock.inner(x, y)))
-    checks.append(Check("power_jump_orthogonality", worst, p.tol))
+    checks.append(Check("power_jump_orthogonality", worst, TOL))
 
     worst = 0.0
     for l in range(0, 4):
@@ -299,7 +303,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
         lhs = fock.inner(x, x)
         rhs = float(np.sum(g.weights * delta * sys.g_values(l)))
         worst = max(worst, _rel(lhs, rhs))
-    checks.append(Check("power_jump_norm", worst, p.tol))
+    checks.append(Check("power_jump_norm", worst, TOL))
     return checks
 
 
@@ -315,10 +319,10 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     rec = jacobi.coeffs_from_measure(semicircle_fiber(lam0, eta0, rec_nodes), 8)
     worst_b = float(np.abs(rec.b - lam0).max())
     worst_a = float(np.abs(rec.a[1:] - eta0).max())
-    checks.append(Check("semicircle_recovers_b", worst_b, 1e-10))
-    checks.append(Check("semicircle_recovers_a", worst_a, 1e-10))
+    checks.append(Check("semicircle_recovers_b", worst_b, TOL))
+    checks.append(Check("semicircle_recovers_a", worst_a, TOL))
     worst = float(np.abs(rec.g - eta0 ** np.arange(rec.g.size)).max())
-    checks.append(Check("norms_are_eta_powers", worst, 1e-10))
+    checks.append(Check("norms_are_eta_powers", worst, TOL))
 
     point = jacobi.coeffs_from_measure(semicircle_fiber(0.7, 0.0, p.fiber_nodes), p.fiber_nodes)
     pattern_err = abs(point.b[0] - 0.7) + float(np.abs(point.b[1:]).max())
@@ -342,7 +346,7 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
         )
         diff = applied - expected
         worst = max(worst, xfock.x_norm(diff, sys) / max(xfock.x_norm(applied, sys), 1e-30))
-    checks.append(Check("representation_second_order_form", worst, p.tol))
+    checks.append(Check("representation_second_order_form", worst, TOL))
 
     # a level-inhomogeneous fiber makes the preserving part level-dependent:
     # the residual is the shortfall of the observed spread below 0.1
@@ -367,9 +371,9 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
         worst_big = max(worst_big, _rel(tri[k], cumulant.moment(word, pg)))
         worst_x = max(worst_x, _rel(tri[k], xfock.xmoment(word, sys)))
         worst_nc = max(worst_nc, _rel(tri[k], cumulant.nc_moment_sum(word, pg)))
-    checks.append(Check("meixner_moments_vs_big_fock", worst_big, p.tol))
-    checks.append(Check("meixner_moments_vs_extended", worst_x, p.tol))
-    checks.append(Check("meixner_moments_vs_nc_sum", worst_nc, p.tol))
+    checks.append(Check("meixner_moments_vs_big_fock", worst_big, TOL))
+    checks.append(Check("meixner_moments_vs_extended", worst_x, TOL))
+    checks.append(Check("meixner_moments_vs_nc_sum", worst_nc, TOL))
     return checks
 
 

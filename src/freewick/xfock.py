@@ -400,21 +400,17 @@ def power_jump(l: int, delta, v: FockVector, pg: ProductGrid, sys: JacobiSystem,
                orthogonal: bool = True) -> FockVector:
     """Field smeared with a window times a power-type atom profile.
 
+    ``delta`` is a boolean mask over the base grid nodes.
     ``orthogonal=True`` uses the degree-``l`` monic polynomial of the node
     law (the orthogonalized process); ``orthogonal=False`` uses the raw
     ``s**l`` profile.
     """
     delta = np.asarray(delta)
-    if delta.dtype == bool:
-        if delta.shape != (pg.grid.size,):
-            raise ValueError("window mask must align with the base grid nodes")
-        mask = delta.astype(float)
-    else:
-        mask = np.zeros(pg.grid.size)
-        mask[delta] = 1.0
+    if delta.dtype != bool or delta.shape != (pg.grid.size,):
+        raise ValueError("the window must be a boolean mask over the base grid nodes")
     if orthogonal:
         vals = _poly_table(pg, sys, l)[l]
     else:
         vals = pg.svalues**l
-    kern = mask[pg.tindex] * vals
+    kern = delta[pg.tindex] * vals
     return field.field_apply(kern, v, pg)

@@ -140,6 +140,20 @@ class TestMoments:
             assert set(payload["paths"]) == routes
             assert payload["max_gap"] < 1e-10
 
+    def test_fibers_tabulated_to_half_word(self, tmp_path, capsys):
+        # fiber_nodes sizes only the semicircle laws: ten-atom laws given as
+        # fibers are tabulated as far as the length-8 word reads them
+        law = {"atoms": list(range(10)), "weights": [0.1] * 10}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 1, "fiber_nodes": 2, "fibers": [law]}))
+        code, out = run(["moments", "--config", str(cfg), "--power", "8"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload["paths"]) == {"big_fock", "extended_fock", "nc_sum"}
+        assert payload["max_gap"] < 1e-10
+        for value in payload["paths"].values():
+            assert abs(value - 122024.9) < 1e-6
+
     def test_word_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
         # a length-12 word at m=12 needs an extended-space level of 72**6
         # floats (slots {0..5} x 12 nodes); it is refused before any route runs
@@ -242,6 +256,9 @@ BAD_CONFIGS = [
     {"seed": -1},
     {"tolerance": "small"},
     {"tolerance": float("inf")},
+    # well formed, but no config sets the seed or widens the verify gate
+    {"tolerance": 1e-10},
+    {"seed": 0},
     {"interval": [1, 0]},
     {"interval": [0]},
     {"interval": 5},
@@ -274,15 +291,18 @@ class TestVerify:
         assert payload["passed"] is True
         assert all(c["passed"] for c in payload["checks"])
 
-    def test_failure_exit_code(self, tmp_path, capsys):
-        # an unreachable tolerance forces residual > tol somewhere
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tolerance": 1e-30}))
-        code, out = run(
-            ["verify", "--suite", "cumulant", "--config", str(cfg)], capsys
+    def test_failure_exit_code(self, capsys, monkeypatch):
+        # one route made to disagree by 1e-6 fails the checks that compare it
+        nc_moment_sum = cli.suites.cumulant.nc_moment_sum
+        monkeypatch.setattr(
+            cli.suites.cumulant, "nc_moment_sum", lambda fs, pg: nc_moment_sum(fs, pg) + 1e-6
         )
+        code, out = run(["verify", "--suite", "cumulant"], capsys)
         assert code == 1
-        assert json.loads(out)["passed"] is False
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        failed = {c["name"] for c in payload["checks"] if not c["passed"]}
+        assert "moment_cumulant_lambda" in failed
 
     def test_text_format(self, capsys):
         code, out = run(
@@ -295,7 +315,7 @@ class TestVerify:
         code, out = run(["verify", "--suite", "cumulant", "--seed", "3", "--format", "text"], capsys)
         assert code == 0
         lines = out.splitlines()
-        for key, value in (("m", 6), ("fiber_nodes", 8), ("n_max", 4), ("seed", 3), ("tol", 1e-10)):
+        for key, value in (("m", 6), ("fiber_nodes", 8), ("n_max", 4), ("seed", 3)):
             assert f"params.{key}: {value}" in lines
         assert [line.split(":")[0] for line in lines if line.startswith("suite_seconds.")] == [
             "suite_seconds.cumulant"
@@ -320,8 +340,9 @@ class TestVerify:
         assert code == 2
 
     def test_negative_seed_override(self, capsys):
-        code, _ = run(["verify", "--suite", "wick", "--seed", "-1"], capsys)
-        assert code == 2
+        assert cli.main(["verify", "--suite", "wick", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "seed" in err
 
     def test_seed_override_deterministic(self, capsys):
         code1, out1 = run(["verify", "--suite", "cumulant", "--seed", "7"], capsys)
@@ -335,9 +356,9 @@ class TestVerify:
         code, out = run(["verify", "--suite", "wick", "--seed", "5", "--n-max", "2"], capsys)
         assert code == 0
         params = json.loads(out)["params"]
-        assert set(params) == {"m", "fiber_nodes", "degree", "n_max", "seed", "tol"}
+        assert set(params) == {"m", "fiber_nodes", "degree", "n_max", "seed"}
         assert params["seed"] == 5 and params["n_max"] == 2
-        assert params["m"] == 6 and params["tol"] == 1e-10
+        assert params["m"] == 6
 
     @pytest.mark.parametrize("fiber_nodes", [1, 2, 3])
     def test_too_few_fiber_nodes_refused(self, fiber_nodes, tmp_path, capsys, monkeypatch):
@@ -351,11 +372,12 @@ class TestVerify:
         assert out == "" and "fiber_nodes" in err
 
     def test_every_tolerance_at_most_1e_10(self, capsys):
-        # the lambda transform's series leaves a truncation of 2**-30
+        # every check is exact or gated at the one constant, with no exception
         code, out = run(["verify", "--suite", "all"], capsys)
         assert code == 0
-        loose = {c["name"] for c in json.loads(out)["checks"] if c["tol"] > 1e-10}
-        assert loose == {"transform_lambda_closed_vs_series"}
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 69
+        assert {c["tol"] for c in checks} == {0.0, 1e-10}
 
     def test_suite_seconds(self, capsys):
         code, out = run(["verify", "--suite", "all"], capsys)

@@ -299,6 +299,17 @@ class TestTransform:
         assert res.gap <= 1e-8
         assert res.gap <= res.tail_bound * (1 + 1e-9)
 
+    def test_remainder_closes_the_truncation(self, fiber_spec):
+        # past degree d the series at a joint node is geometric in s f: its
+        # tail w f**2 (s f)**(d-1) / (1 - s f) sums to 2**-30 here
+        res = cumulant.cumulant_transform(0.5 * np.ones(6), ProductGrid(grid.make_grid(6, lam=1.0)))
+        assert abs(res.remainder - 2.0**-30) < 1e-22
+        assert abs(res.closed_form - res.series - res.remainder) < 1e-15
+        for fv in (0.3 * np.ones(4), (0.3 + 0.2j) * np.ones(4)):
+            res = cumulant.cumulant_transform(fv, fiber_spec, degree=8)
+            assert abs(res.remainder) > 1e-8
+            assert abs(res.closed_form - res.series - res.remainder) < 1e-15
+
     def test_fiber_mode_consistency(self, fiber_spec):
         fv = 0.3 * np.ones(4)
         res = cumulant.cumulant_transform(fv, fiber_spec, degree=40)

@@ -218,10 +218,6 @@ class TestMeixnerMoments:
                 expected += term
             assert abs(got[k] - expected) <= 1e-10 * max(1.0, abs(expected))
 
-    def test_truncation_too_small(self):
-        with pytest.raises(ValueError):
-            jacobi.meixner_moments(1.0, 1.0, 1.0, 8, size=3)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             jacobi.meixner_moments(0.0, 1.0, 0.0, 4)
