@@ -257,9 +257,12 @@ def cmd_moments(args) -> int:
     # the Fock space over T that big_fock already runs on
     if any(fb.size > 1 for fb in pg.fibers):
         # xmoment reads the laws' recurrences through degree top - 1, so its
-        # slots are {0..top-1} x T; it holds four dense levels of them at once
-        # (its tracemalloc peak measures 3.2 to 3.7 levels)
-        _require_memory(4 * 8 * (top * grid.size)**top, "the extended Fock levels")
+        # slots are {0..top-1} x T; a half word runs on the vacuum as at most
+        # 3**top rank-one terms of top such slots, and the halves pair in
+        # blocks of two scratch arrays; its tracemalloc peak measures 0.15 to
+        # 0.25 times this past the fixed overhead of small words
+        terms = 3**top * top * top * grid.size + 2 * xfock._PAIR_BLOCK
+        _require_memory(8 * terms, "the extended Fock term lists")
         sys_ = jacobi.JacobiSystem.from_fibers(grid, pg.fibers, top)
         routes["extended_fock"] = lambda: xfock.xmoment(word, sys_)
     # a half word runs on the vacuum as at most 3**top rank-one terms of top

@@ -209,8 +209,10 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
     checks.append(Check("traciality", worst, TOL))
 
     ones_grid = make_grid(p.m, lam=1.0, eta=1.0)
-    # the closed form is the series plus its exact remainder past degree 30
-    for label, fv, pg in (("lambda", 0.5, ProductGrid(ones_grid)), ("fiber", 0.25, fib_pg)):
+    # the closed form is the series plus its exact remainder past degree 30;
+    # with atoms in [-1.5, 1.5], f = 0.5 keeps |s f| <= 0.75 inside the radius
+    # and large enough that a remainder off by one degree misses the gate
+    for label, fv, pg in (("lambda", 0.5, ProductGrid(ones_grid)), ("fiber", 0.5, fib_pg)):
         tr = cumulant.cumulant_transform(fv * np.ones(p.m), pg, degree=30)
         residual = abs(tr.closed_form - tr.series - tr.remainder)
         checks.append(Check(f"transform_{label}_closed_vs_series", residual, TOL))

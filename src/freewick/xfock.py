@@ -19,6 +19,15 @@ coefficients these collapse to the closed second-order form of the field
 at a point.  Raising nonzero content past the budget, or shifting it past
 ``L`` where it is not null, raises :class:`CapacityError`.
 
+Vacuum moments (:func:`xmoment`) build no dense level.  Every part of the
+field keeps a rank-one tensor over {0..L} x T rank-one: creation prepends
+``f e_0``, annihilation drops the first slot and scales by its weighted dot
+with ``f e_0``, and the Jacobi band maps the first slot elementwise over
+its ``(l, t)`` view.  So each half of a word runs on the vacuum as at most
+``3**ceil(n/2)`` weighted rank-one terms, and the halves meet in slot dots
+weighted with ``w g_l``.  This is code of its own, apart from the
+big-Fock moments of :mod:`cumulant` that the suites compare it with.
+
 The per-slot polynomial transform between this space and the Fock space
 over the joint (node, atom) quadrature is an exact isometry on the grid
 and intertwines the two realizations of the field; both facts are what the
@@ -27,6 +36,7 @@ verification suites check numerically.
 
 from __future__ import annotations
 
+import functools
 import operator
 import string
 from collections import namedtuple
@@ -269,19 +279,84 @@ def xmoment(fs, sys: JacobiSystem) -> float:
 
     Splits the word in half (the field is self-adjoint for the weighted
     inner product) so the degree budget stays at half the word length.
+    Each half runs on the vacuum as rank-one term lists and the two lists
+    meet in the weighted inner product; no dense level is built and no
+    :mod:`fock` code runs.
     """
     fs = [np.asarray(f, dtype=float) for f in fs]
     n = len(fs)
     if n == 0:
         return 1.0
     split = n // 2
-    right = x_vacuum(sys.grid, n - split)
-    for f in reversed(fs[split:]):
-        right = xfield(f, right, sys)
-    left = x_vacuum(sys.grid, split)
-    for f in fs[:split]:
-        left = xfield(f, left, sys)
-    return x_inner(right, left, sys)
+    right = _half_terms(fs[split:][::-1], sys)
+    left = _half_terms(fs[:split], sys)
+    return _pair_terms(left, right, sys)
+
+
+# pairs of terms contracted at once in :func:`_pair_terms`, bounding its scratch
+_PAIR_BLOCK = 1 << 16
+
+
+def _half_terms(fs, sys: JacobiSystem) -> dict:
+    """The fields of ``fs``, first one first, on ``x_vacuum`` as rank-one terms.
+
+    The budget is ``len(fs)``, so ``L = min(sys.max_degree, len(fs) - 1)``.
+    Level ``k`` maps to coefficients ``c`` of shape ``(T,)`` and slots ``S``
+    of shape ``(T, k, L + 1, m)``: the vector there is the sum over ``t``
+    of ``c[t] S[t, 0] (x) ... (x) S[t, k-1]``.  Each step stays within the
+    budget, since it raises the degree by at most one.
+    """
+    m = sys.grid.size
+    lmax = max(0, min(sys.max_degree, len(fs) - 1))
+    b = np.array([sys.b_values(l) for l in range(lmax + 1)])
+    a = np.array([sys.a_values(l) for l in range(1, lmax + 1)]).reshape(lmax, m)
+    w0 = sys.grid.weights * sys.g_values(0)
+    levels = {0: (np.ones(1), np.empty((1, 0, lmax + 1, m)))}
+    for f in fs:
+        e0f = np.zeros((lmax + 1, m))
+        e0f[0] = f
+        bf, af = b * f, a * f
+        out: dict[int, list] = {}
+        for k, (c, s) in levels.items():
+            # creation prepends f e_0; annihilation drops slot 0 against
+            # w g_0 f e_0; the Jacobi band acts on slot 0 over its (l, t) view
+            terms = [(k + 1, c, np.concatenate((np.broadcast_to(e0f, (c.size, 1) + e0f.shape), s), 1))]
+            if k:
+                s0 = s[:, 0]
+                terms.append((k - 1, c * (s0[:, 0] @ (w0 * f)), s[:, 1:]))
+                if np.any(s0[:, lmax, f != 0][c != 0]):
+                    _require_null_past(sys, lmax)  # the shift would push it past lmax
+                band = s0 * bf
+                band[:, 1:] += s0[:, :-1] * f
+                band[:, :-1] += s0[:, 1:] * af
+                terms.append((k, c, np.concatenate((band[:, None], s[:, 1:]), 1)))
+            for level, coef, slots in terms:
+                out.setdefault(level, []).append((coef, slots))
+        levels = {
+            k: (np.concatenate([c for c, _ in parts]), np.concatenate([s for _, s in parts]))
+            for k, parts in out.items()
+        }
+    return levels
+
+
+def _pair_terms(left: dict, right: dict, sys: JacobiSystem) -> float:
+    """Weighted inner product of two term lists: per shared level, the
+    coefficient pairs times the product over slots of their dots weighted
+    with ``w g_l``, over the degrees ``l`` both lists hold."""
+    total = 0.0
+    for k in sorted(left.keys() & right.keys()):
+        (cl, sl), (cr, sr) = left[k], right[k]
+        rows = min(sl.shape[2], sr.shape[2])  # past it, one side is zero
+        ww = np.ravel([sys.grid.weights * sys.g_values(l) for l in range(rows)])
+        sl = sl[:, :, :rows].reshape(cl.size, k, ww.size)
+        sr = sr[:, :, :rows].reshape(cr.size, k, ww.size)
+        block = max(1, _PAIR_BLOCK // cr.size)
+        for start in range(0, cl.size, block):
+            g = np.outer(cl[start:start + block], cr)
+            for i in range(k):
+                g *= (sl[start:start + block, i] * ww) @ sr[:, i].T
+            total += float(g.sum())
+    return total
 
 
 def big_fock_realize(f, v: FockVector, pg: ProductGrid) -> FockVector:
@@ -300,12 +375,16 @@ def _poly_table(pg: ProductGrid, sys: JacobiSystem, lmax: int) -> np.ndarray:
     return np.concatenate(rows, axis=1)
 
 
+# both classes hash by identity, so the cache keys on the objects and holds
+# them: an id is never reused while its entry lives
+@functools.lru_cache(maxsize=4)
 def _slot_maps(pg: ProductGrid, sys: JacobiSystem) -> tuple[np.ndarray, np.ndarray]:
     """Projection onto and synthesis from the node polynomials, ``((L+1)m) x joint``.
 
     Synthesis row ``l*m + t`` is ``p_l`` on node ``t``'s atoms; the
     projection row is that times the atom weights over ``g_l(t)`` (zero
     where ``g_l(t)`` vanishes).  The tabulated degree must span every fiber.
+    Built once per pair and shared, so both come back read-only.
     """
     lmax, largest = sys.max_degree, max(fb.size for fb in pg.fibers)
     if lmax < largest - 1:
@@ -315,7 +394,9 @@ def _slot_maps(pg: ProductGrid, sys: JacobiSystem) -> tuple[np.ndarray, np.ndarr
     on_node = pg.tindex == np.arange(pg.grid.size)[:, None]
     synth = (_poly_table(pg, sys, lmax)[:, None, :] * on_node).reshape(-1, pg.size)
     g = np.ravel([sys.g_values(l) for l in range(lmax + 1)])[:, None]
-    return np.divide(synth * pg.fweights, g, out=np.zeros_like(synth), where=g > 0.0), synth
+    proj = np.divide(synth * pg.fweights, g, out=np.zeros_like(synth), where=g > 0.0)
+    proj.flags.writeable = synth.flags.writeable = False
+    return proj, synth
 
 
 def _slotwise(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:

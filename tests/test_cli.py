@@ -155,14 +155,15 @@ class TestMoments:
             assert abs(value - 122024.9) < 1e-6
 
     def test_word_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
-        # a length-12 word at m=12 needs an extended-space level of 72**6
-        # floats (slots {0..5} x 12 nodes); it is refused before any route runs
+        # a half of this length-30 word at m=12 runs as up to 3**15 rank-one
+        # terms of 15 slots over {0..14} x 12 nodes (289 GiB); it is refused
+        # before any route runs
         monkeypatch.setattr(cli.cumulant, "moment", _reached)
         monkeypatch.setattr(cli.cumulant, "nc_moment_sum", _reached)
         monkeypatch.setattr(cli.xfock, "xmoment", _reached)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"m": 12}))
-        code, _ = run(["moments", "--config", str(cfg), "--power", "12"], capsys)
+        cfg.write_text(json.dumps({"m": 12, "degree": 15}))
+        code, _ = run(["moments", "--config", str(cfg), "--power", "30"], capsys)
         assert code == 2
 
     def test_big_fock_runs_past_dense_level_size(self, tmp_path, capsys):
@@ -221,29 +222,48 @@ class TestMoments:
         code, _ = run(["moments", "--config", str(cfg), "--power", "4"], capsys)
         assert code == 2
 
-    def test_extended_route_charged_past_one_level(self, capsys, monkeypatch):
-        # the default word to the 8th power reaches levels of 24**4 floats
-        # (slots {0..3} x 6 nodes); xmoment's peak holds more than two of them
-        monkeypatch.setattr(cli, "_memory_limit", lambda: 2 * 8 * 24**4)
+    def test_extended_route_charged_past_one_level(self, tmp_path, capsys, monkeypatch):
+        # with four-atom laws, the default word to the 16th power charges the
+        # extended route 3**8 terms of 8 slots over {0..7} x 6 nodes (21 MB),
+        # twice the big-Fock term lists over the 24 joint nodes (10 MB); a
+        # limit between the two refuses the extended route, before any runs
+        monkeypatch.setattr(cli, "_memory_limit", lambda: 15 * 10**6)
+        monkeypatch.setattr(cli.cumulant, "moment", _reached)
+        monkeypatch.setattr(cli.cumulant, "nc_moment_sum", _reached)
         monkeypatch.setattr(cli.xfock, "xmoment", _reached)
-        code, _ = run(["moments", "--power", "8"], capsys)
-        assert code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fiber_nodes": 4, "degree": 8}))
+        assert cli.main(["moments", "--config", str(cfg), "--power", "16"]) == 2
+        assert "the extended Fock term lists would take" in capsys.readouterr().err
 
     def test_address_space_limit_refuses_extended_route(self, tmp_path):
-        # one level of this length-12 word is 30**6 floats (5.4 GiB): past
-        # a 3 GB RLIMIT_AS, so it is refused before the first allocation
+        # the term lists of this length-24 word take 4.9 GB (3**12 terms of
+        # 12 slots over {0..11} x 8 nodes): past a 3 GB RLIMIT_AS, so it is
+        # refused before the first allocation
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lambda": 0.7, "eta": 0.4, "m": 5}))
-        args = ["moments", "--config", str(cfg), "--word", "0:0.6,0.3:1", "--power", "6"]
+        cfg.write_text(json.dumps({"lambda": 0.7, "eta": 0.4, "m": 8, "degree": 12}))
+        args = ["moments", "--config", str(cfg), "--word", "0:0.6,0.3:1", "--power", "12"]
         assert _capped(3 * 10**9, args) == 2
 
     def test_mapped_address_space_counts_against_limit(self, tmp_path):
-        # four levels of this length-10 word take 312.5 MB: under a 400 MB
+        # the term lists of this length-20 word take 379 MB: under a 400 MB
         # RLIMIT_AS, but not under what the imports have left of it
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lambda": 0.7, "eta": 0.4, "m": 5}))
-        args = ["moments", "--config", str(cfg), "--word", "0:0.6,0.3:1", "--power", "5"]
+        cfg.write_text(json.dumps({"lambda": 0.7, "eta": 0.4, "m": 8, "degree": 12}))
+        args = ["moments", "--config", str(cfg), "--word", "0:0.6,0.3:1", "--power", "10"]
         assert _capped(4 * 10**8, args) == 2
+
+    def test_extended_route_at_scale_under_address_space_limit(self, tmp_path):
+        # m = 24 to the 8th power: four dense levels over {0..3} x 24 nodes
+        # would take 2.5 GiB; the term lists run it under a 1.5 GB RLIMIT_AS
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 24}))
+        out = tmp_path / "out.json"
+        args = ["moments", "--config", str(cfg), "--power", "8", "--out", str(out)]
+        assert _capped(15 * 10**8, args) == 0
+        payload = json.loads(out.read_text())
+        assert set(payload["paths"]) == {"big_fock", "extended_fock", "nc_sum"}
+        assert payload["max_gap"] < 1e-10
 
 
 BAD_CONFIGS = [

@@ -1,9 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from freewick import cumulant, field, fock, grid, jacobi, ncpart, xfock
+from freewick import cumulant, field, fock, grid, jacobi, ncpart, suites, xfock
 from freewick.grid import ProductGrid
 from freewick.errors import DomainBoundError
 
@@ -152,13 +153,19 @@ def test_moment_and_xmoment_share_no_fock_route(monkeypatch, lam_spec, fiber_spe
     def forbidden(*args, **kwargs):
         raise AssertionError("route called the other route's machinery")
 
-    for name in ("vacuum", "create", "annihilate", "neutral", "inner"):
-        monkeypatch.setattr(fock, name, forbidden)
-    monkeypatch.setattr(field, "field_apply", forbidden)
+    def forbid_fock():
+        for name in ("vacuum", "create", "annihilate", "neutral", "first_slot", "inner"):
+            monkeypatch.setattr(fock, name, forbidden)
+        monkeypatch.setattr(field, "field_apply", forbidden)
+
+    forbid_fock()
+    for name in ("_half_terms", "_pair_terms"):
+        monkeypatch.setattr(xfock, name, forbidden)
     for spec, m in ((lam_spec, 6), (fiber_spec, 4)):
         fs = [rng.standard_normal(m) for _ in range(5)]
         assert _close(cumulant.moment(fs, spec), cumulant.nc_moment_sum(fs, spec))
     monkeypatch.undo()
+    forbid_fock()
     for name in ("_rank_one_terms", "_pair"):
         monkeypatch.setattr(cumulant, name, forbidden)
     g = grid.make_grid(4, lam=1.0, eta=1.0)
@@ -331,6 +338,23 @@ class TestTransform:
         fv = (0.3 + 0.2j) * np.ones(4)
         res = cumulant.cumulant_transform(fv, spec, degree=60)
         assert abs(res.closed_form - res.series) < 1e-10
+
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["one_degree_early", "one_degree_late"])
+    def test_suite_catches_remainder_off_by_one(self, shift, monkeypatch):
+        # the suite's closed-vs-series checks fail when the remainder starts a
+        # degree early or late; at f = 0.25 the fiber check missed it
+        exact = cumulant.cumulant_transform
+
+        def mutant(fvals, pg, degree=30):
+            shifted = exact(fvals, pg, degree + shift).remainder
+            return dataclasses.replace(exact(fvals, pg, degree), remainder=shifted)
+
+        names = {"transform_lambda_closed_vs_series", "transform_fiber_closed_vs_series"}
+        checks = [c for c in suites.suite_cumulant(suites.SuiteParams()) if c.name in names]
+        assert len(checks) == 2 and all(c.passed for c in checks)
+        monkeypatch.setattr(cumulant, "cumulant_transform", mutant)
+        checks = [c for c in suites.suite_cumulant(suites.SuiteParams()) if c.name in names]
+        assert len(checks) == 2 and not any(c.passed for c in checks)
 
     def test_radius_violation(self):
         spec = ProductGrid(grid.make_grid(4, lam=2.0))

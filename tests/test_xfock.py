@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from freewick import cumulant, fock, grid, xfock
+from freewick import cumulant, fock, grid, jacobi, xfock
 from freewick.errors import CapacityError
 from freewick.grid import ProductGrid
 from freewick.jacobi import JacobiSystem
@@ -124,6 +126,81 @@ class TestMoments:
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0)
 
 
+def dense_xmoment(fs, sys):
+    """Oracle: the split word run on dense levels by ``xfield``, its halves
+    paired by ``x_inner``."""
+    split = len(fs) // 2
+    right = xfock.x_vacuum(sys.grid, len(fs) - split)
+    for f in reversed(fs[split:]):
+        right = xfock.xfield(f, right, sys)
+    left = xfock.x_vacuum(sys.grid, split)
+    for f in fs[:split]:
+        left = xfock.xfield(f, left, sys)
+    return xfock.x_inner(right, left, sys)
+
+
+def oracle_model(case, rng):
+    """Semicircle laws, random laws, point masses (eta = 0) or one cell."""
+    if case == "random":
+        g = grid.make_grid(4, lam=0.3, eta=0.5)
+        fibers = []
+        for _ in range(4):
+            atoms = np.sort(rng.uniform(-1.5, 1.5, size=M_FIBER))
+            w = rng.uniform(0.2, 1.0, size=M_FIBER)
+            fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
+    else:
+        g = {
+            "semicircle": lambda: grid.make_grid(4, lam=1.0, eta=1.0),
+            "point_mass": lambda: grid.make_grid(4, lam=np.linspace(-1.0, 1.0, 4), eta=0.0),
+            "one_cell": lambda: grid.make_grid(1, lam=0.4, eta=0.7),
+        }[case]()
+        fibers = grid.semicircle_fibers(g, M_FIBER)
+    return g, JacobiSystem.from_fibers(g, fibers, M_FIBER)
+
+
+class TestRankOneMoments:
+    @pytest.mark.parametrize("case", ["semicircle", "random", "point_mass", "one_cell"])
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_matches_dense_oracle(self, case, length, rng):
+        g, sys = oracle_model(case, rng)
+        for _ in range(2):
+            fs = [rng.standard_normal(g.size) for _ in range(length)]
+            a, b = xfock.xmoment(fs, sys), dense_xmoment(fs, sys)
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
+
+    def test_tabulated_below_half_word(self, general, rng):
+        # L = sys.max_degree < half - 1: raising at L fails as in the dense route
+        g, fibers, _, _ = general
+        sys = JacobiSystem.from_fibers(g, fibers, 2)
+        fs = [rng.standard_normal(M_GRID) for _ in range(8)]
+        with pytest.raises(CapacityError):
+            dense_xmoment(fs, sys)
+        with pytest.raises(CapacityError):
+            xfock.xmoment(fs, sys)
+        a, b = xfock.xmoment(fs[:6], sys), dense_xmoment(fs[:6], sys)
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
+
+    def test_pairing_in_blocks(self, general, rng, monkeypatch):
+        _, _, _, sys = general
+        fs = [rng.standard_normal(M_GRID) for _ in range(7)]
+        whole = xfock.xmoment(fs, sys)
+        monkeypatch.setattr(xfock, "_PAIR_BLOCK", 5)
+        assert abs(xfock.xmoment(fs, sys) - whole) <= 1e-13 * max(abs(whole), 1.0)
+
+    def test_degree_eight_meixner_at_scale(self):
+        # slots {0..3} x 24 nodes: a dense level 4 alone would take 648 MiB
+        g = grid.make_grid(24, lam=1.0, eta=1.0)
+        sys = JacobiSystem.from_fibers(g, grid.semicircle_fibers(g, M_FIBER), 4)
+        tracemalloc.start()
+        try:
+            got = xfock.xmoment([np.ones(24)] * 8, sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(got - jacobi.meixner_moments(1.0, 1.0, 1.0, 8)[8]) <= 1e-10 * 269
+        assert peak < 5 * 2**20
+
+
 class TestKTransform:
     def test_constant_slot(self, meixner, rng):
         g, _, pg, sys = meixner
@@ -202,6 +279,17 @@ class TestKTransform:
         v = fock.vacuum(g, 2)
         with pytest.raises(TypeError):
             xfock.k_transform(v, sys)
+
+    def test_slot_maps_built_once_per_pair(self, meixner, general, rng):
+        _, _, pg, sys = meixner
+        maps = xfock._slot_maps(pg, sys)
+        xfock.k_inverse(xfock.k_transform(headroom(pg, rng), sys), sys, pg)
+        assert all(a is b for a, b in zip(xfock._slot_maps(pg, sys), maps))
+        assert not any(a.flags.writeable for a in maps)
+        # another pair, even over the same grid, gets maps of its own
+        _, _, gen_pg, gen_sys = general
+        assert xfock._slot_maps(gen_pg, gen_sys)[0] is not maps[0]
+        assert xfock._slot_maps(pg, gen_sys)[0] is not maps[0]
 
     def test_requires_spanning_degree(self, meixner, rng):
         g, fibers, pg, _ = meixner
