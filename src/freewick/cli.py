@@ -104,7 +104,8 @@ class ModelConfig:
         return ProductGrid(grid, fibers)
 
 
-def load_config(path: str | None) -> ModelConfig:
+def load_config(path: str | None, unread=frozenset()) -> ModelConfig:
+    """The config at ``path``; the keys in ``unread`` are refused, by name."""
     if path is None:
         return ModelConfig()
     try:
@@ -114,6 +115,9 @@ def load_config(path: str | None) -> ModelConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    refused = unread & raw.keys()
+    if refused:
+        raise ConfigError(f"config keys this command does not read: {sorted(refused)}")
     return ModelConfig.from_dict(raw)
 
 
@@ -288,11 +292,10 @@ def cmd_moments(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = load_config(args.config)
+    # the suites build their own seeded models from m, fiber_nodes and degree
+    config = load_config(args.config, unread={"interval", "lambda", "eta", "fibers"})
     if args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer")
-    # the suites build their own seeded models; this rejects what moments rejects
-    config.build_model()
     if config.fiber_nodes < 4:
         raise ConfigError("verify needs fiber_nodes >= 4: the xfock suite reads "
                           "the node polynomials up to degree 4")

@@ -11,8 +11,14 @@ relation ``annihilate(g, create(f, v)) == <g, f> v`` exactly in quadrature.
 Levels are stored only up to the content: ``levels`` stops at or before
 the budget ``max_level``, a number kept with the vector, and a level that
 is not stored is zero (level 0 is always stored).  :func:`vacuum` stores
-level 0 only and every operator emits only the levels its stored input
-feeds; :func:`zero` allocates every level, for callers that write in place.
+level 0 only, every operator emits only the levels its stored input
+feeds, and a sum or difference drops the all-zero levels at its top;
+:func:`zero` allocates every level, for callers that write in place.
+
+The base is any one-particle space with a ``size`` and per-slot
+``weights``: a grid, the joint quadrature, or the weighted slot space of
+:mod:`xfock`.  Vectors combine only over one base, or over two of equal
+size and equal weights.
 
 Budgets are explicit: any raising step that would push nonzero content
 past ``max_level`` raises :class:`~freewick.errors.CapacityError` rather
@@ -65,15 +71,17 @@ class FockVector:
                 raise ValueError(f"level {k} must have shape {(m,) * k}")
 
     def _compat(self, other: "FockVector") -> None:
-        if self.base is not other.base and self.base.size != other.base.size:
+        a, b = self.base, other.base
+        if a is not b and (a.size != b.size or not np.array_equal(a.weights, b.weights)):
             raise ValueError("vectors live over different grids")
 
     def _combine(self, other: "FockVector", op) -> "FockVector":
         self._compat(other)
         pairs = itertools.zip_longest(self.levels, other.levels, fillvalue=0.0)
-        return FockVector(
-            self.base, [op(a, b) for a, b in pairs], max(self.max_level, other.max_level)
-        )
+        levels = [op(a, b) for a, b in pairs]
+        while len(levels) > 1 and not np.any(levels[-1]):
+            levels.pop()  # a cancelled top level is not stored
+        return FockVector(self.base, levels, max(self.max_level, other.max_level))
 
     def __add__(self, other: "FockVector") -> "FockVector":
         return self._combine(other, operator.add)

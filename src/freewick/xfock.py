@@ -1,14 +1,18 @@
 """Extended Fock space: the full Fock space over {0..L} x T, the graded
 field parts on it, and the basis transform to the joint-quadrature space.
 
-A vector is a Fock vector over the one-particle space {0..L} x T, laid
-out ``l*m + t`` and weighted by ``w(t) g_l(t)`` (the squared norm of the
-degree-``l`` monic orthogonal polynomial of the node's law): a scalar plus
-dense levels, level ``i`` of shape ``((L+1)m,)*i``.  Its multi-index
-component ``(l_1, ..., l_i)`` is the slice of level ``i`` at those ``l``,
-of degree ``sum(l) + i``.  The degree budget ``max_degree`` is a capacity
-check, not an allocation: ``L`` is the smaller of the system's tabulated
-degree and ``max_degree - 1``, and levels stop at the top nonzero one.
+A vector is a plain :class:`fock.FockVector` whose base is the slot space
+of one :class:`JacobiSystem` and one ``L``: the one-particle space
+{0..L} x T, laid out ``l*m + t`` and weighted by ``w(t) g_l(t)`` (the
+squared norm of the degree-``l`` monic orthogonal polynomial of the node's
+law).  Each (system, ``L``) has one slot space, built once, so
+:func:`fock.inner`, :func:`fock.norm` and the vector sums apply unchanged,
+and vectors over two systems do not mix.  Level ``i`` has shape
+``((L+1)m,)*i``; its multi-index component ``(l_1, ..., l_i)`` is the
+slice at those ``l``, of degree ``sum(l) + i``.  The vector's
+``max_level`` is its degree budget, a capacity check rather than an
+allocation: ``L`` is the smaller of the system's tabulated degree and
+``max_level - 1``.
 
 The field is creation and annihilation at ``l = 0`` plus the node's
 Jacobi matrix times ``f`` on the first slot, all on :mod:`fock`
@@ -37,7 +41,6 @@ verification suites check numerically.
 from __future__ import annotations
 
 import functools
-import operator
 import string
 from collections import namedtuple
 
@@ -46,15 +49,15 @@ import numpy as np
 from . import field, fock
 from .errors import CapacityError
 from .fock import FockVector
-from .grid import GridMeasure, ProductGrid
+from .grid import ProductGrid
 from .jacobi import JacobiSystem, poly_values
 from .ncpart import _compositions
 
 __all__ = [
-    "XFockVector",
     "x_vacuum",
-    "x_inner",
-    "x_norm",
+    "component",
+    "set_component",
+    "components",
     "xplus",
     "xzero",
     "xminus",
@@ -70,7 +73,22 @@ __all__ = [
 ]
 
 # {0..L} x T as a Fock base; not a GridMeasure, because g_l may vanish
-_SlotBase = namedtuple("_SlotBase", "size weights", defaults=(None,))
+_SlotSpace = namedtuple("_SlotSpace", "sys lmax size weights")
+
+
+# JacobiSystem hashes by identity, so the cache keys on the object and
+# holds it: an id is never reused while its entry lives
+@functools.lru_cache(maxsize=64)
+def _slot_space(sys: JacobiSystem, lmax: int) -> _SlotSpace:
+    """The slot space {0..lmax} x T of ``sys``, with read-only weights ``w(t) g_l(t)``."""
+    weights = np.ravel([sys.grid.weights * sys.g_values(l) for l in range(lmax + 1)])
+    weights.flags.writeable = False
+    return _SlotSpace(sys, lmax, weights.size, weights)
+
+
+def _space_for(sys: JacobiSystem, max_degree: int) -> _SlotSpace:
+    """The slot space of vectors with degree budget ``max_degree``."""
+    return _slot_space(sys, max(0, min(sys.max_degree, max_degree - 1)))
 
 
 def multi_index_degree(ls: tuple[int, ...]) -> int:
@@ -88,107 +106,68 @@ def _block_index(ls) -> tuple:
     return tuple(part for l in ls for part in (l, slice(None)))
 
 
-class XFockVector:
-    """Scalar plus dense levels over {0..lmax} x T, with a degree budget."""
-
-    __slots__ = ("grid", "max_degree", "lmax", "levels")
-
-    def __init__(self, grid: GridMeasure, max_degree: int, scalar: float = 0.0):
-        if max_degree < 0:
-            raise ValueError("max_degree must be non-negative")
-        self.grid = grid
-        self.max_degree = int(max_degree)
-        self.lmax = max(self.max_degree - 1, 0)
-        self.levels = [np.asarray(float(scalar))]
-
-    @classmethod
-    def _of(cls, grid, max_degree: int, lmax: int, levels) -> "XFockVector":
-        out = cls(grid, max_degree)
-        out.lmax, out.levels = lmax, list(levels)
-        while len(out.levels) > 1 and not np.any(out.levels[-1]):
-            out.levels.pop()
-        return out
-
-    @property
-    def scalar(self) -> float:
-        return float(self.levels[0])
-
-    def _blocks(self, i: int) -> np.ndarray:
-        """Level ``i`` with axes ``(l_1, t_1, ..., l_i, t_i)``."""
-        return self.levels[i].reshape((self.lmax + 1, self.grid.size) * i)
-
-    def component(self, ls) -> np.ndarray:
-        ls = tuple(int(l) for l in ls)
-        if len(ls) >= len(self.levels) or max(ls, default=0) > self.lmax:
-            return np.zeros((self.grid.size,) * len(ls))
-        return self._blocks(len(ls))[_block_index(ls)]
-
-    def set_component(self, ls, arr) -> None:
-        ls = tuple(int(l) for l in ls)
-        i, m = len(ls), self.grid.size
-        if any(l < 0 for l in ls) or not ls:
-            raise ValueError(f"invalid multi-index {ls}")
-        if multi_index_degree(ls) > self.max_degree or max(ls) > self.lmax:
-            raise CapacityError(f"multi-index {ls} exceeds degree budget {self.max_degree}")
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (m,) * i:
-            raise ValueError(f"component {ls} must have shape {(m,) * i}")
-        while len(self.levels) <= i:
-            self.levels.append(np.zeros(((self.lmax + 1) * m,) * len(self.levels)))
-        blocks = self._blocks(i)  # a copy when the level is not contiguous
-        blocks[_block_index(ls)] = arr
-        self.levels[i] = blocks.reshape(self.levels[i].shape)
-
-    @property
-    def components(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Nonzero components by degree, then lexicographically; views into the levels."""
-        found = []
-        for i in range(1, len(self.levels)):
-            nonzero = np.any(self._blocks(i) != 0, axis=tuple(range(1, 2 * i, 2)))
-            found.extend(tuple(int(l) for l in ls) for ls in np.argwhere(nonzero))
-        found.sort(key=lambda ls: (sum(ls) + len(ls), ls))
-        return {ls: self._blocks(len(ls))[_block_index(ls)] for ls in found}
-
-    def _combine(self, other: "XFockVector", op) -> "XFockVector":
-        if self.grid.size != other.grid.size:
-            raise ValueError("vectors live over different grids")
-        lmax = max(self.lmax, other.lmax)
-        base = _SlotBase((lmax + 1) * self.grid.size)
-        a, b = (FockVector(base, _levels_at(x, lmax)) for x in (self, other))
-        budget = max(self.max_degree, other.max_degree)
-        return XFockVector._of(self.grid, budget, lmax, op(a, b).levels)
-
-    def __add__(self, other: "XFockVector") -> "XFockVector":
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other: "XFockVector") -> "XFockVector":
-        return self._combine(other, operator.sub)
+def _blocks(v: FockVector, i: int) -> np.ndarray:
+    """Level ``i`` of ``v`` with axes ``(l_1, t_1, ..., l_i, t_i)``."""
+    return v.levels[i].reshape((v.base.lmax + 1, v.base.sys.grid.size) * i)
 
 
-def _levels_at(v: XFockVector, lmax: int, sys: JacobiSystem | None = None) -> list:
-    """Levels of ``v`` over {0..lmax} x T: zero-padded, or cut past ``lmax``.
+def x_vacuum(sys: JacobiSystem, max_degree: int, scalar: float = 1.0) -> FockVector:
+    """``scalar`` times the vacuum, with degree budget ``max_degree``."""
+    return FockVector(_space_for(sys, max_degree), [float(scalar)], max_degree)
 
-    Cut content must be null: ``g`` and ``a`` vanish from a node's support
-    size on, so content there has zero norm and never lowers back.
+
+def component(v: FockVector, ls) -> np.ndarray:
+    """Component ``ls`` of ``v``: a view into its level, or zeros where none is stored."""
+    ls = tuple(int(l) for l in ls)
+    if len(ls) >= len(v.levels) or max(ls, default=0) > v.base.lmax:
+        return np.zeros((v.base.sys.grid.size,) * len(ls))
+    return _blocks(v, len(ls))[_block_index(ls)]
+
+
+def set_component(v: FockVector, ls, arr) -> None:
+    """Write component ``ls`` of ``v`` in place, storing the levels up to it.
+
+    A component with some ``l`` past ``L`` is dropped where ``g_l`` vanishes
+    on every node, so that it is null, and raises :class:`CapacityError`
+    elsewhere.
     """
-    if lmax == v.lmax:
-        return list(v.levels)
-    out = [v.levels[0]]
+    ls = tuple(int(l) for l in ls)
+    space, i = v.base, len(ls)
+    m = space.sys.grid.size
+    if any(l < 0 for l in ls) or not ls:
+        raise ValueError(f"invalid multi-index {ls}")
+    if multi_index_degree(ls) > v.max_level:
+        raise CapacityError(f"multi-index {ls} exceeds degree budget {v.max_level}")
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape != (m,) * i:
+        raise ValueError(f"component {ls} must have shape {(m,) * i}")
+    if max(ls) > space.lmax:
+        _require_null_past(space.sys, space.lmax)
+        return
+    while len(v.levels) <= i:
+        v.levels.append(np.zeros((space.size,) * len(v.levels)))
+    blocks = _blocks(v, i)  # a copy when the level is not contiguous
+    blocks[_block_index(ls)] = arr
+    v.levels[i] = blocks.reshape(v.levels[i].shape)
+
+
+def components(v: FockVector) -> dict[tuple[int, ...], np.ndarray]:
+    """Nonzero components by degree, then lexicographically; views into the levels."""
+    found = []
     for i in range(1, len(v.levels)):
-        x = v._blocks(i)
-        if lmax > v.lmax:
-            x = np.pad(x, [(0, lmax - v.lmax), (0, 0)] * i)
-        else:
-            kept = x[(slice(lmax + 1), slice(None)) * i]
-            if np.count_nonzero(kept) != np.count_nonzero(x):
-                _require_null_past(sys, lmax)
-            x = kept
-        out.append(x.reshape(((lmax + 1) * v.grid.size,) * i))
-    return out
+        nonzero = np.any(_blocks(v, i) != 0, axis=tuple(range(1, 2 * i, 2)))
+        found.extend(tuple(int(l) for l in ls) for ls in np.argwhere(nonzero))
+    found.sort(key=lambda ls: (multi_index_degree(ls), ls))
+    return {ls: _blocks(v, len(ls))[_block_index(ls)] for ls in found}
 
 
-def _require_null_past(sys: JacobiSystem | None, lmax: int) -> None:
-    if sys is None or any((n.finite_support_n or np.inf) > lmax + 1 for n in sys.nodes):
+def _require_null_past(sys: JacobiSystem, lmax: int) -> None:
+    """Raise unless content past degree ``lmax`` is null.
+
+    ``g`` and ``a`` vanish from a node's support size on, so content there
+    has zero norm and never lowers back.
+    """
+    if any((n.finite_support_n or np.inf) > lmax + 1 for n in sys.nodes):
         raise CapacityError(f"nonzero content past degree {lmax} exceeds the budget or tabulation")
 
 
@@ -201,77 +180,52 @@ def _check_budget(levels, lmax: int, m: int, max_degree: int) -> None:
                 raise CapacityError(f"level {i} content exceeds the degree budget {max_degree}")
 
 
-def _weighted(v: XFockVector, sys: JacobiSystem, lmax: int) -> FockVector:
-    """``v`` over {0..lmax} x T with the per-slot weights ``w(t) g_l(t)``.
-
-    Its budget is one level above the stored ones: room for one raise.
-    """
-    weights = np.ravel([sys.grid.weights * sys.g_values(l) for l in range(lmax + 1)])
-    levels = _levels_at(v, lmax, sys)
-    return FockVector(_SlotBase(weights.size, weights), levels, len(levels))
-
-
-def x_vacuum(grid: GridMeasure, max_degree: int) -> XFockVector:
-    return XFockVector(grid, max_degree, scalar=1.0)
-
-
-def x_inner(u: XFockVector, v: XFockVector, sys: JacobiSystem) -> float:
-    """Inner product with per-slot weight ``w(t) g_{l_j}(t)``: :func:`fock.inner`."""
-    lmax = min(sys.max_degree, max(u.lmax, v.lmax))
-    return fock.inner(_weighted(u, sys, lmax), _weighted(v, sys, lmax))
-
-
-def x_norm(v: XFockVector, sys: JacobiSystem) -> float:
-    return float(np.sqrt(max(x_inner(v, v, sys), 0.0)))
-
-
-def _field_part(f, v: XFockVector, sys: JacobiSystem, parts: str) -> XFockVector:
+def _field_part(f, v: FockVector, parts: str) -> FockVector:
     """The field parts named in ``parts`` (``+``, ``0``, ``-``) applied to ``v``.
 
     Creation and annihilation act at l=0; the kept bands of the node's
     Jacobi matrix times ``f`` act on the first slot in one product.
     """
+    sys, lmax = v.base.sys, v.base.lmax
     f = np.asarray(f, dtype=float)
     m = f.size
-    lmax = max(0, min(sys.max_degree, v.max_degree - 1))
-    u = _weighted(v, sys, lmax)
     at_l0 = np.concatenate([f, np.zeros(lmax * m)])
-    band = np.zeros((u.base.size,) * 2)
+    band = np.zeros((v.base.size,) * 2)
     if "+" in parts:
         band += np.diag(np.tile(f, lmax), -m)
     if "0" in parts:
         band += np.diag(np.ravel([sys.b_values(l) * f for l in range(lmax + 1)]))
     if "-" in parts:
         band += np.diag(np.ravel([sys.a_values(l) * f for l in range(1, lmax + 1)]), m)
-    out = fock.first_slot(band, u)
+    out = fock.first_slot(band, v)
     if "-" in parts:
-        out = out + fock.annihilate(at_l0, u)
+        out = out + fock.annihilate(at_l0, v)
     if "+" in parts:
-        if any(np.any(arr[lmax * m:][f != 0]) for arr in u.levels[1:]):
+        if any(np.any(arr[lmax * m:][f != 0]) for arr in v.levels[1:]):
             _require_null_past(sys, lmax)  # the shift would push it past lmax
-        out = out + fock.create(at_l0, u)
-        _check_budget(out.levels, lmax, m, v.max_degree)
-    return XFockVector._of(v.grid, v.max_degree, lmax, out.levels)
+        out = out + fock.create(at_l0, v)
+        _check_budget(out.levels, lmax, m, v.max_level)
+    return out
 
 
-def xplus(f, v: XFockVector, sys: JacobiSystem) -> XFockVector:
+def xplus(f, v: FockVector) -> FockVector:
     """Degree-raising part: create ``f`` at l=0, plus the first-slot shift l -> l+1."""
-    return _field_part(f, v, sys, "+")
+    return _field_part(f, v, "+")
 
 
-def xzero(f, v: XFockVector, sys: JacobiSystem) -> XFockVector:
+def xzero(f, v: FockVector) -> FockVector:
     """Degree-preserving part: first-slot multiplication by ``b_l f``."""
-    return _field_part(f, v, sys, "0")
+    return _field_part(f, v, "0")
 
 
-def xminus(f, v: XFockVector, sys: JacobiSystem) -> XFockVector:
+def xminus(f, v: FockVector) -> FockVector:
     """Degree-lowering part: annihilate ``f`` at l=0, plus the shift l -> l-1 times ``a_l``."""
-    return _field_part(f, v, sys, "-")
+    return _field_part(f, v, "-")
 
 
-def xfield(f, v: XFockVector, sys: JacobiSystem) -> XFockVector:
+def xfield(f, v: FockVector) -> FockVector:
     """The full field: raising + preserving + lowering parts, in one pass."""
-    return _field_part(f, v, sys, "+0-")
+    return _field_part(f, v, "+0-")
 
 
 def xmoment(fs, sys: JacobiSystem) -> float:
@@ -406,7 +360,7 @@ def _slotwise(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None) -> XFockVector:
+def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None) -> FockVector:
     """Per-slot change of basis from atom samples to polynomial coefficients.
 
     Each slot of a level-``i`` array over the joint quadrature is expanded
@@ -420,18 +374,27 @@ def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None)
     proj, _ = _slot_maps(pg, sys)
     top = max(fock.top_level(v), 0)
     max_degree = top * (sys.max_degree + 1) if max_degree is None else max_degree
+    space, m = _space_for(sys, max_degree), pg.grid.size
     levels = [_slotwise(proj, a) for a in v.levels[: top + 1]]
-    full = XFockVector._of(pg.grid, max_degree, sys.max_degree, levels)
-    lmax = max(0, min(sys.max_degree, max_degree - 1))
-    levels = _levels_at(full, lmax, sys)
-    _check_budget(levels, lmax, pg.grid.size, max_degree)
-    return XFockVector._of(pg.grid, max_degree, lmax, levels)
+    if space.lmax < sys.max_degree:
+        # cut the slots past L; what is cut must be null
+        for i in range(1, len(levels)):
+            x = levels[i].reshape((sys.max_degree + 1, m) * i)
+            kept = x[(slice(space.lmax + 1), slice(None)) * i]
+            if np.count_nonzero(kept) != np.count_nonzero(x):
+                _require_null_past(sys, space.lmax)
+            levels[i] = kept.reshape((space.size,) * i)
+        while len(levels) > 1 and not np.any(levels[-1]):
+            levels.pop()
+    _check_budget(levels, space.lmax, m, max_degree)
+    return FockVector(space, levels, max_degree)
 
 
-def k_inverse(xv: XFockVector, sys: JacobiSystem, pg: ProductGrid) -> FockVector:
+def k_inverse(xv: FockVector, pg: ProductGrid) -> FockVector:
     """Reconstruct the joint-quadrature vector from polynomial coefficients."""
-    _, synth = _slot_maps(pg, sys)
-    return FockVector(pg, [_slotwise(synth.T, a) for a in _levels_at(xv, sys.max_degree, sys)])
+    _, synth = _slot_maps(pg, xv.base.sys)
+    rows = synth[: xv.base.size].T
+    return FockVector(pg, [_slotwise(rows, a) for a in xv.levels])
 
 
 def _diagonal(kern: np.ndarray, ls) -> np.ndarray:
@@ -462,7 +425,7 @@ def inner_product_formula(fk, gk, sys: JacobiSystem) -> float:
     return total
 
 
-def kernel_lift(kern, grid: GridMeasure, max_degree: int | None = None) -> XFockVector:
+def kernel_lift(kern, sys: JacobiSystem, max_degree: int | None = None) -> FockVector:
     """Multi-index components of a projected monomial kernel.
 
     Component ``(l_1..l_i)`` is the kernel sampled with slot ``j`` repeated
@@ -471,9 +434,9 @@ def kernel_lift(kern, grid: GridMeasure, max_degree: int | None = None) -> XFock
     """
     kern = np.asarray(kern, dtype=float)
     n = kern.ndim
-    out = XFockVector(grid, n if max_degree is None else max_degree, scalar=kern if n == 0 else 0.0)
+    out = x_vacuum(sys, n if max_degree is None else max_degree, scalar=kern if n == 0 else 0.0)
     for ls in multi_indices_exact(n):
-        out.set_component(ls, _diagonal(kern, ls))
+        set_component(out, ls, _diagonal(kern, ls))
     return out
 
 

@@ -391,6 +391,24 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == "" and "fiber_nodes" in err
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"lambda": 3.0, "eta": 0.0}, {"interval": [0.0, 2.0]}, {"fibers": TWO_LAWS, "m": 2}],
+        ids=["lambda", "interval", "fibers"],
+    )
+    def test_unread_keys_refused(self, config, tmp_path, capsys, monkeypatch):
+        # the suites build their own models: a key they never read is refused, by name
+        for name in cli.suites.SUITE_NAMES:
+            monkeypatch.setattr(cli.suites, f"suite_{name}", _reached)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["verify", "--suite", "meixner", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and sorted(set(config) - {"m"})[0] in err
+        # moments reads them all
+        code, _ = run(["moments", "--config", str(cfg), "--power", "2"], capsys)
+        assert code == 0
+
     def test_every_tolerance_at_most_1e_10(self, capsys):
         # every check is exact or gated at the one constant, with no exception
         code, out = run(["verify", "--suite", "all"], capsys)

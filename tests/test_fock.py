@@ -192,6 +192,24 @@ class TestLevelRule:
         below = fock.FockVector(g, v.levels[:2], 2)
         assert len(fock.create(f, below).levels) == 3
 
+    def test_cancelled_top_level_not_stored(self, g, rng):
+        u = fock.random_vector(g, 3, rng)
+        v = fock.FockVector(g, fock.random_vector(g, 2, rng).levels + [u.levels[3].copy()])
+        for diff in (u - v, -v + u):
+            assert len(diff.levels) == 3 and diff.max_level == 3
+            assert fock.top_level(diff) == 2
+        assert len((u - u).levels) == 1 and (u - u).max_level == 3
+
+    def test_bases_of_equal_size_and_other_weights_do_not_mix(self, rng):
+        a, b = grid.make_grid(4), grid.make_grid(4, (0.0, 2.0))
+        u, v = fock.random_vector(a, 2, rng), fock.random_vector(b, 2, rng)
+        for op in (fock.inner, lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(ValueError):
+                op(u, v)
+        # another grid object with the same weights is the same space
+        same = fock.FockVector(grid.make_grid(4), v.levels)
+        assert fock.inner(u, same) == fock.inner(u, fock.FockVector(a, v.levels))
+
 
 class TestLinearity:
     @given(
