@@ -155,12 +155,10 @@ def _rows(payload: dict) -> tuple[list[str], list[list]]:
             for c in payload["checks"]
         ]
         return header, rows
-    if "paths" in payload:
-        header = ["path", "value"]
-        rows = [[k, repr(v)] for k, v in payload["paths"].items()]
-        rows.append(["max_gap", repr(payload["max_gap"])])
-        return header, rows
-    return list(payload), [[payload[k] for k in payload]]
+    header = ["path", "value"]  # the moments payload
+    rows = [[k, repr(v)] for k, v in payload["paths"].items()]
+    rows.append(["max_gap", repr(payload["max_gap"])])
+    return header, rows
 
 
 def _to_csv(payload: dict) -> str:

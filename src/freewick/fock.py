@@ -4,9 +4,8 @@ Level ``k`` of a vector is a dense order-``k`` array over grid indices
 (level 0 is a scalar).  The inner product carries one quadrature weight
 per tensor slot.  Creation prepends a slot, annihilation contracts the
 first slot against the weights, and the neutral operator multiplies the
-first slot pointwise (the diagonal case of :func:`first_slot`, which
-applies a one-particle matrix there); together they satisfy the free
-relation ``annihilate(g, create(f, v)) == <g, f> v`` exactly in quadrature.
+first slot pointwise; together they satisfy the free relation
+``annihilate(g, create(f, v)) == <g, f> v`` exactly in quadrature.
 
 Levels are stored only up to the content: ``levels`` stops at or before
 the budget ``max_level``, a number kept with the vector, and a level that
@@ -43,7 +42,6 @@ __all__ = [
     "create",
     "annihilate",
     "neutral",
-    "first_slot",
     "inner",
     "norm",
     "top_level",
@@ -150,17 +148,6 @@ def neutral(f, v: FockVector) -> FockVector:
     """Multiply the first slot pointwise by ``f``; kills level 0."""
     f = _node_values(f, v.base)
     levels = [f.reshape((-1,) + (1,) * (a.ndim - 1)) * a for a in v.levels[1:]]
-    return FockVector(v.base, [np.zeros(())] + levels, v.max_level)
-
-
-def first_slot(a, v: FockVector) -> FockVector:
-    """Apply the one-particle matrix ``a`` to the first slot; kills level 0.
-
-    ``out[i, ...] = sum_j a[i, j] v[j, ...]`` on every level; :func:`neutral`
-    is the diagonal case.
-    """
-    a = np.asarray(a, dtype=float)
-    levels = [_first(a, lv) for lv in v.levels[1:]]
     return FockVector(v.base, [np.zeros(())] + levels, v.max_level)
 
 

@@ -12,7 +12,9 @@ deterministic.
 
 The squared norms ``g_l`` of the monic polynomials double as the component
 weights of the extended Fock space; they satisfy ``g_l = a_1 a_2 ... a_l``
-and are computed both ways.
+and are computed both ways.  :class:`JacobiSystem` stacks the nodes'
+``b``, ``a`` and ``g`` into read-only ``(degree, node)`` tables, whose
+raveled order is the slot layout of the extended Fock space.
 """
 
 from __future__ import annotations
@@ -195,7 +197,12 @@ def meixner_moments(lam: float, eta: float, sigma_delta: float, k: int) -> np.nd
 
 
 class JacobiSystem:
-    """Per-node recurrence systems over a grid, with node-aligned tables."""
+    """Per-node recurrence systems over a grid, with degree-major tables.
+
+    ``b``, ``a`` and ``g`` are read-only ``(max_degree + 1, m)`` arrays:
+    row ``l`` holds the degree-``l`` coefficient or norm at every node, so
+    raveled they follow the slot layout ``l*m + t`` of :mod:`xfock`.
+    """
 
     def __init__(self, grid: GridMeasure, nodes):
         nodes = list(nodes)
@@ -207,9 +214,10 @@ class JacobiSystem:
         self.grid = grid
         self.nodes = nodes
         self.max_degree = degrees.pop()
-        self._b = np.stack([node.b for node in nodes])
-        self._a = np.stack([node.a for node in nodes])
-        self._g = np.stack([node.g for node in nodes])
+        for name in ("b", "a", "g"):
+            table = np.stack([getattr(node, name) for node in nodes], axis=1)
+            table.flags.writeable = False
+            setattr(self, name, table)
 
     @classmethod
     def from_fibers(cls, grid: GridMeasure, fibers, max_degree: int) -> "JacobiSystem":
@@ -236,12 +244,3 @@ class JacobiSystem:
                 g = eta ** np.arange(size)
                 nodes.append(JacobiNode(b, a, g, None))
         return cls(grid, nodes)
-
-    def b_values(self, l: int) -> np.ndarray:
-        return self._b[:, l]
-
-    def a_values(self, l: int) -> np.ndarray:
-        return self._a[:, l]
-
-    def g_values(self, l: int) -> np.ndarray:
-        return self._g[:, l]

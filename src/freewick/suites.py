@@ -299,7 +299,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
     for l in range(0, 4):
         x = xfock.power_jump(l, delta, om, pg, sys)
         lhs = fock.inner(x, x)
-        rhs = float(np.sum(g.weights * delta * sys.g_values(l)))
+        rhs = float(np.sum(g.weights * delta * sys.g[l]))
         worst = max(worst, _rel(lhs, rhs))
     checks.append(Check("power_jump_norm", worst, TOL))
     return checks

@@ -5,20 +5,23 @@ A vector is a plain :class:`fock.FockVector` whose base is the slot space
 of one :class:`JacobiSystem` and one ``L``: the one-particle space
 {0..L} x T, laid out ``l*m + t`` and weighted by ``w(t) g_l(t)`` (the
 squared norm of the degree-``l`` monic orthogonal polynomial of the node's
-law).  Each (system, ``L``) has one slot space, built once, so
-:func:`fock.inner`, :func:`fock.norm` and the vector sums apply unchanged,
-and vectors over two systems do not mix.  Level ``i`` has shape
+law).  That is the raveled order of the system's degree-major ``b``, ``a``
+and ``g`` tables, so every use here slices their first ``L + 1`` rows.
+Each (system, ``L``) has one slot space, built once, so :func:`fock.inner`,
+:func:`fock.norm` and the vector sums apply unchanged, and vectors over
+two systems do not mix.  Level ``i`` has shape
 ``((L+1)m,)*i``; its multi-index component ``(l_1, ..., l_i)`` is the
 slice at those ``l``, of degree ``sum(l) + i``.  The vector's
 ``max_level`` is its degree budget, a capacity check rather than an
 allocation: ``L`` is the smaller of the system's tabulated degree and
 ``max_level - 1``.
 
-The field is creation and annihilation at ``l = 0`` plus the node's
-Jacobi matrix times ``f`` on the first slot, all on :mod:`fock`
-primitives.  Raising creates at ``l = 0`` and shifts the first slot
-``l -> l+1``; preserving multiplies it by ``b_l f``; lowering annihilates
-at ``l = 0`` and shifts ``l -> l-1`` times ``a_l f``.  With level-independent
+The field is creation and annihilation at ``l = 0``, from :mod:`fock`,
+plus the node's Jacobi matrix times ``f`` on the first slot, applied on
+each level's ``(l, t, ...)`` view with no one-particle matrix.  Raising
+creates at ``l = 0`` and shifts the first slot ``l -> l+1``; preserving
+multiplies it by ``b_l f``; lowering annihilates at ``l = 0`` and shifts
+``l -> l-1`` times ``a_l f``.  With level-independent
 coefficients these collapse to the closed second-order form of the field
 at a point.  Raising nonzero content past the budget, or shifting it past
 ``L`` where it is not null, raises :class:`CapacityError`.
@@ -81,14 +84,9 @@ _SlotSpace = namedtuple("_SlotSpace", "sys lmax size weights")
 @functools.lru_cache(maxsize=64)
 def _slot_space(sys: JacobiSystem, lmax: int) -> _SlotSpace:
     """The slot space {0..lmax} x T of ``sys``, with read-only weights ``w(t) g_l(t)``."""
-    weights = np.ravel([sys.grid.weights * sys.g_values(l) for l in range(lmax + 1)])
+    weights = (sys.grid.weights * sys.g[: lmax + 1]).ravel()
     weights.flags.writeable = False
     return _SlotSpace(sys, lmax, weights.size, weights)
-
-
-def _space_for(sys: JacobiSystem, max_degree: int) -> _SlotSpace:
-    """The slot space of vectors with degree budget ``max_degree``."""
-    return _slot_space(sys, max(0, min(sys.max_degree, max_degree - 1)))
 
 
 def multi_index_degree(ls: tuple[int, ...]) -> int:
@@ -113,7 +111,8 @@ def _blocks(v: FockVector, i: int) -> np.ndarray:
 
 def x_vacuum(sys: JacobiSystem, max_degree: int, scalar: float = 1.0) -> FockVector:
     """``scalar`` times the vacuum, with degree budget ``max_degree``."""
-    return FockVector(_space_for(sys, max_degree), [float(scalar)], max_degree)
+    space = _slot_space(sys, max(0, min(sys.max_degree, max_degree - 1)))
+    return FockVector(space, [float(scalar)], max_degree)
 
 
 def component(v: FockVector, ls) -> np.ndarray:
@@ -184,25 +183,31 @@ def _field_part(f, v: FockVector, parts: str) -> FockVector:
     """The field parts named in ``parts`` (``+``, ``0``, ``-``) applied to ``v``.
 
     Creation and annihilation act at l=0; the kept bands of the node's
-    Jacobi matrix times ``f`` act on the first slot in one product.
+    Jacobi matrix times ``f`` act on the first slot over its ``(l, t)``
+    view: ``b_l f`` in place, ``f`` up the shift ``l -> l+1`` and
+    ``a_{l+1} f`` down it.
     """
     sys, lmax = v.base.sys, v.base.lmax
     f = np.asarray(f, dtype=float)
     m = f.size
     at_l0 = np.concatenate([f, np.zeros(lmax * m)])
-    band = np.zeros((v.base.size,) * 2)
-    if "+" in parts:
-        band += np.diag(np.tile(f, lmax), -m)
-    if "0" in parts:
-        band += np.diag(np.ravel([sys.b_values(l) * f for l in range(lmax + 1)]))
-    if "-" in parts:
-        band += np.diag(np.ravel([sys.a_values(l) * f for l in range(1, lmax + 1)]), m)
-    out = fock.first_slot(band, v)
+    bf = sys.b[: lmax + 1] * f if "0" in parts else np.zeros((lmax + 1, m))
+    af = sys.a[1 : lmax + 1] * f
+    levels = [np.zeros(())]
+    for arr in v.levels[1:]:
+        x = arr.reshape((lmax + 1, m, -1))
+        if "+" in parts and np.any(x[lmax, f != 0]):
+            _require_null_past(sys, lmax)  # the shift would push it past lmax
+        y = bf[..., None] * x
+        if "+" in parts:
+            y[1:] += f[:, None] * x[:-1]
+        if "-" in parts:
+            y[:-1] += af[..., None] * x[1:]
+        levels.append(y.reshape(arr.shape))
+    out = FockVector(v.base, levels, v.max_level)
     if "-" in parts:
         out = out + fock.annihilate(at_l0, v)
     if "+" in parts:
-        if any(np.any(arr[lmax * m:][f != 0]) for arr in v.levels[1:]):
-            _require_null_past(sys, lmax)  # the shift would push it past lmax
         out = out + fock.create(at_l0, v)
         _check_budget(out.levels, lmax, m, v.max_level)
     return out
@@ -262,9 +267,8 @@ def _half_terms(fs, sys: JacobiSystem) -> dict:
     """
     m = sys.grid.size
     lmax = max(0, min(sys.max_degree, len(fs) - 1))
-    b = np.array([sys.b_values(l) for l in range(lmax + 1)])
-    a = np.array([sys.a_values(l) for l in range(1, lmax + 1)]).reshape(lmax, m)
-    w0 = sys.grid.weights * sys.g_values(0)
+    b, a = sys.b[: lmax + 1], sys.a[1 : lmax + 1]
+    w0 = sys.grid.weights * sys.g[0]
     levels = {0: (np.ones(1), np.empty((1, 0, lmax + 1, m)))}
     for f in fs:
         e0f = np.zeros((lmax + 1, m))
@@ -301,7 +305,7 @@ def _pair_terms(left: dict, right: dict, sys: JacobiSystem) -> float:
     for k in sorted(left.keys() & right.keys()):
         (cl, sl), (cr, sr) = left[k], right[k]
         rows = min(sl.shape[2], sr.shape[2])  # past it, one side is zero
-        ww = np.ravel([sys.grid.weights * sys.g_values(l) for l in range(rows)])
+        ww = _slot_space(sys, rows - 1).weights
         sl = sl[:, :, :rows].reshape(cl.size, k, ww.size)
         sr = sr[:, :, :rows].reshape(cr.size, k, ww.size)
         block = max(1, _PAIR_BLOCK // cr.size)
@@ -347,7 +351,7 @@ def _slot_maps(pg: ProductGrid, sys: JacobiSystem) -> tuple[np.ndarray, np.ndarr
         )
     on_node = pg.tindex == np.arange(pg.grid.size)[:, None]
     synth = (_poly_table(pg, sys, lmax)[:, None, :] * on_node).reshape(-1, pg.size)
-    g = np.ravel([sys.g_values(l) for l in range(lmax + 1)])[:, None]
+    g = sys.g.reshape(-1, 1)
     proj = np.divide(synth * pg.fweights, g, out=np.zeros_like(synth), where=g > 0.0)
     proj.flags.writeable = synth.flags.writeable = False
     return proj, synth
@@ -365,29 +369,22 @@ def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None)
 
     Each slot of a level-``i`` array over the joint quadrature is expanded
     in the node's monic polynomials.  Exact isometry on the grid (the
-    polynomials are orthogonal for the discrete node laws).  The default
-    budget is ``i * (L + 1)`` for the top nonzero level ``i``.
+    polynomials are orthogonal for the discrete node laws).  The result
+    spans every tabulated degree, ``L = sys.max_degree``, so its budget
+    must exceed ``L``; the default is ``max(i, 1) * (L + 1)`` for the top
+    nonzero level ``i``.
     """
     pg = v.base
     if not isinstance(pg, ProductGrid):
         raise TypeError("the transform acts on vectors over the joint quadrature")
     proj, _ = _slot_maps(pg, sys)
-    top = max(fock.top_level(v), 0)
-    max_degree = top * (sys.max_degree + 1) if max_degree is None else max_degree
-    space, m = _space_for(sys, max_degree), pg.grid.size
+    lmax, top = sys.max_degree, max(fock.top_level(v), 0)
+    max_degree = max(top, 1) * (lmax + 1) if max_degree is None else max_degree
+    if max_degree <= lmax:
+        raise ValueError(f"degree budget {max_degree} cannot hold the slots 0..{lmax}")
     levels = [_slotwise(proj, a) for a in v.levels[: top + 1]]
-    if space.lmax < sys.max_degree:
-        # cut the slots past L; what is cut must be null
-        for i in range(1, len(levels)):
-            x = levels[i].reshape((sys.max_degree + 1, m) * i)
-            kept = x[(slice(space.lmax + 1), slice(None)) * i]
-            if np.count_nonzero(kept) != np.count_nonzero(x):
-                _require_null_past(sys, space.lmax)
-            levels[i] = kept.reshape((space.size,) * i)
-        while len(levels) > 1 and not np.any(levels[-1]):
-            levels.pop()
-    _check_budget(levels, space.lmax, m, max_degree)
-    return FockVector(space, levels, max_degree)
+    _check_budget(levels, lmax, pg.grid.size, max_degree)
+    return FockVector(_slot_space(sys, lmax), levels, max_degree)
 
 
 def k_inverse(xv: FockVector, pg: ProductGrid) -> FockVector:
@@ -415,12 +412,12 @@ def inner_product_formula(fk, gk, sys: JacobiSystem) -> float:
     gk = np.asarray(gk, dtype=float)
     if fk.shape != gk.shape or fk.ndim < 1:
         raise ValueError("kernels must have equal positive order")
-    w = sys.grid.weights
+    wg = sys.grid.weights * sys.g
     total = 0.0
     for ls in multi_indices_exact(fk.ndim):
         prod = _diagonal(fk, ls) * _diagonal(gk, ls)
         for l in ls:
-            prod = np.tensordot(w * sys.g_values(l), prod, axes=(0, 0))
+            prod = np.tensordot(wg[l], prod, axes=(0, 0))
         total += float(prod)
     return total
 

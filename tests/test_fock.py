@@ -107,31 +107,6 @@ class TestNeutral:
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
 
-class TestFirstSlot:
-    def test_matches_einsum(self, g, rng):
-        a = rng.standard_normal((5, 5))
-        v = fock.random_vector(g, 3, rng)
-        out = fock.first_slot(a, v)
-        assert out.levels[0] == 0.0
-        for k, sub in ((1, "ij,j->i"), (2, "ij,jb->ib"), (3, "ij,jbc->ibc")):
-            assert np.abs(out.levels[k] - np.einsum(sub, a, v.levels[k])).max() < 1e-12
-
-    def test_diagonal_is_neutral(self, g, rng):
-        f = rng.standard_normal(5)
-        v = fock.random_vector(g, 3, rng)
-        diff = fock.first_slot(np.diag(f), v) - fock.neutral(f, v)
-        assert fock.norm(diff) < 1e-12 * fock.norm(v)
-
-    def test_adjoint_is_weighted_transpose(self, g, rng):
-        a = rng.standard_normal((5, 5))
-        u = fock.random_vector(g, 3, rng)
-        v = fock.random_vector(g, 3, rng)
-        w = g.weights
-        lhs = fock.inner(fock.first_slot(a, u), v)
-        rhs = fock.inner(u, fock.first_slot((a * w[:, None]).T / w[:, None], v))
-        assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
-
-
 class TestAdjointPair:
     def test_create_annihilate_adjoint(self, g, rng):
         f = rng.standard_normal(5)

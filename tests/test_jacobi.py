@@ -232,10 +232,19 @@ class TestJacobiSystem:
         recovered = JacobiSystem.from_fibers(g, fibers, 8)
         analytic = JacobiSystem.meixner(g, 8)
         for l in range(8):
-            assert np.abs(recovered.b_values(l) - analytic.b_values(l)).max() < 1e-9
-            assert np.abs(recovered.g_values(l) - analytic.g_values(l)).max() < 1e-8
+            assert np.abs(recovered.b[l] - analytic.b[l]).max() < 1e-9
+            assert np.abs(recovered.g[l] - analytic.g[l]).max() < 1e-8
             if l >= 1:
-                assert np.abs(recovered.a_values(l) - analytic.a_values(l)).max() < 1e-9
+                assert np.abs(recovered.a[l] - analytic.a[l]).max() < 1e-9
+
+    def test_tables_are_degree_major_and_read_only(self):
+        g = grid.make_grid(4, lam=0.6, eta=1.1)
+        sys = JacobiSystem.from_fibers(g, grid.semicircle_fibers(g, 5), 6)
+        for name in ("b", "a", "g"):
+            table = getattr(sys, name)
+            assert table.shape == (7, 4) and not table.flags.writeable
+            for t, node in enumerate(sys.nodes):
+                assert np.array_equal(table[:, t], getattr(node, name))
 
     def test_meixner_degenerate_nodes(self):
         g = grid.make_grid(4, lam=0.5, eta=0.0)

@@ -326,6 +326,41 @@ class TestKTransform:
             xfock.k_transform(v, shallow)
 
 
+class TestBudgetRefusals:
+    """Content past a degree budget is refused, never truncated."""
+
+    @pytest.fixture
+    def sys(self):
+        return JacobiSystem.meixner(grid.make_grid(4, lam=1.0, eta=1.0), 6)
+
+    def test_field_past_budget_raises(self, sys, rng):
+        # (0, 1) has degree 3 = the budget; creation and the first-slot shift
+        # raise it to degree 4, inside L = 2, so only the budget check sees it
+        v = xfock.x_vacuum(sys, 3, scalar=0.0)
+        assert v.base.lmax == 2
+        xfock.set_component(v, (0, 1), rng.standard_normal((4, 4)))
+        with pytest.raises(CapacityError, match="content exceeds the degree budget 3"):
+            xfock.xfield(np.ones(4), v)
+
+    def test_set_component_past_budget_raises(self, sys, rng):
+        v = xfock.x_vacuum(sys, 3, scalar=0.0)
+        with pytest.raises(CapacityError, match="exceeds degree budget 3"):
+            xfock.set_component(v, (1, 1), rng.standard_normal((4, 4)))
+
+    def test_k_transform_budget_must_span_the_slots(self, meixner, rng):
+        _, _, pg, sys = meixner
+        v = fock.random_vector(pg, 1, rng)
+        with pytest.raises(ValueError, match="cannot hold the slots"):
+            xfock.k_transform(v, sys, max_degree=sys.max_degree)
+        assert xfock.k_transform(v, sys, max_degree=sys.max_degree + 1).max_level == sys.max_degree + 1
+
+    def test_k_transform_of_the_vacuum(self, meixner):
+        _, _, pg, sys = meixner
+        xv = xfock.k_transform(2.5 * fock.vacuum(pg, 3), sys)
+        assert xv.base.lmax == sys.max_degree and xv.max_level == sys.max_degree + 1
+        assert len(xv.levels) == 1 and float(xv.levels[0]) == 2.5
+
+
 class TestInnerProductFormula:
     def test_order_one_is_base_inner(self, meixner, rng):
         g, _, _, sys = meixner
@@ -380,7 +415,7 @@ class TestPowerJump:
         om = fock.vacuum(pg, 1)
         for l in range(4):
             x = xfock.power_jump(l, delta, om, pg, sys)
-            expect = float(np.sum(g.weights * delta * sys.g_values(l)))
+            expect = float(np.sum(g.weights * delta * sys.g[l]))
             assert abs(fock.inner(x, x) - expect) < 1e-10
 
     def test_index_window(self, general):
@@ -474,7 +509,7 @@ class TestDenseLayout:
         g = grid.make_grid(M_GRID, lam=0.5, eta=1.0)
         fibers = [grid.point_fiber(0.5)] * M_GRID
         sys = JacobiSystem.from_fibers(g, fibers, 1)
-        assert np.all(sys.g_values(1) == 0.0)
+        assert np.all(sys.g[1] == 0.0)
         chi = np.ones(M_GRID)
         a, b = cumulant.moment([chi] * 6, ProductGrid(g, fibers)), xfock.xmoment([chi] * 6, sys)
         assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
