@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import cumulant, jacobi, ncpart, suites, xfock
-from .errors import CapacityError, ConfigError, EnumerationBoundError, FreewickError
+from .errors import CapacityError, ConfigError, FreewickError
 from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fibers
 
 log = logging.getLogger("freewick")
@@ -67,8 +67,9 @@ class ModelConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "fibers" in raw and not raw.keys().isdisjoint({"lambda", "eta"}):
-            raise ConfigError("lambda and eta cannot come with fibers, which give the node laws")
+        clash = raw.keys() & {"lambda", "eta", "fiber_nodes"} if "fibers" in raw else set()
+        if clash:
+            raise ConfigError(f"{sorted(clash)} cannot come with fibers, which give the node laws")
         kwargs = dict(raw)
         if "lambda" in kwargs:
             kwargs["lam"] = kwargs.pop("lambda")
@@ -186,19 +187,15 @@ def _to_text(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_partitions(args) -> int:
-    try:
-        if args.set == "nc":
-            records = [
-                {"blocks": [list(b) for b in p.blocks], "marks": []}
-                for p in ncpart.enumerate_nc(args.n)
-            ]
-        elif args.set == "gn":
-            records = [ncpart.to_json_record(mp) for mp in ncpart.enumerate_gn(args.n)]
-        else:
-            records = [ncpart.to_json_record(mp) for mp in ncpart.enumerate_interval(args.n)]
-    except EnumerationBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.set == "nc":
+        records = [
+            {"blocks": [list(b) for b in p.blocks], "marks": []}
+            for p in ncpart.enumerate_nc(args.n)
+        ]
+    elif args.set == "gn":
+        records = [ncpart.to_json_record(mp) for mp in ncpart.enumerate_gn(args.n)]
+    else:
+        records = [ncpart.to_json_record(mp) for mp in ncpart.enumerate_interval(args.n)]
     payload = {"set": args.set, "n": args.n, "count": len(records), "records": records}
     _emit(payload, args.format, args.out)
     return 0

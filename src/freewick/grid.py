@@ -162,7 +162,7 @@ class ProductGrid:
     :class:`GridMeasure`, so the Fock-space operators run on it unchanged.
     """
 
-    __slots__ = ("grid", "fibers", "weights", "svalues", "fweights", "tindex", "slices")
+    __slots__ = ("grid", "fibers", "weights", "svalues", "fweights", "tindex")
 
     def __init__(self, grid: GridMeasure, fibers=None):
         if fibers is None:
@@ -178,8 +178,6 @@ class ProductGrid:
             [np.full(fb.size, t, dtype=int) for t, fb in enumerate(fibers)]
         )
         self.weights = grid.weights[self.tindex] * self.fweights
-        offsets = np.cumsum([0] + [fb.size for fb in fibers])
-        self.slices = [slice(offsets[t], offsets[t + 1]) for t in range(grid.size)]
 
     @property
     def size(self) -> int:

@@ -12,14 +12,16 @@ deterministic.
 
 The squared norms ``g_l`` of the monic polynomials double as the component
 weights of the extended Fock space; they satisfy ``g_l = a_1 a_2 ... a_l``
-and are computed both ways.  :class:`JacobiSystem` stacks the nodes'
-``b``, ``a`` and ``g`` into read-only ``(degree, node)`` tables, whose
-raveled order is the slot layout of the extended Fock space.
+and are computed both ways.  :class:`JacobiSystem` is the nodes' ``b``,
+``a`` and ``g`` as read-only ``(degree, node)`` tables, whose raveled
+order is the slot layout of the extended Fock space, plus the row of
+their support sizes; :func:`poly_values` evaluates one law or a whole
+table's laws, one per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,27 +66,27 @@ class JacobiNode:
         return self.b.size - 1
 
 
-def poly_values(node: JacobiNode, lmax: int, s) -> np.ndarray:
-    """Monic orthogonal polynomials of degrees ``0..lmax`` at ``s``, stacked.
+def poly_values(b, a, support, s) -> np.ndarray:
+    """Monic orthogonal polynomials of degrees ``0..len(b)-1`` at ``s``, stacked.
 
-    Row ``l`` is identically zero from the support size on, matching the
-    finite-support convention.
+    ``b[l]`` and ``a[l]`` are scalars, or arrays aligned with ``s`` (one law
+    per point), and so is ``support``.  Row ``l`` is zero from the support
+    size on, matching the finite-support convention.
     """
-    if lmax < 0 or lmax > node.max_degree:
-        raise ValueError(f"degree {lmax} outside tabulated range 0..{node.max_degree}")
     s = np.asarray(s, dtype=float)
-    out = np.zeros((lmax + 1,) + s.shape)
-    n = lmax + 1 if node.finite_support_n is None else min(lmax + 1, node.finite_support_n)
+    out = np.zeros((len(b),) + s.shape)
     p_prev, p = np.zeros_like(s), np.ones_like(s)
-    for k in range(n):
-        out[k] = p
-        p, p_prev = (s - node.b[k]) * p - (node.a[k] if k else 0.0) * p_prev, p
+    for k in range(len(b)):
+        out[k] = np.where(k < support, p, 0.0)
+        p, p_prev = (s - b[k]) * p - a[k] * p_prev, p
     return out
 
 
 def poly_eval(node: JacobiNode, l: int, s):
     """Monic orthogonal polynomial of degree ``l`` at ``s`` (scalar or array)."""
-    return poly_values(node, l, s)[l]
+    if l < 0 or l > node.max_degree:
+        raise ValueError(f"degree {l} outside tabulated range 0..{node.max_degree}")
+    return poly_values(node.b[: l + 1], node.a[: l + 1], node.finite_support_n or np.inf, s)[l]
 
 
 def coeffs_from_measure(fiber: FiberMeasure, max_degree: int) -> JacobiNode:
@@ -121,8 +123,8 @@ def coeffs_from_measure(fiber: FiberMeasure, max_degree: int) -> JacobiNode:
             beta[k] = tmp
     pad = [0.0] * (max_degree + 1 - size)
     finite_n = atoms.size if atoms.size <= max_degree else None
-    node = JacobiNode(b + pad, [0.0] + beta[1:] + pad, np.zeros(max_degree + 1), finite_n)
-    return replace(node, g=poly_values(node, max_degree, atoms) ** 2 @ weights)
+    b, a = np.array(b + pad), np.array([0.0] + beta[1:] + pad)
+    return JacobiNode(b, a, poly_values(b, a, finite_n or np.inf, atoms) ** 2 @ weights, finite_n)
 
 
 def norms(node: JacobiNode, rtol: float = 1e-10) -> np.ndarray:
@@ -197,31 +199,32 @@ def meixner_moments(lam: float, eta: float, sigma_delta: float, k: int) -> np.nd
 
 
 class JacobiSystem:
-    """Per-node recurrence systems over a grid, with degree-major tables.
+    """Per-node recurrence systems over a grid, held as degree-major tables.
 
     ``b``, ``a`` and ``g`` are read-only ``(max_degree + 1, m)`` arrays:
     row ``l`` holds the degree-``l`` coefficient or norm at every node, so
     raveled they follow the slot layout ``l*m + t`` of :mod:`xfock`.
+    ``support`` is the read-only row of each node's support size, ``inf``
+    where the law has more atoms than the tables reach.
     """
 
-    def __init__(self, grid: GridMeasure, nodes):
-        nodes = list(nodes)
-        if len(nodes) != grid.size:
-            raise ValueError("one recurrence system per grid node required")
-        degrees = {node.max_degree for node in nodes}
-        if len(degrees) != 1:
-            raise ValueError("nodes must share one tabulated degree")
+    def __init__(self, grid: GridMeasure, b, a, g, support):
         self.grid = grid
-        self.nodes = nodes
-        self.max_degree = degrees.pop()
-        for name in ("b", "a", "g"):
-            table = np.stack([getattr(node, name) for node in nodes], axis=1)
+        for name, value in (("b", b), ("a", a), ("g", g), ("support", support)):
+            table = np.array(value, dtype=float)
             table.flags.writeable = False
             setattr(self, name, table)
+        if not self.b.shape == self.a.shape == self.g.shape or self.b.shape[1:] != (grid.size,):
+            raise ValueError("b, a, g must be matching (degree, node) tables over the grid")
+        if self.support.shape != (grid.size,):
+            raise ValueError("one support size per grid node required")
+        self.max_degree = self.b.shape[0] - 1
 
     @classmethod
     def from_fibers(cls, grid: GridMeasure, fibers, max_degree: int) -> "JacobiSystem":
-        return cls(grid, [coeffs_from_measure(fb, max_degree) for fb in fibers])
+        nodes = [coeffs_from_measure(fb, max_degree) for fb in fibers]
+        tables = (np.stack([getattr(n, name) for n in nodes], axis=1) for name in "bag")
+        return cls(grid, *tables, [n.finite_support_n or np.inf for n in nodes])
 
     @classmethod
     def meixner(cls, grid: GridMeasure, max_degree: int) -> "JacobiSystem":
@@ -230,17 +233,9 @@ class JacobiSystem:
         ``b_l = lambda(t)`` and ``a_l = eta(t)``; a vanishing eta makes the
         node law a point mass, with the finite-support zero pattern.
         """
-        nodes = []
-        for lam, eta in zip(grid.lambda_values, grid.eta_values):
-            size = max_degree + 1
-            if eta == 0:
-                b = np.zeros(size)
-                b[0] = lam
-                nodes.append(JacobiNode(b, np.zeros(size), np.eye(1, size)[0], 1))
-            else:
-                b = np.full(size, lam)
-                a = np.full(size, eta)
-                a[0] = 0.0
-                g = eta ** np.arange(size)
-                nodes.append(JacobiNode(b, a, g, None))
-        return cls(grid, nodes)
+        lam, eta = grid.lambda_values, grid.eta_values
+        l = np.arange(max_degree + 1)[:, None]
+        point = eta == 0
+        b = np.where((l > 0) & point, 0.0, lam)
+        a = np.where(l > 0, eta, 0.0)
+        return cls(grid, b, a, eta**l, np.where(point, 1.0, np.inf))

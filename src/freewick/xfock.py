@@ -166,7 +166,7 @@ def _require_null_past(sys: JacobiSystem, lmax: int) -> None:
     ``g`` and ``a`` vanish from a node's support size on, so content there
     has zero norm and never lowers back.
     """
-    if any((n.finite_support_n or np.inf) > lmax + 1 for n in sys.nodes):
+    if np.any(sys.support > lmax + 1):
         raise CapacityError(f"nonzero content past degree {lmax} exceeds the budget or tabulation")
 
 
@@ -329,8 +329,8 @@ def big_fock_realize(f, v: FockVector, pg: ProductGrid) -> FockVector:
 
 def _poly_table(pg: ProductGrid, sys: JacobiSystem, lmax: int) -> np.ndarray:
     """Values of the per-node monic polynomials of degrees 0..lmax at the joint nodes."""
-    rows = [poly_values(node, lmax, pg.svalues[sl]) for node, sl in zip(sys.nodes, pg.slices)]
-    return np.concatenate(rows, axis=1)
+    t = pg.tindex
+    return poly_values(sys.b[: lmax + 1, t], sys.a[: lmax + 1, t], sys.support[t], pg.svalues)
 
 
 # both classes hash by identity, so the cache keys on the objects and holds

@@ -76,8 +76,9 @@ class TestPartitions:
         assert json.loads(out)["count"] == 7
 
     def test_bound_exceeded_exit_code(self, capsys):
-        code, _ = run(["partitions", "--n", "20", "--set", "nc"], capsys)
-        assert code == 2
+        assert cli.main(["partitions", "--n", "20", "--set", "nc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "n=20 outside supported range" in err
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "dump.json"
@@ -117,7 +118,7 @@ class TestMoments:
 
     def test_fibers_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"m": 2, "fiber_nodes": 2, "fibers": TWO_LAWS}))
+        cfg.write_text(json.dumps({"m": 2, "fibers": TWO_LAWS}))
         code, out = run(["moments", "--config", str(cfg), "--power", "2"], capsys)
         assert code == 0
         payload = json.loads(out)
@@ -142,10 +143,11 @@ class TestMoments:
 
     def test_fibers_tabulated_to_half_word(self, tmp_path, capsys):
         # fiber_nodes sizes only the semicircle laws: ten-atom laws given as
-        # fibers are tabulated as far as the length-8 word reads them
+        # fibers are tabulated as far as the length-8 word reads them, past
+        # the default fiber_nodes of 8
         law = {"atoms": list(range(10)), "weights": [0.1] * 10}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"m": 1, "fiber_nodes": 2, "fibers": [law]}))
+        cfg.write_text(json.dumps({"m": 1, "fibers": [law]}))
         code, out = run(["moments", "--config", str(cfg), "--power", "8"], capsys)
         assert code == 0
         payload = json.loads(out)
@@ -198,6 +200,20 @@ class TestMoments:
     def test_bad_word(self, capsys):
         code, _ = run(["moments", "--word", "nonsense"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["--power", "0"], "power must be positive"),
+            (["--power", "13"], "word length 13 exceeds twice the degree budget"),
+        ],
+        ids=["power", "word_length"],
+    )
+    def test_bad_word_shape_refused(self, args, reason, capsys, monkeypatch):
+        monkeypatch.setattr(cli.cumulant, "moment", _reached)
+        assert cli.main(["moments", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and reason in err
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -289,6 +305,8 @@ BAD_CONFIGS = [
     {"fibers": [{"atoms": [0.0], "weights": [1.0]}]},
     {"lambda": 1.0, "fibers": TWO_LAWS},
     {"eta": 0.0, "fibers": TWO_LAWS},
+    {"m": 2, "fibers": TWO_LAWS, "fiber_nodes": 3},
+    [{"m": 2}],
 ]
 
 

@@ -239,16 +239,27 @@ class TestJacobiSystem:
 
     def test_tables_are_degree_major_and_read_only(self):
         g = grid.make_grid(4, lam=0.6, eta=1.1)
-        sys = JacobiSystem.from_fibers(g, grid.semicircle_fibers(g, 5), 6)
+        fibers = grid.semicircle_fibers(g, 5)
+        sys = JacobiSystem.from_fibers(g, fibers, 6)
         for name in ("b", "a", "g"):
             table = getattr(sys, name)
             assert table.shape == (7, 4) and not table.flags.writeable
-            for t, node in enumerate(sys.nodes):
-                assert np.array_equal(table[:, t], getattr(node, name))
+            for t, fb in enumerate(fibers):
+                assert np.array_equal(table[:, t], getattr(jacobi.coeffs_from_measure(fb, 6), name))
+        assert sys.support.shape == (4,) and not sys.support.flags.writeable
 
     def test_meixner_degenerate_nodes(self):
         g = grid.make_grid(4, lam=0.5, eta=0.0)
         sys = JacobiSystem.meixner(g, 5)
-        for node in sys.nodes:
-            assert node.finite_support_n == 1
-            assert np.all(node.g[1:] == 0.0)
+        assert np.all(sys.support == 1)
+        assert np.all(sys.g[1:] == 0.0)
+
+    def test_support_row(self, rng):
+        # a point mass, an N <= D law, a law past the tables, and Meixner with eta > 0
+        g = grid.make_grid(3, lam=0.2, eta=0.9)
+        fibers = [grid.point_fiber(0.4)]
+        for n in (4, 9):
+            w = rng.uniform(0.2, 1.0, size=n)
+            fibers.append(grid.FiberMeasure(np.sort(rng.uniform(-1, 1, size=n)), w / w.sum()))
+        assert np.array_equal(JacobiSystem.from_fibers(g, fibers, 6).support, [1, 4, np.inf])
+        assert np.all(JacobiSystem.meixner(g, 6).support == np.inf)
