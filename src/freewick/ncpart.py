@@ -13,12 +13,15 @@ be cross-checked:
   :func:`enumerate_gn` prepends the elements ``n-1, ..., 1`` one at a time
   by a three-way rule, so it never visits an inadmissible partition;
 * the oracles walk the non-crossing restricted growth strings (the string
-  of block labels of a set partition) and apply the definition to each,
-  so no oracle shares code with the enumerator it checks.
+  of block labels of a set partition), carrying the blocks as they grow,
+  and apply the definition to the blocks of each; the count-only walk
+  counts the last element's choices in closed form instead of visiting
+  them.  No oracle shares code with the enumerator it checks.
 
-The marked routes carry partitions as plain ``(blocks, negated marks)``
-tuples, whose natural order is the output order, and build the
-:class:`MarkedPartition` objects only once, after the sort.
+The routes carry partitions as plain block tuples, the marked ones as
+``(blocks, negated marks)`` tuples, whose natural order is the output
+order, and build the records in one batch after the sort
+(:func:`_records`), with no Python frame per record.
 
 The records are slotted frozen dataclasses, so an instance carries no
 ``__dict__``.  The recursions take their state as arguments rather than
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -85,14 +89,6 @@ class SetPartition:
         norm = sorted(tuple(sorted(b)) for b in blocks)
         return cls(n, tuple(norm))
 
-    @classmethod
-    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
-        """Build without validation, for enumerators whose output is valid by construction."""
-        p = object.__new__(cls)
-        _SP_N(p, n)
-        _SP_BLOCKS(p, blocks)
-        return p
-
     def labels(self) -> list[int]:
         """Block index of each element, as a list indexed by element-1."""
         lab = [0] * self.n
@@ -125,25 +121,47 @@ class MarkedPartition:
         if not is_noncrossing(self.partition):
             raise ValueError("marked partitions must be non-crossing")
 
-    @classmethod
-    def _trusted(cls, partition: SetPartition, marks: tuple[int, ...]) -> "MarkedPartition":
-        """Build without validation, for enumerators whose output is valid by construction."""
-        mp = object.__new__(cls)
-        _MP_PARTITION(mp, partition)
-        _MP_MARKS(mp, marks)
-        return mp
-
     @property
     def n(self) -> int:
         return self.partition.n
 
 
-# Slot setters for the trusted builders: the frozen ``__setattr__`` refuses
+# Slot setters for the unchecked builder: the frozen ``__setattr__`` refuses
 # assignment, and the slot descriptors are the fastest way around it.
 _SP_N = SetPartition.n.__set__
 _SP_BLOCKS = SetPartition.blocks.__set__
 _MP_PARTITION = MarkedPartition.partition.__set__
 _MP_MARKS = MarkedPartition.marks.__set__
+
+
+def _records(n: int, blocks, negated_marks=None) -> list:
+    """Records of ``n`` elements for a sequence of block tuples, built without validation.
+
+    For the enumerators and oracles, whose output is valid by construction.
+    Gives :class:`SetPartition` objects or, with ``negated_marks`` (a tuple
+    of negated marks per entry of ``blocks``), :class:`MarkedPartition`
+    objects.  Each step maps a C function over the whole sequence, so no
+    Python frame runs per record.  It searches nothing, so sharing it
+    merges no two routes: a broken builder still fails the Catalan and
+    :func:`gn_count_recursion` counts and the checked-constructor round trip.
+    """
+    size = len(blocks)
+    parts = list(map(object.__new__, itertools.repeat(SetPartition, size)))
+    _drain(map(_SP_N, parts, itertools.repeat(n, size)))
+    _drain(map(_SP_BLOCKS, parts, blocks))
+    if negated_marks is None:
+        return parts
+    # one marks tuple per distinct mark vector, shared by its records
+    flip = {neg: tuple([-m for m in neg]) for neg in set(negated_marks)}
+    marked = list(map(object.__new__, itertools.repeat(MarkedPartition, size)))
+    _drain(map(_MP_PARTITION, marked, parts))
+    _drain(map(_MP_MARKS, marked, map(flip.__getitem__, negated_marks)))
+    return marked
+
+
+def _drain(calls) -> None:
+    # run an iterator for its side effects, keeping none of its values
+    deque(calls, maxlen=0)
 
 
 def is_noncrossing(p: SetPartition) -> bool:
@@ -182,7 +200,7 @@ def _check_bound(n: int, limit: int) -> None:
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of {1..n}, lexicographic in the block tuple."""
     _check_bound(n, NC_LIMIT)
-    return [SetPartition._trusted(n, blocks) for blocks in _nc_interval(1, n, {})]
+    return _records(n, _nc_interval(1, n, {}))
 
 
 def _nc_interval(start: int, length: int, memo: dict) -> list[tuple[tuple[int, ...], ...]]:
@@ -215,16 +233,11 @@ def _nc_grow(out: list, memo: dict, stop: int, block: tuple, heads: list, last: 
     over, so the recursion leaves no reference cycle holding ``memo``.
     """
     tail = _nc_interval(last + 1, stop - last - 1, memo)
-    out.extend((block,) + head + rest for head in heads for rest in tail)
+    out += [(block,) + head + rest for head in heads for rest in tail]
     for nxt in range(last + 1, stop):
         gap = _nc_interval(last + 1, nxt - last - 1, memo)
         grown = [head + sub for head in heads for sub in gap]
         _nc_grow(out, memo, stop, block + (nxt,), grown, nxt)
-
-
-def _marks_sort_key(mp: MarkedPartition):
-    # +1 before -1 within a fixed block structure
-    return (mp.partition.blocks, tuple([-m for m in mp.marks]))
 
 
 def enumerate_gn(n: int) -> list[MarkedPartition]:
@@ -265,10 +278,7 @@ def enumerate_gn(n: int) -> list[MarkedPartition]:
                 grown.append((absorbed, (1,) + other_neg))
         current = grown
     current.sort()
-    return [
-        MarkedPartition._trusted(SetPartition._trusted(n, blocks), tuple([-m for m in neg]))
-        for blocks, neg in current
-    ]
+    return _records(n, *zip(*current))
 
 
 def enumerate_interval(n: int) -> list[MarkedPartition]:
@@ -285,12 +295,12 @@ def enumerate_interval(n: int) -> list[MarkedPartition]:
         for size in comp:
             blocks.append(tuple(range(start, start + size)))
             start += size
-        choices = [(1,) if len(b) == 1 else (1, -1) for b in blocks]
-        p = SetPartition(n, tuple(blocks))
-        for marks in itertools.product(*choices):
-            out.append(MarkedPartition(p, marks))
-    out.sort(key=_marks_sort_key)
-    return out
+        # negated marks, as in enumerate_gn: -1 is mark +1
+        choices = [(-1,) if len(b) == 1 else (-1, 1) for b in blocks]
+        frozen = tuple(blocks)
+        out += [(frozen, neg) for neg in itertools.product(*choices)]
+    out.sort()
+    return _records(n, *zip(*out))
 
 
 def _compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -341,6 +351,7 @@ def all_set_partitions(n: int) -> Iterator[SetPartition]:
 
 def brute_noncrossing(n: int) -> list[SetPartition]:
     """Filter-based oracle for :func:`enumerate_nc` (materializes partitions)."""
+    _check_bound(n, NC_LIMIT)
     out = [p for p in all_set_partitions(n) if is_noncrossing(p)]
     out.sort(key=lambda p: p.blocks)
     return out
@@ -350,69 +361,78 @@ def brute_noncrossing_count(n: int) -> tuple[int, int]:
     """Count-only oracle ``(total set partitions, non-crossing ones)``.
 
     A pruned depth-first search over restricted growth strings: every
-    non-crossing string is visited, and each crossing prefix is counted at
-    once by its number of completions (see :func:`_walk_noncrossing_rgs`), so
+    non-crossing prefix of length ``n - 1`` is visited, its last place is
+    counted in closed form, and each crossing prefix is counted at once by
+    its number of completions (see :func:`_walk_noncrossing_rgs`), so
     ``total`` is the Bell number without visiting every set partition.
     """
-    if n < 1:
-        raise ValueError("ground-set size must be positive")
-    noncrossing = 0
-
-    def count(labels):
-        nonlocal noncrossing
-        noncrossing += 1
-
-    crossing = _walk_noncrossing_rgs(n, count)
+    _check_bound(n, NC_LIMIT)
+    noncrossing, crossing = _walk_noncrossing_rgs(n)
     return noncrossing + crossing, noncrossing
 
 
-def _walk_noncrossing_rgs(n: int, visit) -> int:
-    """Call ``visit(labels)`` on every non-crossing restricted growth string.
+def _walk_noncrossing_rgs(n: int, visit=None) -> tuple[int, int]:
+    """Call ``visit(blocks)`` on every non-crossing restricted growth string.
 
-    ``labels[i]`` is the block label of element i+1, and a new label is one
-    more than the largest so far.  The search keeps the stack of open
-    labels, in order of first use.  A prefix grows by a new label, pushed
-    on top, or by an open label, which closes (pops) every label above it:
-    a later use of a closed label would make a crossing x1 < y1 < x2 < y2.
+    A restricted growth string gives each element the label of its block,
+    a new label being one more than the largest so far.  The search grows
+    the string one element at a time and keeps the stack of open blocks,
+    in order of first use.  The next element opens a new block, pushed on
+    top, or joins an open block, which closes (pops) every block above it:
+    a later use of a closed block would make a crossing x1 < y1 < x2 < y2.
     A crossing prefix is not followed; its completions are counted from the
     table ``C(r, k) = k*C(r-1, k) + C(r-1, k+1)``, the number of ways to
     finish a string with ``r`` places left and ``k`` labels used.  Returns
-    the number of crossing strings.
+    the numbers of non-crossing and of crossing strings.
 
-    ``visit`` receives one list, overwritten in place between calls.
+    ``visit`` receives the blocks as one list of lists, in order of their
+    minimum, changed in place between calls.  With no ``visit`` the walk
+    only counts, and stops one place early: after a prefix with ``k``
+    labels used, ``d`` of them open, the last element has ``d + 1``
+    non-crossing choices and ``k - d`` crossing ones.
     """
     # completions[r][k] = C(r, k), for r + k <= n
     completions = [[1] * (n + 1)]
     for r in range(1, n):
         prev = completions[-1]
         completions.append([k * prev[k] + prev[k + 1] for k in range(n - r + 1)])
-    return _rgs_extend(visit, completions, [0] * n, [0], 1, 1)
+    return _rgs_extend(visit, completions, [], [], 1, n)
 
 
-def _rgs_extend(visit, completions: list, labels: list, stack: list, i: int, used: int) -> int:
-    """Extend the prefix ``labels[:i]``, with ``used`` labels and open ``stack``.
+def _rgs_extend(visit, completions: list, blocks: list, stack: list, x: int, n: int) -> tuple[int, int]:
+    """Place the elements ``x..n`` after a prefix with ``blocks``, open ones on ``stack``.
 
-    Returns the number of crossing completions.  The state is passed in
-    rather than closed over, so the recursion leaves no reference cycle
+    Returns the numbers of non-crossing and crossing completions.  Each
+    descent appends ``x`` to a block and pops it after.  The state is passed
+    in rather than closed over, so the recursion leaves no reference cycle
     holding ``visit`` and whatever it collects.
     """
-    n = len(labels)
-    if i == n:
-        visit(labels)
-        return 0
+    if x > n:
+        visit(blocks)
+        return 1, 0
+    used = len(blocks)
     depth = len(stack)
-    crossing = (used - depth) * completions[n - i - 1][used]
+    crossing = (used - depth) * completions[n - x][used]
+    if x == n and visit is None:
+        return depth + 1, crossing
+    noncrossing = 0
     for j in range(depth):
         closed = stack[j + 1:]
         del stack[j + 1:]
-        labels[i] = stack[j]
-        crossing += _rgs_extend(visit, completions, labels, stack, i + 1, used)
-        stack.extend(closed)
-    stack.append(used)
-    labels[i] = used
-    crossing += _rgs_extend(visit, completions, labels, stack, i + 1, used + 1)
+        block = stack[j]
+        block.append(x)
+        more, crossed = _rgs_extend(visit, completions, blocks, stack, x + 1, n)
+        block.pop()
+        noncrossing += more
+        crossing += crossed
+        stack += closed
+    block = [x]
+    blocks.append(block)
+    stack.append(block)
+    more, crossed = _rgs_extend(visit, completions, blocks, stack, x + 1, n)
     stack.pop()
-    return crossing
+    blocks.pop()
+    return noncrossing + more, crossing + crossed
 
 
 def has_nested_plus(blocks: tuple[tuple[int, ...], ...], marks: tuple[int, ...]) -> bool:
@@ -429,9 +449,10 @@ def has_nested_plus(blocks: tuple[tuple[int, ...], ...], marks: tuple[int, ...])
 def brute_gn(n: int) -> list[MarkedPartition]:
     """Filter-based oracle for :func:`enumerate_gn`.
 
-    Walks the non-crossing restricted growth strings and keeps every mark
-    vector that the definition allows: singletons carry +1, and no +1 block
-    lies strictly inside another block.  Both rules are conjunctions over
+    Walks the non-crossing restricted growth strings, which hand over their
+    blocks, and keeps every mark vector that the definition allows:
+    singletons carry +1, and no +1 block lies strictly inside another
+    block.  Both rules are conjunctions over
     blocks, so the allowed mark vectors are the product of each block's
     allowed marks, and nesting is tested once per block rather than once
     per mark vector.  The blocks come in order of their minimum; ``reach``
@@ -441,19 +462,14 @@ def brute_gn(n: int) -> list[MarkedPartition]:
     rejects the partition; a nested larger block admits only -1; any other
     larger block admits either mark.
     """
-    if n < 1:
-        raise ValueError("ground-set size must be positive")
+    _check_bound(n, MARKED_LIMIT)
     out = []
 
-    def keep(labels):
-        blocks: list[list[int]] = [[] for _ in range(max(labels) + 1)]
-        for x, lab in enumerate(labels, 1):
-            blocks[lab].append(x)
-        frozen = tuple(map(tuple, blocks))
+    def keep(blocks):
         # allowed negated marks per block: -1 is mark +1, 1 is mark -1
         choices = []
         reach = 0
-        for b in frozen:
+        for b in blocks:
             end = b[-1]
             if reach > end:
                 if len(b) == 1:
@@ -462,15 +478,12 @@ def brute_gn(n: int) -> list[MarkedPartition]:
             else:
                 choices.append((-1,) if len(b) == 1 else (-1, 1))
                 reach = end
-        for neg in itertools.product(*choices):
-            out.append((frozen, neg))
+        frozen = tuple(map(tuple, blocks))
+        out.extend([(frozen, neg) for neg in itertools.product(*choices)])
 
     _walk_noncrossing_rgs(n, keep)
     out.sort()
-    return [
-        MarkedPartition._trusted(SetPartition._trusted(n, blocks), tuple([-m for m in neg]))
-        for blocks, neg in out
-    ]
+    return _records(n, *zip(*out))
 
 
 def gn_count_recursion(n: int) -> int:

@@ -248,13 +248,67 @@ class TestBruteGn:
             ncpart.brute_gn(0)
 
 
+class TestOracleBounds:
+    # the oracles refuse what their enumerators refuse, before any search
+    @pytest.mark.parametrize(
+        "route,limit",
+        [
+            (ncpart.brute_noncrossing_count, ncpart.NC_LIMIT),
+            (ncpart.brute_noncrossing, ncpart.NC_LIMIT),
+            (ncpart.brute_gn, ncpart.MARKED_LIMIT),
+        ],
+    )
+    def test_past_limit(self, route, limit, monkeypatch):
+        monkeypatch.setattr(ncpart, "_walk_noncrossing_rgs", _never_walk)
+        monkeypatch.setattr(ncpart, "all_set_partitions", _never_walk)
+        for n in (0, limit + 1):
+            with pytest.raises(EnumerationBoundError, match=f"outside supported range 1..{limit}"):
+                route(n)
+
+
+def _never_walk(*args):
+    raise AssertionError("an oracle searched past its bound")
+
+
+class TestWalk:
+    @staticmethod
+    def visited(n):
+        seen = []
+        noncrossing, crossing = ncpart._walk_noncrossing_rgs(
+            n, lambda blocks: seen.append(tuple(map(tuple, blocks)))
+        )
+        return seen, noncrossing, crossing
+
+    def test_n1(self):
+        assert self.visited(1) == ([((1,),)], 1, 0)
+        assert ncpart._walk_noncrossing_rgs(1) == (1, 0)
+
+    def test_n2(self):
+        assert self.visited(2) == ([((1, 2),), ((1,), (2,))], 2, 0)
+        assert ncpart._walk_noncrossing_rgs(2) == (2, 0)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_closed_form_last_place_matches_visits(self, n):
+        # the count-only walk counts the last place; the visiting walk visits it
+        seen, noncrossing, crossing = self.visited(n)
+        total, counted = ncpart.brute_noncrossing_count(n)
+        assert len(seen) == noncrossing == counted
+        assert len(seen) + crossing == total
+        assert ncpart._walk_noncrossing_rgs(n) == (noncrossing, crossing)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_visits_each_noncrossing_partition_once(self, n):
+        seen, _, _ = self.visited(n)
+        assert sorted(seen) == [p.blocks for p in ncpart.enumerate_nc(n)]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_unchecked_outputs_pass_validation(n):
     # the enumerators build their outputs without validation; rebuilding
     # each one through the checked constructors must give an equal value
     for p in ncpart.enumerate_nc(n):
         assert SetPartition(n, p.blocks) == p
-    for mp in ncpart.enumerate_gn(n) + ncpart.brute_gn(n):
+    for mp in ncpart.enumerate_gn(n) + ncpart.brute_gn(n) + ncpart.enumerate_interval(n):
         assert MarkedPartition(SetPartition(n, mp.partition.blocks), mp.marks) == mp
 
 
