@@ -22,7 +22,8 @@ Everything here is stateless; the partition sums are plain reductions and
 may be parallelized by the caller.
 
 Kernels are plain dense ``numpy`` arrays sampled at grid nodes, one axis
-per integration variable (order 0 means a scalar).
+per integration variable (order 0 means a scalar).  An operator acts over
+the base of its vector; a ``g`` passed beside the vector must be that base.
 """
 
 from __future__ import annotations
@@ -49,10 +50,16 @@ __all__ = [
 _LETTERS = string.ascii_lowercase
 
 
+def _model(v: FockVector, g):
+    """The base of ``v``; a ``g`` given beside ``v`` must be that same object."""
+    if g is not None and g is not v.base:
+        raise ValueError("the operator acts over the base of its vector; pass that base or none")
+    return v.base
+
+
 def field_apply(f, v: FockVector, g=None) -> FockVector:
     """Apply the smeared field: creation + annihilation + neutral(lambda * f)."""
-    if g is None:
-        g = v.base
+    g = _model(v, g)
     f = np.asarray(f, dtype=float)
     out = fock.create(f, v) + fock.annihilate(f, v)
     return out + fock.neutral(g.lambda_values * f, v)
@@ -65,8 +72,7 @@ def monomial_apply(f, v: FockVector, g=None) -> FockVector:
     the rightmost factor acts first while the axes not yet consumed ride
     along as leading batch axes, so there is no loop over node tuples.
     """
-    if g is None:
-        g = v.base
+    g = _model(v, g)
     f = np.asarray(f, dtype=float)
     return _to_vector(_peel(_lift(f, v), ("+-0",) * f.ndim, g), v.base)
 
@@ -82,8 +88,7 @@ def word_apply(ops, f, v: FockVector, g=None) -> FockVector:
     per factor: a few array operations per factor, on arrays of at most
     ``size ** (order + top_level(v))`` entries.
     """
-    if g is None:
-        g = v.base
+    g = _model(v, g)
     ops = tuple(ops)
     f = np.asarray(f, dtype=float)
     if len(ops) != f.ndim:
@@ -170,8 +175,7 @@ def wick_apply(f, v: FockVector, g=None, form: str = "explicit") -> FockVector:
     Applied to the vacuum, the result has the kernel itself at its own
     level and zero elsewhere.
     """
-    if g is None:
-        g = v.base
+    g = _model(v, g)
     f = np.asarray(f, dtype=float)
     n = f.ndim
     if n == 0:

@@ -12,11 +12,11 @@ deterministic.
 
 The squared norms ``g_l`` of the monic polynomials double as the component
 weights of the extended Fock space; they satisfy ``g_l = a_1 a_2 ... a_l``
-and are computed both ways.  :class:`JacobiSystem` is the nodes' ``b``,
-``a`` and ``g`` as read-only ``(degree, node)`` tables, whose raveled
-order is the slot layout of the extended Fock space, plus the row of
-their support sizes; :func:`poly_values` evaluates one law or a whole
-table's laws, one per point.
+and are computed both ways.  :class:`JacobiSystem` is a model's node laws'
+``b``, ``a`` and ``g`` as read-only ``(degree, node)`` tables, whose raveled
+order is the slot layout of the extended Fock space, plus the row of their
+support sizes, and it keeps that model; :func:`poly_values` evaluates one
+law or a whole table's laws, one per point.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FiberMeasure, GridMeasure
+from .grid import FiberMeasure, ProductGrid
 
 __all__ = [
     "JacobiNode",
@@ -199,43 +199,31 @@ def meixner_moments(lam: float, eta: float, sigma_delta: float, k: int) -> np.nd
 
 
 class JacobiSystem:
-    """Per-node recurrence systems over a grid, held as degree-major tables.
+    """The recurrence systems of ``model``'s node laws, as degree-major tables.
 
-    ``b``, ``a`` and ``g`` are read-only ``(max_degree + 1, m)`` arrays:
-    row ``l`` holds the degree-``l`` coefficient or norm at every node, so
-    raveled they follow the slot layout ``l*m + t`` of :mod:`xfock`.
-    ``support`` is the read-only row of each node's support size, ``inf``
-    where the law has more atoms than the tables reach.
+    ``b``, ``a`` and ``g`` are read-only ``(max_degree + 1, m)`` arrays over
+    the model's ``grid``: row ``l`` holds the degree-``l`` coefficient or norm
+    at every node, so raveled they follow the slot layout ``l*m + t`` of
+    :mod:`xfock`.  ``support`` is the read-only row of each node's support
+    size, ``inf`` where the law has more atoms than the tables reach.
     """
 
-    def __init__(self, grid: GridMeasure, b, a, g, support):
-        self.grid = grid
+    def __init__(self, model: ProductGrid, b, a, g, support):
+        self.model, self.grid = model, model.grid
         for name, value in (("b", b), ("a", a), ("g", g), ("support", support)):
             table = np.array(value, dtype=float)
             table.flags.writeable = False
             setattr(self, name, table)
-        if not self.b.shape == self.a.shape == self.g.shape or self.b.shape[1:] != (grid.size,):
+        m = self.grid.size
+        if not self.b.shape == self.a.shape == self.g.shape or self.b.shape[1:] != (m,):
             raise ValueError("b, a, g must be matching (degree, node) tables over the grid")
-        if self.support.shape != (grid.size,):
+        if self.support.shape != (m,):
             raise ValueError("one support size per grid node required")
         self.max_degree = self.b.shape[0] - 1
 
     @classmethod
-    def from_fibers(cls, grid: GridMeasure, fibers, max_degree: int) -> "JacobiSystem":
-        nodes = [coeffs_from_measure(fb, max_degree) for fb in fibers]
+    def from_model(cls, model: ProductGrid, max_degree: int) -> "JacobiSystem":
+        """The tables of ``model``'s node laws through degree ``max_degree``."""
+        nodes = [coeffs_from_measure(fb, max_degree) for fb in model.fibers]
         tables = (np.stack([getattr(n, name) for n in nodes], axis=1) for name in "bag")
-        return cls(grid, *tables, [n.finite_support_n or np.inf for n in nodes])
-
-    @classmethod
-    def meixner(cls, grid: GridMeasure, max_degree: int) -> "JacobiSystem":
-        """Constant-in-level system from the grid's coefficient tables.
-
-        ``b_l = lambda(t)`` and ``a_l = eta(t)``; a vanishing eta makes the
-        node law a point mass, with the finite-support zero pattern.
-        """
-        lam, eta = grid.lambda_values, grid.eta_values
-        l = np.arange(max_degree + 1)[:, None]
-        point = eta == 0
-        b = np.where((l > 0) & point, 0.0, lam)
-        a = np.where(l > 0, eta, 0.0)
-        return cls(grid, b, a, eta**l, np.where(point, 1.0, np.inf))
+        return cls(model, *tables, [n.finite_support_n or np.inf for n in nodes])

@@ -289,7 +289,7 @@ def enumerate_interval(n: int) -> list[MarkedPartition]:
     """
     _check_bound(n, MARKED_LIMIT)
     out = []
-    for comp in _compositions(n):
+    for comp in compositions(n):
         blocks = []
         start = 1
         for size in comp:
@@ -303,7 +303,7 @@ def enumerate_interval(n: int) -> list[MarkedPartition]:
     return _records(n, *zip(*out))
 
 
-def _compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
+def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
     """Ordered tuples of positive integers summing to ``n``.
 
     With ``parts`` given, only those of that length; otherwise all of them,
@@ -311,13 +311,13 @@ def _compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]
     """
     if parts is None:
         for k in range(1, n + 1):
-            yield from _compositions(n, k)
+            yield from compositions(n, k)
         return
     if parts == 1:
         yield (n,)
         return
     for head in range(1, n - parts + 2):
-        for tail in _compositions(n - head, parts - 1):
+        for tail in compositions(n - head, parts - 1):
             yield (head,) + tail
 
 

@@ -82,10 +82,10 @@ def _random_grid(m: int, rng: np.random.Generator) -> GridMeasure:
     return make_grid(m, lam=rng.standard_normal(m))
 
 
-def _meixner_model(p: SuiteParams, lam=1.0, eta=1.0):
+def _meixner_model(p: SuiteParams, lam=1.0, eta=1.0) -> jacobi.JacobiSystem:
     g = make_grid(p.m, lam=lam, eta=eta)
     pg = ProductGrid(g, semicircle_fibers(g, p.fiber_nodes))
-    return pg, jacobi.JacobiSystem.from_fibers(g, pg.fibers, p.fiber_nodes)
+    return jacobi.JacobiSystem.from_model(pg, p.fiber_nodes)
 
 
 def _random_fibers(m: int, nodes: int, rng: np.random.Generator) -> list[FiberMeasure]:
@@ -128,7 +128,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
     for n in range(2, p.n_max + 1):
         worst = 0.0
         for parts in range(2, min(3, n) + 1):
-            for comp in ncpart._compositions(n, parts):
+            for comp in ncpart.compositions(n, parts):
                 g = _random_grid(p.m, rng)
                 kernels = [rng.standard_normal((p.m,) * k) for k in comp]
                 joint = _outer(kernels)
@@ -229,8 +229,8 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
 def suite_xfock(p: SuiteParams) -> list[Check]:
     rng = np.random.default_rng(p.seed + 2)
     checks = []
-    pg, sys = _meixner_model(p)
-    g = pg.grid
+    sys = _meixner_model(p)
+    pg, g = sys.model, sys.grid
 
     # words over a fixed pair of kernels, all patterns up to the budget
     fa, fb = rng.standard_normal(p.m), rng.standard_normal(p.m)
@@ -247,7 +247,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
 
     # general (non-semicircle) fibers as well
     gen_pg = ProductGrid(g, _random_fibers(p.m, p.fiber_nodes, rng))
-    gen_sys = jacobi.JacobiSystem.from_fibers(g, gen_pg.fibers, p.fiber_nodes)
+    gen_sys = jacobi.JacobiSystem.from_model(gen_pg, p.fiber_nodes)
     worst = 0.0
     for d in range(1, p.degree + 1):
         word = [rng.standard_normal(p.m) for _ in range(d)]
@@ -259,7 +259,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
     for _ in range(20):
         v = fock.FockVector(pg, fock.random_vector(pg, 2, rng).levels, 3)
         f = rng.standard_normal(p.m)
-        lhs = xfock.k_transform(xfock.big_fock_realize(f, v, pg), sys)
+        lhs = xfock.k_transform(xfock.big_fock_realize(f, v), sys)
         # one transform serves both checks: its lmax is sys.max_degree either way
         xv = xfock.k_transform(v, sys, max_degree=lhs.max_level + 1)
         worst_norm = max(worst_norm, _rel(fock.norm(xv), fock.norm(v)))
@@ -270,7 +270,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
     worst = 0.0
     for _ in range(5):
         v = fock.random_vector(pg, 2, rng)
-        back = xfock.k_inverse(xfock.k_transform(v, sys), pg)
+        back = xfock.k_inverse(xfock.k_transform(v, sys))
         worst = max(worst, fock.norm(back - v) / max(fock.norm(v), 1e-30))
     checks.append(Check("k_transform_roundtrip", worst, TOL))
 
@@ -290,14 +290,14 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
     worst = 0.0
     for l1 in range(0, 4):
         for l2 in range(l1 + 1, 5):
-            y = xfock.power_jump(l1, delta, om, pg, sys, orthogonal=False)
-            x = xfock.power_jump(l2, delta, om, pg, sys, orthogonal=True)
+            y = xfock.power_jump(l1, delta, om, sys, orthogonal=False)
+            x = xfock.power_jump(l2, delta, om, sys, orthogonal=True)
             worst = max(worst, abs(fock.inner(x, y)))
     checks.append(Check("power_jump_orthogonality", worst, TOL))
 
     worst = 0.0
     for l in range(0, 4):
-        x = xfock.power_jump(l, delta, om, pg, sys)
+        x = xfock.power_jump(l, delta, om, sys)
         lhs = fock.inner(x, x)
         rhs = float(np.sum(g.weights * delta * sys.g[l]))
         worst = max(worst, _rel(lhs, rhs))
@@ -309,8 +309,8 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     rng = np.random.default_rng(p.seed + 3)
     checks = []
     lam0, eta0 = 1.0, 1.0
-    pg, sys = _meixner_model(p, lam=lam0, eta=eta0)
-    g = pg.grid
+    sys = _meixner_model(p, lam=lam0, eta=eta0)
+    pg, g = sys.model, sys.grid
 
     # recovery through degree 8 needs atoms past the breakdown point
     rec_nodes = max(p.fiber_nodes, 10)
@@ -348,7 +348,7 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     # a level-inhomogeneous fiber makes the preserving part level-dependent:
     # the residual is the shortfall of the observed spread below 0.1
     skew = FiberMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
-    skew_sys = jacobi.JacobiSystem.from_fibers(g, [skew] * p.m, p.fiber_nodes)
+    skew_sys = jacobi.JacobiSystem.from_model(ProductGrid(g, [skew] * p.m), p.fiber_nodes)
     f = np.ones(p.m)
     r = []
     for l in (0, 1):

@@ -38,7 +38,8 @@ big-Fock moments of :mod:`cumulant` that the suites compare it with.
 The per-slot polynomial transform between this space and the Fock space
 over the joint (node, atom) quadrature is an exact isometry on the grid
 and intertwines the two realizations of the field; both facts are what the
-verification suites check numerically.
+verification suites check numerically.  Both sides come from one model,
+the system's ``model``: the operators that act there refuse any other.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ import numpy as np
 from . import field, fock
 from .errors import CapacityError
 from .fock import FockVector
-from .grid import ProductGrid
 from .jacobi import JacobiSystem, poly_values
-from .ncpart import _compositions
+from .ncpart import compositions
 
 __all__ = [
     "x_vacuum",
@@ -96,7 +96,7 @@ def multi_index_degree(ls: tuple[int, ...]) -> int:
 def multi_indices_exact(n: int):
     """All multi-indices of degree exactly n (compositions, parts shifted by 1)."""
     for i in range(1, n + 1):
-        for comp in _compositions(n, i):
+        for comp in compositions(n, i):
             yield tuple(c - 1 for c in comp)
 
 
@@ -317,40 +317,47 @@ def _pair_terms(left: dict, right: dict, sys: JacobiSystem) -> float:
     return total
 
 
-def big_fock_realize(f, v: FockVector, pg: ProductGrid) -> FockVector:
-    """The same field realized on the joint-quadrature Fock space.
+def big_fock_realize(f, v: FockVector) -> FockVector:
+    """The same field realized on the joint-quadrature Fock space of ``v``.
 
     Lifts the node function to the joint nodes and applies the plain field
     there; the joint grid's coefficient table is the atom coordinate.
     Moments computed on this side are the reference for :func:`xmoment`.
     """
-    return field.field_apply(pg.lift(f), v, pg)
+    return field.field_apply(v.base.lift(f), v)
 
 
-def _poly_table(pg: ProductGrid, sys: JacobiSystem, lmax: int) -> np.ndarray:
+def _require_model(v: FockVector, sys: JacobiSystem) -> None:
+    """Raise unless ``v`` lives on the joint quadrature of ``sys``'s own model."""
+    if v.base is not sys.model:
+        raise ValueError("the vector must live on the joint quadrature of the system's model")
+
+
+def _poly_table(sys: JacobiSystem, lmax: int) -> np.ndarray:
     """Values of the per-node monic polynomials of degrees 0..lmax at the joint nodes."""
-    t = pg.tindex
-    return poly_values(sys.b[: lmax + 1, t], sys.a[: lmax + 1, t], sys.support[t], pg.svalues)
+    t, s = sys.model.tindex, sys.model.svalues
+    return poly_values(sys.b[: lmax + 1, t], sys.a[: lmax + 1, t], sys.support[t], s)
 
 
-# both classes hash by identity, so the cache keys on the objects and holds
-# them: an id is never reused while its entry lives
+# JacobiSystem hashes by identity, so the cache keys on the object and holds
+# it: an id is never reused while its entry lives
 @functools.lru_cache(maxsize=4)
-def _slot_maps(pg: ProductGrid, sys: JacobiSystem) -> tuple[np.ndarray, np.ndarray]:
+def _slot_maps(sys: JacobiSystem) -> tuple[np.ndarray, np.ndarray]:
     """Projection onto and synthesis from the node polynomials, ``((L+1)m) x joint``.
 
     Synthesis row ``l*m + t`` is ``p_l`` on node ``t``'s atoms; the
     projection row is that times the atom weights over ``g_l(t)`` (zero
     where ``g_l(t)`` vanishes).  The tabulated degree must span every fiber.
-    Built once per pair and shared, so both come back read-only.
+    Built once per system and shared, so both come back read-only.
     """
+    pg = sys.model
     lmax, largest = sys.max_degree, max(fb.size for fb in pg.fibers)
     if lmax < largest - 1:
         raise ValueError(
             f"system tabulated to degree {lmax} cannot span fibers with {largest} atoms"
         )
     on_node = pg.tindex == np.arange(pg.grid.size)[:, None]
-    synth = (_poly_table(pg, sys, lmax)[:, None, :] * on_node).reshape(-1, pg.size)
+    synth = (_poly_table(sys, lmax)[:, None, :] * on_node).reshape(-1, pg.size)
     g = sys.g.reshape(-1, 1)
     proj = np.divide(synth * pg.fweights, g, out=np.zeros_like(synth), where=g > 0.0)
     proj.flags.writeable = synth.flags.writeable = False
@@ -374,24 +381,23 @@ def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None)
     must exceed ``L``; the default is ``max(i, 1) * (L + 1)`` for the top
     nonzero level ``i``.
     """
-    pg = v.base
-    if not isinstance(pg, ProductGrid):
-        raise TypeError("the transform acts on vectors over the joint quadrature")
-    proj, _ = _slot_maps(pg, sys)
+    _require_model(v, sys)
+    proj, _ = _slot_maps(sys)
     lmax, top = sys.max_degree, max(fock.top_level(v), 0)
     max_degree = max(top, 1) * (lmax + 1) if max_degree is None else max_degree
     if max_degree <= lmax:
         raise ValueError(f"degree budget {max_degree} cannot hold the slots 0..{lmax}")
     levels = [_slotwise(proj, a) for a in v.levels[: top + 1]]
-    _check_budget(levels, lmax, pg.grid.size, max_degree)
+    _check_budget(levels, lmax, sys.grid.size, max_degree)
     return FockVector(_slot_space(sys, lmax), levels, max_degree)
 
 
-def k_inverse(xv: FockVector, pg: ProductGrid) -> FockVector:
-    """Reconstruct the joint-quadrature vector from polynomial coefficients."""
-    _, synth = _slot_maps(pg, xv.base.sys)
+def k_inverse(xv: FockVector) -> FockVector:
+    """Reconstruct the vector over the system's model from polynomial coefficients."""
+    sys = xv.base.sys
+    _, synth = _slot_maps(sys)
     rows = synth[: xv.base.size].T
-    return FockVector(pg, [_slotwise(rows, a) for a in xv.levels])
+    return FockVector(sys.model, [_slotwise(rows, a) for a in xv.levels])
 
 
 def _diagonal(kern: np.ndarray, ls) -> np.ndarray:
@@ -437,21 +443,22 @@ def kernel_lift(kern, sys: JacobiSystem, max_degree: int | None = None) -> FockV
     return out
 
 
-def power_jump(l: int, delta, v: FockVector, pg: ProductGrid, sys: JacobiSystem,
-               orthogonal: bool = True) -> FockVector:
+def power_jump(l: int, delta, v: FockVector, sys: JacobiSystem, orthogonal: bool = True) -> FockVector:
     """Field smeared with a window times a power-type atom profile.
 
-    ``delta`` is a boolean mask over the base grid nodes.
-    ``orthogonal=True`` uses the degree-``l`` monic polynomial of the node
-    law (the orthogonalized process); ``orthogonal=False`` uses the raw
-    ``s**l`` profile.
+    ``v`` lives on the joint quadrature of ``sys``'s model.  ``delta`` is a
+    boolean mask over the base grid nodes.  ``orthogonal=True`` uses the
+    degree-``l`` monic polynomial of the node law (the orthogonalized
+    process); ``orthogonal=False`` uses the raw ``s**l`` profile.
     """
+    _require_model(v, sys)
+    pg = sys.model
     delta = np.asarray(delta)
     if delta.dtype != bool or delta.shape != (pg.grid.size,):
         raise ValueError("the window must be a boolean mask over the base grid nodes")
     if orthogonal:
-        vals = _poly_table(pg, sys, l)[l]
+        vals = _poly_table(sys, l)[l]
     else:
         vals = pg.svalues**l
     kern = delta[pg.tindex] * vals
-    return field.field_apply(kern, v, pg)
+    return field.field_apply(kern, v)

@@ -77,7 +77,7 @@ def test_criterion_3_normal_product_rule():
     worst = 0.0
     for n in range(1, 6):
         for parts in range(1, min(3, n) + 1):
-            for comp in _compositions(n, parts):
+            for comp in ncpart.compositions(n, parts):
                 g = make_grid(M, lam=rng.standard_normal(M))
                 kernels = [rng.standard_normal((M,) * k) for k in comp]
                 seq = field.wick_product_sequential(kernels, g)
@@ -164,7 +164,7 @@ def test_criterion_7_extended_fock_consistency():
         w = rng.uniform(0.2, 1.0, size=FIBER_NODES)
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
     pg = ProductGrid(g, fibers)
-    sys = JacobiSystem.from_fibers(g, fibers, FIBER_NODES)
+    sys = JacobiSystem.from_model(pg, FIBER_NODES)
 
     # all words over a fixed kernel pair up to the degree budget, plus
     # fresh random kernels at each degree
@@ -185,7 +185,7 @@ def test_criterion_7_extended_fock_consistency():
         xv = xfock.k_transform(v, sys)
         worst_norm = max(worst_norm, rel(fock.norm(xv), fock.norm(v)))
         f = rng.standard_normal(M)
-        lhs = xfock.k_transform(xfock.big_fock_realize(f, v, pg), sys)
+        lhs = xfock.k_transform(xfock.big_fock_realize(f, v), sys)
         rhs = xfock.xfield(f, xfock.k_transform(v, sys, max_degree=lhs.max_level + 1))
         worst_tw = max(worst_tw, fock.norm(lhs - rhs) / max(fock.norm(lhs), 1e-30))
     ok = worst <= 1e-10 and worst_norm <= 1e-10 and worst_tw <= 1e-10
@@ -199,8 +199,8 @@ def test_criterion_7_extended_fock_consistency():
 def test_criterion_8_inner_product_formula():
     rng = np.random.default_rng(80)
     g = make_grid(M, lam=0.7, eta=1.2)
-    fibers = grid.semicircle_fibers(g, FIBER_NODES)
-    sys = JacobiSystem.from_fibers(g, fibers, FIBER_NODES)
+    pg = ProductGrid(g, grid.semicircle_fibers(g, FIBER_NODES))
+    sys = JacobiSystem.from_model(pg, FIBER_NODES)
     worst = 0.0
     for n in range(1, 5):
         fs = [rng.standard_normal(M) for _ in range(n)]
@@ -217,8 +217,8 @@ def test_criterion_9_meixner_characterization():
     lam0, eta0, mass = 1.0, 1.0, 1.0
     g = make_grid(M, lam=lam0, eta=eta0)
     fibers = [semicircle_fiber(lam0, eta0, FIBER_NODES) for _ in range(M)]
-    sys = JacobiSystem.from_fibers(g, fibers, FIBER_NODES)
     pg = ProductGrid(g, fibers)
+    sys = JacobiSystem.from_model(pg, FIBER_NODES)
 
     # slotwise closed forms of the graded actions, exact for constant coefficients
     worst_slot = 0.0
@@ -239,7 +239,7 @@ def test_criterion_9_meixner_characterization():
     # converse mechanism: a two-atom fiber with unequal masses has a
     # level-dependent preserving part
     skew = grid.FiberMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
-    skew_sys = JacobiSystem.from_fibers(g, [skew] * M, 4)
+    skew_sys = JacobiSystem.from_model(ProductGrid(g, [skew] * M), 4)
     f = np.ones(M)
     vals = []
     for l in (0, 1):
@@ -274,14 +274,14 @@ def test_criterion_10_power_jump_orthogonality():
         w = rng.uniform(0.2, 1.0, size=FIBER_NODES)
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
     pg = ProductGrid(g, fibers)
-    sys = JacobiSystem.from_fibers(g, fibers, FIBER_NODES)
+    sys = JacobiSystem.from_model(pg, FIBER_NODES)
     delta = np.ones(M, dtype=bool)
     om = fock.vacuum(pg, 1)
     worst = 0.0
     for l1 in range(0, 4):
         for l2 in range(l1 + 1, 5):
-            y = xfock.power_jump(l1, delta, om, pg, sys, orthogonal=False)
-            x = xfock.power_jump(l2, delta, om, pg, sys, orthogonal=True)
+            y = xfock.power_jump(l1, delta, om, sys, orthogonal=False)
+            x = xfock.power_jump(l2, delta, om, sys, orthogonal=True)
             worst = max(worst, abs(fock.inner(x, y)))
     report("criterion-10 power-jump orthogonality", worst <= 1e-10, f"max |tau| {worst:.2e}")
 
@@ -292,15 +292,6 @@ def test_full_verification_under_budget():
     elapsed = time.perf_counter() - start
     ok = all(r.passed for r in reports) and elapsed < 60.0
     report("full verification suite", ok, f"{elapsed:.1f}s")
-
-
-def _compositions(n, parts):
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(1, n - parts + 2):
-        for tail in _compositions(n - head, parts - 1):
-            yield (head,) + tail
 
 
 def _raise_word(fs, sys):

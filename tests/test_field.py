@@ -58,6 +58,29 @@ class TestFieldApply:
             assert v.max_level == 8
 
 
+class TestOneModel:
+    def test_refuses_a_model_other_than_the_base(self, rng):
+        # two grids of one size and one set of weights: a g beside v would
+        # mix its coefficient table with v's levels without any error
+        g, g2 = random_grid(4, rng), random_grid(4, rng)
+        v = fock.vacuum(g, 2)
+        f, f2 = rng.standard_normal(4), rng.standard_normal((4, 4))
+        for call in (
+            lambda: field.field_apply(f, v, g2),
+            lambda: field.monomial_apply(f2, v, g2),
+            lambda: field.word_apply("+0", f2, v, g2),
+            lambda: field.wick_apply(f2, v, g2),
+            lambda: field.wick_apply(f2, v, g2, form="recursive"),
+            lambda: field.wick_rule_expand(f2, g2, v),
+            lambda: field.wick_product_expand((1, 1), f2, g2, v),
+            lambda: field.wick_product_sequential([f, f], g2, v),
+        ):
+            with pytest.raises(ValueError, match="base of its vector"):
+                call()
+        # naming the base is the same as leaving it out
+        assert fock.norm(field.monomial_apply(f2, v, g) - field.monomial_apply(f2, v)) == 0.0
+
+
 class TestMonomialApply:
     def test_order_one_reduces(self, rng):
         g = random_grid(5, rng)

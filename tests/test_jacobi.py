@@ -225,22 +225,43 @@ class TestMeixnerMoments:
             jacobi.meixner_moments(0.0, -1.0, 1.0, 4)
 
 
+def analytic_meixner(g, max_degree):
+    """The closed-form tables of the semicircle laws with the grid's lambda and eta.
+
+    ``b_l = lambda`` and ``a_l = eta`` from ``l = 1`` on, ``g_l = eta**l``; a
+    vanishing eta makes the law a point mass, with the finite-support zero
+    pattern (``b_l = 0`` from ``l = 1`` on, support size 1).
+    """
+    lam, eta = g.lambda_values, g.eta_values
+    l = np.arange(max_degree + 1)[:, None]
+    point = eta == 0
+    b = np.where((l > 0) & point, 0.0, lam)
+    a = np.where(l > 0, eta, 0.0)
+    return b, a, eta**l, np.where(point, 1.0, np.inf)
+
+
 class TestJacobiSystem:
-    def test_from_fibers_matches_analytic_meixner(self):
+    def test_from_model_matches_analytic_meixner(self):
         g = grid.make_grid(5, lam=0.6, eta=1.1)
-        fibers = grid.semicircle_fibers(g, 9)
-        recovered = JacobiSystem.from_fibers(g, fibers, 8)
-        analytic = JacobiSystem.meixner(g, 8)
+        recovered = JacobiSystem.from_model(grid.ProductGrid(g, grid.semicircle_fibers(g, 9)), 8)
+        b, a, norms, support = analytic_meixner(g, 8)
         for l in range(8):
-            assert np.abs(recovered.b[l] - analytic.b[l]).max() < 1e-9
-            assert np.abs(recovered.g[l] - analytic.g[l]).max() < 1e-8
+            assert np.abs(recovered.b[l] - b[l]).max() < 1e-9
+            assert np.abs(recovered.g[l] - norms[l]).max() < 1e-8
             if l >= 1:
-                assert np.abs(recovered.a[l] - analytic.a[l]).max() < 1e-9
+                assert np.abs(recovered.a[l] - a[l]).max() < 1e-9
+        assert np.array_equal(recovered.support, support)
+
+    def test_system_keeps_its_model(self):
+        g = grid.make_grid(3, lam=0.6, eta=1.1)
+        pg = grid.ProductGrid(g, grid.semicircle_fibers(g, 5))
+        sys = JacobiSystem.from_model(pg, 6)
+        assert sys.model is pg and sys.grid is g
 
     def test_tables_are_degree_major_and_read_only(self):
         g = grid.make_grid(4, lam=0.6, eta=1.1)
         fibers = grid.semicircle_fibers(g, 5)
-        sys = JacobiSystem.from_fibers(g, fibers, 6)
+        sys = JacobiSystem.from_model(grid.ProductGrid(g, fibers), 6)
         for name in ("b", "a", "g"):
             table = getattr(sys, name)
             assert table.shape == (7, 4) and not table.flags.writeable
@@ -249,10 +270,11 @@ class TestJacobiSystem:
         assert sys.support.shape == (4,) and not sys.support.flags.writeable
 
     def test_meixner_degenerate_nodes(self):
+        # eta = 0: the recovered point-mass pattern is the closed form's, exactly
         g = grid.make_grid(4, lam=0.5, eta=0.0)
-        sys = JacobiSystem.meixner(g, 5)
-        assert np.all(sys.support == 1)
-        assert np.all(sys.g[1:] == 0.0)
+        sys = JacobiSystem.from_model(grid.ProductGrid(g, grid.semicircle_fibers(g, 8)), 5)
+        for got, want in zip((sys.b, sys.a, sys.g, sys.support), analytic_meixner(g, 5)):
+            assert np.array_equal(got, want)
 
     def test_support_row(self, rng):
         # a point mass, an N <= D law, a law past the tables, and Meixner with eta > 0
@@ -261,5 +283,7 @@ class TestJacobiSystem:
         for n in (4, 9):
             w = rng.uniform(0.2, 1.0, size=n)
             fibers.append(grid.FiberMeasure(np.sort(rng.uniform(-1, 1, size=n)), w / w.sum()))
-        assert np.array_equal(JacobiSystem.from_fibers(g, fibers, 6).support, [1, 4, np.inf])
-        assert np.all(JacobiSystem.meixner(g, 6).support == np.inf)
+        general = JacobiSystem.from_model(grid.ProductGrid(g, fibers), 6)
+        assert np.array_equal(general.support, [1, 4, np.inf])
+        semicircle = grid.ProductGrid(g, grid.semicircle_fibers(g, 8))
+        assert np.all(JacobiSystem.from_model(semicircle, 6).support == np.inf)

@@ -200,6 +200,22 @@ class TestEnumerateInterval:
                 assert block == tuple(range(block[0], block[-1] + 1))
 
 
+class TestCompositions:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_against_cut_sets(self, n):
+        # a composition of n is the set of cut points it puts into 1..n-1;
+        # with parts given, only the length-parts ones, lexicographically
+        for parts in range(1, n + 1):
+            by_cuts = []
+            for cuts in itertools.combinations(range(1, n), parts - 1):
+                bounds = (0, *cuts, n)
+                by_cuts.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+            assert list(ncpart.compositions(n, parts)) == sorted(by_cuts)
+        everything = list(ncpart.compositions(n))
+        assert len(everything) == 2 ** (n - 1)
+        assert everything == sorted(everything, key=len)
+
+
 class TestCountingKernels:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_dispatch_matches_enumeration(self, n):

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from freewick import cumulant, fock, grid, jacobi, xfock
+from freewick import cumulant, fock, grid, jacobi, suites, xfock
 from freewick.errors import CapacityError
 from freewick.grid import ProductGrid
 from freewick.jacobi import JacobiSystem
@@ -18,7 +20,7 @@ def meixner():
     g = grid.make_grid(M_GRID, lam=1.0, eta=1.0)
     fibers = grid.semicircle_fibers(g, M_FIBER)
     pg = ProductGrid(g, fibers)
-    sys = JacobiSystem.from_fibers(g, fibers, M_FIBER)
+    sys = JacobiSystem.from_model(pg, M_FIBER)
     return g, fibers, pg, sys
 
 
@@ -31,7 +33,7 @@ def general(rng):
         w = rng.uniform(0.2, 1.0, size=M_FIBER)
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
     pg = ProductGrid(g, fibers)
-    sys = JacobiSystem.from_fibers(g, fibers, M_FIBER)
+    sys = JacobiSystem.from_model(pg, M_FIBER)
     return g, fibers, pg, sys
 
 
@@ -180,7 +182,7 @@ def oracle_model(case, rng):
             "one_cell": lambda: grid.make_grid(1, lam=0.4, eta=0.7),
         }[case]()
         fibers = grid.semicircle_fibers(g, M_FIBER)
-    return g, JacobiSystem.from_fibers(g, fibers, M_FIBER)
+    return g, JacobiSystem.from_model(ProductGrid(g, fibers), M_FIBER)
 
 
 class TestRankOneMoments:
@@ -195,8 +197,8 @@ class TestRankOneMoments:
 
     def test_tabulated_below_half_word(self, general, rng):
         # L = sys.max_degree < half - 1: raising at L fails as in the dense route
-        g, fibers, _, _ = general
-        sys = JacobiSystem.from_fibers(g, fibers, 2)
+        _, _, pg, _ = general
+        sys = JacobiSystem.from_model(pg, 2)
         fs = [rng.standard_normal(M_GRID) for _ in range(8)]
         with pytest.raises(CapacityError):
             dense_xmoment(fs, sys)
@@ -215,7 +217,7 @@ class TestRankOneMoments:
     def test_degree_eight_meixner_at_scale(self):
         # slots {0..3} x 24 nodes: a dense level 4 alone would take 648 MiB
         g = grid.make_grid(24, lam=1.0, eta=1.0)
-        sys = JacobiSystem.from_fibers(g, grid.semicircle_fibers(g, M_FIBER), 4)
+        sys = JacobiSystem.from_model(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 4)
         tracemalloc.start()
         try:
             got = xfock.xmoment([np.ones(24)] * 8, sys)
@@ -236,8 +238,8 @@ class TestKTransform:
             w = rng.uniform(0.2, 1.0, size=n)
             fibers.append(grid.FiberMeasure(rng.uniform(-1.5, 1.5, size=n), w / w.sum()))
         pg = ProductGrid(g, fibers)
-        sys = JacobiSystem.from_fibers(g, fibers, M_FIBER)
-        table = xfock._poly_table(pg, sys, M_FIBER)
+        sys = JacobiSystem.from_model(pg, M_FIBER)
+        table = xfock._poly_table(sys, M_FIBER)
         for t, fb in enumerate(fibers):
             node = jacobi.coeffs_from_measure(fb, M_FIBER)
             for l in range(M_FIBER + 1):
@@ -274,7 +276,7 @@ class TestKTransform:
         for _ in range(5):
             v = headroom(pg, rng)
             f = rng.standard_normal(M_GRID)
-            lhs = xfock.k_transform(xfock.big_fock_realize(f, v, pg), sys)
+            lhs = xfock.k_transform(xfock.big_fock_realize(f, v), sys)
             rhs = xfock.xfield(f, xfock.k_transform(v, sys, max_degree=lhs.max_level + 1))
             num = fock.norm(lhs - rhs)
             assert num <= 1e-10 * max(fock.norm(lhs), 1.0)
@@ -282,7 +284,7 @@ class TestKTransform:
     def test_roundtrip(self, general, rng):
         g, _, pg, sys = general
         v = headroom(pg, rng)
-        back = xfock.k_inverse(xfock.k_transform(v, sys), pg)
+        back = xfock.k_inverse(xfock.k_transform(v, sys))
         assert fock.norm(back - v) <= 1e-10 * fock.norm(v)
 
     def test_intertwines_word_on_vacuum(self, general, rng):
@@ -295,7 +297,7 @@ class TestKTransform:
         fs = [rng.standard_normal(M_GRID) for _ in range(3)]
         big = fock.vacuum(pg, 3)
         for f in reversed(fs):
-            big = xfock.big_fock_realize(f, big, pg)
+            big = xfock.big_fock_realize(f, big)
         lhs = xfock.k_transform(big, sys)
         rhs = xfock.x_vacuum(sys, lhs.max_level)
         for f in reversed(fs):
@@ -318,28 +320,61 @@ class TestKTransform:
 
     def test_requires_product_grid(self, rng):
         g = grid.make_grid(3, lam=1.0, eta=1.0)
-        sys = JacobiSystem.meixner(g, 4)
+        sys = JacobiSystem.from_model(ProductGrid(g, grid.semicircle_fibers(g, 6)), 4)
         v = fock.vacuum(g, 2)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="system's model"):
             xfock.k_transform(v, sys)
 
-    def test_slot_maps_built_once_per_pair(self, meixner, general, rng):
+    def test_slot_maps_built_once_per_system(self, meixner, general, rng):
         _, _, pg, sys = meixner
-        maps = xfock._slot_maps(pg, sys)
-        xfock.k_inverse(xfock.k_transform(headroom(pg, rng), sys), pg)
-        assert all(a is b for a, b in zip(xfock._slot_maps(pg, sys), maps))
+        maps = xfock._slot_maps(sys)
+        xfock.k_inverse(xfock.k_transform(headroom(pg, rng), sys))
+        assert all(a is b for a, b in zip(xfock._slot_maps(sys), maps))
         assert not any(a.flags.writeable for a in maps)
-        # another pair, even over the same grid, gets maps of its own
-        _, _, gen_pg, gen_sys = general
-        assert xfock._slot_maps(gen_pg, gen_sys)[0] is not maps[0]
-        assert xfock._slot_maps(pg, gen_sys)[0] is not maps[0]
+        # another system, even of the same model, gets maps of its own
+        assert xfock._slot_maps(general[3])[0] is not maps[0]
+        assert xfock._slot_maps(JacobiSystem.from_model(pg, M_FIBER))[0] is not maps[0]
 
     def test_requires_spanning_degree(self, meixner, rng):
-        g, fibers, pg, _ = meixner
-        shallow = JacobiSystem.from_fibers(g, fibers, M_FIBER - 2)
+        _, _, pg, _ = meixner
+        shallow = JacobiSystem.from_model(pg, M_FIBER - 2)
         v = fock.random_vector(pg, 1, rng)
         with pytest.raises(ValueError):
             xfock.k_transform(v, shallow)
+
+
+class TestOneModel:
+    """A system acts only on vectors over the joint quadrature of its own model."""
+
+    @pytest.fixture
+    def two_models(self, rng):
+        # one base grid and equal sizes; only the atoms and weights differ
+        g = grid.make_grid(4, lam=0.3, eta=0.5)
+        systems = []
+        for _ in range(2):
+            fibers = []
+            for _ in range(4):
+                atoms, w = np.sort(rng.uniform(-1.2, 1.2, size=5)), rng.uniform(0.2, 1.0, size=5)
+                fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
+            systems.append(JacobiSystem.from_model(ProductGrid(g, fibers), 5))
+        return systems
+
+    def test_refuses_a_vector_over_another_model(self, two_models, rng):
+        sys1, sys2 = two_models
+        v2 = headroom(sys2.model, rng)
+        assert v2.base.size == sys1.model.size
+        with pytest.raises(ValueError, match="system's model"):
+            xfock.k_transform(v2, sys1)
+        with pytest.raises(ValueError, match="system's model"):
+            xfock.power_jump(1, np.ones(4, dtype=bool), v2, sys1)
+        assert xfock.k_transform(v2, sys2).base.sys is sys2
+
+    def test_inverse_lands_on_the_system_model(self, two_models, rng):
+        for sys in two_models:
+            v = headroom(sys.model, rng)
+            back = xfock.k_inverse(xfock.k_transform(v, sys))
+            assert back.base is sys.model
+            assert fock.norm(back - v) <= 1e-10 * fock.norm(v)
 
 
 class TestBudgetRefusals:
@@ -347,7 +382,8 @@ class TestBudgetRefusals:
 
     @pytest.fixture
     def sys(self):
-        return JacobiSystem.meixner(grid.make_grid(4, lam=1.0, eta=1.0), 6)
+        g = grid.make_grid(4, lam=1.0, eta=1.0)
+        return JacobiSystem.from_model(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 6)
 
     def test_field_past_budget_raises(self, sys, rng):
         # (0, 1) has degree 3 = the budget; creation and the first-slot shift
@@ -411,8 +447,8 @@ class TestPowerJump:
         g, fibers, pg, sys = meixner
         delta = np.array([True, True, False, False, True])
         v = headroom(pg, rng)
-        a = xfock.power_jump(0, delta, v, pg, sys)
-        b = xfock.big_fock_realize(delta.astype(float), v, pg)
+        a = xfock.power_jump(0, delta, v, sys)
+        b = xfock.big_fock_realize(delta.astype(float), v)
         assert fock.norm(a - b) <= 1e-12 * fock.norm(a)
 
     def test_orthogonalized_vs_raw(self, general, rng):
@@ -421,8 +457,8 @@ class TestPowerJump:
         om = fock.vacuum(pg, 1)
         for l1 in range(4):
             for l2 in range(l1 + 1, 5):
-                y = xfock.power_jump(l1, delta, om, pg, sys, orthogonal=False)
-                x = xfock.power_jump(l2, delta, om, pg, sys, orthogonal=True)
+                y = xfock.power_jump(l1, delta, om, sys, orthogonal=False)
+                x = xfock.power_jump(l2, delta, om, sys, orthogonal=True)
                 assert abs(fock.inner(x, y)) < 1e-10
 
     def test_norm_is_window_weight(self, general):
@@ -430,7 +466,7 @@ class TestPowerJump:
         delta = np.array([True, False, True, False, True])
         om = fock.vacuum(pg, 1)
         for l in range(4):
-            x = xfock.power_jump(l, delta, om, pg, sys)
+            x = xfock.power_jump(l, delta, om, sys)
             expect = float(np.sum(g.weights * delta * sys.g[l]))
             assert abs(fock.inner(x, x) - expect) < 1e-10
 
@@ -440,7 +476,7 @@ class TestPowerJump:
         om = fock.vacuum(pg, 1)
         for window in (np.array([0, 2]), np.array([1.0, 0.0, 1.0, 0.0, 0.0]), np.ones(4, bool)):
             with pytest.raises(ValueError, match="boolean mask"):
-                xfock.power_jump(1, window, om, pg, sys)
+                xfock.power_jump(1, window, om, sys)
 
 
 class TestMeixnerRepresentation:
@@ -472,7 +508,7 @@ class TestMeixnerRepresentation:
     def test_inhomogeneous_fiber_breaks_uniformity(self):
         g = grid.make_grid(M_GRID, lam=0.75, eta=1.0)
         skew = grid.FiberMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
-        sys = JacobiSystem.from_fibers(g, [skew] * M_GRID, 4)
+        sys = JacobiSystem.from_model(ProductGrid(g, [skew] * M_GRID), 4)
         assert abs(sys.b[0, 0] - sys.b[1, 0]) > 0.4
         f = np.ones(M_GRID)
         outs = []
@@ -516,32 +552,32 @@ class TestDenseLayout:
 
     def test_small_meixner_degree_raises(self):
         g = grid.make_grid(M_GRID, lam=1.0, eta=1.0)
-        sys = JacobiSystem.meixner(g, 1)
+        sys = JacobiSystem.from_model(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 1)
         with pytest.raises(CapacityError):
             xfock.xmoment([np.ones(M_GRID)] * 6, sys)
 
     def test_null_content_past_tabulation_dropped(self):
         # one-atom laws: g_l = a_l = 0 from l = 1 on
         g = grid.make_grid(M_GRID, lam=0.5, eta=1.0)
-        fibers = [grid.point_fiber(0.5)] * M_GRID
-        sys = JacobiSystem.from_fibers(g, fibers, 1)
+        pg = ProductGrid(g, [grid.point_fiber(0.5)] * M_GRID)
+        sys = JacobiSystem.from_model(pg, 1)
         assert np.all(sys.g[1] == 0.0)
         chi = np.ones(M_GRID)
-        a, b = cumulant.moment([chi] * 6, ProductGrid(g, fibers)), xfock.xmoment([chi] * 6, sys)
+        a, b = cumulant.moment([chi] * 6, pg), xfock.xmoment([chi] * 6, sys)
         assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
 
 
     def test_lift_past_tabulation(self, meixner, rng):
         # L = 1 < n - 1: the (2,) component is dropped where g_2 vanishes
         # (one-atom laws) and refused where it does not
-        g, fibers, _, _ = meixner
+        g, _, pg, _ = meixner
         kern = rng.standard_normal((M_GRID,) * 3)
-        point = JacobiSystem.from_fibers(g, [grid.point_fiber(0.5)] * M_GRID, 1)
+        point = JacobiSystem.from_model(ProductGrid(g, [grid.point_fiber(0.5)] * M_GRID), 1)
         lifted = xfock.kernel_lift(kern, point)
         assert lifted.base.lmax == 1 and (2,) not in xfock.components(lifted)
         assert np.array_equal(xfock.component(lifted, (1, 0)), np.einsum("aab->ab", kern))
         with pytest.raises(CapacityError):
-            xfock.kernel_lift(kern, JacobiSystem.from_fibers(g, fibers, 1))
+            xfock.kernel_lift(kern, JacobiSystem.from_model(pg, 1))
 
 @pytest.mark.parametrize("case", ["one_cell", "point_mass"])
 class TestEdges:
@@ -554,7 +590,7 @@ class TestEdges:
             g = grid.make_grid(M_GRID, lam=np.linspace(-1.0, 1.0, M_GRID), eta=0.0)
         fibers = grid.semicircle_fibers(g, M_FIBER)
         pg = ProductGrid(g, fibers)
-        return g, fibers, pg, JacobiSystem.from_fibers(g, fibers, M_FIBER)
+        return g, fibers, pg, JacobiSystem.from_model(pg, M_FIBER)
 
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_moments_agree(self, case, degree, rng):
@@ -569,7 +605,7 @@ class TestEdges:
             v = headroom(pg, rng)
             xv = xfock.k_transform(v, sys)
             assert abs(fock.norm(xv) - fock.norm(v)) <= 1e-10 * fock.norm(v)
-            back = xfock.k_inverse(xv, pg)
+            back = xfock.k_inverse(xv)
             assert fock.norm(back - v) <= 1e-10 * fock.norm(v)
 
 
@@ -595,3 +631,40 @@ def _raise_word(fs, sys):
     for f in reversed(fs):
         v = xfock.xplus(f, v)
     return v
+
+
+EDGE_LAWS = ("point_mass", "scaled", "clustered")
+
+
+def edge_law(kind, exponent, rng):
+    """A node law at an edge: a point mass (eta = 0), one to three atoms
+    scaled by ``10**exponent``, or such atoms each paired with one 1e-11 above."""
+    if kind == "point_mass":
+        return grid.point_fiber(rng.uniform(-2.0, 2.0))
+    atoms = np.sort(rng.uniform(-1.0, 1.0, size=rng.integers(1, 4))) * 10.0**exponent
+    if kind == "clustered":
+        atoms = np.sort(np.concatenate([atoms, atoms + 1e-11]))
+    w = rng.uniform(0.2, 1.0, size=atoms.size)
+    return grid.FiberMeasure(atoms, w / w.sum())
+
+
+@given(
+    st.lists(st.sampled_from(EDGE_LAWS), min_size=1, max_size=3),
+    st.floats(-3.0, 3.0),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_edge_moments_agree(kinds, exponent, degree, seed):
+    rng = np.random.default_rng(seed)
+    g = grid.make_grid(len(kinds))
+    fibers = [edge_law(kind, exponent, rng) for kind in kinds]
+    pg = ProductGrid(g, fibers)
+    fs = [rng.standard_normal(g.size) for _ in range(degree)]
+    a = cumulant.moment(fs, pg)
+    b = xfock.xmoment(fs, JacobiSystem.from_model(pg, 6))
+    # the scale is the moment's path terms summed in absolute value: the
+    # same word in |f| over the laws of |s|; the moment itself can cancel
+    # far below it
+    folded = [grid.FiberMeasure(np.abs(fb.atoms), fb.weights) for fb in fibers]
+    terms = cumulant.moment([np.abs(f) for f in fs], ProductGrid(g, folded))
+    assert abs(a - b) <= suites.TOL * terms
