@@ -186,6 +186,9 @@ def _to_text(payload: dict) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# the records are tracked containers that form no cycles: with the collector
+# on, full collections would rescan the whole live record list as it grows
+@ncpart._collector_paused
 def cmd_partitions(args) -> int:
     if args.set == "nc":
         records = [
@@ -262,7 +265,7 @@ def cmd_moments(args) -> int:
         # 0.25 times this past the fixed overhead of small words
         terms = 3**top * top * top * grid.size + 2 * xfock._PAIR_BLOCK
         _require_memory(8 * terms, "the extended Fock term lists")
-        sys_ = jacobi.JacobiSystem.from_model(pg, top)
+        sys_ = jacobi.JacobiSystem(pg, top)
         routes["extended_fock"] = lambda: xfock.xmoment(word, sys_)
     # a half word runs on the vacuum as at most 3**top rank-one terms of top
     # slots; the route's tracemalloc peak measures 0.2 to 0.9 times this

@@ -15,8 +15,10 @@ weights of the extended Fock space; they satisfy ``g_l = a_1 a_2 ... a_l``
 and are computed both ways.  :class:`JacobiSystem` is a model's node laws'
 ``b``, ``a`` and ``g`` as read-only ``(degree, node)`` tables, whose raveled
 order is the slot layout of the extended Fock space, plus the row of their
-support sizes, and it keeps that model; :func:`poly_values` evaluates one
-law or a whole table's laws, one per point.
+support sizes, and it keeps that model.  It is built from the model alone,
+so no system carries one model's tables beside another model;
+:func:`poly_values` evaluates one law or a whole table's laws, one per
+point.
 """
 
 from __future__ import annotations
@@ -201,29 +203,21 @@ def meixner_moments(lam: float, eta: float, sigma_delta: float, k: int) -> np.nd
 class JacobiSystem:
     """The recurrence systems of ``model``'s node laws, as degree-major tables.
 
-    ``b``, ``a`` and ``g`` are read-only ``(max_degree + 1, m)`` arrays over
-    the model's ``grid``: row ``l`` holds the degree-``l`` coefficient or norm
-    at every node, so raveled they follow the slot layout ``l*m + t`` of
-    :mod:`xfock`.  ``support`` is the read-only row of each node's support
-    size, ``inf`` where the law has more atoms than the tables reach.
+    The one constructor recovers each node law's recurrence through degree
+    ``max_degree`` (:func:`coeffs_from_measure`), so a system's tables are
+    always its model's.  ``b``, ``a`` and ``g`` are read-only
+    ``(max_degree + 1, m)`` arrays over the model's ``grid``: row ``l``
+    holds the degree-``l`` coefficient or norm at every node, so raveled
+    they follow the slot layout ``l*m + t`` of :mod:`xfock`.  ``support`` is
+    the read-only row of each node's support size, ``inf`` where the law has
+    more atoms than the tables reach.
     """
 
-    def __init__(self, model: ProductGrid, b, a, g, support):
-        self.model, self.grid = model, model.grid
-        for name, value in (("b", b), ("a", a), ("g", g), ("support", support)):
-            table = np.array(value, dtype=float)
+    def __init__(self, model: ProductGrid, max_degree: int):
+        nodes = [coeffs_from_measure(fb, max_degree) for fb in model.fibers]
+        self.model, self.grid, self.max_degree = model, model.grid, max_degree
+        tables = {name: np.stack([getattr(n, name) for n in nodes], axis=1) for name in "bag"}
+        tables["support"] = np.array([n.finite_support_n or np.inf for n in nodes], dtype=float)
+        for name, table in tables.items():
             table.flags.writeable = False
             setattr(self, name, table)
-        m = self.grid.size
-        if not self.b.shape == self.a.shape == self.g.shape or self.b.shape[1:] != (m,):
-            raise ValueError("b, a, g must be matching (degree, node) tables over the grid")
-        if self.support.shape != (m,):
-            raise ValueError("one support size per grid node required")
-        self.max_degree = self.b.shape[0] - 1
-
-    @classmethod
-    def from_model(cls, model: ProductGrid, max_degree: int) -> "JacobiSystem":
-        """The tables of ``model``'s node laws through degree ``max_degree``."""
-        nodes = [coeffs_from_measure(fb, max_degree) for fb in model.fibers]
-        tables = (np.stack([getattr(n, name) for n in nodes], axis=1) for name in "bag")
-        return cls(model, *tables, [n.finite_support_n or np.inf for n in nodes])

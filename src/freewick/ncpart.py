@@ -30,12 +30,23 @@ all scratch (memo tables, unsorted work lists) is freed by reference
 counting when the call that built it returns, not at a later
 garbage-collector pass.
 
+Since they make no cycles, the routes (:func:`enumerate_nc`,
+:func:`enumerate_gn`, :func:`enumerate_interval`, :func:`brute_noncrossing`,
+:func:`brute_noncrossing_count` and :func:`brute_gn`) run with the cyclic
+garbage collector paused (:func:`_collector_paused`).  Every record is a
+tracked container, so with the collector on, the records a route builds
+set off collections that rescan them all and free nothing.
+
 All functions are pure: the enumerators return fresh lists of immutable
-records, and concurrent use is safe.
+records.  The collector switch is process-wide, so a thread that turns the
+collector off while a route runs has it turned back on when that route
+returns.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 import math
 from collections import deque
@@ -188,6 +199,28 @@ def _labels_noncrossing(lab: list[int]) -> bool:
     return True
 
 
+def _collector_paused(route):
+    """``route`` run with the cyclic garbage collector off, if it was on.
+
+    The collector is switched back on in a ``finally``, so a raise leaves it
+    on too.  A collector that is already off is left alone, so a caller's
+    ``gc.disable()`` holds and a nested call defers to the outermost one.
+    The pause touches no partition data: it is collector policy, like
+    :func:`_check_bound`, and sharing it merges no two routes.
+    """
+    @functools.wraps(route)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return route(*args, **kwargs)
+        gc.disable()
+        try:
+            return route(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
 def _check_bound(n: int, limit: int) -> None:
     if not 1 <= n <= limit:
         raise EnumerationBoundError(f"n={n} outside supported range 1..{limit}")
@@ -197,6 +230,7 @@ def _check_bound(n: int, limit: int) -> None:
 # direct enumerators
 # ---------------------------------------------------------------------------
 
+@_collector_paused
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of {1..n}, lexicographic in the block tuple."""
     _check_bound(n, NC_LIMIT)
@@ -240,6 +274,7 @@ def _nc_grow(out: list, memo: dict, stop: int, block: tuple, heads: list, last: 
         _nc_grow(out, memo, stop, block + (nxt,), grown, nxt)
 
 
+@_collector_paused
 def enumerate_gn(n: int) -> list[MarkedPartition]:
     """Admissible marked non-crossing partitions of {1..n}.
 
@@ -281,6 +316,7 @@ def enumerate_gn(n: int) -> list[MarkedPartition]:
     return _records(n, *zip(*current))
 
 
+@_collector_paused
 def enumerate_interval(n: int) -> list[MarkedPartition]:
     """Marked partitions whose blocks are consecutive-integer intervals.
 
@@ -349,6 +385,7 @@ def all_set_partitions(n: int) -> Iterator[SetPartition]:
             pmax[j] = pmax[i]
 
 
+@_collector_paused
 def brute_noncrossing(n: int) -> list[SetPartition]:
     """Filter-based oracle for :func:`enumerate_nc` (materializes partitions)."""
     _check_bound(n, NC_LIMIT)
@@ -357,6 +394,7 @@ def brute_noncrossing(n: int) -> list[SetPartition]:
     return out
 
 
+@_collector_paused
 def brute_noncrossing_count(n: int) -> tuple[int, int]:
     """Count-only oracle ``(total set partitions, non-crossing ones)``.
 
@@ -446,6 +484,7 @@ def has_nested_plus(blocks: tuple[tuple[int, ...], ...], marks: tuple[int, ...])
     return False
 
 
+@_collector_paused
 def brute_gn(n: int) -> list[MarkedPartition]:
     """Filter-based oracle for :func:`enumerate_gn`.
 

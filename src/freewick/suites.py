@@ -85,7 +85,7 @@ def _random_grid(m: int, rng: np.random.Generator) -> GridMeasure:
 def _meixner_model(p: SuiteParams, lam=1.0, eta=1.0) -> jacobi.JacobiSystem:
     g = make_grid(p.m, lam=lam, eta=eta)
     pg = ProductGrid(g, semicircle_fibers(g, p.fiber_nodes))
-    return jacobi.JacobiSystem.from_model(pg, p.fiber_nodes)
+    return jacobi.JacobiSystem(pg, p.fiber_nodes)
 
 
 def _random_fibers(m: int, nodes: int, rng: np.random.Generator) -> list[FiberMeasure]:
@@ -247,7 +247,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
 
     # general (non-semicircle) fibers as well
     gen_pg = ProductGrid(g, _random_fibers(p.m, p.fiber_nodes, rng))
-    gen_sys = jacobi.JacobiSystem.from_model(gen_pg, p.fiber_nodes)
+    gen_sys = jacobi.JacobiSystem(gen_pg, p.fiber_nodes)
     worst = 0.0
     for d in range(1, p.degree + 1):
         word = [rng.standard_normal(p.m) for _ in range(d)]
@@ -348,7 +348,7 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     # a level-inhomogeneous fiber makes the preserving part level-dependent:
     # the residual is the shortfall of the observed spread below 0.1
     skew = FiberMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
-    skew_sys = jacobi.JacobiSystem.from_model(ProductGrid(g, [skew] * p.m), p.fiber_nodes)
+    skew_sys = jacobi.JacobiSystem(ProductGrid(g, [skew] * p.m), p.fiber_nodes)
     f = np.ones(p.m)
     r = []
     for l in (0, 1):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -10,6 +12,19 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail any test after which the cyclic garbage collector is off.
+
+    The partition routes pause the collector, a process-wide switch; this
+    keeps a route or a test from leaving it off for the tests after it.
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the cyclic garbage collector was left off")
 
 
 @pytest.fixture

@@ -164,7 +164,7 @@ def test_criterion_7_extended_fock_consistency():
         w = rng.uniform(0.2, 1.0, size=FIBER_NODES)
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
     pg = ProductGrid(g, fibers)
-    sys = JacobiSystem.from_model(pg, FIBER_NODES)
+    sys = JacobiSystem(pg, FIBER_NODES)
 
     # all words over a fixed kernel pair up to the degree budget, plus
     # fresh random kernels at each degree
@@ -200,7 +200,7 @@ def test_criterion_8_inner_product_formula():
     rng = np.random.default_rng(80)
     g = make_grid(M, lam=0.7, eta=1.2)
     pg = ProductGrid(g, grid.semicircle_fibers(g, FIBER_NODES))
-    sys = JacobiSystem.from_model(pg, FIBER_NODES)
+    sys = JacobiSystem(pg, FIBER_NODES)
     worst = 0.0
     for n in range(1, 5):
         fs = [rng.standard_normal(M) for _ in range(n)]
@@ -218,7 +218,7 @@ def test_criterion_9_meixner_characterization():
     g = make_grid(M, lam=lam0, eta=eta0)
     fibers = [semicircle_fiber(lam0, eta0, FIBER_NODES) for _ in range(M)]
     pg = ProductGrid(g, fibers)
-    sys = JacobiSystem.from_model(pg, FIBER_NODES)
+    sys = JacobiSystem(pg, FIBER_NODES)
 
     # slotwise closed forms of the graded actions, exact for constant coefficients
     worst_slot = 0.0
@@ -239,7 +239,7 @@ def test_criterion_9_meixner_characterization():
     # converse mechanism: a two-atom fiber with unequal masses has a
     # level-dependent preserving part
     skew = grid.FiberMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
-    skew_sys = JacobiSystem.from_model(ProductGrid(g, [skew] * M), 4)
+    skew_sys = JacobiSystem(ProductGrid(g, [skew] * M), 4)
     f = np.ones(M)
     vals = []
     for l in (0, 1):
@@ -274,7 +274,7 @@ def test_criterion_10_power_jump_orthogonality():
         w = rng.uniform(0.2, 1.0, size=FIBER_NODES)
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
     pg = ProductGrid(g, fibers)
-    sys = JacobiSystem.from_model(pg, FIBER_NODES)
+    sys = JacobiSystem(pg, FIBER_NODES)
     delta = np.ones(M, dtype=bool)
     om = fock.vacuum(pg, 1)
     worst = 0.0

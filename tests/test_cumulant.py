@@ -171,7 +171,7 @@ def test_moment_and_xmoment_share_no_fock_route(monkeypatch, lam_spec, fiber_spe
     g = grid.make_grid(4, lam=1.0, eta=1.0)
     fibers = [grid.semicircle_fiber(1.0, 1.0, 4) for _ in range(4)]
     spec = ProductGrid(g, fibers)
-    sys_ = jacobi.JacobiSystem.from_model(spec, 4)
+    sys_ = jacobi.JacobiSystem(spec, 4)
     fs = [rng.standard_normal(4) for _ in range(5)]
     assert _close(xfock.xmoment(fs, sys_), cumulant.nc_moment_sum(fs, spec))
 

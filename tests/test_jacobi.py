@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import tridiag_moments
-from freewick import grid, jacobi, ncpart
+from freewick import grid, jacobi, ncpart, suites
 from freewick.jacobi import JacobiNode, JacobiSystem
 
 
@@ -241,9 +241,9 @@ def analytic_meixner(g, max_degree):
 
 
 class TestJacobiSystem:
-    def test_from_model_matches_analytic_meixner(self):
+    def test_tables_match_analytic_meixner(self):
         g = grid.make_grid(5, lam=0.6, eta=1.1)
-        recovered = JacobiSystem.from_model(grid.ProductGrid(g, grid.semicircle_fibers(g, 9)), 8)
+        recovered = JacobiSystem(grid.ProductGrid(g, grid.semicircle_fibers(g, 9)), 8)
         b, a, norms, support = analytic_meixner(g, 8)
         for l in range(8):
             assert np.abs(recovered.b[l] - b[l]).max() < 1e-9
@@ -252,16 +252,50 @@ class TestJacobiSystem:
                 assert np.abs(recovered.a[l] - a[l]).max() < 1e-9
         assert np.array_equal(recovered.support, support)
 
+    def test_tables_are_not_arguments(self):
+        # a system builds its own tables, so none can come from another model
+        g = grid.make_grid(3, lam=0.6, eta=1.1)
+        pg = grid.ProductGrid(g, grid.semicircle_fibers(g, 5))
+        sys = JacobiSystem(pg, 4)
+        with pytest.raises(TypeError):
+            JacobiSystem(pg, sys.b, sys.a, sys.g, sys.support)
+        with pytest.raises(TypeError):
+            JacobiSystem(pg, 4, b=sys.b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tables_on_the_suite_models(self, seed):
+        # the stacked per-node recoveries, as the former from_model built them, bit for bit
+        p = suites.SuiteParams(seed=seed)
+        rng = np.random.default_rng(seed)
+        g = grid.make_grid(p.m, lam=rng.standard_normal(p.m))
+        skew = grid.FiberMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
+        models = [
+            suites._meixner_model(p).model,
+            grid.ProductGrid(g, suites._random_fibers(p.m, p.fiber_nodes, rng)),
+            grid.ProductGrid(g, [skew] * p.m),
+            grid.ProductGrid(g, [grid.point_fiber(0.5)] * p.m),
+        ]
+        for pg in models:
+            sys = JacobiSystem(pg, p.fiber_nodes)
+            nodes = [jacobi.coeffs_from_measure(fb, p.fiber_nodes) for fb in pg.fibers]
+            for name in ("b", "a", "g"):
+                want = np.stack([getattr(n, name) for n in nodes], axis=1)
+                got = getattr(sys, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            support = [n.finite_support_n or np.inf for n in nodes]
+            assert sys.support.dtype == float and sys.support.tolist() == support
+            assert sys.max_degree == p.fiber_nodes
+
     def test_system_keeps_its_model(self):
         g = grid.make_grid(3, lam=0.6, eta=1.1)
         pg = grid.ProductGrid(g, grid.semicircle_fibers(g, 5))
-        sys = JacobiSystem.from_model(pg, 6)
+        sys = JacobiSystem(pg, 6)
         assert sys.model is pg and sys.grid is g
 
     def test_tables_are_degree_major_and_read_only(self):
         g = grid.make_grid(4, lam=0.6, eta=1.1)
         fibers = grid.semicircle_fibers(g, 5)
-        sys = JacobiSystem.from_model(grid.ProductGrid(g, fibers), 6)
+        sys = JacobiSystem(grid.ProductGrid(g, fibers), 6)
         for name in ("b", "a", "g"):
             table = getattr(sys, name)
             assert table.shape == (7, 4) and not table.flags.writeable
@@ -272,7 +306,7 @@ class TestJacobiSystem:
     def test_meixner_degenerate_nodes(self):
         # eta = 0: the recovered point-mass pattern is the closed form's, exactly
         g = grid.make_grid(4, lam=0.5, eta=0.0)
-        sys = JacobiSystem.from_model(grid.ProductGrid(g, grid.semicircle_fibers(g, 8)), 5)
+        sys = JacobiSystem(grid.ProductGrid(g, grid.semicircle_fibers(g, 8)), 5)
         for got, want in zip((sys.b, sys.a, sys.g, sys.support), analytic_meixner(g, 5)):
             assert np.array_equal(got, want)
 
@@ -283,7 +317,7 @@ class TestJacobiSystem:
         for n in (4, 9):
             w = rng.uniform(0.2, 1.0, size=n)
             fibers.append(grid.FiberMeasure(np.sort(rng.uniform(-1, 1, size=n)), w / w.sum()))
-        general = JacobiSystem.from_model(grid.ProductGrid(g, fibers), 6)
+        general = JacobiSystem(grid.ProductGrid(g, fibers), 6)
         assert np.array_equal(general.support, [1, 4, np.inf])
         semicircle = grid.ProductGrid(g, grid.semicircle_fibers(g, 8))
-        assert np.all(JacobiSystem.from_model(semicircle, 6).support == np.inf)
+        assert np.all(JacobiSystem(semicircle, 6).support == np.inf)

@@ -389,9 +389,66 @@ class TestRecords:
             assert repr(rec) == repr(checked)
 
 
+# every route that runs with the cyclic collector paused, with its bound
+PAUSED_ROUTES = [
+    (ncpart.enumerate_nc, ncpart.NC_LIMIT),
+    (ncpart.enumerate_gn, ncpart.MARKED_LIMIT),
+    (ncpart.enumerate_interval, ncpart.MARKED_LIMIT),
+    (ncpart.brute_noncrossing, ncpart.NC_LIMIT),
+    (ncpart.brute_noncrossing_count, ncpart.NC_LIMIT),
+    (ncpart.brute_gn, ncpart.MARKED_LIMIT),
+]
+
+
+class TestCollectorPause:
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        # the collector state on entry, restored after the test
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("route", [r for r, _ in PAUSED_ROUTES])
+    def test_route_leaves_the_collector_as_it_found_it(self, route, collector):
+        route(6)
+        assert gc.isenabled() == collector
+
+    @pytest.mark.parametrize("route, limit", PAUSED_ROUTES)
+    def test_refused_route_leaves_the_collector_as_it_found_it(self, route, limit, collector):
+        with pytest.raises(EnumerationBoundError):
+            route(limit + 1)
+        assert gc.isenabled() == collector
+
+    def test_no_collection_starts_during_a_route(self):
+        assert gc.isenabled()
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(hook)
+        try:
+            ncpart.enumerate_nc(10)
+            assert starts == []
+            # the hook has teeth: the same body unpaused sets off collections
+            ncpart.enumerate_nc.__wrapped__(10)
+            assert starts
+        finally:
+            gc.callbacks.remove(hook)
+
+
 @pytest.mark.parametrize(
     "route",
-    [ncpart.enumerate_nc, ncpart.enumerate_gn, ncpart.brute_gn, ncpart.brute_noncrossing_count],
+    [
+        ncpart.enumerate_nc,
+        ncpart.enumerate_gn,
+        ncpart.enumerate_interval,
+        ncpart.brute_noncrossing,
+        ncpart.brute_gn,
+        ncpart.brute_noncrossing_count,
+    ],
 )
 def test_routes_leave_no_cyclic_garbage(route):
     # every scratch object is freed by reference counting when the call returns
@@ -407,7 +464,9 @@ def test_routes_leave_no_cyclic_garbage(route):
 
 
 def test_enumerate_nc_peak_memory():
-    # 58786 slotted records; the memo of sub-intervals is freed before they are built
+    # 58786 slotted records; the memo of sub-intervals is freed before they are
+    # built.  With the collector paused, no full collection clears the tuple
+    # free lists mid-route, so the intermediate tuples they hold count too
     gc.collect()
     tracemalloc.start()
     try:

@@ -20,7 +20,7 @@ def meixner():
     g = grid.make_grid(M_GRID, lam=1.0, eta=1.0)
     fibers = grid.semicircle_fibers(g, M_FIBER)
     pg = ProductGrid(g, fibers)
-    sys = JacobiSystem.from_model(pg, M_FIBER)
+    sys = JacobiSystem(pg, M_FIBER)
     return g, fibers, pg, sys
 
 
@@ -33,7 +33,7 @@ def general(rng):
         w = rng.uniform(0.2, 1.0, size=M_FIBER)
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
     pg = ProductGrid(g, fibers)
-    sys = JacobiSystem.from_model(pg, M_FIBER)
+    sys = JacobiSystem(pg, M_FIBER)
     return g, fibers, pg, sys
 
 
@@ -182,7 +182,7 @@ def oracle_model(case, rng):
             "one_cell": lambda: grid.make_grid(1, lam=0.4, eta=0.7),
         }[case]()
         fibers = grid.semicircle_fibers(g, M_FIBER)
-    return g, JacobiSystem.from_model(ProductGrid(g, fibers), M_FIBER)
+    return g, JacobiSystem(ProductGrid(g, fibers), M_FIBER)
 
 
 class TestRankOneMoments:
@@ -198,7 +198,7 @@ class TestRankOneMoments:
     def test_tabulated_below_half_word(self, general, rng):
         # L = sys.max_degree < half - 1: raising at L fails as in the dense route
         _, _, pg, _ = general
-        sys = JacobiSystem.from_model(pg, 2)
+        sys = JacobiSystem(pg, 2)
         fs = [rng.standard_normal(M_GRID) for _ in range(8)]
         with pytest.raises(CapacityError):
             dense_xmoment(fs, sys)
@@ -217,7 +217,7 @@ class TestRankOneMoments:
     def test_degree_eight_meixner_at_scale(self):
         # slots {0..3} x 24 nodes: a dense level 4 alone would take 648 MiB
         g = grid.make_grid(24, lam=1.0, eta=1.0)
-        sys = JacobiSystem.from_model(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 4)
+        sys = JacobiSystem(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 4)
         tracemalloc.start()
         try:
             got = xfock.xmoment([np.ones(24)] * 8, sys)
@@ -238,7 +238,7 @@ class TestKTransform:
             w = rng.uniform(0.2, 1.0, size=n)
             fibers.append(grid.FiberMeasure(rng.uniform(-1.5, 1.5, size=n), w / w.sum()))
         pg = ProductGrid(g, fibers)
-        sys = JacobiSystem.from_model(pg, M_FIBER)
+        sys = JacobiSystem(pg, M_FIBER)
         table = xfock._poly_table(sys, M_FIBER)
         for t, fb in enumerate(fibers):
             node = jacobi.coeffs_from_measure(fb, M_FIBER)
@@ -320,7 +320,7 @@ class TestKTransform:
 
     def test_requires_product_grid(self, rng):
         g = grid.make_grid(3, lam=1.0, eta=1.0)
-        sys = JacobiSystem.from_model(ProductGrid(g, grid.semicircle_fibers(g, 6)), 4)
+        sys = JacobiSystem(ProductGrid(g, grid.semicircle_fibers(g, 6)), 4)
         v = fock.vacuum(g, 2)
         with pytest.raises(ValueError, match="system's model"):
             xfock.k_transform(v, sys)
@@ -333,11 +333,11 @@ class TestKTransform:
         assert not any(a.flags.writeable for a in maps)
         # another system, even of the same model, gets maps of its own
         assert xfock._slot_maps(general[3])[0] is not maps[0]
-        assert xfock._slot_maps(JacobiSystem.from_model(pg, M_FIBER))[0] is not maps[0]
+        assert xfock._slot_maps(JacobiSystem(pg, M_FIBER))[0] is not maps[0]
 
     def test_requires_spanning_degree(self, meixner, rng):
         _, _, pg, _ = meixner
-        shallow = JacobiSystem.from_model(pg, M_FIBER - 2)
+        shallow = JacobiSystem(pg, M_FIBER - 2)
         v = fock.random_vector(pg, 1, rng)
         with pytest.raises(ValueError):
             xfock.k_transform(v, shallow)
@@ -356,7 +356,7 @@ class TestOneModel:
             for _ in range(4):
                 atoms, w = np.sort(rng.uniform(-1.2, 1.2, size=5)), rng.uniform(0.2, 1.0, size=5)
                 fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
-            systems.append(JacobiSystem.from_model(ProductGrid(g, fibers), 5))
+            systems.append(JacobiSystem(ProductGrid(g, fibers), 5))
         return systems
 
     def test_refuses_a_vector_over_another_model(self, two_models, rng):
@@ -383,7 +383,7 @@ class TestBudgetRefusals:
     @pytest.fixture
     def sys(self):
         g = grid.make_grid(4, lam=1.0, eta=1.0)
-        return JacobiSystem.from_model(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 6)
+        return JacobiSystem(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 6)
 
     def test_field_past_budget_raises(self, sys, rng):
         # (0, 1) has degree 3 = the budget; creation and the first-slot shift
@@ -508,7 +508,7 @@ class TestMeixnerRepresentation:
     def test_inhomogeneous_fiber_breaks_uniformity(self):
         g = grid.make_grid(M_GRID, lam=0.75, eta=1.0)
         skew = grid.FiberMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
-        sys = JacobiSystem.from_model(ProductGrid(g, [skew] * M_GRID), 4)
+        sys = JacobiSystem(ProductGrid(g, [skew] * M_GRID), 4)
         assert abs(sys.b[0, 0] - sys.b[1, 0]) > 0.4
         f = np.ones(M_GRID)
         outs = []
@@ -552,7 +552,7 @@ class TestDenseLayout:
 
     def test_small_meixner_degree_raises(self):
         g = grid.make_grid(M_GRID, lam=1.0, eta=1.0)
-        sys = JacobiSystem.from_model(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 1)
+        sys = JacobiSystem(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 1)
         with pytest.raises(CapacityError):
             xfock.xmoment([np.ones(M_GRID)] * 6, sys)
 
@@ -560,7 +560,7 @@ class TestDenseLayout:
         # one-atom laws: g_l = a_l = 0 from l = 1 on
         g = grid.make_grid(M_GRID, lam=0.5, eta=1.0)
         pg = ProductGrid(g, [grid.point_fiber(0.5)] * M_GRID)
-        sys = JacobiSystem.from_model(pg, 1)
+        sys = JacobiSystem(pg, 1)
         assert np.all(sys.g[1] == 0.0)
         chi = np.ones(M_GRID)
         a, b = cumulant.moment([chi] * 6, pg), xfock.xmoment([chi] * 6, sys)
@@ -572,12 +572,12 @@ class TestDenseLayout:
         # (one-atom laws) and refused where it does not
         g, _, pg, _ = meixner
         kern = rng.standard_normal((M_GRID,) * 3)
-        point = JacobiSystem.from_model(ProductGrid(g, [grid.point_fiber(0.5)] * M_GRID), 1)
+        point = JacobiSystem(ProductGrid(g, [grid.point_fiber(0.5)] * M_GRID), 1)
         lifted = xfock.kernel_lift(kern, point)
         assert lifted.base.lmax == 1 and (2,) not in xfock.components(lifted)
         assert np.array_equal(xfock.component(lifted, (1, 0)), np.einsum("aab->ab", kern))
         with pytest.raises(CapacityError):
-            xfock.kernel_lift(kern, JacobiSystem.from_model(pg, 1))
+            xfock.kernel_lift(kern, JacobiSystem(pg, 1))
 
 @pytest.mark.parametrize("case", ["one_cell", "point_mass"])
 class TestEdges:
@@ -590,7 +590,7 @@ class TestEdges:
             g = grid.make_grid(M_GRID, lam=np.linspace(-1.0, 1.0, M_GRID), eta=0.0)
         fibers = grid.semicircle_fibers(g, M_FIBER)
         pg = ProductGrid(g, fibers)
-        return g, fibers, pg, JacobiSystem.from_model(pg, M_FIBER)
+        return g, fibers, pg, JacobiSystem(pg, M_FIBER)
 
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_moments_agree(self, case, degree, rng):
@@ -661,7 +661,7 @@ def test_edge_moments_agree(kinds, exponent, degree, seed):
     pg = ProductGrid(g, fibers)
     fs = [rng.standard_normal(g.size) for _ in range(degree)]
     a = cumulant.moment(fs, pg)
-    b = xfock.xmoment(fs, JacobiSystem.from_model(pg, 6))
+    b = xfock.xmoment(fs, JacobiSystem(pg, 6))
     # the scale is the moment's path terms summed in absolute value: the
     # same word in |f| over the laws of |s|; the moment itself can cancel
     # far below it
