@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -126,18 +127,34 @@ def load_config(path: str | None, unread=frozenset()) -> ModelConfig:
 # output helpers
 # ---------------------------------------------------------------------------
 
+# encoder chunks joined into one write: far fewer writes than one per
+# chunk, and far less memory than the whole text of a large payload
+_JSON_BATCH = 1 << 12
+
+
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        text = _to_csv(payload)
-    else:
-        text = _to_text(payload)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write(payload, fmt, handle)
     else:
-        sys.stdout.write(text)
+        _write(payload, fmt, sys.stdout)
+
+
+def _write(payload: dict, fmt: str, handle) -> None:
+    """Write the payload in ``fmt``.
+
+    JSON is streamed: the text is ``json.dumps(payload, indent=2)`` and a
+    newline, written a batch of encoder chunks at a time.
+    """
+    if fmt == "json":
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        while batch := list(itertools.islice(chunks, _JSON_BATCH)):
+            handle.write("".join(batch))
+        handle.write("\n")
+    elif fmt == "csv":
+        handle.write(_to_csv(payload))
+    else:
+        handle.write(_to_text(payload))
 
 
 def _rows(payload: dict) -> tuple[list[str], list[list]]:

@@ -61,8 +61,8 @@ def field_apply(f, v: FockVector, g=None) -> FockVector:
     """Apply the smeared field: creation + annihilation + neutral(lambda * f)."""
     g = _model(v, g)
     f = np.asarray(f, dtype=float)
-    out = fock.create(f, v) + fock.annihilate(f, v)
-    return out + fock.neutral(g.lambda_values * f, v)
+    levels = fock._first_slot(v, plus=f, minus=f, zero=g.lambda_values * f)
+    return FockVector(v.base, fock._trim(levels), v.max_level)
 
 
 def monomial_apply(f, v: FockVector, g=None) -> FockVector:

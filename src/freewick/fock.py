@@ -24,6 +24,17 @@ past ``max_level`` raises :class:`~freewick.errors.CapacityError` rather
 than truncating.
 
 Operations never mutate their inputs; vectors are plain values.
+
+Allocation and scratch.  An operator allocates each level it emits
+once, and its parts add into that level; :func:`field.field_apply`
+writes all three parts in one such pass.  A sum or difference allocates
+the levels it returns.  :func:`inner`, :func:`norm` and :func:`distance`
+allocate no level.  The scratch of the level reductions and of the
+creation and neutral writes is one block of first-slot rows, of at most
+``_LEVEL_BLOCK`` entries; a reduction takes a longer row row by row,
+while a write then takes one row.  Annihilation's scratch is its output
+level, a slot smaller than its input.  A level that fits in one block is
+handled in one pass.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ __all__ = [
     "neutral",
     "inner",
     "norm",
+    "distance",
     "top_level",
     "random_vector",
 ]
@@ -76,9 +88,7 @@ class FockVector:
     def _combine(self, other: "FockVector", op) -> "FockVector":
         self._compat(other)
         pairs = itertools.zip_longest(self.levels, other.levels, fillvalue=0.0)
-        levels = [op(a, b) for a, b in pairs]
-        while len(levels) > 1 and not np.any(levels[-1]):
-            levels.pop()  # a cancelled top level is not stored
+        levels = _trim([op(a, b) for a, b in pairs])
         return FockVector(self.base, levels, max(self.max_level, other.max_level))
 
     def __add__(self, other: "FockVector") -> "FockVector":
@@ -122,46 +132,150 @@ def _node_values(f, base) -> np.ndarray:
     return f
 
 
-def _first(mat, a: np.ndarray) -> np.ndarray:
-    """``mat`` on the first slot of the level ``a``."""
-    return (mat @ a.reshape(a.shape[0], -1)).reshape(mat.shape[:-1] + a.shape[1:])
+def _trim(levels: list) -> list:
+    """``levels`` without the all-zero levels at its top; level 0 stays."""
+    while len(levels) > 1 and not np.any(levels[-1]):
+        levels.pop()  # a cancelled top level is not stored
+    return levels
+
+
+# entries in one block of first-slot rows: the scratch bound of the level
+# reductions and of the first-slot writes
+_LEVEL_BLOCK = 1 << 15
+
+
+def _row_blocks(rows: int, row_size: int) -> list:
+    """Slices of ``rows`` first-slot rows, at most ``_LEVEL_BLOCK`` entries each
+    (one row where a row is longer); one slice when they all fit."""
+    step = max(1, _LEVEL_BLOCK // row_size)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _create_into(out: np.ndarray, f: np.ndarray, a: np.ndarray) -> None:
+    """Add ``f`` prepended as a new first slot to ``a`` into ``out``, one level up."""
+    for rows in _row_blocks(f.size, a.size):
+        out[rows] += np.multiply.outer(f[rows], a)
+
+
+def _annihilate_into(out: np.ndarray, wf: np.ndarray, a: np.ndarray) -> None:
+    """Add the first slot of ``a`` contracted against ``wf`` into ``out``, one level down.
+
+    Its scratch is one level of ``out``, a slot smaller than ``a``.
+    """
+    out += (wf @ a.reshape(wf.size, -1)).reshape(out.shape)
+
+
+def _neutral_into(out: np.ndarray, f: np.ndarray, a: np.ndarray) -> None:
+    """Add ``a`` with its first slot multiplied pointwise by ``f`` into ``out``."""
+    ones = (1,) * (a.ndim - 1)
+    for rows in _row_blocks(f.size, a[0].size):
+        out[rows] += f[rows].reshape((-1,) + ones) * a[rows]
+
+
+def _first_slot(v: FockVector, plus=None, minus=None, zero=None) -> list:
+    """Levels of creation by ``plus``, annihilation by ``minus`` and the neutral
+    part with ``zero``, each ``None`` when absent, summed as they are written.
+
+    Each output level is allocated once and the parts add into it,
+    creation first, then annihilation, then the neutral part.  Stored are
+    the levels the present parts emit, the all-zero ones included.
+    """
+    base, levels = v.base, v.levels
+    n = len(levels)
+    count = 1
+    if plus is not None:
+        plus = _node_values(plus, base)
+        if n > v.max_level and np.any(levels[-1]) and np.any(plus):
+            raise CapacityError(f"create would push level {v.max_level} content past the budget")
+        count = 1 + min(n, v.max_level)
+    if minus is not None:
+        minus = base.weights * _node_values(minus, base)
+        count = max(count, n - 1)
+    if zero is not None:
+        zero = _node_values(zero, base)
+        count = max(count, n)
+    m = base.size
+    out = [np.zeros((m,) * k) for k in range(count)]
+    for k, level in enumerate(out):
+        if plus is not None and k:
+            _create_into(level, plus, levels[k - 1])
+        if minus is not None and k + 1 < n:
+            _annihilate_into(level, minus, levels[k + 1])
+        if zero is not None and 0 < k < n:
+            _neutral_into(level, zero, levels[k])
+    return out
 
 
 def create(f, v: FockVector) -> FockVector:
     """Prepend a slot sampled from ``f``: level k of ``v`` feeds level k+1."""
-    f = _node_values(f, v.base)
-    if len(v.levels) > v.max_level and np.any(v.levels[-1]) and np.any(f):
-        raise CapacityError(f"create would push level {v.max_level} content past the budget")
-    # f as an (m, 1) matrix acting on a new unit slot
-    raised = [_first(f[:, None], a[None]) for a in v.levels[: v.max_level]]
-    return FockVector(v.base, [np.zeros(())] + raised, v.max_level)
+    return FockVector(v.base, _first_slot(v, plus=f), v.max_level)
 
 
 def annihilate(f, v: FockVector) -> FockVector:
     """Contract the first slot against ``f`` with quadrature weights."""
-    wf = v.base.weights * _node_values(f, v.base)
-    levels = [_first(wf, a) for a in v.levels[1:]]
-    return FockVector(v.base, levels or [np.zeros(())], v.max_level)
+    return FockVector(v.base, _first_slot(v, minus=f), v.max_level)
 
 
 def neutral(f, v: FockVector) -> FockVector:
     """Multiply the first slot pointwise by ``f``; kills level 0."""
-    f = _node_values(f, v.base)
-    levels = [f.reshape((-1,) + (1,) * (a.ndim - 1)) * a for a in v.levels[1:]]
-    return FockVector(v.base, [np.zeros(())] + levels, v.max_level)
+    return FockVector(v.base, _first_slot(v, zero=f), v.max_level)
+
+
+def _weighted_sum(x: np.ndarray, w: np.ndarray, first: np.ndarray) -> float:
+    """``x`` summed with the weights ``first`` on its first axis and ``w`` on every other.
+
+    The last axis is contracted first, so each step holds a slot less.
+    """
+    for _ in range(x.ndim - 1):
+        x = x.reshape(-1, w.size) @ w
+    return float(first @ x)
+
+
+def _level_sum(pair, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
+    """The weighted sum over one level of ``pair(a, b)``, an entrywise array.
+
+    ``pair`` runs on the whole level when it fits in ``_LEVEL_BLOCK``
+    entries, and otherwise on a block of first-slot rows at a time; a row
+    longer than the block is reduced row by row in turn.
+    """
+    if a.ndim == 0:
+        return float(pair(a, b))
+    if a.size <= _LEVEL_BLOCK:
+        return _weighted_sum(pair(a, b), w, w)
+    if a[0].size > _LEVEL_BLOCK:
+        return sum(w[i] * _level_sum(pair, a[i], b[i], w) for i in range(a.shape[0]))
+    return sum(
+        _weighted_sum(pair(a[rows], b[rows]), w, w[rows])
+        for rows in _row_blocks(a.shape[0], a[0].size)
+    )
+
+
+def _squared_gap(a, b):
+    """``(a - b) ** 2`` entrywise, in one temporary."""
+    gap = a - b
+    gap *= gap
+    return gap
 
 
 def inner(u: FockVector, v: FockVector) -> float:
     """Vacuum-grade inner product with one weight per tensor slot."""
     u._compat(v)
     w = u.base.weights
+    return float(sum(_level_sum(np.multiply, a, b, w) for a, b in zip(u.levels, v.levels)))
+
+
+def distance(u: FockVector, v: FockVector) -> float:
+    """``norm(u - v)``, taken level by level without building the difference."""
+    u._compat(v)
+    w = u.base.weights
     total = 0.0
-    for k in range(min(len(u.levels), len(v.levels))):
-        prod = (u.levels[k] * v.levels[k]).reshape(-1)
-        for _ in range(k):
-            prod = w @ prod.reshape(w.size, -1)
-        total += float(prod[0])
-    return total
+    for a, b in itertools.zip_longest(u.levels, v.levels):
+        if a is None or b is None:  # a level only one side stores
+            a = b = a if b is None else b
+            total += _level_sum(np.multiply, a, b, w)
+        else:
+            total += _level_sum(_squared_gap, a, b, w)
+    return float(np.sqrt(max(total, 0.0)))
 
 
 def norm(v: FockVector) -> float:

@@ -71,11 +71,13 @@ class SuiteParams:
 
 
 def _rel(a: float, b: float) -> float:
+    """The gap of two results over its scale, the larger of the two."""
     return abs(a - b) / max(abs(a), abs(b), 1e-30)
 
 
 def _rel_vec(u: fock.FockVector, v: fock.FockVector) -> float:
-    return fock.norm(u - v) / max(fock.norm(u), fock.norm(v), 1e-30)
+    """The distance of two vectors over its scale, the larger of their norms."""
+    return fock.distance(u, v) / max(fock.norm(u), fock.norm(v), 1e-30)
 
 
 def _random_grid(m: int, rng: np.random.Generator) -> GridMeasure:
@@ -122,6 +124,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
             f = rng.standard_normal((p.m,) * n)
             mono = field.monomial_apply(f, fock.vacuum(g, n), g)
             expanded = field.wick_rule_expand(f, g)
+            # scale: the larger norm of the monomial and of its expansion
             worst = max(worst, _rel_vec(mono, expanded))
         checks.append(Check(f"wick_rule_n{n}", worst, TOL))
 
@@ -134,6 +137,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
                 joint = _outer(kernels)
                 seq = field.wick_product_sequential(kernels, g)
                 exp = field.wick_product_expand(comp, joint, g)
+                # scale: the larger norm of the sequential and the expanded product
                 worst = max(worst, _rel_vec(seq, exp))
         checks.append(Check(f"normal_product_rule_n{n}", worst, TOL))
 
@@ -145,6 +149,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
         v = fock.FockVector(g, fock.random_vector(g, 2, rng).levels, n + 2)
         explicit = field.wick_apply(f, v, g, form="explicit")
         recursive = field.wick_apply(f, v, g, form="recursive")
+        # scale: the larger norm of the two forms' results
         worst = max(worst, _rel_vec(explicit, recursive))
     checks.append(Check("wick_forms_agree", worst, TOL))
 
@@ -171,12 +176,15 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
         worst = 0.0
         for n in range(1, p.degree + 1):
             fs = [rng.standard_normal(p.m) for _ in range(n)]
+            # scale: the larger of the moment and the partition sum
             worst = max(worst, _rel(cumulant.moment(fs, pg), cumulant.nc_moment_sum(fs, pg)))
         checks.append(Check(f"moment_cumulant_{label}", worst, TOL))
 
     worst = 0.0
     for n in range(2, 5):
         fs = [rng.standard_normal(p.m) for _ in range(n)]
+        # scale: the larger of the two cumulants, not the moments the
+        # recursion subtracts (the one-cell failure at seed 6)
         worst = max(
             worst,
             _rel(cumulant.cumulant_from_moments(fs, lam_pg), cumulant.cumulant_direct(fs, lam_pg)),
@@ -193,6 +201,7 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
     checks.append(Check("mixed_cumulants_vanish", worst, 0))
     worst = 0.0
     for word in ([fa, fb, fa, fb], [fa, fa, fb, fb]):
+        # scale: the larger of the moment and the partition sum
         worst = max(worst, _rel(cumulant.moment(word, lam_pg), cumulant.nc_moment_sum(word, lam_pg)))
     checks.append(Check("free_independence_moments", worst, TOL))
 
@@ -201,10 +210,12 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
     for cut in range(1, 3):
         ab = cumulant.moment(fs, lam_pg)
         ba = cumulant.moment(fs[cut:] + fs[:cut], lam_pg)
+        # scale: the larger of the moments of the word and of its rotation
         worst = max(worst, _rel(ab, ba))
     for na, nb in ((2, 2), (2, 4), (3, 3)):
         a = [rng.standard_normal(p.m) for _ in range(na)]
         b = [rng.standard_normal(p.m) for _ in range(nb)]
+        # scale: the larger of the moments of ab and ba
         worst = max(worst, _rel(cumulant.moment(a + b, lam_pg), cumulant.moment(b + a, lam_pg)))
     checks.append(Check("traciality", worst, TOL))
 
@@ -242,6 +253,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
             words = ([rng.standard_normal(p.m) for _ in range(d)] for _ in range(8))
         for word in words:
             word = list(word)
+            # scale: the larger of the big-Fock and the extended moment
             worst = max(worst, _rel(cumulant.moment(word, pg), xfock.xmoment(word, sys)))
     checks.append(Check("moments_big_fock_vs_extended", worst, TOL))
 
@@ -251,6 +263,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
     worst = 0.0
     for d in range(1, p.degree + 1):
         word = [rng.standard_normal(p.m) for _ in range(d)]
+        # scale: the larger of the big-Fock and the extended moment
         worst = max(worst, _rel(cumulant.moment(word, gen_pg), xfock.xmoment(word, gen_sys)))
     checks.append(Check("moments_general_fibers", worst, TOL))
 
@@ -262,8 +275,11 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
         lhs = xfock.k_transform(xfock.big_fock_realize(f, v), sys)
         # one transform serves both checks: its lmax is sys.max_degree either way
         xv = xfock.k_transform(v, sys, max_degree=lhs.max_level + 1)
+        # scale: the larger of the two norms
         worst_norm = max(worst_norm, _rel(fock.norm(xv), fock.norm(v)))
-        worst_tw = max(worst_tw, fock.norm(lhs - xfock.xfield(f, xv)) / max(fock.norm(lhs), 1e-30))
+        # scale: the norm of the transformed big-Fock field, the result
+        tw = fock.distance(lhs, xfock.xfield(f, xv)) / max(fock.norm(lhs), 1e-30)
+        worst_tw = max(worst_tw, tw)
     checks.append(Check("k_transform_isometry", worst_norm, TOL))
     checks.append(Check("k_transform_intertwines", worst_tw, TOL))
 
@@ -271,7 +287,8 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
     for _ in range(5):
         v = fock.random_vector(pg, 2, rng)
         back = xfock.k_inverse(xfock.k_transform(v, sys))
-        worst = max(worst, fock.norm(back - v) / max(fock.norm(v), 1e-30))
+        # scale: the norm of the input vector
+        worst = max(worst, fock.distance(back, v) / max(fock.norm(v), 1e-30))
     checks.append(Check("k_transform_roundtrip", worst, TOL))
 
     worst = 0.0
@@ -281,6 +298,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
         formula = xfock.inner_product_formula(_outer(fs), _outer(gs), sys)
         left = _xplus_word(fs, sys)
         right = _xplus_word(gs, sys)
+        # scale: the larger of the formula and the inner product
         worst = max(worst, _rel(formula, fock.inner(left, right)))
     checks.append(Check("inner_product_formula", worst, TOL))
 
@@ -300,6 +318,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
         x = xfock.power_jump(l, delta, om, sys)
         lhs = fock.inner(x, x)
         rhs = float(np.sum(g.weights * delta * sys.g[l]))
+        # scale: the larger of the squared norm and the window weight
         worst = max(worst, _rel(lhs, rhs))
     checks.append(Check("power_jump_norm", worst, TOL))
     return checks
@@ -342,7 +361,8 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
             + xfock.kernel_lift(_kernel_neutral(f, kern, g.lambda_values), sys, max_degree=n + 1)
             + xfock.kernel_lift(lowered, sys, max_degree=n + 1)
         )
-        worst = max(worst, fock.norm(applied - expected) / max(fock.norm(applied), 1e-30))
+        # scale: the norm of the applied field, the result
+        worst = max(worst, fock.distance(applied, expected) / max(fock.norm(applied), 1e-30))
     checks.append(Check("representation_second_order_form", worst, TOL))
 
     # a level-inhomogeneous fiber makes the preserving part level-dependent:
@@ -365,6 +385,7 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     worst_big = worst_x = worst_nc = 0.0
     for k in range(1, 9):
         word = [chi] * k
+        # scale: the larger of the closed-form moment and the route's value
         worst_big = max(worst_big, _rel(tri[k], cumulant.moment(word, pg)))
         worst_x = max(worst_x, _rel(tri[k], xfock.xmoment(word, sys)))
         worst_nc = max(worst_nc, _rel(tri[k], cumulant.nc_moment_sum(word, pg)))

@@ -16,15 +16,22 @@ slice at those ``l``, of degree ``sum(l) + i``.  The vector's
 allocation: ``L`` is the smaller of the system's tabulated degree and
 ``max_level - 1``.
 
-The field is creation and annihilation at ``l = 0``, from :mod:`fock`,
-plus the node's Jacobi matrix times ``f`` on the first slot, applied on
-each level's ``(l, t, ...)`` view with no one-particle matrix.  Raising
-creates at ``l = 0`` and shifts the first slot ``l -> l+1``; preserving
-multiplies it by ``b_l f``; lowering annihilates at ``l = 0`` and shifts
+The field is creation and annihilation at ``l = 0`` plus the node's
+Jacobi matrix times ``f`` on the first slot.  Raising creates at
+``l = 0`` and shifts the first slot ``l -> l+1``; preserving multiplies
+it by ``b_l f``; lowering annihilates at ``l = 0`` and shifts
 ``l -> l-1`` times ``a_l f``.  With level-independent
 coefficients these collapse to the closed second-order form of the field
 at a point.  Raising nonzero content past the budget, or shifting it past
 ``L`` where it is not null, raises :class:`CapacityError`.
+
+The field parts are assembled in one pass on each level's
+``(l, t, ...)`` view, with no one-particle matrix and no :mod:`fock`
+field primitive.  Each output level is allocated once.  The Jacobi band
+adds into it a block of ``l`` rows at a time, of about
+``fock._LEVEL_BLOCK`` entries and at least one row; then annihilation
+reads, and creation writes, only the ``l = 0`` block of the first slot,
+which is ``1/(L+1)`` of the level.
 
 Vacuum moments (:func:`xmoment`) build no dense level.  Every part of the
 field keeps a rank-one tensor over {0..L} x T rank-one: creation prepends
@@ -153,11 +160,25 @@ def set_component(v: FockVector, ls, arr) -> None:
 def components(v: FockVector) -> dict[tuple[int, ...], np.ndarray]:
     """Nonzero components by degree, then lexicographically; views into the levels."""
     found = []
+    lmax, m = v.base.lmax, v.base.sys.grid.size
     for i in range(1, len(v.levels)):
-        nonzero = np.any(_blocks(v, i) != 0, axis=tuple(range(1, 2 * i, 2)))
+        nonzero = _nonzero_components(v.levels[i], lmax, m, i)
         found.extend(tuple(int(l) for l in ls) for ls in np.argwhere(nonzero))
     found.sort(key=lambda ls: (multi_index_degree(ls), ls))
     return {ls: _blocks(v, len(ls))[_block_index(ls)] for ls in found}
+
+
+def _nonzero_components(arr: np.ndarray, lmax: int, m: int, i: int) -> np.ndarray:
+    """Whether each component ``(l_1, ..., l_i)`` of the level-``i`` array
+    ``arr`` holds a nonzero entry, as a boolean array of shape ``(lmax+1,)*i``.
+
+    The ``t`` axes are reduced one at a time, the first slot's first, so
+    every reduction runs over contiguous rows.
+    """
+    nonzero = arr != 0
+    for j in range(1, i + 1):
+        nonzero = nonzero.reshape(((lmax + 1) ** j, m, -1)).any(axis=1)
+    return nonzero.reshape((lmax + 1,) * i)
 
 
 def _require_null_past(sys: JacobiSystem, lmax: int) -> None:
@@ -174,43 +195,75 @@ def _check_budget(levels, lmax: int, m: int, max_degree: int) -> None:
     """Raise unless every nonzero component has degree at most ``max_degree``."""
     for i, arr in enumerate(levels):
         if i * (lmax + 1) > max_degree:
-            nonzero = np.any(arr.reshape((lmax + 1, m) * i) != 0, axis=tuple(range(1, 2 * i, 2)))
+            nonzero = _nonzero_components(arr, lmax, m, i)
             if np.any(nonzero[np.indices(nonzero.shape).sum(axis=0) + i > max_degree]):
                 raise CapacityError(f"level {i} content exceeds the degree budget {max_degree}")
 
 
 def _field_part(f, v: FockVector, parts: str) -> FockVector:
-    """The field parts named in ``parts`` (``+``, ``0``, ``-``) applied to ``v``.
+    """The field parts named in ``parts`` (``+``, ``0``, ``-``) applied to ``v`` in one pass.
 
-    Creation and annihilation act at l=0; the kept bands of the node's
-    Jacobi matrix times ``f`` act on the first slot over its ``(l, t)``
-    view: ``b_l f`` in place, ``f`` up the shift ``l -> l+1`` and
-    ``a_{l+1} f`` down it.
+    Each output level is allocated once, and the parts add into its
+    ``(l, t, ...)`` view: first the kept bands of the node's Jacobi matrix
+    times ``f`` on the first slot (``b_l f`` in place, ``f`` up the shift
+    ``l -> l+1`` and ``a_{l+1} f`` down it), a block of ``l`` rows at a
+    time; then annihilation and creation at ``l = 0``, which read and
+    write only the ``l = 0`` block of the first slot.
     """
     sys, lmax = v.base.sys, v.base.lmax
     f = np.asarray(f, dtype=float)
-    m = f.size
-    at_l0 = np.concatenate([f, np.zeros(lmax * m)])
-    bf = sys.b[: lmax + 1] * f if "0" in parts else np.zeros((lmax + 1, m))
+    m = sys.grid.size
+    if f.shape != (m,):
+        raise ValueError(f"node values must have shape {(m,)}, got {f.shape}")
+    levels, budget = v.levels, v.max_level
+    n = len(levels)
+    raising, lowering = "+" in parts, "-" in parts
+    if raising:
+        for arr in levels[1:]:
+            if np.any(arr.reshape((lmax + 1, m, -1))[lmax, f != 0]):
+                _require_null_past(sys, lmax)  # the shift would push it past lmax
+        if n > budget and np.any(levels[-1]) and np.any(f):
+            raise CapacityError(f"create would push level {budget} content past the budget")
+    bf = sys.b[: lmax + 1] * f if "0" in parts else None
     af = sys.a[1 : lmax + 1] * f
-    levels = [np.zeros(())]
-    for arr in v.levels[1:]:
-        x = arr.reshape((lmax + 1, m, -1))
-        if "+" in parts and np.any(x[lmax, f != 0]):
-            _require_null_past(sys, lmax)  # the shift would push it past lmax
-        y = bf[..., None] * x
-        if "+" in parts:
-            y[1:] += f[:, None] * x[:-1]
-        if "-" in parts:
-            y[:-1] += af[..., None] * x[1:]
-        levels.append(y.reshape(arr.shape))
-    out = FockVector(v.base, levels, v.max_level)
-    if "-" in parts:
-        out = out + fock.annihilate(at_l0, v)
-    if "+" in parts:
-        out = out + fock.create(at_l0, v)
-        _check_budget(out.levels, lmax, m, v.max_level)
-    return out
+    w0f = v.base.weights[:m] * f  # w g_0 f, the weights of the l = 0 block
+    out = []
+    for k in range(1 + min(n, budget) if raising else n):
+        level = np.zeros((v.base.size,) * k)
+        y = level.reshape((lmax + 1, m, -1)) if k else None
+        if 0 < k < n:
+            x = levels[k].reshape((lmax + 1, m, -1))
+            _band_into(y, x, f if raising else None, bf, af if lowering else None)
+        if lowering and k + 1 < n:
+            level += (w0f @ levels[k + 1].reshape((lmax + 1, m, -1))[0]).reshape(level.shape)
+        if raising and k:
+            y[0] += f[:, None] * levels[k - 1].reshape(1, -1)
+        out.append(level)
+    if raising:
+        _check_budget(out, lmax, m, budget)
+    return FockVector(v.base, fock._trim(out), budget)
+
+
+def _band_into(y, x, up, bf, af) -> None:
+    """Add the Jacobi band on the first slot's ``(l, t)`` view of ``x`` into ``y``.
+
+    ``bf`` is ``b_l f`` in place, ``up`` is ``f`` on the shift ``l -> l+1``
+    and ``af`` is ``a_{l+1} f`` on the shift back; ``None`` skips a band.
+    A block of ``l`` rows of about ``fock._LEVEL_BLOCK`` entries, and at
+    least one row, is written at a time.
+    """
+    rows = len(x)
+    step = max(1, fock._LEVEL_BLOCK // x[0].size)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        if bf is not None:
+            y[lo:hi] += bf[lo:hi, :, None] * x[lo:hi]
+        if up is not None and hi > 1:
+            start = max(lo, 1)
+            y[start:hi] += up[:, None] * x[start - 1 : hi - 1]
+        if af is not None and lo < rows - 1:
+            stop = min(hi, rows - 1)
+            y[lo:stop] += af[lo:stop, :, None] * x[lo + 1 : stop + 1]
 
 
 def xplus(f, v: FockVector) -> FockVector:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from freewick import cli
+from freewick import cli, ncpart
 
 
 def run(args, capsys):
@@ -85,6 +85,26 @@ class TestPartitions:
         code, out = run(["partitions", "--n", "2", "--set", "gn", "--out", str(path)], capsys)
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["count"] == 3
+
+    @pytest.mark.parametrize("which", ["nc", "gn", "interval"])
+    def test_streamed_json_equals_dumps(self, which, tmp_path, capsys):
+        # the JSON is written in batches of encoder chunks, never as one string
+        if which == "nc":
+            records = [
+                {"blocks": [list(b) for b in p.blocks], "marks": []} for p in ncpart.enumerate_nc(8)
+            ]
+        else:
+            enumerate_ = ncpart.enumerate_gn if which == "gn" else ncpart.enumerate_interval
+            records = [ncpart.to_json_record(mp) for mp in enumerate_(8)]
+        payload = {"set": which, "n": 8, "count": len(records), "records": records}
+        expected = json.dumps(payload, indent=2) + "\n"
+        args = ["partitions", "--n", "8", "--set", which]
+        code, out = run(args, capsys)
+        assert code == 0 and out == expected
+        path = tmp_path / "dump.json"
+        code, out = run(args + ["--out", str(path)], capsys)
+        assert code == 0 and out == ""
+        assert path.read_text(encoding="utf-8") == expected
 
     def test_csv_format(self, capsys):
         code, out = run(["partitions", "--n", "2", "--set", "gn", "--format", "csv"], capsys)

@@ -58,6 +58,61 @@ class TestFieldApply:
             assert v.max_level == 8
 
 
+def raises_capacity(call) -> bool:
+    try:
+        call()
+    except CapacityError:
+        return True
+    return False
+
+
+class TestOnePassField:
+    """field_apply writes its three parts into each level in one pass."""
+
+    def vectors(self, g, rng):
+        top_zero = fock.random_vector(g, 3, rng)
+        top_zero.levels[3][:] = 0
+        return [
+            fock.vacuum(g, 2),
+            fock.FockVector(g, fock.random_vector(g, 1, rng).levels, 3),
+            fock.FockVector(g, fock.random_vector(g, 2, rng).levels, 4),
+            top_zero,
+        ]
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_equals_the_sum_of_its_parts(self, block, rng, monkeypatch):
+        g = random_grid(5, rng)
+        f = rng.standard_normal(5)
+        for v in self.vectors(g, rng):
+            parts = fock.create(f, v) + fock.annihilate(f, v) + fock.neutral(g.lambda_values * f, v)
+            if block:
+                monkeypatch.setattr(fock, "_LEVEL_BLOCK", block)
+            one = field.field_apply(f, v, g)
+            monkeypatch.undo()
+            assert one.max_level == parts.max_level and len(one.levels) == len(parts.levels)
+            assert fock.distance(one, parts) <= 1e-14 * fock.norm(parts)
+
+    def test_raises_where_creation_does(self, rng):
+        g = random_grid(4, rng)
+        f = rng.standard_normal(4)
+        full = fock.random_vector(g, 2, rng)
+        top_zero = fock.random_vector(g, 2, rng)
+        top_zero.levels[2][:] = 0
+        cases = [
+            (f, full),
+            (np.zeros(4), full),
+            (f, top_zero),
+            (f, fock.vacuum(g, 0)),
+            (f, fock.vacuum(g, 1)),
+        ]
+        seen = set()
+        for h, v in cases:
+            raised = raises_capacity(lambda: field.field_apply(h, v, g))
+            assert raised == raises_capacity(lambda: fock.create(h, v))
+            seen.add(raised)
+        assert seen == {True, False}
+
+
 class TestOneModel:
     def test_refuses_a_model_other_than_the_base(self, rng):
         # two grids of one size and one set of weights: a g beside v would

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -203,3 +205,62 @@ class TestLinearity:
             lhs = op(a * fa + b * fb, v)
             rhs = a * op(fa, v) + b * op(fb, v)
             assert fock.norm(lhs - rhs) <= 1e-11 * max(fock.norm(lhs), 1.0)
+
+
+class TestDistance:
+    def pairs(self, g, rng):
+        u = fock.random_vector(g, 3, rng)
+        short = fock.FockVector(g, fock.random_vector(g, 1, rng).levels, 3)
+        # u - same_top cancels its top level
+        same_top = fock.FockVector(g, fock.random_vector(g, 2, rng).levels + [u.levels[3].copy()])
+        scalar = fock.FockVector(g, [2.5], 3)
+        return [
+            (u, short),
+            (short, u),
+            (u, same_top),
+            (scalar, fock.vacuum(g, 2)),
+            (scalar, u),
+            (u, u),
+        ]
+
+    def test_agrees_with_norm_of_difference(self, g, rng):
+        for u, v in self.pairs(g, rng):
+            expect = fock.norm(u - v)
+            assert abs(fock.distance(u, v) - expect) <= 1e-14 * expect
+
+    @pytest.mark.parametrize("block", [1, 4, 30])
+    def test_blocks_agree_with_one_pass(self, block, rng, monkeypatch):
+        # 1: every row from level 2 on is longer than a block, so rows are
+        # reduced row by row; 4 and 30: a few rows per block, or whole levels
+        g = grid.make_grid(5, lam=0.3)
+        u, v = fock.random_vector(g, 4, rng), fock.random_vector(g, 3, rng)
+        routes = (fock.inner, fock.distance, lambda a, b: fock.norm(a))
+        one_pass = [route(u, v) for route in routes]
+        monkeypatch.setattr(fock, "_LEVEL_BLOCK", block)
+        for route, expect in zip(routes, one_pass):
+            assert abs(route(u, v) - expect) <= 1e-14 * abs(expect)
+
+    def test_refuses_other_bases_as_inner_does(self, rng):
+        a, b = grid.make_grid(4), grid.make_grid(4, (0.0, 2.0))
+        u, v = fock.random_vector(a, 2, rng), fock.random_vector(b, 2, rng)
+        refusals = []
+        for op in (fock.inner, fock.distance):
+            with pytest.raises(ValueError) as err:
+                op(u, v)
+            refusals.append(str(err.value))
+        assert refusals[0] == refusals[1]
+        same = fock.FockVector(grid.make_grid(4), v.levels)
+        assert fock.distance(u, same) == fock.distance(u, fock.FockVector(a, v.levels))
+
+    def test_scratch_is_a_fraction_of_a_level(self, rng):
+        # a level 4 at m = 24 is 2.65 MB; a reduction holds a block of rows
+        g = grid.make_grid(24)
+        u, v = fock.random_vector(g, 4, rng), fock.random_vector(g, 4, rng)
+        for route in (fock.inner, fock.distance):
+            tracemalloc.start()
+            try:
+                route(u, v)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < u.levels[4].nbytes / 8, route

@@ -528,6 +528,78 @@ def random_content(sys, budget, rng):
     return v
 
 
+def raises_capacity(call) -> bool:
+    try:
+        call()
+    except CapacityError:
+        return True
+    return False
+
+
+class TestOnePassField:
+    """xfield writes its three parts into each level in one pass."""
+
+    def vectors(self, meixner, general, rng):
+        yield meixner[3], random_content(meixner[3], 4, rng)
+        yield general[3], random_content(general[3], 4, rng)
+        yield meixner[3], xfock.x_vacuum(meixner[3], 3)
+        yield meixner[3], xfock.kernel_lift(rng.standard_normal((M_GRID,) * 3), meixner[3], 4)
+        # L = sys.max_degree, with content in its last degree rows
+        yield general[3], xfock.k_transform(headroom(general[2], rng), general[3])
+
+    @pytest.mark.parametrize("block", [None, 1, 40])
+    def test_equals_the_sum_of_its_parts(self, block, meixner, general, rng, monkeypatch):
+        for _, v in self.vectors(meixner, general, rng):
+            f = rng.standard_normal(M_GRID)
+            parts = xfock.xplus(f, v) + xfock.xzero(f, v) + xfock.xminus(f, v)
+            if block:
+                monkeypatch.setattr(fock, "_LEVEL_BLOCK", block)
+            one = xfock.xfield(f, v)
+            monkeypatch.undo()
+            assert one.max_level == parts.max_level and len(one.levels) == len(parts.levels)
+            assert fock.distance(one, parts) <= 1e-14 * fock.norm(parts)
+
+    def test_raises_where_the_raising_part_does(self, meixner, rng):
+        _, _, _, sys = meixner
+        f = rng.standard_normal(M_GRID)
+        over_budget = xfock.x_vacuum(sys, 3, scalar=0.0)  # (0, 1) raises to degree 4
+        xfock.set_component(over_budget, (0, 1), rng.standard_normal((M_GRID, M_GRID)))
+        past_l = xfock.x_vacuum(sys, 3, scalar=0.0)  # L = 2: (2,) shifts past it
+        xfock.set_component(past_l, (2,), rng.standard_normal(M_GRID))
+        cases = [
+            (f, over_budget),
+            (f, past_l),
+            (np.zeros(M_GRID), past_l),
+            (f, xfock.x_vacuum(sys, 0)),
+            (np.zeros(M_GRID), xfock.x_vacuum(sys, 0)),
+            (f, random_content(sys, 4, rng)),
+        ]
+        seen = set()
+        for h, v in cases:
+            raised = raises_capacity(lambda: xfock.xfield(h, v))
+            assert raised == raises_capacity(lambda: xfock.xplus(h, v))
+            seen.add(raised)
+        assert seen == {True, False}
+
+
+def test_extended_field_runs_no_fock_field_primitive(meixner, rng, monkeypatch):
+    # the big-Fock field that k_transform_intertwines compares it with runs
+    # fock's primitives; the extended field must not share them
+    _, _, _, sys = meixner
+    v, f = random_content(sys, 4, rng), rng.standard_normal(M_GRID)
+    routes = (xfock.xplus, xfock.xzero, xfock.xminus, xfock.xfield)
+    expected = [route(f, v) for route in routes]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the extended field ran a fock field primitive")
+
+    for name in ("create", "annihilate", "neutral"):
+        monkeypatch.setattr(fock, name, forbidden)
+    for route, want in zip(routes, expected):
+        got = route(f, v)
+        assert all(np.array_equal(a, b) for a, b in zip(got.levels, want.levels))
+
+
 class TestDenseLayout:
     @pytest.mark.parametrize("system", ["meixner", "general"])
     def test_field_is_symmetric(self, system, request, rng):
