@@ -207,15 +207,14 @@ def _to_text(payload: dict) -> str:
 # on, full collections would rescan the whole live record list as it grows
 @ncpart._collector_paused
 def cmd_partitions(args) -> int:
+    # each record reuses its partition's tuples, which json writes as lists
     if args.set == "nc":
-        records = [
-            {"blocks": [list(b) for b in p.blocks], "marks": []}
-            for p in ncpart.enumerate_nc(args.n)
-        ]
-    elif args.set == "gn":
-        records = [ncpart.to_json_record(mp) for mp in ncpart.enumerate_gn(args.n)]
+        records = [{"blocks": p.blocks, "marks": ()} for p in ncpart.enumerate_nc(args.n)]
     else:
-        records = [ncpart.to_json_record(mp) for mp in ncpart.enumerate_interval(args.n)]
+        enumerate_ = ncpart.enumerate_gn if args.set == "gn" else ncpart.enumerate_interval
+        records = [
+            {"blocks": mp.partition.blocks, "marks": mp.marks} for mp in enumerate_(args.n)
+        ]
     payload = {"set": args.set, "n": args.n, "count": len(records), "records": records}
     _emit(payload, args.format, args.out)
     return 0

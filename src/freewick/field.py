@@ -39,9 +39,7 @@ from .fock import FockVector
 __all__ = [
     "field_apply",
     "monomial_apply",
-    "word_apply",
     "wick_apply",
-    "reduce_kernel",
     "wick_rule_expand",
     "wick_product_expand",
     "wick_product_sequential",
@@ -75,28 +73,6 @@ def monomial_apply(f, v: FockVector, g=None) -> FockVector:
     g = _model(v, g)
     f = np.asarray(f, dtype=float)
     return _to_vector(_peel(_lift(f, v), ("+-0",) * f.ndim, g), v.base)
-
-
-def word_apply(ops, f, v: FockVector, g=None) -> FockVector:
-    """Apply one smeared operator word, one factor per kernel axis.
-
-    ``ops[j]`` picks the factor carried by integration variable ``j``:
-    ``'+'`` creation, ``'-'`` annihilation, ``'0'`` the coefficient-weighted
-    neutral factor (first-slot multiplication at the variable's node times
-    the grid's coefficient table).  Meant for verifying individual terms of
-    the monomial expansion.  Runs the batched peel kernel keeping one part
-    per factor: a few array operations per factor, on arrays of at most
-    ``size ** (order + top_level(v))`` entries.
-    """
-    g = _model(v, g)
-    ops = tuple(ops)
-    f = np.asarray(f, dtype=float)
-    if len(ops) != f.ndim:
-        raise ValueError("one op per kernel axis required")
-    for op in ops:
-        if op not in ("+", "-", "0"):
-            raise ValueError(f"unknown op {op!r}")
-    return _to_vector(_peel(_lift(f, v), ops, g), v.base)
 
 
 def _lift(f: np.ndarray, v: FockVector) -> list:
@@ -236,20 +212,6 @@ def _wick_recursive(f, v, g):
         wick = [_acc(a, b) for a, b in zip(_peel(tail, ("-0",), g), raised)]
         tail = _peel(tail, "-", g)
     return _to_vector(wick, v.base)
-
-
-def reduce_kernel(kappa: ncpart.MarkedPartition, f, g) -> np.ndarray:
-    """Collapse a kernel along the blocks of an admissible marked partition.
-
-    Each -1 block of size l becomes a single quadrature variable weighted
-    by ``lambda**(l-2)``; each +1 block keeps its minimum as the surviving
-    variable (axes ordered by block minima) and contributes a factor
-    ``lambda**(l-1)`` at it.  The returned kernel has one axis per +1 block.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.ndim != kappa.n:
-        raise ValueError("kernel order must match the partition's ground-set size")
-    return _reduce(kappa, f, _power_table(g, f.ndim))
 
 
 def _power_table(g, n: int) -> tuple[np.ndarray, np.ndarray]:

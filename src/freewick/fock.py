@@ -11,8 +11,7 @@ Levels are stored only up to the content: ``levels`` stops at or before
 the budget ``max_level``, a number kept with the vector, and a level that
 is not stored is zero (level 0 is always stored).  :func:`vacuum` stores
 level 0 only, every operator emits only the levels its stored input
-feeds, and a sum or difference drops the all-zero levels at its top;
-:func:`zero` allocates every level, for callers that write in place.
+feeds, and a sum or difference drops the all-zero levels at its top.
 
 The base is any one-particle space with a ``size`` and per-slot
 ``weights``: a grid, the joint quadrature, or the weighted slot space of
@@ -49,7 +48,6 @@ from .errors import CapacityError
 __all__ = [
     "FockVector",
     "vacuum",
-    "zero",
     "create",
     "annihilate",
     "neutral",
@@ -104,12 +102,6 @@ class FockVector:
 
     def __neg__(self) -> "FockVector":
         return self * -1.0
-
-
-def zero(base, max_level: int) -> FockVector:
-    """The zero vector with every level up to the budget allocated, for in-place writers."""
-    m = base.size
-    return FockVector(base, [np.zeros((m,) * k) for k in range(max_level + 1)])
 
 
 def vacuum(base, max_level: int) -> FockVector:

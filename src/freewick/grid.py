@@ -93,6 +93,10 @@ class FiberMeasure:
         object.__setattr__(self, "weights", weights)
         if atoms.ndim != 1 or atoms.shape != weights.shape or atoms.size < 1:
             raise ValueError("atoms and weights must be matching 1-d arrays")
+        # a NaN fails no comparison below, so it is refused here
+        finite = np.isfinite(atoms).all() and np.isfinite(weights).all() and np.isfinite(self.radius)
+        if not finite:
+            raise ValueError("atoms, weights and radius must be finite")
         if np.any(weights <= 0):
             raise ValueError("atom weights must be strictly positive")
         if abs(weights.sum() - 1.0) > _NORMALIZATION_TOL:

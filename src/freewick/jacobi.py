@@ -32,12 +32,10 @@ from .grid import FiberMeasure, ProductGrid
 __all__ = [
     "JacobiNode",
     "JacobiSystem",
-    "poly_eval",
     "poly_values",
     "coeffs_from_measure",
     "norms",
     "gauss_rule",
-    "fiber_from_coefficients",
     "meixner_moments",
 ]
 
@@ -82,13 +80,6 @@ def poly_values(b, a, support, s) -> np.ndarray:
         out[k] = np.where(k < support, p, 0.0)
         p, p_prev = (s - b[k]) * p - a[k] * p_prev, p
     return out
-
-
-def poly_eval(node: JacobiNode, l: int, s):
-    """Monic orthogonal polynomial of degree ``l`` at ``s`` (scalar or array)."""
-    if l < 0 or l > node.max_degree:
-        raise ValueError(f"degree {l} outside tabulated range 0..{node.max_degree}")
-    return poly_values(node.b[: l + 1], node.a[: l + 1], node.finite_support_n or np.inf, s)[l]
 
 
 def coeffs_from_measure(fiber: FiberMeasure, max_degree: int) -> JacobiNode:
@@ -159,12 +150,6 @@ def gauss_rule(b, a, m_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     off = np.sqrt(a[1:m_nodes])
     vals, vecs = np.linalg.eigh(np.diag(b[:m_nodes]) + np.diag(off, 1) + np.diag(off, -1))
     return vals, vecs[0] ** 2
-
-
-def fiber_from_coefficients(b, a, m_nodes: int) -> FiberMeasure:
-    """Discretize the measure defined by recurrence coefficients."""
-    atoms, weights = gauss_rule(b, a, m_nodes)
-    return FiberMeasure(atoms, weights / weights.sum())
 
 
 def meixner_moments(lam: float, eta: float, sigma_delta: float, k: int) -> np.ndarray:

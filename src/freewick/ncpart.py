@@ -12,11 +12,14 @@ be cross-checked:
 * :func:`enumerate_nc` recurses on the block of the smallest element, and
   :func:`enumerate_gn` prepends the elements ``n-1, ..., 1`` one at a time
   by a three-way rule, so it never visits an inadmissible partition;
-* the oracles walk the non-crossing restricted growth strings (the string
-  of block labels of a set partition), carrying the blocks as they grow,
-  and apply the definition to the blocks of each; the count-only walk
-  counts the last element's choices in closed form instead of visiting
-  them.  No oracle shares code with the enumerator it checks.
+* the oracles that ``verify`` runs, :func:`brute_noncrossing_count` and
+  :func:`brute_gn`, walk the non-crossing restricted growth strings (the
+  string of block labels of a set partition), carrying the blocks as they
+  grow; :func:`brute_gn` applies the definition to the blocks of each, and
+  the count-only walk counts the last element's choices in closed form
+  instead of visiting them.  No oracle shares code with the enumerator it
+  checks.  The record-level twin of :func:`enumerate_nc`, a filter over
+  every set partition, lives in the tier-1 tests.
 
 The routes carry partitions as plain block tuples, the marked ones as
 ``(blocks, negated marks)`` tuples, whose natural order is the output
@@ -31,7 +34,7 @@ counting when the call that built it returns, not at a later
 garbage-collector pass.
 
 Since they make no cycles, the routes (:func:`enumerate_nc`,
-:func:`enumerate_gn`, :func:`enumerate_interval`, :func:`brute_noncrossing`,
+:func:`enumerate_gn`, :func:`enumerate_interval`,
 :func:`brute_noncrossing_count` and :func:`brute_gn`) run with the cyclic
 garbage collector paused (:func:`_collector_paused`).  Every record is a
 tracked container, so with the collector on, the records a route builds
@@ -361,39 +364,6 @@ def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
 # brute-force oracles
 # ---------------------------------------------------------------------------
 
-def all_set_partitions(n: int) -> Iterator[SetPartition]:
-    """Every set partition of {1..n}, via restricted growth strings."""
-    if n < 1:
-        raise ValueError("ground-set size must be positive")
-    a = [0] * n
-    pmax = [0] * n
-    while True:
-        nblocks = max(a) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for i, lab in enumerate(a):
-            blocks[lab].append(i + 1)
-        yield SetPartition(n, tuple(tuple(b) for b in blocks))
-        i = n - 1
-        while i > 0 and a[i] > pmax[i - 1]:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        pmax[i] = max(a[i], pmax[i - 1])
-        for j in range(i + 1, n):
-            a[j] = 0
-            pmax[j] = pmax[i]
-
-
-@_collector_paused
-def brute_noncrossing(n: int) -> list[SetPartition]:
-    """Filter-based oracle for :func:`enumerate_nc` (materializes partitions)."""
-    _check_bound(n, NC_LIMIT)
-    out = [p for p in all_set_partitions(n) if is_noncrossing(p)]
-    out.sort(key=lambda p: p.blocks)
-    return out
-
-
 @_collector_paused
 def brute_noncrossing_count(n: int) -> tuple[int, int]:
     """Count-only oracle ``(total set partitions, non-crossing ones)``.
@@ -549,10 +519,3 @@ def gn_count_recursion(n: int) -> int:
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
-
-def to_json_record(mp: MarkedPartition) -> dict:
-    """JSON-friendly form used by the CLI enumeration dump."""
-    return {
-        "blocks": [list(b) for b in mp.partition.blocks],
-        "marks": list(mp.marks),
-    }

@@ -372,7 +372,7 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     f = np.ones(p.m)
     r = []
     for l in (0, 1):
-        v = xfock.x_vacuum(skew_sys, 3, scalar=0.0)
+        v = xfock.x_vacuum(skew_sys, 3) * 0.0
         xfock.set_component(v, (l,), np.ones(p.m))
         r.append(float(xfock.component(xfock.xzero(f, v), (l,))[0]))
     r0, r1 = r

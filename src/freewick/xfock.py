@@ -67,7 +67,6 @@ __all__ = [
     "x_vacuum",
     "component",
     "set_component",
-    "components",
     "xplus",
     "xzero",
     "xminus",
@@ -116,10 +115,10 @@ def _blocks(v: FockVector, i: int) -> np.ndarray:
     return v.levels[i].reshape((v.base.lmax + 1, v.base.sys.grid.size) * i)
 
 
-def x_vacuum(sys: JacobiSystem, max_degree: int, scalar: float = 1.0) -> FockVector:
-    """``scalar`` times the vacuum, with degree budget ``max_degree``."""
+def x_vacuum(sys: JacobiSystem, max_degree: int) -> FockVector:
+    """The vacuum, with degree budget ``max_degree``."""
     space = _slot_space(sys, max(0, min(sys.max_degree, max_degree - 1)))
-    return FockVector(space, [float(scalar)], max_degree)
+    return FockVector(space, [1.0], max_degree)
 
 
 def component(v: FockVector, ls) -> np.ndarray:
@@ -155,17 +154,6 @@ def set_component(v: FockVector, ls, arr) -> None:
     blocks = _blocks(v, i)  # a copy when the level is not contiguous
     blocks[_block_index(ls)] = arr
     v.levels[i] = blocks.reshape(v.levels[i].shape)
-
-
-def components(v: FockVector) -> dict[tuple[int, ...], np.ndarray]:
-    """Nonzero components by degree, then lexicographically; views into the levels."""
-    found = []
-    lmax, m = v.base.lmax, v.base.sys.grid.size
-    for i in range(1, len(v.levels)):
-        nonzero = _nonzero_components(v.levels[i], lmax, m, i)
-        found.extend(tuple(int(l) for l in ls) for ls in np.argwhere(nonzero))
-    found.sort(key=lambda ls: (multi_index_degree(ls), ls))
-    return {ls: _blocks(v, len(ls))[_block_index(ls)] for ls in found}
 
 
 def _nonzero_components(arr: np.ndarray, lmax: int, m: int, i: int) -> np.ndarray:
@@ -490,7 +478,7 @@ def kernel_lift(kern, sys: JacobiSystem, max_degree: int | None = None) -> FockV
     """
     kern = np.asarray(kern, dtype=float)
     n = kern.ndim
-    out = x_vacuum(sys, n if max_degree is None else max_degree, scalar=kern if n == 0 else 0.0)
+    out = x_vacuum(sys, n if max_degree is None else max_degree) * (kern if n == 0 else 0.0)
     for ls in multi_indices_exact(n):
         set_component(out, ls, _diagonal(kern, ls))
     return out

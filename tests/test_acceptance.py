@@ -243,7 +243,7 @@ def test_criterion_9_meixner_characterization():
     f = np.ones(M)
     vals = []
     for l in (0, 1):
-        v = xfock.x_vacuum(skew_sys, 4, scalar=0.0)
+        v = xfock.x_vacuum(skew_sys, 4) * 0.0
         xfock.set_component(v, (l,), np.ones(M))
         vals.append(float(xfock.component(xfock.xzero(f, v), (l,))[0]))
     level_dependent = abs(vals[0] - vals[1]) > 0.1

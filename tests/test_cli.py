@@ -95,7 +95,10 @@ class TestPartitions:
             ]
         else:
             enumerate_ = ncpart.enumerate_gn if which == "gn" else ncpart.enumerate_interval
-            records = [ncpart.to_json_record(mp) for mp in enumerate_(8)]
+            records = [
+                {"blocks": [list(b) for b in mp.partition.blocks], "marks": list(mp.marks)}
+                for mp in enumerate_(8)
+            ]
         payload = {"set": which, "n": 8, "count": len(records), "records": records}
         expected = json.dumps(payload, indent=2) + "\n"
         args = ["partitions", "--n", "8", "--set", which]
@@ -326,6 +329,10 @@ BAD_CONFIGS = [
     {"lambda": 1.0, "fibers": TWO_LAWS},
     {"eta": 0.0, "fibers": TWO_LAWS},
     {"m": 2, "fibers": TWO_LAWS, "fiber_nodes": 3},
+    # non-finite laws: a NaN fails neither the sign nor the normalization test
+    {"m": 2, "fibers": [{"atoms": [-1.0, float("nan")], "weights": [0.5, 0.5]}, TWO_LAWS[1]]},
+    {"m": 2, "fibers": [{"atoms": [-1.0, float("inf")], "weights": [0.5, 0.5]}, TWO_LAWS[1]]},
+    {"m": 2, "fibers": [{"atoms": [-1.0, 1.0], "weights": [float("nan"), 0.5]}, TWO_LAWS[1]]},
     [{"m": 2}],
 ]
 

@@ -108,6 +108,21 @@ class TestFiberMeasure:
         with pytest.raises(ValueError):
             grid.FiberMeasure(np.array([0.0, 2.0]), np.array([0.5, 0.5]), radius=1.0)
 
+    @pytest.mark.parametrize(
+        "atoms, weights, radius",
+        [
+            ([0.0, np.nan], [0.5, 0.5], 0.0),
+            ([0.0, np.inf], [0.5, 0.5], 0.0),
+            ([0.0, 1.0], [np.nan, 0.5], 0.0),
+            ([0.0, 1.0], [0.5, 0.5], np.nan),
+            ([0.0, 1.0], [0.5, 0.5], np.inf),
+        ],
+    )
+    def test_non_finite_refused(self, atoms, weights, radius):
+        # a NaN passes both the sign and the normalization test
+        with pytest.raises(ValueError, match="finite"):
+            grid.FiberMeasure(np.array(atoms), np.array(weights), radius=radius)
+
     def test_moments(self):
         fb = grid.FiberMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         assert np.allclose([fb.moment(k) for k in range(5)], [1, 0, 1, 0, 1])

@@ -95,7 +95,7 @@ class TestEnumerateNC:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute_force(self, n):
         direct = [p.blocks for p in ncpart.enumerate_nc(n)]
-        brute = [p.blocks for p in ncpart.brute_noncrossing(n)]
+        brute = [p.blocks for p in brute_noncrossing(n)]
         assert direct == brute
         assert len(direct) == len(set(direct)) == ncpart.catalan(n)
 
@@ -220,15 +220,42 @@ class TestCountingKernels:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_dispatch_matches_enumeration(self, n):
         # the pruned search against the unpruned filter of every set partition
-        parts = list(ncpart.all_set_partitions(n))
+        parts = list(all_set_partitions(n))
         unpruned = (len(parts), sum(1 for p in parts if ncpart.is_noncrossing(p)))
         assert ncpart.brute_noncrossing_count(n) == unpruned
+
+
+def all_set_partitions(n):
+    """Every set partition of {1..n}, via restricted growth strings."""
+    a = [0] * n
+    pmax = [0] * n
+    while True:
+        blocks = [[] for _ in range(max(a) + 1)]
+        for i, lab in enumerate(a):
+            blocks[lab].append(i + 1)
+        yield SetPartition(n, tuple(tuple(b) for b in blocks))
+        i = n - 1
+        while i > 0 and a[i] > pmax[i - 1]:
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        pmax[i] = max(a[i], pmax[i - 1])
+        for j in range(i + 1, n):
+            a[j] = 0
+            pmax[j] = pmax[i]
+
+
+def brute_noncrossing(n):
+    """Every non-crossing partition, filtered by definition, in block order."""
+    out = [p for p in all_set_partitions(n) if ncpart.is_noncrossing(p)]
+    return sorted(out, key=lambda p: p.blocks)
 
 
 def unpruned_gn(n):
     """Every non-crossing partition with every mark vector, filtered by definition."""
     out = []
-    for p in ncpart.all_set_partitions(n):
+    for p in all_set_partitions(n):
         if not ncpart.is_noncrossing(p):
             continue
         for marks in itertools.product((1, -1), repeat=len(p.blocks)):
@@ -270,13 +297,11 @@ class TestOracleBounds:
         "route,limit",
         [
             (ncpart.brute_noncrossing_count, ncpart.NC_LIMIT),
-            (ncpart.brute_noncrossing, ncpart.NC_LIMIT),
             (ncpart.brute_gn, ncpart.MARKED_LIMIT),
         ],
     )
     def test_past_limit(self, route, limit, monkeypatch):
         monkeypatch.setattr(ncpart, "_walk_noncrossing_rgs", _never_walk)
-        monkeypatch.setattr(ncpart, "all_set_partitions", _never_walk)
         for n in (0, limit + 1):
             with pytest.raises(EnumerationBoundError, match=f"outside supported range 1..{limit}"):
                 route(n)
@@ -394,7 +419,6 @@ PAUSED_ROUTES = [
     (ncpart.enumerate_nc, ncpart.NC_LIMIT),
     (ncpart.enumerate_gn, ncpart.MARKED_LIMIT),
     (ncpart.enumerate_interval, ncpart.MARKED_LIMIT),
-    (ncpart.brute_noncrossing, ncpart.NC_LIMIT),
     (ncpart.brute_noncrossing_count, ncpart.NC_LIMIT),
     (ncpart.brute_gn, ncpart.MARKED_LIMIT),
 ]
@@ -445,7 +469,6 @@ class TestCollectorPause:
         ncpart.enumerate_nc,
         ncpart.enumerate_gn,
         ncpart.enumerate_interval,
-        ncpart.brute_noncrossing,
         ncpart.brute_gn,
         ncpart.brute_noncrossing_count,
     ],
