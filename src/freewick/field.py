@@ -164,17 +164,13 @@ def wick_apply(f, v: FockVector, g=None, form: str = "explicit") -> FockVector:
     w = g.weights
     lam = g.lambda_values
     m = g.size
-    top = fock.top_level(v)
-    if top < 0 or not np.any(f):
+    if not np.any(f):
         return fock.FockVector(v.base, [0.0], v.max_level)
 
     # the creation word writes the highest level, so its budget check
-    # covers the tails below; only the levels it can reach are allocated
-    out = fock.FockVector(
-        v.base, [np.zeros((m,) * k) for k in range(min(top + n, v.max_level) + 1)], v.max_level
-    )
-    for k in range(top + 1):
-        arr = v.levels[k]
+    # covers the tails below; a level is allocated by its first term
+    out = [None] * (v.max_level + 1)
+    for k, arr in enumerate(v.levels):
         if not np.any(arr):
             continue
         if k + n > v.max_level:
@@ -190,7 +186,7 @@ def wick_apply(f, v: FockVector, g=None, form: str = "explicit") -> FockVector:
                 c = np.tensordot(f, vw, axes=(list(range(n - 1, n - q - 1, -1)), list(range(q))))
             else:
                 c = np.multiply.outer(f, arr)
-            out.levels[n - 2 * q + k] += c
+            out[n - 2 * q + k] = _acc(out[n - 2 * q + k], c)
             if q < n and k > q:
                 # the last creation made neutral instead: the diagonal couples
                 # its kernel axis with the surviving first slot, and the
@@ -198,8 +194,8 @@ def wick_apply(f, v: FockVector, g=None, form: str = "explicit") -> FockVector:
                 i = n - q - 1
                 d = np.moveaxis(np.diagonal(c, axis1=i, axis2=i + 1), -1, i)
                 shape = (1,) * i + (m,) + (1,) * (k - q - 1)
-                out.levels[n - 2 * q + k - 1] += d * lam.reshape(shape)
-    return out
+                out[n - 2 * q + k - 1] = _acc(out[n - 2 * q + k - 1], d * lam.reshape(shape))
+    return _to_vector(out, v.base)
 
 
 def _wick_recursive(f, v, g):

@@ -226,14 +226,12 @@ def _weighted_sum(x: np.ndarray, w: np.ndarray, first: np.ndarray) -> float:
 def _level_sum(pair, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     """The weighted sum over one level of ``pair(a, b)``, an entrywise array.
 
-    ``pair`` runs on the whole level when it fits in ``_LEVEL_BLOCK``
-    entries, and otherwise on a block of first-slot rows at a time; a row
-    longer than the block is reduced row by row in turn.
+    ``pair`` runs on a block of first-slot rows at a time, the whole level
+    when it fits in ``_LEVEL_BLOCK`` entries; a row longer than the block
+    is reduced row by row in turn.
     """
     if a.ndim == 0:
         return float(pair(a, b))
-    if a.size <= _LEVEL_BLOCK:
-        return _weighted_sum(pair(a, b), w, w)
     if a[0].size > _LEVEL_BLOCK:
         return sum(w[i] * _level_sum(pair, a[i], b[i], w) for i in range(a.shape[0]))
     return sum(

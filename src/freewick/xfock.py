@@ -199,10 +199,8 @@ def _field_part(f, v: FockVector, parts: str) -> FockVector:
     write only the ``l = 0`` block of the first slot.
     """
     sys, lmax = v.base.sys, v.base.lmax
-    f = np.asarray(f, dtype=float)
+    f = fock._node_values(f, sys.grid)
     m = sys.grid.size
-    if f.shape != (m,):
-        raise ValueError(f"node values must have shape {(m,)}, got {f.shape}")
     levels, budget = v.levels, v.max_level
     n = len(levels)
     raising, lowering = "+" in parts, "-" in parts
@@ -237,15 +235,14 @@ def _band_into(y, x, up, bf, af) -> None:
 
     ``bf`` is ``b_l f`` in place, ``up`` is ``f`` on the shift ``l -> l+1``
     and ``af`` is ``a_{l+1} f`` on the shift back; ``None`` skips a band.
-    A block of ``l`` rows of about ``fock._LEVEL_BLOCK`` entries, and at
-    least one row, is written at a time.
+    A block of ``l`` rows, as :func:`fock._row_blocks` cuts them, is
+    written at a time.
     """
     rows = len(x)
-    step = max(1, fock._LEVEL_BLOCK // x[0].size)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
+    for block in fock._row_blocks(rows, x[0].size):
+        lo, hi, _ = block.indices(rows)
         if bf is not None:
-            y[lo:hi] += bf[lo:hi, :, None] * x[lo:hi]
+            y[block] += bf[block, :, None] * x[block]
         if up is not None and hi > 1:
             start = max(lo, 1)
             y[start:hi] += up[:, None] * x[start - 1 : hi - 1]

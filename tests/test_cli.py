@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from freewick import cli, ncpart
+from freewick import cli, cumulant, fock, ncpart, xfock
+from freewick.errors import ConfigError
 
 
 def run(args, capsys):
@@ -116,6 +120,24 @@ class TestPartitions:
         assert lines[0] == "blocks,marks"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("which", ["nc", "gn", "interval"])
+    def test_csv_parses_back_into_records(self, which, capsys):
+        # a block list holds commas, so the reader must see it as one field
+        args = ["partitions", "--n", "5", "--set", which]
+        _, out = run(args, capsys)
+        records = json.loads(out)["records"]
+        _, out = run(args + ["--format", "csv"], capsys)
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["blocks", "marks"]
+        parsed = [
+            {
+                "blocks": [[int(x) for x in b.split(",")] for b in blocks.split(";")],
+                "marks": [int(x) for x in marks.split(",")] if marks else [],
+            }
+            for blocks, marks in rows
+        ]
+        assert parsed == records
+
 
 class TestMoments:
     def test_default_meixner_fourth_power(self, capsys):
@@ -125,6 +147,14 @@ class TestMoments:
         assert payload["max_gap"] < 1e-10
         for value in payload["paths"].values():
             assert abs(value - 4.0) < 1e-10
+
+    def test_nan_route_gives_nan_gap(self, capsys, monkeypatch):
+        # a route that returns NaN must not vanish from the largest gap
+        monkeypatch.setattr(cumulant, "nc_moment_sum", lambda word, pg: math.nan)
+        code, out = run(["moments", "--power", "2"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert math.isnan(payload["paths"]["nc_sum"]) and math.isnan(payload["max_gap"])
 
     def test_gauss_poisson_paths(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -369,6 +399,31 @@ class TestVerify:
         failed = {c["name"] for c in payload["checks"] if not c["passed"]}
         assert "moment_cumulant_lambda" in failed
 
+    @pytest.mark.parametrize(
+        "module,name,nth,suite,check",
+        [
+            (xfock, "xmoment", 3, "xfock", "moments_big_fock_vs_extended"),
+            (fock, "distance", 1, "wick", "wick_rule_n1"),
+            (xfock, "xzero", 1, "meixner", "xzero_level_dependence"),
+        ],
+        ids=["xmoment", "distance", "xzero"],
+    )
+    def test_nan_sample_fails_its_check(self, module, name, nth, suite, check, capsys, monkeypatch):
+        # one route's NaN, for a single sample, must fail the check it feeds
+        route, calls = getattr(module, name), []
+
+        def nan_once(*args):
+            calls.append(None)
+            out = route(*args)
+            return out * math.nan if len(calls) == nth else out
+
+        monkeypatch.setattr(module, name, nan_once)
+        code, out = run(["verify", "--suite", suite], capsys)
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == [check]
+        assert math.isnan(failed[0]["residual"])
+
     def test_text_format(self, capsys):
         code, out = run(
             ["verify", "--suite", "meixner", "--format", "text"], capsys
@@ -490,6 +545,24 @@ class TestVerify:
         payload = json.loads(out)
         assert list(payload["suite_seconds"]) == payload["suites"]
         assert sum(payload["suite_seconds"].values()) == payload["elapsed_seconds"]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"fiber_nodes": 2},
+        {"fiber_nodes": 3},
+        {"n_max": 0},
+        {"n_max": 7},
+        {"seed": -1},
+        {"m": 0},
+        {"degree": 0},
+    ],
+    ids=["fiber_nodes2", "fiber_nodes3", "n_max0", "n_max7", "seed-1", "m0", "degree0"],
+)
+def test_suite_params_refuse_what_suites_cannot_run(params):
+    with pytest.raises(ConfigError, match=next(iter(params))):
+        cli.suites.SuiteParams(**params)
 
 
 class TestColdStart:
