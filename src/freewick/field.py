@@ -2,11 +2,11 @@
 
 The field at a node acts as creation + annihilation + coefficient-weighted
 neutral part.  A monomial smears a product of such factors, one per kernel
-axis, against the quadrature.  Its Wick (normal) ordering drops every term
-in which an annihilation factor immediately precedes a creation factor; the
-resulting operator applied to the vacuum reproduces the kernel at its own
-level and nothing else, which is what makes it the orthogonal projection of
-the monomial.
+axis, against the quadrature; the smeared field is the order-1 monomial.
+Its Wick (normal) ordering drops every term in which an annihilation
+factor immediately precedes a creation factor; the resulting operator
+applied to the vacuum reproduces the kernel at its own level and nothing
+else, which is what makes it the orthogonal projection of the monomial.
 
 The expansion of a monomial over admissible marked non-crossing partitions
 (:func:`wick_rule_expand`) and the analogous expansion for a product of
@@ -22,8 +22,9 @@ Everything here is stateless; the partition sums are plain reductions and
 may be parallelized by the caller.
 
 Kernels are plain dense ``numpy`` arrays sampled at grid nodes, one axis
-per integration variable (order 0 means a scalar).  An operator acts over
-the base of its vector; a ``g`` passed beside the vector must be that base.
+of the base's length per integration variable (order 0 means a scalar).
+An operator acts over the base of its vector; a ``g`` passed beside the
+vector must be that base.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import CapacityError
 from .fock import FockVector
 
 __all__ = [
-    "field_apply",
     "monomial_apply",
     "wick_apply",
     "wick_rule_expand",
@@ -55,12 +55,13 @@ def _model(v: FockVector, g):
     return v.base
 
 
-def field_apply(f, v: FockVector, g=None) -> FockVector:
-    """Apply the smeared field: creation + annihilation + neutral(lambda * f)."""
-    g = _model(v, g)
+def _kernel(f, base) -> np.ndarray:
+    """``f`` as a float array; every axis must have the length of ``base``."""
     f = np.asarray(f, dtype=float)
-    levels = fock._first_slot(v, plus=f, minus=f, zero=g.lambda_values * f)
-    return FockVector(v.base, fock._trim(levels), v.max_level)
+    shape = (base.size,) * f.ndim
+    if f.shape != shape:
+        raise ValueError(f"kernel has shape {f.shape}; over this base it must be {shape}")
+    return f
 
 
 def monomial_apply(f, v: FockVector, g=None) -> FockVector:
@@ -71,7 +72,7 @@ def monomial_apply(f, v: FockVector, g=None) -> FockVector:
     along as leading batch axes, so there is no loop over node tuples.
     """
     g = _model(v, g)
-    f = np.asarray(f, dtype=float)
+    f = _kernel(f, g)
     return _to_vector(_peel(_lift(f, v), ("+-0",) * f.ndim, g), v.base)
 
 
@@ -152,7 +153,7 @@ def wick_apply(f, v: FockVector, g=None, form: str = "explicit") -> FockVector:
     level and zero elsewhere.
     """
     g = _model(v, g)
-    f = np.asarray(f, dtype=float)
+    f = _kernel(f, g)
     n = f.ndim
     if n == 0:
         return v * float(f)
@@ -274,7 +275,7 @@ def wick_rule_expand(f, g, v: FockVector | None = None) -> FockVector:
     is linear in its kernel).  Must reproduce :func:`monomial_apply` exactly
     (to roundoff); applied to the vacuum by default.
     """
-    f = np.asarray(f, dtype=float)
+    f = _kernel(f, g)
     n = f.ndim
     if n < 1:
         raise ValueError("kernel order must be at least 1")
@@ -296,7 +297,7 @@ def wick_product_expand(orders, f, g, v: FockVector | None = None) -> FockVector
     if any(k < 1 for k in orders):
         raise ValueError("factor orders must be positive")
     n = sum(orders)
-    f = np.asarray(f, dtype=float)
+    f = _kernel(f, g)
     if f.ndim != n:
         raise ValueError("kernel order must equal the sum of the factor orders")
     # group[p - 1] is the factor that element p belongs to

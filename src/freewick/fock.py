@@ -25,15 +25,12 @@ than truncating.
 Operations never mutate their inputs; vectors are plain values.
 
 Allocation and scratch.  An operator allocates each level it emits
-once, and its parts add into that level; :func:`field.field_apply`
-writes all three parts in one such pass.  A sum or difference allocates
-the levels it returns.  :func:`inner`, :func:`norm` and :func:`distance`
-allocate no level.  The scratch of the level reductions and of the
-creation and neutral writes is one block of first-slot rows, of at most
-``_LEVEL_BLOCK`` entries; a reduction takes a longer row row by row,
-while a write then takes one row.  Annihilation's scratch is its output
-level, a slot smaller than its input.  A level that fits in one block is
-handled in one pass.
+once, by one array expression over the level that feeds it.  A sum or
+difference allocates the levels it returns.  :func:`inner`, :func:`norm`
+and :func:`distance` allocate no level: their scratch is one block of
+first-slot rows, of at most ``_LEVEL_BLOCK`` entries, and a longer row
+is reduced row by row.  A level that fits in one block is reduced in one
+pass.
 """
 
 from __future__ import annotations
@@ -131,8 +128,31 @@ def _trim(levels: list) -> list:
     return levels
 
 
+def create(f, v: FockVector) -> FockVector:
+    """Prepend a slot sampled from ``f``: level k of ``v`` feeds level k+1."""
+    f = _node_values(f, v.base)
+    if len(v.levels) > v.max_level and np.any(v.levels[-1]) and np.any(f):
+        raise CapacityError(f"create would push level {v.max_level} content past the budget")
+    levels = [0.0] + [np.multiply.outer(f, a) for a in v.levels[: v.max_level]]
+    return FockVector(v.base, levels, v.max_level)
+
+
+def annihilate(f, v: FockVector) -> FockVector:
+    """Contract the first slot against ``f`` with quadrature weights."""
+    wf = v.base.weights * _node_values(f, v.base)
+    levels = [(wf @ a.reshape(wf.size, -1)).reshape(a.shape[1:]) for a in v.levels[1:]]
+    return FockVector(v.base, levels or [0.0], v.max_level)
+
+
+def neutral(f, v: FockVector) -> FockVector:
+    """Multiply the first slot pointwise by ``f``; kills level 0."""
+    f = _node_values(f, v.base)
+    levels = [0.0] + [f.reshape((-1,) + (1,) * (a.ndim - 1)) * a for a in v.levels[1:]]
+    return FockVector(v.base, levels, v.max_level)
+
+
 # entries in one block of first-slot rows: the scratch bound of the level
-# reductions and of the first-slot writes
+# reductions and of the extended field's band writes
 _LEVEL_BLOCK = 1 << 15
 
 
@@ -141,76 +161,6 @@ def _row_blocks(rows: int, row_size: int) -> list:
     (one row where a row is longer); one slice when they all fit."""
     step = max(1, _LEVEL_BLOCK // row_size)
     return [slice(start, start + step) for start in range(0, rows, step)]
-
-
-def _create_into(out: np.ndarray, f: np.ndarray, a: np.ndarray) -> None:
-    """Add ``f`` prepended as a new first slot to ``a`` into ``out``, one level up."""
-    for rows in _row_blocks(f.size, a.size):
-        out[rows] += np.multiply.outer(f[rows], a)
-
-
-def _annihilate_into(out: np.ndarray, wf: np.ndarray, a: np.ndarray) -> None:
-    """Add the first slot of ``a`` contracted against ``wf`` into ``out``, one level down.
-
-    Its scratch is one level of ``out``, a slot smaller than ``a``.
-    """
-    out += (wf @ a.reshape(wf.size, -1)).reshape(out.shape)
-
-
-def _neutral_into(out: np.ndarray, f: np.ndarray, a: np.ndarray) -> None:
-    """Add ``a`` with its first slot multiplied pointwise by ``f`` into ``out``."""
-    ones = (1,) * (a.ndim - 1)
-    for rows in _row_blocks(f.size, a[0].size):
-        out[rows] += f[rows].reshape((-1,) + ones) * a[rows]
-
-
-def _first_slot(v: FockVector, plus=None, minus=None, zero=None) -> list:
-    """Levels of creation by ``plus``, annihilation by ``minus`` and the neutral
-    part with ``zero``, each ``None`` when absent, summed as they are written.
-
-    Each output level is allocated once and the parts add into it,
-    creation first, then annihilation, then the neutral part.  Stored are
-    the levels the present parts emit, the all-zero ones included.
-    """
-    base, levels = v.base, v.levels
-    n = len(levels)
-    count = 1
-    if plus is not None:
-        plus = _node_values(plus, base)
-        if n > v.max_level and np.any(levels[-1]) and np.any(plus):
-            raise CapacityError(f"create would push level {v.max_level} content past the budget")
-        count = 1 + min(n, v.max_level)
-    if minus is not None:
-        minus = base.weights * _node_values(minus, base)
-        count = max(count, n - 1)
-    if zero is not None:
-        zero = _node_values(zero, base)
-        count = max(count, n)
-    m = base.size
-    out = [np.zeros((m,) * k) for k in range(count)]
-    for k, level in enumerate(out):
-        if plus is not None and k:
-            _create_into(level, plus, levels[k - 1])
-        if minus is not None and k + 1 < n:
-            _annihilate_into(level, minus, levels[k + 1])
-        if zero is not None and 0 < k < n:
-            _neutral_into(level, zero, levels[k])
-    return out
-
-
-def create(f, v: FockVector) -> FockVector:
-    """Prepend a slot sampled from ``f``: level k of ``v`` feeds level k+1."""
-    return FockVector(v.base, _first_slot(v, plus=f), v.max_level)
-
-
-def annihilate(f, v: FockVector) -> FockVector:
-    """Contract the first slot against ``f`` with quadrature weights."""
-    return FockVector(v.base, _first_slot(v, minus=f), v.max_level)
-
-
-def neutral(f, v: FockVector) -> FockVector:
-    """Multiply the first slot pointwise by ``f``; kills level 0."""
-    return FockVector(v.base, _first_slot(v, zero=f), v.max_level)
 
 
 def _weighted_sum(x: np.ndarray, w: np.ndarray, first: np.ndarray) -> float:

@@ -359,10 +359,11 @@ def big_fock_realize(f, v: FockVector) -> FockVector:
     """The same field realized on the joint-quadrature Fock space of ``v``.
 
     Lifts the node function to the joint nodes and applies the plain field
-    there; the joint grid's coefficient table is the atom coordinate.
-    Moments computed on this side are the reference for :func:`xmoment`.
+    there, as the order-1 monomial; the joint grid's coefficient table is
+    the atom coordinate.  Moments computed on this side are the reference
+    for :func:`xmoment`.
     """
-    return field.field_apply(v.base.lift(f), v)
+    return field.monomial_apply(v.base.lift(f), v)
 
 
 def _require_model(v: FockVector, sys: JacobiSystem) -> None:
@@ -490,6 +491,11 @@ def power_jump(l: int, delta, v: FockVector, sys: JacobiSystem, orthogonal: bool
     process); ``orthogonal=False`` uses the raw ``s**l`` profile.
     """
     _require_model(v, sys)
+    if l < 0 or orthogonal and l > sys.max_degree:
+        raise ValueError(
+            f"degree {l} must be nonnegative, and at most the tabulated {sys.max_degree} "
+            "on the orthogonal profile"
+        )
     pg = sys.model
     delta = np.asarray(delta)
     if delta.dtype != bool or delta.shape != (pg.grid.size,):
@@ -499,4 +505,4 @@ def power_jump(l: int, delta, v: FockVector, sys: JacobiSystem, orthogonal: bool
     else:
         vals = pg.svalues**l
     kern = delta[pg.tindex] * vals
-    return field.field_apply(kern, v)
+    return field.monomial_apply(kern, v)

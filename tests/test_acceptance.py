@@ -9,6 +9,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from freewick import cumulant, field, fock, grid, jacobi, ncpart, suites, xfock
 from freewick.grid import ProductGrid, make_grid, semicircle_fiber
@@ -30,6 +31,11 @@ def rel(a, b):
 
 def rel_vec(u, v):
     return fock.norm(u - v) / max(fock.norm(u), fock.norm(v), 1e-30)
+
+
+def worst_of(samples):
+    """The largest sample, or NaN when any sample is NaN: no bound holds for it."""
+    return float(np.max(samples))
 
 
 def outer(kernels):
@@ -56,14 +62,15 @@ def test_criterion_1_partition_counts():
 def test_criterion_2_wick_rule():
     start = time.perf_counter()
     rng = np.random.default_rng(20)
-    worst = 0.0
+    gaps = []
     for n in range(1, 6):
         for _ in range(20):
             g = make_grid(M, lam=rng.standard_normal(M))
             f = rng.standard_normal((M,) * n)
             mono = field.monomial_apply(f, fock.vacuum(g, n), g)
             expanded = field.wick_rule_expand(f, g)
-            worst = max(worst, rel_vec(mono, expanded))
+            gaps.append(rel_vec(mono, expanded))
+    worst = worst_of(gaps)
     elapsed = time.perf_counter() - start
     report(
         "criterion-2 wick rule",
@@ -74,7 +81,7 @@ def test_criterion_2_wick_rule():
 
 def test_criterion_3_normal_product_rule():
     rng = np.random.default_rng(30)
-    worst = 0.0
+    gaps = []
     for n in range(1, 6):
         for parts in range(1, min(3, n) + 1):
             for comp in ncpart.compositions(n, parts):
@@ -82,7 +89,8 @@ def test_criterion_3_normal_product_rule():
                 kernels = [rng.standard_normal((M,) * k) for k in comp]
                 seq = field.wick_product_sequential(kernels, g)
                 exp = field.wick_product_expand(comp, outer(kernels), g)
-                worst = max(worst, rel_vec(seq, exp))
+                gaps.append(rel_vec(seq, exp))
+    worst = worst_of(gaps)
     report("criterion-3 normal product rule", worst <= 1e-10, f"max rel err {worst:.2e}")
 
 
@@ -95,16 +103,16 @@ def test_criterion_4_moment_cumulant():
         w = rng.uniform(0.2, 1.0, size=FIBER_NODES)
         fibers.append(grid.FiberMeasure(atoms, w / w.sum()))
     fib_pg = ProductGrid(make_grid(M), fibers)
-    worst = 0.0
+    gaps = []
     for pg in (lam_pg, fib_pg):
         for n in range(1, 7):
             fs = [rng.standard_normal(M) for _ in range(n)]
-            worst = max(worst, rel(cumulant.moment(fs, pg), cumulant.nc_moment_sum(fs, pg)))
+            gaps.append(rel(cumulant.moment(fs, pg), cumulant.nc_moment_sum(fs, pg)))
+    worst = worst_of(gaps)
     fa = np.array([1.0, 0.5, 2.0, 0.0, 0.0, 0.0])
     fb = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 0.5])
-    mixed = 0.0
-    for word in ([fa, fb], [fa, fb, fa], [fa, fa, fb], [fa, fb, fa, fb]):
-        mixed = max(mixed, abs(cumulant.cumulant_direct(word, lam_pg)))
+    words = ([fa, fb], [fa, fb, fa], [fa, fa, fb], [fa, fb, fa, fb])
+    mixed = worst_of([abs(cumulant.cumulant_direct(word, lam_pg)) for word in words])
     report(
         "criterion-4 moment-cumulant recursion",
         worst <= 1e-10 and mixed == 0.0,
@@ -169,25 +177,26 @@ def test_criterion_7_extended_fock_consistency():
     # all words over a fixed kernel pair up to the degree budget, plus
     # fresh random kernels at each degree
     fa, fb = rng.standard_normal(M), rng.standard_normal(M)
-    worst = 0.0
+    moments = []
     for d in range(1, DEGREE + 1):
         for word in itertools.product((fa, fb), repeat=d):
             word = list(word)
-            worst = max(worst, rel(cumulant.moment(word, pg), xfock.xmoment(word, sys)))
+            moments.append(rel(cumulant.moment(word, pg), xfock.xmoment(word, sys)))
         for _ in range(5):
             word = [rng.standard_normal(M) for _ in range(d)]
-            worst = max(worst, rel(cumulant.moment(word, pg), xfock.xmoment(word, sys)))
+            moments.append(rel(cumulant.moment(word, pg), xfock.xmoment(word, sys)))
 
-    worst_norm = worst_tw = 0.0
+    norms, intertwines = [], []
     for _ in range(20):
         v = fock.random_vector(pg, 3, rng)
         v.levels[3][:] = 0
         xv = xfock.k_transform(v, sys)
-        worst_norm = max(worst_norm, rel(fock.norm(xv), fock.norm(v)))
+        norms.append(rel(fock.norm(xv), fock.norm(v)))
         f = rng.standard_normal(M)
         lhs = xfock.k_transform(xfock.big_fock_realize(f, v), sys)
         rhs = xfock.xfield(f, xfock.k_transform(v, sys, max_degree=lhs.max_level + 1))
-        worst_tw = max(worst_tw, fock.norm(lhs - rhs) / max(fock.norm(lhs), 1e-30))
+        intertwines.append(fock.norm(lhs - rhs) / max(fock.norm(lhs), 1e-30))
+    worst, worst_norm, worst_tw = worst_of(moments), worst_of(norms), worst_of(intertwines)
     ok = worst <= 1e-10 and worst_norm <= 1e-10 and worst_tw <= 1e-10
     report(
         "criterion-7 extended fock consistency",
@@ -201,14 +210,15 @@ def test_criterion_8_inner_product_formula():
     g = make_grid(M, lam=0.7, eta=1.2)
     pg = ProductGrid(g, grid.semicircle_fibers(g, FIBER_NODES))
     sys = JacobiSystem(pg, FIBER_NODES)
-    worst = 0.0
+    gaps = []
     for n in range(1, 5):
         fs = [rng.standard_normal(M) for _ in range(n)]
         hs = [rng.standard_normal(M) for _ in range(n)]
         formula = xfock.inner_product_formula(outer(fs), outer(hs), sys)
         left, right = _raise_word(fs, sys), _raise_word(hs, sys)
         direct = fock.inner(left, right)
-        worst = max(worst, abs(formula - direct) / max(abs(direct), 1.0))
+        gaps.append(abs(formula - direct) / max(abs(direct), 1.0))
+    worst = worst_of(gaps)
     report("criterion-8 inner-product formula", worst <= 1e-10, f"max rel err {worst:.2e}")
 
 
@@ -221,7 +231,7 @@ def test_criterion_9_meixner_characterization():
     sys = JacobiSystem(pg, FIBER_NODES)
 
     # slotwise closed forms of the graded actions, exact for constant coefficients
-    worst_slot = 0.0
+    slots = []
     for n in (1, 2, 3):
         kern = rng.standard_normal((M,) * n)
         f = rng.standard_normal(M)
@@ -234,7 +244,8 @@ def test_criterion_9_meixner_characterization():
             diag = np.moveaxis(np.diagonal(kern, axis1=0, axis2=1), -1, 0)
             shape2 = (-1,) + (1,) * (n - 2)
             expect = expect + xfock.kernel_lift((g.eta_values * f).reshape(shape2) * diag, sys, n + 1)
-        worst_slot = max(worst_slot, fock.norm(applied - expect) / max(fock.norm(applied), 1e-30))
+        slots.append(fock.norm(applied - expect) / max(fock.norm(applied), 1e-30))
+    worst_slot = worst_of(slots)
 
     # converse mechanism: a two-atom fiber with unequal masses has a
     # level-dependent preserving part
@@ -251,12 +262,15 @@ def test_criterion_9_meixner_characterization():
     tri = jacobi.meixner_moments(lam0, eta0, mass, 8)
     frozen_ok = np.allclose(tri[1:5], [0.0, 1.0, 1.0, 4.0], atol=1e-12)
     chi = np.ones(M)
-    worst_mom = 0.0
+    moments = []
     for k in range(1, 9):
         word = [chi] * k
-        worst_mom = max(worst_mom, rel(tri[k], cumulant.moment(word, pg)))
-        worst_mom = max(worst_mom, rel(tri[k], xfock.xmoment(word, sys)))
-        worst_mom = max(worst_mom, rel(tri[k], cumulant.nc_moment_sum(word, pg)))
+        moments += [
+            rel(tri[k], cumulant.moment(word, pg)),
+            rel(tri[k], xfock.xmoment(word, sys)),
+            rel(tri[k], cumulant.nc_moment_sum(word, pg)),
+        ]
+    worst_mom = worst_of(moments)
     ok = worst_slot <= 1e-10 and level_dependent and frozen_ok and worst_mom <= 1e-10
     report(
         "criterion-9 meixner characterization",
@@ -277,13 +291,29 @@ def test_criterion_10_power_jump_orthogonality():
     sys = JacobiSystem(pg, FIBER_NODES)
     delta = np.ones(M, dtype=bool)
     om = fock.vacuum(pg, 1)
-    worst = 0.0
+    taus = []
     for l1 in range(0, 4):
         for l2 in range(l1 + 1, 5):
             y = xfock.power_jump(l1, delta, om, sys, orthogonal=False)
             x = xfock.power_jump(l2, delta, om, sys, orthogonal=True)
-            worst = max(worst, abs(fock.inner(x, y)))
+            taus.append(abs(fock.inner(x, y)))
+    worst = worst_of(taus)
     report("criterion-10 power-jump orthogonality", worst <= 1e-10, f"max |tau| {worst:.2e}")
+
+
+def test_criterion_7_fails_on_a_nan_moment(monkeypatch, capsys):
+    # a NaN sample fails its criterion; a running maximum would drop it
+    calls = []
+    xmoment = xfock.xmoment
+
+    def nan_on_third_call(word, sys):
+        calls.append(None)
+        return float("nan") if len(calls) == 3 else xmoment(word, sys)
+
+    monkeypatch.setattr(xfock, "xmoment", nan_on_third_call)
+    with pytest.raises(AssertionError):
+        test_criterion_7_extended_fock_consistency()
+    assert capsys.readouterr().out.startswith("FAIL criterion-7")
 
 
 def test_full_verification_under_budget():

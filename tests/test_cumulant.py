@@ -82,7 +82,7 @@ class TestMoment:
         base = lam_spec.grid
         v = fock.vacuum(base, len(fs))
         for f in reversed(fs):
-            v = field.field_apply(f, v, base)
+            v = field.monomial_apply(f, v, base)
         assert abs(cumulant.moment(fs, lam_spec) - float(v.levels[0])) < 1e-12
 
 
@@ -156,7 +156,7 @@ def test_moment_and_xmoment_share_no_fock_route(monkeypatch, lam_spec, fiber_spe
     def forbid_fock():
         for name in ("vacuum", "create", "annihilate", "neutral", "inner"):
             monkeypatch.setattr(fock, name, forbidden)
-        monkeypatch.setattr(field, "field_apply", forbidden)
+        monkeypatch.setattr(field, "monomial_apply", forbidden)
 
     forbid_fock()
     for name in ("_half_terms", "_pair_terms"):

@@ -35,9 +35,9 @@ ENTRY = "cli"
 
 # public names that nothing in the package runs, kept on purpose
 ALLOWED = {
-    "fock.create": "the paper's creation operator; tier-1's per-part oracle for field.field_apply",
-    "fock.annihilate": "the paper's annihilation operator; tier-1's per-part oracle for field.field_apply",
-    "fock.neutral": "the paper's neutral operator; tier-1's per-part oracle for field.field_apply",
+    "fock.create": "the paper's creation operator; tier-1's per-part oracle for the order-1 monomial",
+    "fock.annihilate": "the paper's annihilation operator; tier-1's per-part oracle for the order-1 monomial",
+    "fock.neutral": "the paper's neutral operator; tier-1's per-part oracle for the order-1 monomial",
     "xfock.xminus": "the paper's lowering part, beside xplus and xzero; tier-1's per-part oracle for xfield",
     "jacobi.norms": "the second route to the norms g; ROADMAP item 4 settles its role",
     "jacobi.gauss_rule": "Golub-Welsch nodes and weights; ROADMAP item 4 may make it the route to the polynomial table",

@@ -1,4 +1,6 @@
 import itertools
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freewick import field, fock, grid, ncpart
+from freewick import field, fock, grid, ncpart, xfock
 from freewick.errors import CapacityError
 from freewick.ncpart import MarkedPartition, SetPartition
 
@@ -38,6 +40,12 @@ def word_apply(ops, f, v, g):
     return field._to_vector(field._peel(field._lift(f, v), tuple(ops), g), v.base)
 
 
+def three_parts(f, v, g):
+    """The field as the sum of its three Fock primitives: the oracle of the
+    order-1 monomial, which is the package's field."""
+    return fock.create(f, v) + fock.annihilate(f, v) + fock.neutral(g.lambda_values * f, v)
+
+
 def reduce_kernel(kappa, f, g):
     """A kernel collapsed along the blocks of an admissible marked partition,
     one output axis per +1 block."""
@@ -45,18 +53,20 @@ def reduce_kernel(kappa, f, g):
     return field._reduce(kappa, f, field._power_table(g, f.ndim))
 
 
-class TestFieldApply:
+class TestField:
+    """The field is the order-1 monomial."""
+
     def test_on_vacuum_creates(self, rng):
         g = random_grid(5, rng)
         f = rng.standard_normal(5)
-        v = field.field_apply(f, fock.vacuum(g, 1), g)
+        v = field.monomial_apply(f, fock.vacuum(g, 1), g)
         assert np.allclose(v.levels[1], f)
         assert float(v.levels[0]) == 0.0
 
     def test_gaussian_second_moment(self, rng):
         g = grid.make_grid(6, lam=0.0)
         f = np.ones(6)
-        v = field.field_apply(f, field.field_apply(f, fock.vacuum(g, 2), g), g)
+        v = field.monomial_apply(f, field.monomial_apply(f, fock.vacuum(g, 2), g), g)
         assert abs(float(v.levels[0]) - 1.0) < 1e-12
 
     def test_poisson_third_moment(self):
@@ -64,7 +74,7 @@ class TestFieldApply:
         f = np.ones(6)
         v = fock.vacuum(g, 3)
         for _ in range(3):
-            v = field.field_apply(f, v, g)
+            v = field.monomial_apply(f, v, g)
         assert abs(float(v.levels[0]) - 1.0) < 1e-12
 
 
@@ -74,7 +84,7 @@ class TestFieldApply:
         pg = grid.ProductGrid(g, [grid.semicircle_fiber(1.0, 1.0, 2) for _ in range(2)])
         v = fock.vacuum(pg, 8)
         for _ in range(8):
-            v = field.field_apply(pg.lift(rng.standard_normal(2)), v)
+            v = field.monomial_apply(pg.lift(rng.standard_normal(2)), v)
             assert len(v.levels) - 1 == fock.top_level(v)
             assert v.max_level == 8
 
@@ -87,8 +97,8 @@ def raises_capacity(call) -> bool:
     return False
 
 
-class TestOnePassField:
-    """field_apply writes its three parts into each level in one pass."""
+class TestFieldIsThreeParts:
+    """The order-1 monomial equals the sum of the three Fock primitives."""
 
     def vectors(self, g, rng):
         top_zero = fock.random_vector(g, 3, rng)
@@ -100,16 +110,12 @@ class TestOnePassField:
             top_zero,
         ]
 
-    @pytest.mark.parametrize("block", [None, 1, 7])
-    def test_equals_the_sum_of_its_parts(self, block, rng, monkeypatch):
+    def test_equals_the_sum_of_its_parts(self, rng):
         g = random_grid(5, rng)
         f = rng.standard_normal(5)
         for v in self.vectors(g, rng):
-            parts = fock.create(f, v) + fock.annihilate(f, v) + fock.neutral(g.lambda_values * f, v)
-            if block:
-                monkeypatch.setattr(fock, "_LEVEL_BLOCK", block)
-            one = field.field_apply(f, v, g)
-            monkeypatch.undo()
+            parts = three_parts(f, v, g)
+            one = field.monomial_apply(f, v, g)
             assert one.max_level == parts.max_level and len(one.levels) == len(parts.levels)
             assert fock.distance(one, parts) <= 1e-14 * fock.norm(parts)
 
@@ -128,10 +134,68 @@ class TestOnePassField:
         ]
         seen = set()
         for h, v in cases:
-            raised = raises_capacity(lambda: field.field_apply(h, v, g))
+            raised = raises_capacity(lambda: field.monomial_apply(h, v, g))
             assert raised == raises_capacity(lambda: fock.create(h, v))
             seen.add(raised)
         assert seen == {True, False}
+
+
+PACKAGE = os.path.dirname(fock.__file__)
+
+
+def code_key(code):
+    """A function's key: its qualified name, or before Python 3.11, which
+    lacks ``co_qualname``, its file and first line."""
+    if hasattr(code, "co_qualname"):
+        return code.co_qualname
+    return code.co_filename, code.co_firstlineno
+
+
+def package_calls(route) -> set:
+    """Keys of the package functions that ``route()`` calls; a comprehension,
+    generator or lambda counts as the function that holds it."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and os.path.dirname(code.co_filename) == PACKAGE:
+            if not code.co_name.startswith("<"):
+                seen.add(code_key(code))
+
+    sys.setprofile(hook)
+    try:
+        route()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+# the functions that the big-Fock field and a Fock primitive may both run
+SHARED = {
+    code_key(fock.FockVector.__init__.__code__): "the vector container; it checks level shapes",
+    code_key(grid.ProductGrid.size.fget.__code__): "a grid property: the number of joint nodes",
+}
+
+
+def test_big_fock_field_shares_no_code_with_the_fock_primitives(rng):
+    # the primitives are tier-1's oracle for the field that the extended
+    # realization is checked against, so no step of the field may be theirs
+    assert len(SHARED) <= 3 and all(reason.strip() for reason in SHARED.values())
+    g = grid.make_grid(3, lam=0.5, eta=1.0)
+    pg = grid.ProductGrid(g, grid.semicircle_fibers(g, 4))
+    v = fock.FockVector(pg, fock.random_vector(pg, 2, rng).levels, 3)
+    f = rng.standard_normal(3)
+    lifted = pg.lift(f)
+    big = package_calls(lambda: xfock.big_fock_realize(f, v))
+    assert code_key(xfock.big_fock_realize.__code__) in big
+    for primitive, h in (
+        (fock.create, lifted),
+        (fock.annihilate, lifted),
+        (fock.neutral, pg.lambda_values * lifted),
+    ):
+        own = package_calls(lambda: primitive(h, v))
+        assert code_key(primitive.__code__) in own
+        assert big & own <= SHARED.keys(), (primitive.__name__, big & own - SHARED.keys())
 
 
 class TestOneModel:
@@ -142,7 +206,6 @@ class TestOneModel:
         v = fock.vacuum(g, 2)
         f, f2 = rng.standard_normal(4), rng.standard_normal((4, 4))
         for call in (
-            lambda: field.field_apply(f, v, g2),
             lambda: field.monomial_apply(f2, v, g2),
             lambda: field.wick_apply(f2, v, g2),
             lambda: field.wick_apply(f2, v, g2, form="recursive"),
@@ -156,20 +219,34 @@ class TestOneModel:
         assert fock.norm(field.monomial_apply(f2, v, g) - field.monomial_apply(f2, v)) == 0.0
 
 
-class TestMonomialApply:
-    def test_order_one_reduces(self, rng):
-        g = random_grid(5, rng)
-        f = rng.standard_normal(5)
-        v = fock.random_vector(g, 3, rng)
-        v.levels[3][:] = 0
-        assert rel(field.monomial_apply(f, v, g), field.field_apply(f, v, g)) < 1e-14
+class TestKernelShape:
+    def test_refused_with_both_shapes_before_any_work(self, rng):
+        # an axis of another length used to fail deep in the level checks or
+        # in numpy's matmul, with a message naming one shape or neither
+        g = grid.make_grid(6)
+        vectors = (fock.vacuum(g, 1), fock.random_vector(g, 2, rng))
+        routes = (
+            field.monomial_apply,
+            field.wick_apply,
+            lambda f, v, g: field.wick_apply(f, v, g, form="recursive"),
+            lambda f, v, g: field.wick_rule_expand(f, g, v),
+            lambda f, v, g: field.wick_product_expand((1,) * f.ndim, f, g, v),
+        )
+        for f in (np.ones(5), np.ones((6, 5)), np.ones((5, 6, 6))):
+            for v, route in itertools.product(vectors, routes):
+                with pytest.raises(ValueError) as err:
+                    route(f, v, g)
+                assert str(f.shape) in str(err.value)
+                assert str((6,) * f.ndim) in str(err.value)
 
+
+class TestMonomialApply:
     def test_product_kernel_iterates(self, rng):
         g = random_grid(5, rng)
         f1, f2 = rng.standard_normal(5), rng.standard_normal(5)
         v = fock.vacuum(g, 2)
         lhs = field.monomial_apply(np.multiply.outer(f1, f2), v, g)
-        rhs = field.field_apply(f1, field.field_apply(f2, v, g), g)
+        rhs = three_parts(f1, three_parts(f2, v, g), g)
         assert rel(lhs, rhs) < 1e-13
 
     def test_worked_word_example(self, rng):
@@ -210,7 +287,7 @@ class TestMonomialApply:
         v = low_levels_vector(g, n, rng)
         expect = v
         for f in reversed(fs):
-            expect = field.field_apply(f, expect, g)
+            expect = three_parts(f, expect, g)
         assert rel(field.monomial_apply(_outer(fs), v, g), expect) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -280,7 +357,7 @@ class TestWickApply:
         f = rng.standard_normal(5)
         v = fock.random_vector(g, 3, rng)
         v.levels[3][:] = 0
-        assert rel(field.wick_apply(f, v, g), field.field_apply(f, v, g)) < 1e-14
+        assert rel(field.wick_apply(f, v, g), three_parts(f, v, g)) < 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_forms_agree(self, n, rng):
@@ -310,7 +387,7 @@ class TestWickApply:
         for k in range(3, 7):
             v.levels[k][:] = 0
         tail = _outer(fs[1:])
-        lhs = field.field_apply(fs[0], field.wick_apply(tail, v, g), g)
+        lhs = three_parts(fs[0], field.wick_apply(tail, v, g), g)
         merged = np.multiply.outer(g.lambda_values * fs[0] * fs[1], _outer(fs[2:]))
         rhs = (
             field.wick_apply(np.multiply.outer(fs[0], tail), v, g)
@@ -476,7 +553,7 @@ class TestWickRuleExpand:
         g = random_grid(5, rng)
         f = rng.standard_normal(5)
         lhs = field.wick_rule_expand(f, g)
-        rhs = field.field_apply(f, fock.vacuum(g, 1), g)
+        rhs = three_parts(f, fock.vacuum(g, 1), g)
         assert rel(lhs, rhs) < 1e-14
 
     def test_three_term_structure_n2(self, rng):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freewick import cumulant, fock, grid, jacobi, suites, xfock
+from freewick import cumulant, field, fock, grid, jacobi, suites, xfock
 from freewick.errors import CapacityError
 from freewick.grid import ProductGrid
 from freewick.jacobi import JacobiSystem
@@ -480,6 +480,19 @@ class TestPowerJump:
             expect = float(np.sum(g.weights * delta * sys.g[l]))
             assert abs(fock.inner(x, x) - expect) < 1e-10
 
+    def test_refuses_a_degree_out_of_range(self):
+        # tabulated to degree 4: the orthogonal profile stops there, and no
+        # profile has a negative degree
+        g = grid.make_grid(4, lam=0.3, eta=0.5)
+        pg = ProductGrid(g, grid.semicircle_fibers(g, 5))
+        sys = JacobiSystem(pg, 4)
+        om, delta = fock.vacuum(pg, 1), np.ones(4, dtype=bool)
+        for l, orthogonal in ((5, True), (-1, True), (-1, False)):
+            with pytest.raises(ValueError, match="degree"):
+                xfock.power_jump(l, delta, om, sys, orthogonal=orthogonal)
+        raw = xfock.power_jump(5, delta, om, sys, orthogonal=False)
+        assert np.allclose(raw.levels[1], pg.svalues**5)
+
     def test_index_window(self, general):
         # the window is a boolean mask over the base nodes, nothing else
         g, _, pg, sys = general
@@ -594,7 +607,8 @@ class TestOnePassField:
 
 def test_extended_field_runs_no_fock_field_primitive(meixner, rng, monkeypatch):
     # the big-Fock field that k_transform_intertwines compares it with runs
-    # fock's primitives; the extended field must not share them
+    # field's peel kernel, and tier-1 checks that against fock's primitives;
+    # the extended field must share neither
     _, _, _, sys = meixner
     v, f = random_content(sys, 4, rng), rng.standard_normal(M_GRID)
     routes = (xfock.xplus, xfock.xzero, xfock.xminus, xfock.xfield)
@@ -605,6 +619,8 @@ def test_extended_field_runs_no_fock_field_primitive(meixner, rng, monkeypatch):
 
     for name in ("create", "annihilate", "neutral"):
         monkeypatch.setattr(fock, name, forbidden)
+    for name in ("monomial_apply", "_peel"):
+        monkeypatch.setattr(field, name, forbidden)
     for route, want in zip(routes, expected):
         got = route(f, v)
         assert all(np.array_equal(a, b) for a, b in zip(got.levels, want.levels))
