@@ -19,6 +19,7 @@ import csv
 import itertools
 import json
 import logging
+import math
 import os
 import resource
 import sys
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import cumulant, jacobi, ncpart, suites, xfock
-from .errors import CapacityError, ConfigError, FreewickError
+from .errors import CapacityError, ConfigError, FreewickError, require_int
 from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fibers
 
 log = logging.getLogger("freewick")
@@ -55,11 +56,8 @@ class ModelConfig:
     degree: int = 6
 
     def __post_init__(self):
-        # a bool is an int to Python, but not a count
         for name in ("m", "fiber_nodes", "degree"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer of at least 1")
+            require_int(name, getattr(self, name), 1)
         if len(self.interval) != 2:
             raise ConfigError("interval must be a pair [a, b]")
 
@@ -144,11 +142,12 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
 def _write(payload: dict, fmt: str, handle) -> None:
     """Write the payload in ``fmt``.
 
-    JSON is streamed: the text is ``json.dumps(payload, indent=2)`` and a
-    newline, written a batch of encoder chunks at a time.
+    JSON is streamed: the text is ``json.dumps(_strict(payload), indent=2,
+    allow_nan=False)`` and a newline, written a batch of encoder chunks at a
+    time.
     """
     if fmt == "json":
-        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(_strict(payload))
         while batch := list(itertools.islice(chunks, _JSON_BATCH)):
             handle.write("".join(batch))
         handle.write("\n")
@@ -160,6 +159,22 @@ def _write(payload: dict, fmt: str, handle) -> None:
         writer.writerows(rows)
     else:
         handle.write(_to_text(payload))
+
+
+def _strict(payload: dict) -> dict:
+    """The payload with each NaN or infinite result as None, which JSON
+    writes as null: RFC 8259 has no NaN.  Text and CSV keep ``nan``; the
+    partition records hold no float and are not walked."""
+    def number(x):
+        return x if math.isfinite(x) else None
+
+    if "checks" in payload:
+        checks = [dict(c, residual=number(c["residual"])) for c in payload["checks"]]
+        return dict(payload, checks=checks)
+    if "paths" in payload:
+        paths = {k: number(v) for k, v in payload["paths"].items()}
+        return dict(payload, paths=paths, max_gap=number(payload["max_gap"]))
+    return payload
 
 
 def _rows(payload: dict) -> tuple[list[str], list[list]]:
@@ -315,23 +330,18 @@ def cmd_verify(args) -> int:
         n_max=args.n_max,
         seed=args.seed,
     )
-    reports = []
+    checks, suite_seconds = [], {}
     for name in names:
-        rep = suites.run_suite(name, params)
+        ran = suites.run_suite(name, params)
+        suite_seconds[name] = sum(c.elapsed for c in ran)
         log.info("suite %s: %d checks, passed=%s, %.2fs",
-                 name, len(rep.checks), rep.passed, rep.elapsed)
-        reports.append(rep)
-    checks = []
-    for rep in reports:
-        for c in rep.checks:
-            d = c.to_json_dict()
-            d["suite"] = rep.suite
-            checks.append(d)
+                 name, len(ran), all(c.passed for c in ran), suite_seconds[name])
+        checks += [dict(asdict(c), passed=c.passed, suite=name) for c in ran]
     payload = {
-        "suites": [rep.suite for rep in reports],
-        "passed": all(rep.passed for rep in reports),
-        "elapsed_seconds": sum(rep.elapsed for rep in reports),
-        "suite_seconds": {rep.suite: rep.elapsed for rep in reports},
+        "suites": names,
+        "passed": all(c["passed"] for c in checks),
+        "elapsed_seconds": sum(suite_seconds.values()),
+        "suite_seconds": suite_seconds,
         "params": asdict(params),
         "checks": checks,
     }

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check behind
+every count a configuration sets."""
 
 
 class FreewickError(Exception):
@@ -23,3 +24,13 @@ class DomainBoundError(FreewickError, ValueError):
 
 class ConfigError(FreewickError, ValueError):
     """Invalid CLI/model configuration."""
+
+
+def require_int(name: str, value, low: int, why: str = "") -> None:
+    """Refuse ``value`` unless it is an integer of at least ``low``.
+
+    A bool is an int to Python, but not a count; a float, even 8.0, is not
+    one either.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an integer of at least {low}{why}")

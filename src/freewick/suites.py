@@ -2,24 +2,26 @@
 
 Each check compares two independently computed quantities and reports a
 residual against one fixed tolerance, :data:`TOL`, or against exactly 0
-where the routes are exact.  Randomness is always drawn from a seeded
-generator so reports are reproducible; suite parameters (grid size, fiber
-nodes, degree budget) default to the desk scale the package is tuned for.
+where the routes are exact.  A suite is a generator of ``(name, tol,
+samples)``; :func:`run_suite` alone reduces the samples and times each
+check.  Randomness is always drawn from a seeded generator so reports are
+reproducible; suite parameters (grid size, fiber nodes, degree budget)
+default to the desk scale the package is tuned for.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cumulant, field, fock, jacobi, ncpart, xfock
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fiber, semicircle_fibers
 
-__all__ = ["Check", "SuiteReport", "run_suite", "SUITE_NAMES", "SuiteParams", "TOL"]
+__all__ = ["Check", "run_suite", "SUITE_NAMES", "SuiteParams", "TOL"]
 
 # the gate of every check that is not exact; no parameter or config widens it
 TOL = 1e-10
@@ -30,34 +32,11 @@ class Check:
     name: str
     residual: float
     tol: float
-
-    def __post_init__(self):
-        # plain floats keep the report JSON-serializable
-        object.__setattr__(self, "residual", float(self.residual))
-        object.__setattr__(self, "tol", float(self.tol))
+    elapsed: float  # seconds from the suite's previous check to this one
 
     @property
     def passed(self) -> bool:
         return bool(self.residual <= self.tol)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-
-@dataclass
-class SuiteReport:
-    suite: str
-    checks: list[Check] = dataclass_field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 @dataclass(frozen=True)
@@ -70,20 +49,12 @@ class SuiteParams:
 
     def __post_init__(self):
         # refused here, so no suite runs on a setting it cannot check
-        if min(self.m, self.degree) < 1:
-            raise ConfigError("m and degree must be at least 1")
-        if self.fiber_nodes < 4:
-            raise ConfigError("fiber_nodes must be at least 4: the xfock suite reads "
-                              "the node polynomials up to degree 4")
-        if not 1 <= self.n_max <= 6:
+        for name, low in (("m", 1), ("degree", 1), ("n_max", 1), ("seed", 0)):
+            require_int(name, getattr(self, name), low)
+        require_int("fiber_nodes", self.fiber_nodes, 4,
+                    ": the xfock suite reads the node polynomials up to degree 4")
+        if self.n_max > 6:
             raise ConfigError("n_max must lie in 1..6 (expansion cost grows fast)")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-
-
-def _worst(samples) -> float:
-    """The largest residual sample; NaN if any sample is, so that it fails."""
-    return float(np.max(samples))
 
 
 def _rel(a: float, b: float) -> float:
@@ -119,19 +90,18 @@ def _random_fibers(m: int, nodes: int, rng: np.random.Generator) -> list[FiberMe
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_wick(p: SuiteParams) -> list[Check]:
+def suite_wick(p: SuiteParams):
     rng = np.random.default_rng(p.seed)
-    checks = []
 
     nc_counts = {n: len(ncpart.enumerate_nc(n)) for n in range(1, 11)}
     for n, direct in nc_counts.items():
-        checks.append(Check(f"nc_count_catalan_n{n}", abs(direct - ncpart.catalan(n)), 0))
+        yield f"nc_count_catalan_n{n}", 0.0, abs(direct - ncpart.catalan(n))
     for n in range(1, 9):
         _, brute = ncpart.brute_noncrossing_count(n)
-        checks.append(Check(f"nc_count_brute_n{n}", abs(nc_counts[n] - brute), 0))
+        yield f"nc_count_brute_n{n}", 0.0, abs(nc_counts[n] - brute)
         gn = len(ncpart.enumerate_gn(n))
-        checks.append(Check(f"gn_count_brute_n{n}", abs(gn - len(ncpart.brute_gn(n))), 0))
-        checks.append(Check(f"gn_count_recursion_n{n}", abs(gn - ncpart.gn_count_recursion(n)), 0))
+        yield f"gn_count_brute_n{n}", 0.0, abs(gn - len(ncpart.brute_gn(n)))
+        yield f"gn_count_recursion_n{n}", 0.0, abs(gn - ncpart.gn_count_recursion(n))
 
     for n in range(1, p.n_max + 1):
         samples = []
@@ -142,7 +112,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
             expanded = field.wick_rule_expand(f, g)
             # scale: the larger norm of the monomial and of its expansion
             samples.append(_rel_vec(mono, expanded))
-        checks.append(Check(f"wick_rule_n{n}", _worst(samples), TOL))
+        yield f"wick_rule_n{n}", TOL, samples
 
     for n in range(2, p.n_max + 1):
         samples = []
@@ -155,7 +125,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
                 exp = field.wick_product_expand(comp, joint, g)
                 # scale: the larger norm of the sequential and the expanded product
                 samples.append(_rel_vec(seq, exp))
-        checks.append(Check(f"normal_product_rule_n{n}", _worst(samples), TOL))
+        yield f"normal_product_rule_n{n}", TOL, samples
 
     samples = []
     for n in range(1, min(p.n_max, 4) + 1):
@@ -167,7 +137,7 @@ def suite_wick(p: SuiteParams) -> list[Check]:
         recursive = field.wick_apply(f, v, g, form="recursive")
         # scale: the larger norm of the two forms' results
         samples.append(_rel_vec(explicit, recursive))
-    checks.append(Check("wick_forms_agree", _worst(samples), TOL))
+    yield "wick_forms_agree", TOL, samples
 
     samples = []
     for n in range(1, p.n_max + 1):
@@ -176,13 +146,11 @@ def suite_wick(p: SuiteParams) -> list[Check]:
         proj = field.wick_apply(f, fock.vacuum(g, n), g)
         samples.append(np.abs(proj.levels[n] - f).max())
         samples += [np.abs(proj.levels[k]).max() for k in range(n)]
-    checks.append(Check("wick_projection_property", _worst(samples), TOL))
-    return checks
+    yield "wick_projection_property", TOL, samples
 
 
-def suite_cumulant(p: SuiteParams) -> list[Check]:
+def suite_cumulant(p: SuiteParams):
     rng = np.random.default_rng(p.seed + 1)
-    checks = []
 
     lam_pg = ProductGrid(_random_grid(p.m, rng))
     fib_pg = ProductGrid(make_grid(p.m), _random_fibers(p.m, p.fiber_nodes, rng))
@@ -192,7 +160,7 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
             fs = [rng.standard_normal(p.m) for _ in range(n)]
             # scale: the larger of the moment and the partition sum
             samples.append(_rel(cumulant.moment(fs, pg), cumulant.nc_moment_sum(fs, pg)))
-        checks.append(Check(f"moment_cumulant_{label}", _worst(samples), TOL))
+        yield f"moment_cumulant_{label}", TOL, samples
 
     samples = []
     for n in range(2, 5):
@@ -202,7 +170,7 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
         samples.append(
             _rel(cumulant.cumulant_from_moments(fs, lam_pg), cumulant.cumulant_direct(fs, lam_pg))
         )
-    checks.append(Check("cumulant_recursion_vs_direct", _worst(samples), TOL))
+    yield "cumulant_recursion_vs_direct", TOL, samples
 
     # disjointly supported functions: mixed cumulants vanish exactly
     half = p.m // 2
@@ -212,13 +180,13 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
         abs(cumulant.cumulant_direct(word, lam_pg))
         for word in ([fa, fb], [fa, fb, fa], [fa, fa, fb, fb], [fa, fb, fa, fb])
     ]
-    checks.append(Check("mixed_cumulants_vanish", _worst(samples), 0))
+    yield "mixed_cumulants_vanish", 0.0, samples
     samples = [
         # scale: the larger of the moment and the partition sum
         _rel(cumulant.moment(word, lam_pg), cumulant.nc_moment_sum(word, lam_pg))
         for word in ([fa, fb, fa, fb], [fa, fa, fb, fb])
     ]
-    checks.append(Check("free_independence_moments", _worst(samples), TOL))
+    yield "free_independence_moments", TOL, samples
 
     samples = []
     fs = [rng.standard_normal(p.m) for _ in range(3)]
@@ -232,7 +200,7 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
         b = [rng.standard_normal(p.m) for _ in range(nb)]
         # scale: the larger of the moments of ab and ba
         samples.append(_rel(cumulant.moment(a + b, lam_pg), cumulant.moment(b + a, lam_pg)))
-    checks.append(Check("traciality", _worst(samples), TOL))
+    yield "traciality", TOL, samples
 
     ones_grid = make_grid(p.m, lam=1.0, eta=1.0)
     # the closed form is the series plus its exact remainder past degree 30;
@@ -240,21 +208,18 @@ def suite_cumulant(p: SuiteParams) -> list[Check]:
     # and large enough that a remainder off by one degree misses the gate
     for label, fv, pg in (("lambda", 0.5, ProductGrid(ones_grid)), ("fiber", 0.5, fib_pg)):
         tr = cumulant.cumulant_transform(fv * np.ones(p.m), pg, degree=30)
-        residual = abs(tr.closed_form - tr.series - tr.remainder)
-        checks.append(Check(f"transform_{label}_closed_vs_series", residual, TOL))
+        yield f"transform_{label}_closed_vs_series", TOL, abs(tr.closed_form - tr.series - tr.remainder)
     # the closed form is the continuous law's; the series reads its moments
     # through degree 28, and an M-atom Gauss rule matches them through 2M - 1
     mei_pg = ProductGrid(ones_grid, semicircle_fibers(ones_grid, max(p.fiber_nodes, 10)))
     fv = (1.0 / 6.0) * np.ones(p.m)
     closed = cumulant.meixner_transform_closed_form(fv, ones_grid)
     series = cumulant.cumulant_transform(fv, mei_pg, degree=30).series
-    checks.append(Check("transform_meixner_closed_vs_series", abs(closed - series), TOL))
-    return checks
+    yield "transform_meixner_closed_vs_series", TOL, abs(closed - series)
 
 
-def suite_xfock(p: SuiteParams) -> list[Check]:
+def suite_xfock(p: SuiteParams):
     rng = np.random.default_rng(p.seed + 2)
-    checks = []
     sys = _meixner_model(p)
     pg, g = sys.model, sys.grid
 
@@ -270,7 +235,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
             word = list(word)
             # scale: the larger of the big-Fock and the extended moment
             samples.append(_rel(cumulant.moment(word, pg), xfock.xmoment(word, sys)))
-    checks.append(Check("moments_big_fock_vs_extended", _worst(samples), TOL))
+    yield "moments_big_fock_vs_extended", TOL, samples
 
     # general (non-semicircle) fibers as well
     gen_pg = ProductGrid(g, _random_fibers(p.m, p.fiber_nodes, rng))
@@ -280,7 +245,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
         word = [rng.standard_normal(p.m) for _ in range(d)]
         # scale: the larger of the big-Fock and the extended moment
         samples.append(_rel(cumulant.moment(word, gen_pg), xfock.xmoment(word, gen_sys)))
-    checks.append(Check("moments_general_fibers", _worst(samples), TOL))
+    yield "moments_general_fibers", TOL, samples
 
     norm_samples, tw_samples = [], []
     for _ in range(20):
@@ -293,8 +258,8 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
         norm_samples.append(_rel(fock.norm(xv), fock.norm(v)))
         # scale: the norm of the transformed big-Fock field, the result
         tw_samples.append(fock.distance(lhs, xfock.xfield(f, xv)) / max(fock.norm(lhs), 1e-30))
-    checks.append(Check("k_transform_isometry", _worst(norm_samples), TOL))
-    checks.append(Check("k_transform_intertwines", _worst(tw_samples), TOL))
+    yield "k_transform_isometry", TOL, norm_samples
+    yield "k_transform_intertwines", TOL, tw_samples
 
     samples = []
     for _ in range(5):
@@ -302,7 +267,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
         back = xfock.k_inverse(xfock.k_transform(v, sys))
         # scale: the norm of the input vector
         samples.append(fock.distance(back, v) / max(fock.norm(v), 1e-30))
-    checks.append(Check("k_transform_roundtrip", _worst(samples), TOL))
+    yield "k_transform_roundtrip", TOL, samples
 
     samples = []
     for n in range(1, 5):
@@ -313,7 +278,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
         right = _xplus_word(gs, sys)
         # scale: the larger of the formula and the inner product
         samples.append(_rel(formula, fock.inner(left, right)))
-    checks.append(Check("inner_product_formula", _worst(samples), TOL))
+    yield "inner_product_formula", TOL, samples
 
     delta = np.zeros(p.m, dtype=bool)
     delta[: p.m // 2 + 1] = True
@@ -324,7 +289,7 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
             y = xfock.power_jump(l1, delta, om, sys, orthogonal=False)
             x = xfock.power_jump(l2, delta, om, sys, orthogonal=True)
             samples.append(abs(fock.inner(x, y)))
-    checks.append(Check("power_jump_orthogonality", _worst(samples), TOL))
+    yield "power_jump_orthogonality", TOL, samples
 
     samples = []
     for l in range(0, 4):
@@ -333,13 +298,11 @@ def suite_xfock(p: SuiteParams) -> list[Check]:
         rhs = float(np.sum(g.weights * delta * sys.g[l]))
         # scale: the larger of the squared norm and the window weight
         samples.append(_rel(lhs, rhs))
-    checks.append(Check("power_jump_norm", _worst(samples), TOL))
-    return checks
+    yield "power_jump_norm", TOL, samples
 
 
-def suite_meixner(p: SuiteParams) -> list[Check]:
+def suite_meixner(p: SuiteParams):
     rng = np.random.default_rng(p.seed + 3)
-    checks = []
     lam0, eta0 = 1.0, 1.0
     sys = _meixner_model(p, lam=lam0, eta=eta0)
     pg, g = sys.model, sys.grid
@@ -347,19 +310,16 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     # recovery through degree 8 needs atoms past the breakdown point
     rec_nodes = max(p.fiber_nodes, 10)
     rec = jacobi.coeffs_from_measure(semicircle_fiber(lam0, eta0, rec_nodes), 8)
-    worst_b = float(np.abs(rec.b - lam0).max())
-    worst_a = float(np.abs(rec.a[1:] - eta0).max())
-    checks.append(Check("semicircle_recovers_b", worst_b, TOL))
-    checks.append(Check("semicircle_recovers_a", worst_a, TOL))
-    worst = float(np.abs(rec.g - eta0 ** np.arange(rec.g.size)).max())
-    checks.append(Check("norms_are_eta_powers", worst, TOL))
+    yield "semicircle_recovers_b", TOL, np.abs(rec.b - lam0)
+    yield "semicircle_recovers_a", TOL, np.abs(rec.a[1:] - eta0)
+    yield "norms_are_eta_powers", TOL, np.abs(rec.g - eta0 ** np.arange(rec.g.size))
 
     point = jacobi.coeffs_from_measure(semicircle_fiber(0.7, 0.0, p.fiber_nodes), p.fiber_nodes)
     pattern_err = abs(point.b[0] - 0.7) + float(np.abs(point.b[1:]).max())
     pattern_err += float(np.abs(point.a).max())
     pattern_err += float(np.abs(point.g - np.eye(1, point.g.size)[0]).max())
     pattern_err += 0.0 if point.finite_support_n == 1 else 1.0
-    checks.append(Check("one_atom_zero_pattern", pattern_err, 0))
+    yield "one_atom_zero_pattern", 0.0, pattern_err
 
     # constant-coefficient actions reduce to the closed slotwise forms
     samples = []
@@ -376,7 +336,7 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
         )
         # scale: the norm of the applied field, the result
         samples.append(fock.distance(applied, expected) / max(fock.norm(applied), 1e-30))
-    checks.append(Check("representation_second_order_form", _worst(samples), TOL))
+    yield "representation_second_order_form", TOL, samples
 
     # a level-inhomogeneous fiber makes the preserving part level-dependent:
     # the residual is the shortfall of the observed spread below 0.1
@@ -389,7 +349,7 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
         xfock.set_component(v, (l,), np.ones(p.m))
         r.append(float(xfock.component(xfock.xzero(f, v), (l,))[0]))
     r0, r1 = r
-    checks.append(Check("xzero_level_dependence", _worst([0.0, 0.1 - abs(r0 - r1)]), 0))
+    yield "xzero_level_dependence", 0.0, [0.0, 0.1 - abs(r0 - r1)]
 
     sigma_delta = 1.0
     window = np.ones(p.m, dtype=bool)
@@ -402,8 +362,7 @@ def suite_meixner(p: SuiteParams) -> list[Check]:
     ):
         # scale: the larger of the closed-form moment and the route's value
         samples = [_rel(tri[k], route([chi] * k, model)) for k in range(1, 9)]
-        checks.append(Check(f"meixner_moments_vs_{label}", _worst(samples), TOL))
-    return checks
+        yield f"meixner_moments_vs_{label}", TOL, samples
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +415,21 @@ def _runners() -> dict:
 SUITE_NAMES = tuple(_runners())
 
 
-def run_suite(name: str, params: SuiteParams) -> SuiteReport:
+def run_suite(name: str, params: SuiteParams) -> list[Check]:
+    """The checks of suite ``name``, in the order the suite yields them.
+
+    A suite yields ``(name, tol, samples)`` for each check and reduces
+    nothing: here each check's residual is the largest of its samples, by
+    ``np.max``, so a NaN sample fails it, and its ``elapsed`` is the time
+    from the suite's previous yield (or its start) to this one.
+    """
     runners = _runners()
     if name not in runners:
         raise ValueError(f"unknown suite {name!r}")
+    checks = []
     start = time.perf_counter()
-    checks = runners[name](params)
-    return SuiteReport(name, checks, time.perf_counter() - start)
+    for check, tol, samples in runners[name](params):
+        now = time.perf_counter()
+        checks.append(Check(check, float(np.max(samples)), tol, now - start))
+        start = now
+    return checks

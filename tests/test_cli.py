@@ -19,6 +19,14 @@ def run(args, capsys):
     return code, out
 
 
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity token."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_fresh(code):
     """Run ``code`` in a new interpreter that imports this checkout's freewick."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -149,12 +157,17 @@ class TestMoments:
             assert abs(value - 4.0) < 1e-10
 
     def test_nan_route_gives_nan_gap(self, capsys, monkeypatch):
-        # a route that returns NaN must not vanish from the largest gap
+        # a route that returns NaN must not vanish from the largest gap; JSON
+        # writes it as null, text as nan
         monkeypatch.setattr(cumulant, "nc_moment_sum", lambda word, pg: math.nan)
         code, out = run(["moments", "--power", "2"], capsys)
         assert code == 0
-        payload = json.loads(out)
-        assert math.isnan(payload["paths"]["nc_sum"]) and math.isnan(payload["max_gap"])
+        payload = strict_json(out)
+        assert payload["paths"]["nc_sum"] is None and payload["max_gap"] is None
+        assert payload["paths"]["big_fock"] == pytest.approx(1.0)
+        code, out = run(["moments", "--power", "2", "--format", "text"], capsys)
+        assert code == 0
+        assert ["max_gap", "nan"] in [line.split() for line in out.splitlines()]
 
     def test_gauss_poisson_paths(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -420,9 +433,10 @@ class TestVerify:
         monkeypatch.setattr(module, name, nan_once)
         code, out = run(["verify", "--suite", suite], capsys)
         assert code == 1
-        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
-        assert [c["name"] for c in failed] == [check]
-        assert math.isnan(failed[0]["residual"])
+        payload = strict_json(out)
+        failed = [c for c in payload["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == [check] and payload["passed"] is False
+        assert failed[0]["residual"] is None
 
     def test_text_format(self, capsys):
         code, out = run(
@@ -545,6 +559,10 @@ class TestVerify:
         payload = json.loads(out)
         assert list(payload["suite_seconds"]) == payload["suites"]
         assert sum(payload["suite_seconds"].values()) == payload["elapsed_seconds"]
+        # each check is timed, and a suite's time is the sum of its checks'
+        assert all(c["elapsed"] >= 0 for c in payload["checks"])
+        for suite, seconds in payload["suite_seconds"].items():
+            assert sum(c["elapsed"] for c in payload["checks"] if c["suite"] == suite) == seconds
 
 
 @pytest.mark.parametrize(
@@ -557,8 +575,17 @@ class TestVerify:
         {"seed": -1},
         {"m": 0},
         {"degree": 0},
+        {"m": 6.5},
+        {"seed": 1.5},
+        {"n_max": 2.5},
+        {"degree": 2.5},
+        {"fiber_nodes": 8.0},
+        {"m": True},
     ],
-    ids=["fiber_nodes2", "fiber_nodes3", "n_max0", "n_max7", "seed-1", "m0", "degree0"],
+    ids=[
+        "fiber_nodes2", "fiber_nodes3", "n_max0", "n_max7", "seed-1", "m0", "degree0",
+        "m6.5", "seed1.5", "n_max2.5", "degree2.5", "fiber_nodes8.0", "m_true",
+    ],
 )
 def test_suite_params_refuse_what_suites_cannot_run(params):
     with pytest.raises(ConfigError, match=next(iter(params))):

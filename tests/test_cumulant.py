@@ -350,10 +350,10 @@ class TestTransform:
             return dataclasses.replace(exact(fvals, pg, degree), remainder=shifted)
 
         names = {"transform_lambda_closed_vs_series", "transform_fiber_closed_vs_series"}
-        checks = [c for c in suites.suite_cumulant(suites.SuiteParams()) if c.name in names]
+        checks = [c for c in suites.run_suite("cumulant", suites.SuiteParams()) if c.name in names]
         assert len(checks) == 2 and all(c.passed for c in checks)
         monkeypatch.setattr(cumulant, "cumulant_transform", mutant)
-        checks = [c for c in suites.suite_cumulant(suites.SuiteParams()) if c.name in names]
+        checks = [c for c in suites.run_suite("cumulant", suites.SuiteParams()) if c.name in names]
         assert len(checks) == 2 and not any(c.passed for c in checks)
 
     def test_radius_violation(self):
@@ -371,5 +371,5 @@ class TestTransform:
     ),
 )
 def test_one_cell_recursion_vs_direct_at_seed_6():
-    report = suites.run_suite("cumulant", suites.SuiteParams(m=1, seed=6))
-    assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
+    checks = suites.run_suite("cumulant", suites.SuiteParams(m=1, seed=6))
+    assert all(c.passed for c in checks), [(c.name, c.residual) for c in checks if not c.passed]
