@@ -9,22 +9,22 @@ interval partitions.
 Every enumerator has an independent brute-force twin so the two routes can
 be cross-checked:
 
-* :func:`enumerate_nc` recurses on the block of the smallest element, and
-  :func:`enumerate_gn` prepends the elements ``n-1, ..., 1`` one at a time
-  by a three-way rule, so it never visits an inadmissible partition;
+* :func:`enumerate_nc` and :func:`enumerate_gn` recurse on the block of
+  the smallest element, and :func:`enumerate_gn` settles each block's
+  marks as it places it, so it never visits an inadmissible partition;
 * the oracles that ``verify`` runs, :func:`brute_noncrossing_count` and
   :func:`brute_gn`, walk the non-crossing restricted growth strings (the
   string of block labels of a set partition), carrying the blocks as they
   grow; :func:`brute_gn` applies the definition to the blocks of each, and
   the count-only walk counts the last element's choices in closed form
-  instead of visiting them.  No oracle shares code with the enumerator it
-  checks.  The record-level twin of :func:`enumerate_nc`, a filter over
-  every set partition, lives in the tier-1 tests.
+  instead of visiting them.  No oracle shares a search with the
+  enumerator it checks.  The record-level twin of :func:`enumerate_nc`, a
+  filter over every set partition, lives in the tier-1 tests.
 
 The routes carry partitions as plain block tuples, the marked ones as
-``(blocks, negated marks)`` tuples, whose natural order is the output
-order, and build the records in one batch after the sort
-(:func:`_records`), with no Python frame per record.
+``(blocks, choices)`` pairs, built in output order or sorted once by
+their blocks, and build the records in one batch (:func:`_records`,
+:func:`_marked_records`), with no Python frame per record.
 
 The records are slotted frozen dataclasses, so an instance carries no
 ``__dict__``.  The recursions take their state as arguments rather than
@@ -54,6 +54,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import EnumerationBoundError
@@ -282,41 +283,70 @@ def enumerate_gn(n: int) -> list[MarkedPartition]:
     """Admissible marked non-crossing partitions of {1..n}.
 
     These are the marked partitions with no +1 block strictly nested inside
-    another block; they index the terms of the Wick rule.  Generated by the
-    three-way extension that prepends the elements ``n-1, ..., 1`` in turn,
-    each to every admissible partition of ``{x+1..n}``:
-
-    * add ``x`` as a fresh singleton with mark +1, or
-    * absorb it into the first +1 block (mark kept), or
-    * absorb it into the first +1 block and flip the mark to -1.
-
-    The new element is always the smallest, so no block is ever relabelled
-    and the blocks stay ordered by their minimum.  Partitions are carried as
-    plain ``(blocks, negated marks)`` tuples, whose natural order is the
-    output order (blocks first, then +1 before -1), and become
-    :class:`MarkedPartition` objects only after the sort.
-
-    The filter-based brute force :func:`brute_gn` is the independent oracle
-    for this construction.
+    another block; they index the terms of the Wick rule.  Built in output
+    order (blocks lexicographic, then +1 before -1) with no sort, by
+    :func:`_gn_interval`; the filter-based brute force :func:`brute_gn` is
+    the independent oracle for this construction.
     """
     _check_bound(n, MARKED_LIMIT)
-    current: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [
-        (((n,),), (-1,))
-    ]
-    for x in range(n - 1, 0, -1):
-        grown = []
-        single = ((x,),)
-        for blocks, neg in current:
-            grown.append((single + blocks, (-1,) + neg))
-            if -1 in neg:
-                j = neg.index(-1)
-                absorbed = ((x,) + blocks[j],) + blocks[:j] + blocks[j + 1:]
-                other_neg = neg[:j] + neg[j + 1:]
-                grown.append((absorbed, (-1,) + other_neg))
-                grown.append((absorbed, (1,) + other_neg))
-        current = grown
-    current.sort()
-    return _records(n, *zip(*current))
+    return _marked_records(n, _gn_interval(1, n, False, {}))
+
+
+def _gn_interval(start: int, length: int, nested: bool, memo: dict) -> list:
+    """Admissible ``(blocks, choices)`` of ``start .. start+length-1``, lexicographic.
+
+    ``choices`` holds each block's allowed negated marks (-1 is mark +1).
+    The recursion is :func:`_nc_interval`'s; a block in a gap of the first
+    block lies inside it, so each gap is a ``nested`` interval, whose blocks
+    carry -1 and are never singletons; the tail after the first block keeps
+    this interval's kind.  ``memo`` caches every interval.
+    """
+    key = (start, length, nested)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    out = []
+    # a top-level singleton carries +1; a nested one admits no mark
+    _gn_grow(out, memo, start + length, nested, None if nested else ((-1,),), (start,), [((), ())], start)
+    memo[key] = out
+    return out
+
+
+def _gn_grow(out: list, memo: dict, stop: int, nested: bool, mark, block: tuple, heads: list, last: int) -> None:
+    """Append to ``out`` every structure whose first block extends ``block``.
+
+    As :func:`_nc_grow`; ``block`` admits the choices ``mark``, or no mark
+    at all (None) while it is a nested singleton.
+    """
+    if mark is not None:
+        tail = _gn_interval(last + 1, stop - last - 1, nested, memo) if last + 1 < stop else [((), ())]
+        out += [((block,) + hb + tb, mark + hc + tc) for hb, hc in heads for tb, tc in tail]
+    grown_mark = ((1,),) if nested else ((-1, 1),)
+    if last + 1 < stop:
+        _gn_grow(out, memo, stop, nested, grown_mark, block + (last + 1,), heads, last + 1)
+    # past last + 1, the next member leaves a gap, which must hold two or
+    # more elements: a one-element gap would be a nested singleton
+    for nxt in range(last + 3, stop):
+        gap = _gn_interval(last + 1, nxt - last - 1, True, memo)
+        grown = [(hb + gb, hc + gc) for hb, hc in heads for gb, gc in gap]
+        _gn_grow(out, memo, stop, nested, grown_mark, block + (nxt,), grown, nxt)
+
+
+def _marked_records(n: int, structures) -> list:
+    """Records of each ``(blocks, choices)`` in turn, one per entry of the product of its choices.
+
+    Each choice lists +1 (negated: -1) first, so the product does too.
+    """
+    blocks, negated = [], []
+    # one list of mark vectors per distinct choices, shared by its structures
+    expanded = {}
+    for frozen, choices in structures:
+        marks = expanded.get(choices)
+        if marks is None:
+            marks = expanded[choices] = list(itertools.product(*choices))
+        negated += marks
+        blocks += [frozen] * len(marks)
+    return _records(n, blocks, negated)
 
 
 @_collector_paused
@@ -329,17 +359,12 @@ def enumerate_interval(n: int) -> list[MarkedPartition]:
     _check_bound(n, MARKED_LIMIT)
     out = []
     for comp in compositions(n):
-        blocks = []
-        start = 1
-        for size in comp:
-            blocks.append(tuple(range(start, start + size)))
-            start += size
+        ends = itertools.accumulate(comp)
+        blocks = tuple(tuple(range(end - size + 1, end + 1)) for size, end in zip(comp, ends))
         # negated marks, as in enumerate_gn: -1 is mark +1
-        choices = [(-1,) if len(b) == 1 else (-1, 1) for b in blocks]
-        frozen = tuple(blocks)
-        out += [(frozen, neg) for neg in itertools.product(*choices)]
-    out.sort()
-    return _records(n, *zip(*out))
+        out.append((blocks, tuple((-1,) if size == 1 else (-1, 1) for size in comp)))
+    out.sort(key=itemgetter(0))
+    return _marked_records(n, out)
 
 
 def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -461,15 +486,14 @@ def brute_gn(n: int) -> list[MarkedPartition]:
     Walks the non-crossing restricted growth strings, which hand over their
     blocks, and keeps every mark vector that the definition allows:
     singletons carry +1, and no +1 block lies strictly inside another
-    block.  Both rules are conjunctions over
-    blocks, so the allowed mark vectors are the product of each block's
-    allowed marks, and nesting is tested once per block rather than once
-    per mark vector.  The blocks come in order of their minimum; ``reach``
-    is the furthest end of the blocks before ``b``, so ``reach > b[-1]``
-    says exactly that some block with a smaller minimum ends after ``b``,
-    i.e. that ``b`` is nested.  A nested singleton admits no mark and
-    rejects the partition; a nested larger block admits only -1; any other
-    larger block admits either mark.
+    block.  Both rules are conjunctions over blocks, so the allowed mark
+    vectors are the product of each block's allowed marks, kept as
+    ``(blocks, choices)``, sorted by blocks and expanded after the sort.
+    The blocks come in order of their minimum; ``reach`` is the furthest
+    end of the blocks before ``b``, so ``reach > b[-1]`` says exactly that
+    some block with a smaller minimum ends after ``b``, i.e. that ``b`` is
+    nested.  A nested singleton admits no mark and rejects the partition;
+    a nested larger block admits only -1; any other admits either mark.
     """
     _check_bound(n, MARKED_LIMIT)
     out = []
@@ -487,12 +511,12 @@ def brute_gn(n: int) -> list[MarkedPartition]:
             else:
                 choices.append((-1,) if len(b) == 1 else (-1, 1))
                 reach = end
-        frozen = tuple(map(tuple, blocks))
-        out.extend([(frozen, neg) for neg in itertools.product(*choices)])
+        out.append((tuple(map(tuple, blocks)), tuple(choices)))
 
     _walk_noncrossing_rgs(n, keep)
-    out.sort()
-    return _records(n, *zip(*out))
+    # one entry per block tuple, so the blocks alone fix the order
+    out.sort(key=itemgetter(0))
+    return _marked_records(n, out)
 
 
 def gn_count_recursion(n: int) -> int:
@@ -500,7 +524,9 @@ def gn_count_recursion(n: int) -> int:
 
     Tracks only the distribution of the number of +1 blocks: prepending the
     new smallest element adds a +1 singleton, or absorbs into the first +1
-    block keeping the mark, or absorbs and flips it to -1.
+    block keeping the mark, or absorbs and flips it to -1.  No enumerator
+    builds the family this way, so comparing this count with
+    :func:`enumerate_gn` compares two different constructions.
     """
     if n < 1:
         raise ValueError("ground-set size must be positive")

@@ -151,12 +151,14 @@ class TestEnumerateGn:
         assert direct == brute
         assert len(direct) == len(set(direct))
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, ncpart.MARKED_LIMIT + 1))
     def test_sorted_plus_before_minus(self, n):
-        out = [marked_key(mp) for mp in ncpart.enumerate_gn(n)]
-        assert out == sorted(out, key=lambda k: (k[0], tuple(-m for m in k[1])))
+        # the order comes from the construction: every adjacent pair rises
+        # strictly, blocks first, then +1 before -1, so none repeats either
+        keys = [(mp.partition.blocks, tuple(-m for m in mp.marks)) for mp in ncpart.enumerate_gn(n)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", range(2, ncpart.MARKED_LIMIT + 1))
     def test_count_recursion(self, n):
         prev = ncpart.enumerate_gn(n - 1)
         predicted = sum(1 + 2 * any(m == 1 for m in mp.marks) for mp in prev)
@@ -357,7 +359,7 @@ def test_oracles_and_enumerators_share_no_search(monkeypatch):
     def forbidden(*args):
         raise AssertionError("route called the other route's search")
 
-    for name in ("enumerate_nc", "enumerate_gn", "_nc_interval"):
+    for name in ("enumerate_nc", "enumerate_gn", "_nc_interval", "_gn_interval"):
         monkeypatch.setattr(ncpart, name, forbidden)
     assert ncpart.brute_noncrossing_count(6) == (203, 132)
     assert len(ncpart.brute_gn(6)) == 141
@@ -373,12 +375,17 @@ def test_search_helpers_stay_on_their_side(monkeypatch):
     def forbidden(*args):
         raise AssertionError("route called the other route's search")
 
-    monkeypatch.setattr(ncpart, "_nc_grow", forbidden)
+    for name in ("_nc_grow", "_gn_grow"):
+        monkeypatch.setattr(ncpart, name, forbidden)
     assert ncpart.brute_noncrossing_count(6) == (203, 132)
     assert len(ncpart.brute_gn(6)) == 141
     monkeypatch.undo()
     monkeypatch.setattr(ncpart, "_rgs_extend", forbidden)
     assert len(ncpart.enumerate_nc(6)) == 132
+    assert len(ncpart.enumerate_gn(6)) == 141
+    # the marked enumerator shares no search with the plain one either
+    for name in ("_walk_noncrossing_rgs", "_nc_interval", "_nc_grow"):
+        monkeypatch.setattr(ncpart, name, forbidden)
     assert len(ncpart.enumerate_gn(6)) == 141
 
 
@@ -498,3 +505,16 @@ def test_enumerate_nc_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 10.5e6
+
+
+def test_enumerate_gn_peak_memory():
+    # 73789 slotted records built in output order: no sorted copy of the
+    # (blocks, marks) pairs, and one mark-vector list per distinct choices
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ncpart.enumerate_gn(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21e6
