@@ -144,9 +144,12 @@ def _write(payload: dict, fmt: str, handle) -> None:
 
     JSON is streamed: the text is ``json.dumps(_strict(payload), indent=2,
     allow_nan=False)`` and a newline, written a batch of encoder chunks at a
-    time.
+    time, or for partition records a batch of records at a time
+    (:func:`_write_records_json`).
     """
-    if fmt == "json":
+    if fmt == "json" and "records" in payload:
+        _write_records_json(payload, handle)
+    elif fmt == "json":
         chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(_strict(payload))
         while batch := list(itertools.islice(chunks, _JSON_BATCH)):
             handle.write("".join(batch))
@@ -159,6 +162,58 @@ def _write(payload: dict, fmt: str, handle) -> None:
         writer.writerows(rows)
     else:
         handle.write(_to_text(payload))
+
+
+class _IntListJSON(dict):
+    """Indent-2 JSON text of int tuples nested ``depth`` levels deep, made
+    once per distinct tuple and then looked up."""
+
+    def __init__(self, depth: int):
+        super().__init__()
+        inner = "\n" + "  " * (depth + 1)
+        self.open, self.sep, self.close = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
+
+    def __missing__(self, key: tuple) -> str:
+        text = self.open + self.sep.join(map(str, key)) + self.close if key else "[]"
+        self[key] = text
+        return text
+
+
+def _write_records_json(payload: dict, handle) -> None:
+    """The partitions payload as ``json.dumps(payload, indent=2)`` and a
+    newline, byte for byte, without the pure-Python indent encoder.
+
+    Each record is ``{"blocks": tuple of int tuples, "marks": int tuple}``;
+    the text of each distinct int tuple is made once (:class:`_IntListJSON`)
+    and a record's text is one concatenation of those.  The other payload
+    values are scalars.  The records are written ``_JSON_BATCH`` at a time,
+    so the whole text is never held at once.
+    """
+    # the blocks and the marks of a record sit at the same depth, 3
+    block_text, level3 = _IntListJSON(4), _IntListJSON(3)
+    lead = "{\n  "
+    for key, value in payload.items():
+        handle.write(lead + json.dumps(key) + ": ")
+        lead = ",\n  "
+        if key != "records":
+            handle.write(json.dumps(value))
+            continue
+        if not value:
+            handle.write("[]")
+            continue
+        records = iter(value)
+        sep = "[\n    "
+        while batch := list(itertools.islice(records, _JSON_BATCH)):
+            # a partition of n >= 1 elements has at least one block
+            handle.write(sep + ",\n    ".join([
+                '{\n      "blocks": ' + level3.open
+                + level3.sep.join(map(block_text.__getitem__, r["blocks"]))
+                + level3.close + ',\n      "marks": ' + level3[r["marks"]] + "\n    }"
+                for r in batch
+            ]))
+            sep = ",\n    "
+        handle.write("\n  ]")
+    handle.write("\n}\n")
 
 
 def _strict(payload: dict) -> dict:

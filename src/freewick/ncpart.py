@@ -15,16 +15,21 @@ be cross-checked:
 * the oracles that ``verify`` runs, :func:`brute_noncrossing_count` and
   :func:`brute_gn`, walk the non-crossing restricted growth strings (the
   string of block labels of a set partition), carrying the blocks as they
-  grow; :func:`brute_gn` applies the definition to the blocks of each, and
-  the count-only walk counts the last element's choices in closed form
-  instead of visiting them.  No oracle shares a search with the
+  grow; the walk visits the last element's choices in a loop, and
+  :func:`brute_gn` applies the definition to the blocks of each, while
+  the count-only walk counts those choices in closed form instead of
+  visiting them.  No oracle shares a search with the
   enumerator it checks.  The record-level twin of :func:`enumerate_nc`, a
   filter over every set partition, lives in the tier-1 tests.
 
 The routes carry partitions as plain block tuples, the marked ones as
-``(blocks, choices)`` pairs, built in output order or sorted once by
-their blocks, and build the records in one batch (:func:`_records`,
-:func:`_marked_records`), with no Python frame per record.
+``(blocks, choices)`` pairs, where ``choices`` holds each block's allowed
+plain marks, +1 first: ``(1,)``, ``(1, -1)`` or ``(-1,)``.  The pairs are
+built in output order or sorted once by their blocks, and the records are
+built in one batch (:func:`_records`, :func:`_marked_records`), with no
+Python frame per record.  A marked structure gets one
+:class:`SetPartition`, which every :class:`MarkedPartition` of it shares;
+the routes that build them share no record with each other.
 
 The records are slotted frozen dataclasses, so an instance carries no
 ``__dict__``.  The recursions take their state as arguments rather than
@@ -149,29 +154,21 @@ _MP_PARTITION = MarkedPartition.partition.__set__
 _MP_MARKS = MarkedPartition.marks.__set__
 
 
-def _records(n: int, blocks, negated_marks=None) -> list:
-    """Records of ``n`` elements for a sequence of block tuples, built without validation.
+def _records(n: int, blocks) -> list[SetPartition]:
+    """:class:`SetPartition` records of ``n`` elements for a sequence of block tuples.
 
-    For the enumerators and oracles, whose output is valid by construction.
-    Gives :class:`SetPartition` objects or, with ``negated_marks`` (a tuple
-    of negated marks per entry of ``blocks``), :class:`MarkedPartition`
-    objects.  Each step maps a C function over the whole sequence, so no
-    Python frame runs per record.  It searches nothing, so sharing it
-    merges no two routes: a broken builder still fails the Catalan and
-    :func:`gn_count_recursion` counts and the checked-constructor round trip.
+    Built without validation, for the enumerators and oracles, whose output
+    is valid by construction.  Each step maps a C function over the whole
+    sequence, so no Python frame runs per record.  It counts nothing and
+    searches nothing, so sharing it merges no two routes: a broken builder
+    still fails the Catalan and :func:`gn_count_recursion` counts and the
+    checked-constructor round trip.
     """
     size = len(blocks)
     parts = list(map(object.__new__, itertools.repeat(SetPartition, size)))
     _drain(map(_SP_N, parts, itertools.repeat(n, size)))
     _drain(map(_SP_BLOCKS, parts, blocks))
-    if negated_marks is None:
-        return parts
-    # one marks tuple per distinct mark vector, shared by its records
-    flip = {neg: tuple([-m for m in neg]) for neg in set(negated_marks)}
-    marked = list(map(object.__new__, itertools.repeat(MarkedPartition, size)))
-    _drain(map(_MP_PARTITION, marked, parts))
-    _drain(map(_MP_MARKS, marked, map(flip.__getitem__, negated_marks)))
-    return marked
+    return parts
 
 
 def _drain(calls) -> None:
@@ -241,6 +238,11 @@ def enumerate_nc(n: int) -> list[SetPartition]:
     return _records(n, _nc_interval(1, n, {}))
 
 
+# the one partition of an empty interval, shared, so that a gap or tail
+# that adds nothing is known by identity and never concatenated
+_EMPTY = [()]
+
+
 def _nc_interval(start: int, length: int, memo: dict) -> list[tuple[tuple[int, ...], ...]]:
     """Non-crossing partitions of ``start .. start+length-1``, in lexicographic order.
 
@@ -252,13 +254,13 @@ def _nc_interval(start: int, length: int, memo: dict) -> list[tuple[tuple[int, .
     too.  ``memo`` caches every interval for the length of one enumeration.
     """
     if length == 0:
-        return [()]
+        return _EMPTY
     key = (start, length)
     hit = memo.get(key)
     if hit is not None:
         return hit
     out = []
-    _nc_grow(out, memo, start + length, (start,), [()], start)
+    _nc_grow(out, memo, start + length, (start,), _EMPTY, start)
     memo[key] = out
     return out
 
@@ -267,14 +269,23 @@ def _nc_grow(out: list, memo: dict, stop: int, block: tuple, heads: list, last: 
     """Append to ``out`` every partition whose first block extends ``block``.
 
     ``block`` ends at ``last``; ``heads`` is the product of the gaps it has
-    closed so far, concatenated.  The state is passed in rather than closed
-    over, so the recursion leaves no reference cycle holding ``memo``.
+    closed so far, concatenated, or :data:`_EMPTY` before the first.  Each
+    output is ``(block,) + head``, built once per head, plus one tail.  The
+    state is passed in rather than closed over, so the recursion leaves no
+    reference cycle holding ``memo``.
     """
-    tail = _nc_interval(last + 1, stop - last - 1, memo)
-    out += [(block,) + head + rest for head in heads for rest in tail]
-    for nxt in range(last + 1, stop):
-        gap = _nc_interval(last + 1, nxt - last - 1, memo)
-        grown = [head + sub for head in heads for sub in gap]
+    start = last + 1
+    if start == stop:
+        out += [(block,) + head for head in heads]
+        return
+    tail = memo.get((start, stop - start)) or _nc_interval(start, stop - start, memo)
+    firsts = [(block,) + head for head in heads]
+    out += [first + rest for first in firsts for rest in tail]
+    # the next member right after ``last`` leaves an empty gap
+    _nc_grow(out, memo, stop, block + (start,), heads, start)
+    for nxt in range(start + 1, stop):
+        gap = memo.get((start, nxt - start)) or _nc_interval(start, nxt - start, memo)
+        grown = gap if heads is _EMPTY else [head + sub for head in heads for sub in gap]
         _nc_grow(out, memo, stop, block + (nxt,), grown, nxt)
 
 
@@ -295,11 +306,11 @@ def enumerate_gn(n: int) -> list[MarkedPartition]:
 def _gn_interval(start: int, length: int, nested: bool, memo: dict) -> list:
     """Admissible ``(blocks, choices)`` of ``start .. start+length-1``, lexicographic.
 
-    ``choices`` holds each block's allowed negated marks (-1 is mark +1).
-    The recursion is :func:`_nc_interval`'s; a block in a gap of the first
-    block lies inside it, so each gap is a ``nested`` interval, whose blocks
-    carry -1 and are never singletons; the tail after the first block keeps
-    this interval's kind.  ``memo`` caches every interval.
+    ``choices`` holds each block's allowed marks, +1 first.  The recursion
+    is :func:`_nc_interval`'s; a block in a gap of the first block lies
+    inside it, so each gap is a ``nested`` interval, whose blocks carry -1
+    and are never singletons; the tail after the first block keeps this
+    interval's kind.  ``memo`` caches every interval.
     """
     key = (start, length, nested)
     hit = memo.get(key)
@@ -307,7 +318,7 @@ def _gn_interval(start: int, length: int, nested: bool, memo: dict) -> list:
         return hit
     out = []
     # a top-level singleton carries +1; a nested one admits no mark
-    _gn_grow(out, memo, start + length, nested, None if nested else ((-1,),), (start,), [((), ())], start)
+    _gn_grow(out, memo, start + length, nested, None if nested else ((1,),), (start,), [((), ())], start)
     memo[key] = out
     return out
 
@@ -321,7 +332,7 @@ def _gn_grow(out: list, memo: dict, stop: int, nested: bool, mark, block: tuple,
     if mark is not None:
         tail = _gn_interval(last + 1, stop - last - 1, nested, memo) if last + 1 < stop else [((), ())]
         out += [((block,) + hb + tb, mark + hc + tc) for hb, hc in heads for tb, tc in tail]
-    grown_mark = ((1,),) if nested else ((-1, 1),)
+    grown_mark = ((-1,),) if nested else ((1, -1),)
     if last + 1 < stop:
         _gn_grow(out, memo, stop, nested, grown_mark, block + (last + 1,), heads, last + 1)
     # past last + 1, the next member leaves a gap, which must hold two or
@@ -332,21 +343,27 @@ def _gn_grow(out: list, memo: dict, stop: int, nested: bool, mark, block: tuple,
         _gn_grow(out, memo, stop, nested, grown_mark, block + (nxt,), grown, nxt)
 
 
-def _marked_records(n: int, structures) -> list:
+def _marked_records(n: int, structures: list) -> list[MarkedPartition]:
     """Records of each ``(blocks, choices)`` in turn, one per entry of the product of its choices.
 
-    Each choice lists +1 (negated: -1) first, so the product does too.
+    ``choices`` holds each block's allowed marks, +1 first, so the product
+    lists +1 first too.  One :class:`SetPartition` is built per structure
+    and shared by all its records, and the mark vectors once per distinct
+    ``choices``; the records are frozen, so sharing is safe.  The records
+    are built as :func:`_records` builds its own, with no Python frame per
+    record, and like it this counts nothing and searches nothing.
     """
-    blocks, negated = [], []
+    parts = _records(n, list(map(itemgetter(0), structures)))
+    choices = list(map(itemgetter(1), structures))
     # one list of mark vectors per distinct choices, shared by its structures
-    expanded = {}
-    for frozen, choices in structures:
-        marks = expanded.get(choices)
-        if marks is None:
-            marks = expanded[choices] = list(itertools.product(*choices))
-        negated += marks
-        blocks += [frozen] * len(marks)
-    return _records(n, blocks, negated)
+    expanded = {c: list(itertools.product(*c)) for c in set(choices)}
+    vectors = list(map(expanded.__getitem__, choices))
+    counts = list(map(len, vectors))
+    shared = itertools.chain.from_iterable(map(itertools.repeat, parts, counts))
+    marked = list(map(object.__new__, itertools.repeat(MarkedPartition, sum(counts))))
+    _drain(map(_MP_PARTITION, marked, shared))
+    _drain(map(_MP_MARKS, marked, itertools.chain.from_iterable(vectors)))
+    return marked
 
 
 @_collector_paused
@@ -361,8 +378,7 @@ def enumerate_interval(n: int) -> list[MarkedPartition]:
     for comp in compositions(n):
         ends = itertools.accumulate(comp)
         blocks = tuple(tuple(range(end - size + 1, end + 1)) for size, end in zip(comp, ends))
-        # negated marks, as in enumerate_gn: -1 is mark +1
-        out.append((blocks, tuple((-1,) if size == 1 else (-1, 1) for size in comp)))
+        out.append((blocks, tuple((1,) if size == 1 else (1, -1) for size in comp)))
     out.sort(key=itemgetter(0))
     return _marked_records(n, out)
 
@@ -376,6 +392,8 @@ def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
     if parts is None:
         for k in range(1, n + 1):
             yield from compositions(n, k)
+        return
+    if parts < 1 or n < parts:
         return
     if parts == 1:
         yield (n,)
@@ -420,9 +438,11 @@ def _walk_noncrossing_rgs(n: int, visit=None) -> tuple[int, int]:
 
     ``visit`` receives the blocks as one list of lists, in order of their
     minimum, changed in place between calls.  With no ``visit`` the walk
-    only counts, and stops one place early: after a prefix with ``k``
-    labels used, ``d`` of them open, the last element has ``d + 1``
-    non-crossing choices and ``k - d`` crossing ones.
+    only counts.  Either way the recursion stops one place early: after a
+    prefix with ``k`` labels used, ``d`` of them open, the last element
+    has ``d + 1`` non-crossing choices and ``k - d`` crossing ones.  The
+    visiting walk visits those ``d + 1`` in a loop, with no call per leaf;
+    the count-only walk counts them in closed form.
     """
     # completions[r][k] = C(r, k), for r + k <= n
     completions = [[1] * (n + 1)]
@@ -440,13 +460,20 @@ def _rgs_extend(visit, completions: list, blocks: list, stack: list, x: int, n: 
     in rather than closed over, so the recursion leaves no reference cycle
     holding ``visit`` and whatever it collects.
     """
-    if x > n:
-        visit(blocks)
-        return 1, 0
     used = len(blocks)
     depth = len(stack)
     crossing = (used - depth) * completions[n - x][used]
-    if x == n and visit is None:
+    if x == n:
+        # the last element joins an open block or opens one; nothing
+        # follows it, so the stack above that block need not close
+        if visit is not None:
+            for block in stack:
+                block.append(x)
+                visit(blocks)
+                block.pop()
+            blocks.append([x])
+            visit(blocks)
+            blocks.pop()
         return depth + 1, crossing
     noncrossing = 0
     for j in range(depth):
@@ -492,24 +519,31 @@ def brute_gn(n: int) -> list[MarkedPartition]:
     The blocks come in order of their minimum; ``reach`` is the furthest
     end of the blocks before ``b``, so ``reach > b[-1]`` says exactly that
     some block with a smaller minimum ends after ``b``, i.e. that ``b`` is
-    nested.  A nested singleton admits no mark and rejects the partition;
-    a nested larger block admits only -1; any other admits either mark.
+    nested.  A nested singleton admits no mark and rejects the partition,
+    which a first pass finds before any choices are built; a nested larger
+    block admits only -1; any other admits either mark.
     """
     _check_bound(n, MARKED_LIMIT)
     out = []
 
     def keep(blocks):
-        # allowed negated marks per block: -1 is mark +1, 1 is mark -1
+        # a nested singleton rejects the partition before any choices are built
+        reach = 0
+        for b in blocks:
+            end = b[-1]
+            if reach < end:
+                reach = end
+            elif len(b) == 1:
+                return
+        # allowed marks per block, +1 first
         choices = []
         reach = 0
         for b in blocks:
             end = b[-1]
             if reach > end:
-                if len(b) == 1:
-                    return
-                choices.append((1,))
+                choices.append((-1,))
             else:
-                choices.append((-1,) if len(b) == 1 else (-1, 1))
+                choices.append((1,) if len(b) == 1 else (1, -1))
                 reach = end
         out.append((tuple(map(tuple, blocks)), tuple(choices)))
 

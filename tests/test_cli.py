@@ -121,6 +121,23 @@ class TestPartitions:
         assert code == 0 and out == ""
         assert path.read_text(encoding="utf-8") == expected
 
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_records_json_across_batches(self, batch, monkeypatch):
+        # batch boundaries fall inside the record list; an empty record list
+        # and a record with no marks are written as json writes them too
+        monkeypatch.setattr(cli, "_JSON_BATCH", batch)
+        records = [
+            {"blocks": mp.partition.blocks, "marks": mp.marks} for mp in ncpart.enumerate_gn(4)
+        ]
+        records.append({"blocks": ((1, 2, 3, 4),), "marks": ()})
+        for payload in (
+            {"set": "gn", "n": 4, "count": len(records), "records": records},
+            {"set": "gn", "n": 4, "count": 0, "records": []},
+        ):
+            handle = io.StringIO()
+            cli._write(payload, "json", handle)
+            assert handle.getvalue() == json.dumps(payload, indent=2) + "\n"
+
     def test_csv_format(self, capsys):
         code, out = run(["partitions", "--n", "2", "--set", "gn", "--format", "csv"], capsys)
         assert code == 0

@@ -217,6 +217,15 @@ class TestCompositions:
         assert len(everything) == 2 ** (n - 1)
         assert everything == sorted(everything, key=len)
 
+    @pytest.mark.parametrize("n,parts", [(2, 0), (2, -1), (0, 1), (-2, 1)])
+    def test_no_composition_into_positive_parts(self, n, parts):
+        # fewer than one part, or more parts than n has units: none exists
+        assert list(ncpart.compositions(n, parts)) == []
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_composition_of_a_nonpositive_total(self, n):
+        assert list(ncpart.compositions(n)) == []
+
 
 class TestCountingKernels:
     @pytest.mark.parametrize("n", range(1, 10))
@@ -420,6 +429,24 @@ class TestRecords:
             assert hash(rec) == hash(checked)
             assert repr(rec) == repr(checked)
 
+    @pytest.mark.parametrize(
+        "route", [ncpart.enumerate_gn, ncpart.brute_gn, ncpart.enumerate_interval]
+    )
+    def test_one_shared_partition_per_structure(self, route):
+        # every record of one block structure holds the same SetPartition,
+        # and no two structures hold the same one
+        out = route(7)
+        by_blocks = {}
+        for mp in out:
+            by_blocks.setdefault(mp.partition.blocks, set()).add(id(mp.partition))
+        assert all(len(ids) == 1 for ids in by_blocks.values())
+        assert len({id(mp.partition) for mp in out}) == len(by_blocks) < len(out)
+
+    def test_enumerator_and_oracle_share_no_partition(self):
+        direct, brute = ncpart.enumerate_gn(7), ncpart.brute_gn(7)
+        assert direct == brute
+        assert not {id(mp.partition) for mp in direct} & {id(mp.partition) for mp in brute}
+
 
 # every route that runs with the cyclic collector paused, with its bound
 PAUSED_ROUTES = [
@@ -509,7 +536,8 @@ def test_enumerate_nc_peak_memory():
 
 def test_enumerate_gn_peak_memory():
     # 73789 slotted records built in output order: no sorted copy of the
-    # (blocks, marks) pairs, and one mark-vector list per distinct choices
+    # (blocks, marks) pairs, one mark-vector list per distinct choices, and
+    # one partition per structure, shared by its records
     gc.collect()
     tracemalloc.start()
     try:
@@ -517,4 +545,16 @@ def test_enumerate_gn_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 21e6
+    assert peak <= 13e6
+
+
+def test_brute_gn_peak_memory():
+    # the oracle's 73789 records share one partition per structure as well
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ncpart.brute_gn(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17e6
