@@ -9,7 +9,9 @@ Subcommands:
 * ``verify`` runs the seeded verification suites and emits a
   machine-readable report.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success; 1 a failed verification, and nothing else; 2 a
+configuration error, a refused size, an output file that cannot be
+written, or a run out of memory.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import resource
 import sys
 import time
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -43,9 +46,14 @@ def _setup_logging() -> None:
                             format="%(levelname)s %(name)s: %(message)s")
 
 
+# the keys a config may set; the verify suites read only the first three
+_SUITE_KEYS = frozenset({"m", "fiber_nodes", "degree"})
+_CONFIG_KEYS = _SUITE_KEYS | {"interval", "lambda", "eta", "fibers"}
+
+
 @dataclass
 class ModelConfig:
-    """Validated model description backing the CLI commands."""
+    """Validated model description behind ``moments``."""
 
     m: int = 6
     interval: tuple[float, float] = (0.0, 1.0)
@@ -63,16 +71,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        known = {"m", "interval", "lambda", "eta", "fibers", "fiber_nodes", "degree"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        """The model of a config that :func:`load_config` has read."""
         clash = raw.keys() & {"lambda", "eta", "fiber_nodes"} if "fibers" in raw else set()
         if clash:
             raise ConfigError(f"{sorted(clash)} cannot come with fibers, which give the node laws")
-        kwargs = dict(raw)
-        if "lambda" in kwargs:
-            kwargs["lam"] = kwargs.pop("lambda")
+        kwargs = {"lam" if k == "lambda" else k: v for k, v in raw.items()}
         try:
             if "interval" in kwargs:
                 kwargs["interval"] = tuple(kwargs["interval"])
@@ -89,15 +92,10 @@ class ModelConfig:
         if self.fibers is None:
             # semicircle laws from lambda and eta; eta = 0 gives the point mass at lambda
             return ProductGrid(grid, semicircle_fibers(grid, self.fiber_nodes))
-        fibers = []
         try:
-            for item in self.fibers:
-                fibers.append(
-                    FiberMeasure(
-                        np.asarray(item["atoms"], dtype=float),
-                        np.asarray(item["weights"], dtype=float),
-                    )
-                )
+            fibers = [FiberMeasure(np.asarray(item["atoms"], dtype=float),
+                                   np.asarray(item["weights"], dtype=float))
+                      for item in self.fibers]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad fiber spec: {exc}") from exc
         if len(fibers) != grid.size:
@@ -105,10 +103,11 @@ class ModelConfig:
         return ProductGrid(grid, fibers)
 
 
-def load_config(path: str | None, unread=frozenset()) -> ModelConfig:
-    """The config at ``path``; the keys in ``unread`` are refused, by name."""
+def load_config(path: str | None, reads=_CONFIG_KEYS) -> dict:
+    """The config at ``path`` (none: ``{}``); a key outside ``reads`` is
+    refused, by name.  The values are checked by whoever reads them."""
     if path is None:
-        return ModelConfig()
+        return {}
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -116,52 +115,76 @@ def load_config(path: str | None, unread=frozenset()) -> ModelConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    refused = unread & raw.keys()
+    unknown = raw.keys() - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    refused = raw.keys() - reads
     if refused:
         raise ConfigError(f"config keys this command does not read: {sorted(refused)}")
-    return ModelConfig.from_dict(raw)
+    return raw
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output
 # ---------------------------------------------------------------------------
 
-# encoder chunks joined into one write: far fewer writes than one per
-# chunk, and far less memory than the whole text of a large payload
+# records per write of the partitions JSON: far fewer writes than one per
+# record, and far less memory than the whole text at once
 _JSON_BATCH = 1 << 12
 
 
-def _emit(payload: dict, fmt: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            _write(payload, fmt, handle)
-    else:
-        _write(payload, fmt, sys.stdout)
+def _finite(value):
+    """``value`` with each NaN or infinite float as None, which JSON writes
+    as null: RFC 8259 has no NaN.  Text and CSV keep ``nan``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    return value
 
 
-def _write(payload: dict, fmt: str, handle) -> None:
-    """Write the payload in ``fmt``.
+def _write_json(payload: dict, handle) -> None:
+    handle.write(json.dumps(_finite(payload), indent=2, allow_nan=False) + "\n")
 
-    JSON is streamed: the text is ``json.dumps(_strict(payload), indent=2,
-    allow_nan=False)`` and a newline, written a batch of encoder chunks at a
-    time, or for partition records a batch of records at a time
-    (:func:`_write_records_json`).
+
+def _emit(args, payload: dict, table: tuple, in_table=(), write_json=_write_json) -> None:
+    """Write one command's report in ``args.format`` to ``args.out`` or stdout.
+
+    JSON is ``payload``, written by ``write_json(payload, handle)``.  CSV is
+    ``table``, the command's ``(header, rows)`` of strings; text aligns that
+    table in columns, then gives each string or number of the payload as
+    ``key: value`` and each entry of a dict as ``key.sub: value``, save the
+    dicts named in ``in_table``.  An unwritable ``--out`` is a ConfigError.
     """
-    if fmt == "json" and "records" in payload:
-        _write_records_json(payload, handle)
-    elif fmt == "json":
-        chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(_strict(payload))
-        while batch := list(itertools.islice(chunks, _JSON_BATCH)):
-            handle.write("".join(batch))
-        handle.write("\n")
-    elif fmt == "csv":
-        # quoted where a field holds a comma, as the blocks of a partition do
-        header, rows = _rows(payload)
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        handle.write(_to_text(payload))
+    def write(handle):
+        header, rows = table
+        if args.format == "json":
+            write_json(payload, handle)
+        elif args.format == "csv":
+            # quoted where a field holds a comma, as the blocks of a partition do
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            rows = [header, *rows]
+            widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+            for row in rows:
+                handle.write("  ".join(map(str.ljust, row, widths)).rstrip() + "\n")
+            for k, v in payload.items():
+                if isinstance(v, dict) and k not in in_table:
+                    handle.writelines(f"{k}.{sub}: {x}\n" for sub, x in v.items())
+                elif isinstance(v, (str, int, float)):
+                    handle.write(f"{k}: {v}\n")
+
+    if not args.out:
+        return write(sys.stdout)
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            write(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc}") from exc
 
 
 class _IntListJSON(dict):
@@ -180,14 +203,16 @@ class _IntListJSON(dict):
 
 
 def _write_records_json(payload: dict, handle) -> None:
-    """The partitions payload as ``json.dumps(payload, indent=2)`` and a
-    newline, byte for byte, without the pure-Python indent encoder.
+    """The partitions payload as ``json.dumps`` with ``indent=2`` writes it,
+    and a newline, byte for byte, without the pure-Python indent encoder.
 
-    Each record is ``{"blocks": tuple of int tuples, "marks": int tuple}``;
-    the text of each distinct int tuple is made once (:class:`_IntListJSON`)
-    and a record's text is one concatenation of those.  The other payload
-    values are scalars.  The records are written ``_JSON_BATCH`` at a time,
-    so the whole text is never held at once.
+    ``payload["records"]`` iterates over ``(blocks, marks)`` pairs, a tuple
+    of int tuples and an int tuple, which JSON writes as the record
+    ``{"blocks": ..., "marks": ...}``; the text of each distinct int tuple is
+    made once (:class:`_IntListJSON`) and a record's text is one
+    concatenation of those.  The other payload values are scalars.  The
+    records are written ``_JSON_BATCH`` at a time, so the whole text is
+    never held at once.
     """
     # the blocks and the marks of a record sit at the same depth, 3
     block_text, level3 = _IntListJSON(4), _IntListJSON(3)
@@ -198,73 +223,18 @@ def _write_records_json(payload: dict, handle) -> None:
         if key != "records":
             handle.write(json.dumps(value))
             continue
-        if not value:
-            handle.write("[]")
-            continue
-        records = iter(value)
-        sep = "[\n    "
+        records, sep = iter(value), "[\n    "
         while batch := list(itertools.islice(records, _JSON_BATCH)):
             # a partition of n >= 1 elements has at least one block
             handle.write(sep + ",\n    ".join([
                 '{\n      "blocks": ' + level3.open
-                + level3.sep.join(map(block_text.__getitem__, r["blocks"]))
-                + level3.close + ',\n      "marks": ' + level3[r["marks"]] + "\n    }"
-                for r in batch
+                + level3.sep.join(map(block_text.__getitem__, blocks))
+                + level3.close + ',\n      "marks": ' + level3[marks] + "\n    }"
+                for blocks, marks in batch
             ]))
             sep = ",\n    "
-        handle.write("\n  ]")
+        handle.write("[]" if sep == "[\n    " else "\n  ]")  # [] when no record came
     handle.write("\n}\n")
-
-
-def _strict(payload: dict) -> dict:
-    """The payload with each NaN or infinite result as None, which JSON
-    writes as null: RFC 8259 has no NaN.  Text and CSV keep ``nan``; the
-    partition records hold no float and are not walked."""
-    def number(x):
-        return x if math.isfinite(x) else None
-
-    if "checks" in payload:
-        checks = [dict(c, residual=number(c["residual"])) for c in payload["checks"]]
-        return dict(payload, checks=checks)
-    if "paths" in payload:
-        paths = {k: number(v) for k, v in payload["paths"].items()}
-        return dict(payload, paths=paths, max_gap=number(payload["max_gap"]))
-    return payload
-
-
-def _rows(payload: dict) -> tuple[list[str], list[list]]:
-    if "records" in payload:
-        header = ["blocks", "marks"]
-        rows = [
-            [";".join(",".join(map(str, b)) for b in r["blocks"]),
-             ",".join(map(str, r.get("marks", [])))]
-            for r in payload["records"]
-        ]
-        return header, rows
-    if "checks" in payload:
-        header = ["suite", "check", "residual", "tol", "passed"]
-        rows = [
-            [c["suite"], c["name"], f"{c['residual']:.3e}", f"{c['tol']:.1e}", c["passed"]]
-            for c in payload["checks"]
-        ]
-        return header, rows
-    header = ["path", "value"]  # the moments payload
-    rows = [[k, repr(v)] for k, v in payload["paths"].items()]
-    rows.append(["max_gap", repr(payload["max_gap"])])
-    return header, rows
-
-
-def _to_text(payload: dict) -> str:
-    header, rows = _rows(payload)
-    table = [header] + [[str(x) for x in row] for row in rows]
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in table]
-    for k, v in payload.items():
-        if isinstance(v, dict) and k != "paths":  # paths are the table's rows
-            lines += [f"{k}.{sub}: {x}" for sub, x in v.items()]
-        elif not isinstance(v, (list, dict)):
-            lines.append(f"{k}: {v}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +245,19 @@ def _to_text(payload: dict) -> str:
 # on, full collections would rescan the whole live record list as it grows
 @ncpart._collector_paused
 def cmd_partitions(args) -> int:
-    # each record reuses its partition's tuples, which json writes as lists
+    # the writers read each record's own tuples, which json writes as lists
     if args.set == "nc":
-        records = [{"blocks": p.blocks, "marks": ()} for p in ncpart.enumerate_nc(args.n)]
+        parts = ncpart.enumerate_nc(args.n)
+        pairs = zip(map(attrgetter("blocks"), parts), itertools.repeat(()))
     else:
         enumerate_ = ncpart.enumerate_gn if args.set == "gn" else ncpart.enumerate_interval
-        records = [
-            {"blocks": mp.partition.blocks, "marks": mp.marks} for mp in enumerate_(args.n)
-        ]
-    payload = {"set": args.set, "n": args.n, "count": len(records), "records": records}
-    _emit(payload, args.format, args.out)
+        parts = enumerate_(args.n)
+        pairs = map(attrgetter("partition.blocks", "marks"), parts)
+    payload = {"set": args.set, "n": args.n, "count": len(parts), "records": pairs}
+    # one format is written, so the rows and the JSON records share one pass over pairs
+    rows = ((";".join(",".join(map(str, b)) for b in blocks), ",".join(map(str, marks)))
+            for blocks, marks in pairs)
+    _emit(args, payload, (("blocks", "marks"), rows), write_json=_write_records_json)
     return 0
 
 
@@ -330,7 +303,7 @@ def _require_memory(nbytes: int, what: str) -> None:
 
 
 def cmd_moments(args) -> int:
-    config = load_config(args.config)
+    config = ModelConfig.from_dict(load_config(args.config))
     pg = config.build_model()
     grid = pg.grid
     word = _parse_word(config, grid, args)
@@ -355,8 +328,7 @@ def cmd_moments(args) -> int:
     # slots; the route's tracemalloc peak measures 0.2 to 0.9 times this
     _require_memory(8 * 3**top * top * pg.size, "the rank-one term lists")
     routes["nc_sum"] = lambda: cumulant.nc_moment_sum(word, pg)
-    paths: dict[str, float] = {}
-    route_seconds: dict[str, float] = {}
+    paths, route_seconds = {}, {}
     for name, route in routes.items():
         started = time.perf_counter()
         paths[name] = route()
@@ -364,27 +336,18 @@ def cmd_moments(args) -> int:
     values = np.array(list(paths.values()))
     # np.max keeps a NaN route, where max over a generator can drop it
     max_gap = float(np.max(np.abs(values[:, None] - values)))
-    payload = {
-        "word_length": len(word),
-        "paths": paths,
-        "route_seconds": route_seconds,
-        "max_gap": max_gap,
-    }
-    _emit(payload, args.format, args.out)
+    payload = {"word_length": len(word), "paths": paths, "route_seconds": route_seconds,
+               "max_gap": max_gap}
+    rows = [[k, repr(v)] for k, v in paths.items()] + [["max_gap", repr(max_gap)]]
+    _emit(args, payload, (["path", "value"], rows), in_table=("paths",))
     return 0
 
 
 def cmd_verify(args) -> int:
-    # the suites build their own seeded models from m, fiber_nodes and degree
-    config = load_config(args.config, unread={"interval", "lambda", "eta", "fibers"})
+    # the suites build their own seeded models; SuiteParams checks the settings
+    config = load_config(args.config, reads=_SUITE_KEYS)
+    params = suites.SuiteParams(**config, n_max=args.n_max, seed=args.seed)
     names = list(suites.SUITE_NAMES) if args.suite == "all" else [args.suite]
-    params = suites.SuiteParams(
-        m=config.m,
-        fiber_nodes=config.fiber_nodes,
-        degree=config.degree,
-        n_max=args.n_max,
-        seed=args.seed,
-    )
     checks, suite_seconds = [], {}
     for name in names:
         ran = suites.run_suite(name, params)
@@ -400,7 +363,9 @@ def cmd_verify(args) -> int:
         "params": asdict(params),
         "checks": checks,
     }
-    _emit(payload, args.format, args.out)
+    rows = [[c["suite"], c["name"], f"{c['residual']:.3e}", f"{c['tol']:.1e}", str(c["passed"])]
+            for c in checks]
+    _emit(args, payload, (["suite", "check", "residual", "tol", "passed"], rows))
     return 0 if payload["passed"] else 1
 
 
@@ -449,10 +414,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except FreewickError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

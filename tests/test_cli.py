@@ -123,20 +123,47 @@ class TestPartitions:
 
     @pytest.mark.parametrize("batch", [1, 7])
     def test_records_json_across_batches(self, batch, monkeypatch):
-        # batch boundaries fall inside the record list; an empty record list
-        # and a record with no marks are written as json writes them too
+        # the writer reads (blocks, marks) pairs from one pass of an iterator;
+        # batch boundaries fall inside the record list, and an empty record
+        # list and a record with no marks are written as json writes them too
         monkeypatch.setattr(cli, "_JSON_BATCH", batch)
-        records = [
-            {"blocks": mp.partition.blocks, "marks": mp.marks} for mp in ncpart.enumerate_gn(4)
-        ]
-        records.append({"blocks": ((1, 2, 3, 4),), "marks": ()})
-        for payload in (
-            {"set": "gn", "n": 4, "count": len(records), "records": records},
-            {"set": "gn", "n": 4, "count": 0, "records": []},
-        ):
+        pairs = [(mp.partition.blocks, mp.marks) for mp in ncpart.enumerate_gn(4)]
+        pairs.append((((1, 2, 3, 4),), ()))
+        for records in (pairs, []):
+            head = {"set": "gn", "n": 4, "count": len(records)}
+            expected = dict(head, records=[{"blocks": b, "marks": m} for b, m in records])
             handle = io.StringIO()
-            cli._write(payload, "json", handle)
-            assert handle.getvalue() == json.dumps(payload, indent=2) + "\n"
+            cli._write_records_json(dict(head, records=iter(records)), handle)
+            assert handle.getvalue() == json.dumps(expected, indent=2) + "\n"
+
+    def test_gn_three_text_and_csv(self, capsys):
+        # literal pins of the two table formats: a block list and a mark list
+        # hold commas, so CSV quotes them where it must
+        code, out = run(["partitions", "--n", "3", "--set", "gn", "--format", "text"], capsys)
+        assert code == 0 and out == (
+            "blocks  marks\n"
+            "1;2;3   1,1,1\n"
+            "1;2,3   1,1\n"
+            "1;2,3   1,-1\n"
+            "1,2;3   1,1\n"
+            "1,2;3   -1,1\n"
+            "1,2,3   1\n"
+            "1,2,3   -1\n"
+            "set: gn\n"
+            "n: 3\n"
+            "count: 7\n"
+        )
+        code, out = run(["partitions", "--n", "3", "--set", "gn", "--format", "csv"], capsys)
+        assert code == 0 and out == (
+            'blocks,marks\n'
+            '1;2;3,"1,1,1"\n'
+            '"1;2,3","1,1"\n'
+            '"1;2,3","1,-1"\n'
+            '"1,2;3","1,1"\n'
+            '"1,2;3","-1,1"\n'
+            '"1,2,3",1\n'
+            '"1,2,3",-1\n'
+        )
 
     def test_csv_format(self, capsys):
         code, out = run(["partitions", "--n", "2", "--set", "gn", "--format", "csv"], capsys)
@@ -185,6 +212,27 @@ class TestMoments:
         code, out = run(["moments", "--power", "2", "--format", "text"], capsys)
         assert code == 0
         assert ["max_gap", "nan"] in [line.split() for line in out.splitlines()]
+
+    def test_text_format(self, tmp_path, capsys):
+        # a literal pin: the route table, then the payload's other entries;
+        # on point masses at 1 over four cells every value is exact
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta": 0.0, "m": 4}))
+        code, out = run(["moments", "--config", str(cfg), "--power", "4", "--format", "text"],
+                        capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[5:7]] == [
+            "route_seconds.big_fock", "route_seconds.nc_sum"
+        ]
+        assert lines[:5] + lines[7:] == [
+            "path      value",
+            "big_fock  3.0",
+            "nc_sum    3.0",
+            "max_gap   0.0",
+            "word_length: 4",
+            "max_gap: 0.0",
+        ]
 
     def test_gauss_poisson_paths(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -408,6 +456,35 @@ def test_bad_config_exits_2(command, config, tmp_path, capsys):
     assert out == ""
 
 
+SMALL_RUNS = [
+    ["partitions", "--n", "2"],
+    ["moments", "--power", "2"],
+    ["verify", "--suite", "cumulant"],
+]
+
+
+@pytest.mark.parametrize("args", SMALL_RUNS, ids=lambda args: args[0])
+def test_unwritable_out_exits_2(args, tmp_path, capsys):
+    # exit 1 is kept for a failed verification
+    path = tmp_path / "missing" / "report.json"
+    assert cli.main([*args, "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"cannot write {path}" in err
+
+
+@pytest.mark.parametrize("args", [SMALL_RUNS[0], SMALL_RUNS[2]], ids=lambda args: args[0])
+def test_out_of_memory_exits_2(args, capsys, monkeypatch):
+    # a MemoryError, wherever it is raised, ends the run like a refusal
+    def exhausted(*args):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(cli.suites, "suite_cumulant", exhausted)
+    monkeypatch.setattr(cli.ncpart, "enumerate_nc", exhausted)
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: out of memory: no room" in err
+
+
 class TestVerify:
     def test_wick_suite_passes(self, capsys):
         code, out = run(["verify", "--suite", "wick", "--n-max", "3"], capsys)
@@ -461,6 +538,15 @@ class TestVerify:
         )
         assert code == 0
         assert "passed: True" in out
+
+    def test_csv_format(self, capsys):
+        # a literal pin of the header and the first row
+        code, out = run(["verify", "--suite", "wick", "--n-max", "2", "--format", "csv"], capsys)
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            "suite,check,residual,tol,passed",
+            "wick,nc_count_catalan_n1,0.000e+00,0.0e+00,True",
+        ]
 
     def test_text_format_flattens_dict_keys(self, capsys):
         code, out = run(["verify", "--suite", "cumulant", "--seed", "3", "--format", "text"], capsys)

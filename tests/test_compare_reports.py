@@ -1,6 +1,8 @@
 """The report comparer fails on a flipped pass flag or a lost check, and only then."""
 
+import contextlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
@@ -16,12 +18,11 @@ _spec.loader.exec_module(compare_reports)
 
 @pytest.fixture(scope="module")
 def report():
-    """A real ``verify`` report, as JSON text."""
-    out = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_emit", lambda payload, fmt, path: out.append(payload))
+    """A real ``verify`` report, read back from the JSON it writes to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert cli.main(["verify", "--suite", "meixner"]) == 0
-    return json.loads(json.dumps(out[0]))
+    return json.loads(out.getvalue())
 
 
 def write(tmp_path, name, payload, text=None):
