@@ -17,7 +17,9 @@ written, or a run out of memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import itertools
 import json
 import logging
@@ -150,13 +152,14 @@ def _write_json(payload: dict, handle) -> None:
 
 
 def _emit(args, payload: dict, table: tuple, in_table=(), write_json=_write_json) -> None:
-    """Write one command's report in ``args.format`` to ``args.out`` or stdout.
+    """Write one command's report in ``args.format`` to ``args.handle``.
 
     JSON is ``payload``, written by ``write_json(payload, handle)``.  CSV is
     ``table``, the command's ``(header, rows)`` of strings; text aligns that
     table in columns, then gives each string or number of the payload as
     ``key: value`` and each entry of a dict as ``key.sub: value``, save the
-    dicts named in ``in_table``.  An unwritable ``--out`` is a ConfigError.
+    keys named in ``in_table``, which the table holds.  A write to
+    ``--out`` that fails is a ConfigError.
     """
     def write(handle):
         header, rows = table
@@ -173,18 +176,60 @@ def _emit(args, payload: dict, table: tuple, in_table=(), write_json=_write_json
             for row in rows:
                 handle.write("  ".join(map(str.ljust, row, widths)).rstrip() + "\n")
             for k, v in payload.items():
-                if isinstance(v, dict) and k not in in_table:
+                if k in in_table:
+                    continue
+                if isinstance(v, dict):
                     handle.writelines(f"{k}.{sub}: {x}\n" for sub, x in v.items())
                 elif isinstance(v, (str, int, float)):
                     handle.write(f"{k}: {v}\n")
 
-    if not args.out:
-        return write(sys.stdout)
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            write(handle)
+        write(args.handle)
     except OSError as exc:
+        if not args.out:
+            raise
         raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The handle a command's report goes to: stdout, or a temporary file
+    beside ``path`` that replaces it once the command returns.
+
+    The file is opened before the command runs, so an unwritable ``path``
+    is refused before any work; a command that raises leaves any earlier
+    file at ``path`` untouched and no temporary behind.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        # refused here, since a replace would succeed where open(path, "w") fails
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if os.path.exists(target) and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        # the mode open(path, "w") gives; O_EXCL never takes over a file there
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    handle = os.fdopen(fd, "w", encoding="utf-8")
+    try:
+        yield handle
+        try:
+            handle.close()
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        # after a replace there is no temporary left to remove
+        with contextlib.suppress(OSError):
+            handle.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 class _IntListJSON(dict):
@@ -339,7 +384,7 @@ def cmd_moments(args) -> int:
     payload = {"word_length": len(word), "paths": paths, "route_seconds": route_seconds,
                "max_gap": max_gap}
     rows = [[k, repr(v)] for k, v in paths.items()] + [["max_gap", repr(max_gap)]]
-    _emit(args, payload, (["path", "value"], rows), in_table=("paths",))
+    _emit(args, payload, (["path", "value"], rows), in_table=("paths", "max_gap"))
     return 0
 
 
@@ -411,7 +456,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _output(args.out) as args.handle:
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
     except FreewickError as exc:

@@ -45,8 +45,12 @@ big-Fock moments of :mod:`cumulant` that the suites compare it with.
 The per-slot polynomial transform between this space and the Fock space
 over the joint (node, atom) quadrature is an exact isometry on the grid
 and intertwines the two realizations of the field; both facts are what the
-verification suites check numerically.  Both sides come from one model,
-the system's ``model``: the operators that act there refuse any other.
+verification suites check numerically.  The map is block-diagonal by
+node, since slot ``l*m + t`` reads only node ``t``'s atoms, so the
+transform and its inverse apply per-node slot blocks of ``(L+1) x N_t``
+to each axis of a level, and no dense map is built.  Both sides come
+from one model, the system's ``model``: the operators that act there
+refuse any other.
 """
 
 from __future__ import annotations
@@ -378,16 +382,26 @@ def _poly_table(sys: JacobiSystem, lmax: int) -> np.ndarray:
     return poly_values(sys.b[: lmax + 1, t], sys.a[: lmax + 1, t], sys.support[t], s)
 
 
+# per node t: its atoms' span of the joint axis, its slots t::m of the slot
+# axis, and the projection onto and synthesis from its polynomials, each
+# (L+1) x N_t
+_SlotBlocks = namedtuple("_SlotBlocks", "spans slots proj synth")
+
+
 # JacobiSystem hashes by identity, so the cache keys on the object and holds
 # it: an id is never reused while its entry lives
 @functools.lru_cache(maxsize=4)
-def _slot_maps(sys: JacobiSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Projection onto and synthesis from the node polynomials, ``((L+1)m) x joint``.
+def _slot_maps(sys: JacobiSystem) -> _SlotBlocks:
+    """Each node's projection onto and synthesis from its polynomials.
 
-    Synthesis row ``l*m + t`` is ``p_l`` on node ``t``'s atoms; the
-    projection row is that times the atom weights over ``g_l(t)`` (zero
-    where ``g_l(t)`` vanishes).  The tabulated degree must span every fiber.
-    Built once per system and shared, so both come back read-only.
+    The map between the joint axis and the slots ``l*m + t`` is
+    block-diagonal by node: slot ``l*m + t`` reads only node ``t``'s atoms,
+    which span ``spans[t]`` of the joint axis; its slots are ``slots[t]``
+    of the slot axis.  Synthesis row ``l`` of node ``t`` is ``p_l`` on those
+    atoms; the projection row is that times the atom weights over
+    ``g_l(t)`` (zero where ``g_l(t)`` vanishes).  The tabulated degree must
+    span every fiber.  Built once per system and shared, so the blocks come
+    back read-only.
     """
     pg = sys.model
     lmax, largest = sys.max_degree, max(fb.size for fb in pg.fibers)
@@ -395,38 +409,80 @@ def _slot_maps(sys: JacobiSystem) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"system tabulated to degree {lmax} cannot span fibers with {largest} atoms"
         )
-    on_node = pg.tindex == np.arange(pg.grid.size)[:, None]
-    synth = (_poly_table(sys, lmax)[:, None, :] * on_node).reshape(-1, pg.size)
-    g = sys.g.reshape(-1, 1)
-    proj = np.divide(synth * pg.fweights, g, out=np.zeros_like(synth), where=g > 0.0)
-    proj.flags.writeable = synth.flags.writeable = False
-    return proj, synth
+    table = _poly_table(sys, lmax)
+    bounds = np.cumsum([0] + [fb.size for fb in pg.fibers])
+    spans = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    proj, synth = [], []
+    for t, span in enumerate(spans):
+        s = np.ascontiguousarray(table[:, span])
+        g = sys.g[:, t : t + 1]
+        p = np.divide(s * pg.fweights[span], g, out=np.zeros_like(s), where=g > 0.0)
+        p.flags.writeable = s.flags.writeable = False
+        proj.append(p)
+        synth.append(s)
+    slots = tuple(slice(t, None, pg.grid.size) for t in range(pg.grid.size))
+    return _SlotBlocks(spans, slots, tuple(proj), tuple(synth))
 
 
-def _slotwise(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` to every slot of a level array."""
-    for _ in range(arr.ndim):
-        arr = np.tensordot(arr, mat, axes=(0, 1))
-    return arr
+def _per_node(arr: np.ndarray, mats, srcs, dsts, size: int) -> np.ndarray:
+    """Apply a block-diagonal map to every axis of ``arr``.
+
+    On each axis the entries ``srcs[t]`` map by ``mats[t]`` to the entries
+    ``dsts[t]`` of an axis of ``size``, which the ``dsts`` cover once.  Each
+    pass maps the last axis and puts its result first (:func:`_last_first`),
+    so after one pass per axis they are back in order.  A level of more
+    than ``fock._LEVEL_BLOCK`` entries is cut by node on its first axis:
+    node ``t``'s slab takes the passes over the other axes, and its own
+    pass writes only the rows ``dsts[t]`` of the result.  So the result is
+    the one array of a level's size made here; the others are a slab in
+    size, and the allocator reuses their memory from node to node.
+    """
+    if arr.size <= fock._LEVEL_BLOCK:
+        for _ in range(arr.ndim):
+            arr = _last_first(arr, mats, srcs, dsts, size)
+        return arr
+    out = np.empty((size,) * arr.ndim)
+    rows = out.reshape(size, -1)
+    for mat, src, dst in zip(mats, srcs, dsts):
+        slab = arr[src]
+        for _ in range(1, arr.ndim):
+            slab = _last_first(slab, mats, srcs, dsts, size)
+        np.matmul(mat, slab.reshape(-1, slab.shape[-1]).T, out=rows[dst])
+    return out
+
+
+def _last_first(arr: np.ndarray, mats, srcs, dsts, size: int) -> np.ndarray:
+    """The map of :func:`_per_node` on the last axis of ``arr``, whose result
+    axis comes first: ``mats[t]`` times the transposed columns ``srcs[t]``
+    is written straight into the rows ``dsts[t]``, one matrix product per
+    node."""
+    x = arr.reshape(-1, arr.shape[-1])
+    out = np.empty((size, len(x)))
+    for mat, src, dst in zip(mats, srcs, dsts):
+        np.matmul(mat, x[:, src].T, out=out[dst])
+    return out.reshape((size,) + arr.shape[:-1])
 
 
 def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None) -> FockVector:
     """Per-slot change of basis from atom samples to polynomial coefficients.
 
     Each slot of a level-``i`` array over the joint quadrature is expanded
-    in the node's monic polynomials.  Exact isometry on the grid (the
-    polynomials are orthogonal for the discrete node laws).  The result
-    spans every tabulated degree, ``L = sys.max_degree``, so its budget
-    must exceed ``L``; the default is ``max(i, 1) * (L + 1)`` for the top
-    nonzero level ``i``.
+    in the node's monic polynomials, by the per-node slot blocks of
+    :func:`_slot_maps`.  Exact isometry on the grid (the polynomials are
+    orthogonal for the discrete node laws).  The result spans every
+    tabulated degree, ``L = sys.max_degree``, so its budget must exceed
+    ``L``; the default is ``max(i, 1) * (L + 1)`` for the top nonzero level
+    ``i``.
     """
     _require_model(v, sys)
-    proj, _ = _slot_maps(sys)
+    blocks = _slot_maps(sys)
     lmax, top = sys.max_degree, max(fock.top_level(v), 0)
     max_degree = max(top, 1) * (lmax + 1) if max_degree is None else max_degree
     if max_degree <= lmax:
         raise ValueError(f"degree budget {max_degree} cannot hold the slots 0..{lmax}")
-    levels = [_slotwise(proj, a) for a in v.levels[: top + 1]]
+    size = (lmax + 1) * sys.grid.size
+    levels = [_per_node(a, blocks.proj, blocks.spans, blocks.slots, size)
+              for a in v.levels[: top + 1]]
     _check_budget(levels, lmax, sys.grid.size, max_degree)
     return FockVector(_slot_space(sys, lmax), levels, max_degree)
 
@@ -434,9 +490,10 @@ def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None)
 def k_inverse(xv: FockVector) -> FockVector:
     """Reconstruct the vector over the system's model from polynomial coefficients."""
     sys = xv.base.sys
-    _, synth = _slot_maps(sys)
-    rows = synth[: xv.base.size].T
-    return FockVector(sys.model, [_slotwise(rows, a) for a in xv.levels])
+    blocks = _slot_maps(sys)
+    mats = [s[: xv.base.lmax + 1].T for s in blocks.synth]
+    levels = [_per_node(a, mats, blocks.slots, blocks.spans, sys.model.size) for a in xv.levels]
+    return FockVector(sys.model, levels)
 
 
 def _diagonal(kern: np.ndarray, ls) -> np.ndarray:

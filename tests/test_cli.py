@@ -231,7 +231,6 @@ class TestMoments:
             "nc_sum    3.0",
             "max_gap   0.0",
             "word_length: 4",
-            "max_gap: 0.0",
         ]
 
     def test_gauss_poisson_paths(self, tmp_path, capsys):
@@ -463,13 +462,65 @@ SMALL_RUNS = [
 ]
 
 
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
 @pytest.mark.parametrize("args", SMALL_RUNS, ids=lambda args: args[0])
-def test_unwritable_out_exits_2(args, tmp_path, capsys):
-    # exit 1 is kept for a failed verification
-    path = tmp_path / "missing" / "report.json"
+def test_unwritable_out_exits_2(args, target, tmp_path, capsys, monkeypatch):
+    # refused before any work; exit 1 is kept for a failed verification
+    for module, name in [(cli.suites, "run_suite"), (cli.ncpart, "enumerate_nc"),
+                         (cli.cumulant, "moment"), (cli.cumulant, "nc_moment_sum")]:
+        monkeypatch.setattr(module, name, _reached)
+    path = tmp_path / "missing" / "report.json" if target == "missing_dir" else tmp_path
     assert cli.main([*args, "--out", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"cannot write {path}" in err
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
+def test_read_only_out_is_kept(tmp_path, capsys, monkeypatch):
+    # a replace would succeed where the user cannot write the file itself
+    path = tmp_path / "report.json"
+    path.write_text("earlier\n")
+    path.chmod(0o444)
+    if os.access(path, os.W_OK):
+        pytest.skip("this user may write a read-only file")
+    monkeypatch.setattr(cli.suites, "run_suite", _reached)
+    assert cli.main(["verify", "--suite", "cumulant", "--out", str(path)]) == 2
+    assert f"cannot write {path}" in capsys.readouterr().err
+    assert path.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), MemoryError("no room")],
+                         ids=["disk_full", "out_of_memory"])
+@pytest.mark.parametrize("args", SMALL_RUNS, ids=lambda args: args[0])
+def test_failed_write_keeps_the_earlier_out(args, error, tmp_path, capsys, monkeypatch):
+    # the writer fails midway: the earlier report stays, and no temporary is left
+    fdopen = os.fdopen
+
+    def half_writing(fd, *args, **kwargs):
+        handle = fdopen(fd, *args, **kwargs)
+        write = handle.write
+
+        def fail_midway(text):
+            write(text[: len(text) // 2])
+            raise error
+
+        handle.write = fail_midway
+        return handle
+
+    monkeypatch.setattr(cli.os, "fdopen", half_writing)
+    path = tmp_path / "report.json"
+    path.write_text("earlier\n")
+    assert cli.main([*args, "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ("cannot write" in err) == isinstance(error, OSError)
+    assert path.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    # a run that completes replaces it
+    monkeypatch.undo()
+    assert cli.main([*args, "--out", str(path)]) == 0
+    assert json.loads(path.read_text())
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 @pytest.mark.parametrize("args", [SMALL_RUNS[0], SMALL_RUNS[2]], ids=lambda args: args[0])

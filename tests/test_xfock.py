@@ -337,13 +337,30 @@ class TestKTransform:
 
     def test_slot_maps_built_once_per_system(self, meixner, general, rng):
         _, _, pg, sys = meixner
-        maps = xfock._slot_maps(sys)
+        blocks = xfock._slot_maps(sys)
         xfock.k_inverse(xfock.k_transform(headroom(pg, rng), sys))
-        assert all(a is b for a, b in zip(xfock._slot_maps(sys), maps))
-        assert not any(a.flags.writeable for a in maps)
-        # another system, even of the same model, gets maps of its own
-        assert xfock._slot_maps(general[3])[0] is not maps[0]
-        assert xfock._slot_maps(JacobiSystem(pg, M_FIBER))[0] is not maps[0]
+        again = xfock._slot_maps(sys)
+        assert all(a is b for a, b in zip(again.proj + again.synth, blocks.proj + blocks.synth))
+        assert not any(a.flags.writeable for a in blocks.proj + blocks.synth)
+        # another system, even of the same model, gets blocks of its own
+        assert xfock._slot_maps(general[3]).proj[0] is not blocks.proj[0]
+        assert xfock._slot_maps(JacobiSystem(pg, M_FIBER)).proj[0] is not blocks.proj[0]
+
+    def test_transform_scratch_is_a_node_slab(self, meixner, rng):
+        # the result is the one level-sized array: the rest is two arrays of
+        # one node's slab, 1/5 of the level here each, where a level-sized
+        # array per axis, as a transform axis by axis makes, takes 2 to 2.8
+        # times the result
+        _, _, pg, sys = meixner
+        v = fock.random_vector(pg, 3, rng)
+        xfock.k_transform(v, sys)  # the slot blocks, built once
+        tracemalloc.start()
+        try:
+            xv = xfock.k_transform(v, sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * xv.levels[3].nbytes
 
     def test_requires_spanning_degree(self, meixner, rng):
         _, _, pg, _ = meixner
@@ -351,6 +368,76 @@ class TestKTransform:
         v = fock.random_vector(pg, 1, rng)
         with pytest.raises(ValueError):
             xfock.k_transform(v, shallow)
+
+
+@pytest.mark.parametrize("block", [None, 1])
+class TestRaggedBlocks:
+    """The per-node slot blocks against the dense joint-to-slot map, on fibers
+    of unequal sizes: a point mass, a law with fewer atoms than ``L + 1``,
+    and laws of 3, 5 and 8 atoms.  These levels fit in one block, so each
+    is mapped whole; with a block of one entry, node by node."""
+
+    L = 9
+
+    @pytest.fixture(autouse=True)
+    def level_block(self, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(fock, "_LEVEL_BLOCK", block)
+
+    @pytest.fixture
+    def sys(self, rng):
+        g = grid.make_grid(5, lam=0.3, eta=0.5)
+        fibers = []
+        for n in [3, 1, 8, 2, 5]:
+            w = rng.uniform(0.2, 1.0, size=n)
+            fibers.append(grid.FiberMeasure(np.sort(rng.uniform(-1.5, 1.5, size=n)), w / w.sum()))
+        return JacobiSystem(ProductGrid(g, fibers), self.L)
+
+    @staticmethod
+    def dense_maps(sys):
+        """The ``((L+1)m) x joint`` projection and synthesis, node blocks and zeros."""
+        pg, lmax = sys.model, sys.max_degree
+        t = pg.tindex
+        table = jacobi.poly_values(sys.b[: lmax + 1, t], sys.a[: lmax + 1, t], sys.support[t],
+                                   pg.svalues)
+        on_node = t == np.arange(pg.grid.size)[:, None]
+        synth = (table[:, None, :] * on_node).reshape(-1, pg.size)
+        g = sys.g.reshape(-1, 1)
+        proj = np.divide(synth * pg.fweights, g, out=np.zeros_like(synth), where=g > 0.0)
+        return proj, synth
+
+    @staticmethod
+    def dense(mat, arr):
+        for _ in range(arr.ndim):
+            arr = np.tensordot(arr, mat, axes=(0, 1))
+        return arr
+
+    def test_transform_matches_the_dense_map(self, sys, rng):
+        assert sys.model.size**3 <= fock._LEVEL_BLOCK or fock._LEVEL_BLOCK == 1
+        proj, _ = self.dense_maps(sys)
+        v = fock.random_vector(sys.model, 3, rng)
+        xv = xfock.k_transform(v, sys)
+        assert len(xv.levels) == 4
+        for got, a in zip(xv.levels, v.levels):
+            want = self.dense(proj, a)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+        assert fock.distance(xfock.k_inverse(xv), v) <= 1e-12 * fock.norm(v)
+
+    def test_inverse_below_the_tabulated_degree(self, sys, rng):
+        # xfield over x_vacuum(sys, 3) has L = 2 < sys.max_degree
+        _, synth = self.dense_maps(sys)
+        xv = xfock.x_vacuum(sys, 3)
+        for _ in range(3):
+            xv = xfock.xfield(rng.standard_normal(5), xv)
+        assert xv.base.lmax == 2 < sys.max_degree and len(xv.levels) == 4
+        back = xfock.k_inverse(xv)
+        assert back.base is sys.model
+        rows = synth[: xv.base.size].T
+        for got, a in zip(back.levels, xv.levels):
+            want = self.dense(rows, a)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
 
 class TestOneModel:
