@@ -26,6 +26,7 @@ import logging
 import math
 import os
 import resource
+import stat
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -193,43 +194,66 @@ def _emit(args, payload: dict, table: tuple, in_table=(), write_json=_write_json
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """The handle a command's report goes to: stdout, or a temporary file
-    beside ``path`` that replaces it once the command returns.
+    """The handle a command's report goes to: stdout; for a regular or a
+    missing file, a temporary file beside ``path`` that replaces it once
+    the command returns; for any other file, such as a device, a FIFO or a
+    terminal, ``path`` itself, since a replace would swap it for a regular
+    file.
 
     The file is opened before the command runs, so an unwritable ``path``
-    is refused before any work; a command that raises leaves any earlier
-    file at ``path`` untouched and no temporary behind.
+    is refused before any work.  A command that raises leaves any earlier
+    regular file at ``path`` untouched and no temporary behind; the file
+    that replaces it has its mode, but is a new file, so the earlier one's
+    owner and hard links are not carried over.
     """
     if not path:
         yield sys.stdout
         return
-    target = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
-    head, tail = os.path.split(target)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        # refused here, since a replace would succeed where open(path, "w") fails
-        if os.path.isdir(target):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        if os.path.exists(target) and not os.access(target, os.W_OK):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
-        # the mode open(path, "w") gives; O_EXCL never takes over a file there
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-    handle = os.fdopen(fd, "w", encoding="utf-8")
+    handle = tmp = None
+    try:
+        if mode is not None and not stat.S_ISREG(mode):
+            handle = open(path, "w", encoding="utf-8")
+        else:
+            target = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
+            head, tail = os.path.split(target)
+            # refused here, since a replace would succeed where open(path, "w") fails
+            if mode is not None and not os.access(target, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            # O_EXCL never takes over a file there; a new file gets the mode
+            # open(path, "w") gives, a replacement the earlier file's
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            handle = os.fdopen(fd, "w", encoding="utf-8")
+            if mode is not None:
+                os.chmod(fd, stat.S_IMODE(mode))
+    except OSError as exc:
+        if handle is not None:
+            handle.close()
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     try:
         yield handle
         try:
             handle.close()
-            os.replace(tmp, target)
+            if tmp is not None:
+                os.replace(tmp, target)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
         # after a replace there is no temporary left to remove
         with contextlib.suppress(OSError):
             handle.close()
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 class _IntListJSON(dict):

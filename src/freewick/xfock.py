@@ -428,18 +428,16 @@ def _per_node(arr: np.ndarray, mats, srcs, dsts, size: int) -> np.ndarray:
     """Apply a block-diagonal map to every axis of ``arr``.
 
     On each axis the entries ``srcs[t]`` map by ``mats[t]`` to the entries
-    ``dsts[t]`` of an axis of ``size``, which the ``dsts`` cover once.  Each
-    pass maps the last axis and puts its result first (:func:`_last_first`),
-    so after one pass per axis they are back in order.  A level of more
-    than ``fock._LEVEL_BLOCK`` entries is cut by node on its first axis:
-    node ``t``'s slab takes the passes over the other axes, and its own
-    pass writes only the rows ``dsts[t]`` of the result.  So the result is
-    the one array of a level's size made here; the others are a slab in
-    size, and the allocator reuses their memory from node to node.
+    ``dsts[t]`` of an axis of ``size``, which the ``dsts`` cover once.  The
+    level is cut by node on its first axis: node ``t``'s slab takes one
+    pass per other axis, each mapping the last axis and putting its result
+    first (:func:`_last_first`), so after them the slab's axes are back in
+    order; its own product then writes only the rows ``dsts[t]`` of the
+    result.  So the result is the one array of a level's size made here;
+    the others are a slab in size, and the allocator reuses their memory
+    from node to node.
     """
-    if arr.size <= fock._LEVEL_BLOCK:
-        for _ in range(arr.ndim):
-            arr = _last_first(arr, mats, srcs, dsts, size)
+    if arr.ndim == 0:
         return arr
     out = np.empty((size,) * arr.ndim)
     rows = out.reshape(size, -1)

@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -521,6 +524,45 @@ def test_failed_write_keeps_the_earlier_out(args, error, tmp_path, capsys, monke
     assert cli.main([*args, "--out", str(path)]) == 0
     assert json.loads(path.read_text())
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_out_to_devnull_keeps_the_device(capsys):
+    # a device is written in place: a replace would swap it for a regular file
+    before = os.stat(os.devnull)
+    assert cli.main(["partitions", "--n", "2", "--out", os.devnull]) == 0
+    after = os.stat(os.devnull)
+    assert stat.S_ISCHR(after.st_mode) and after.st_rdev == before.st_rdev
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_out_to_fifo_keeps_the_fifo(tmp_path, capsys):
+    path = tmp_path / "report.fifo"
+    os.mkfifo(path)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_text()), daemon=True)
+    reader.start()
+    try:
+        code = cli.main(["partitions", "--n", "2", "--out", str(path)])
+    finally:
+        if reader.is_alive():
+            # unblock the reader, should the CLI never have opened the FIFO
+            with contextlib.suppress(OSError):
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=30)
+    assert code == 0 and capsys.readouterr().out == ""
+    assert stat.S_ISFIFO(os.stat(path).st_mode)
+    assert json.loads(got[0])["count"] == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+
+
+def test_replaced_out_keeps_its_mode(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("earlier\n")
+    path.chmod(0o640)
+    assert cli.main(["partitions", "--n", "2", "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["count"] == 2
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
 
 
 @pytest.mark.parametrize("args", [SMALL_RUNS[0], SMALL_RUNS[2]], ids=lambda args: args[0])

@@ -370,19 +370,12 @@ class TestKTransform:
             xfock.k_transform(v, shallow)
 
 
-@pytest.mark.parametrize("block", [None, 1])
 class TestRaggedBlocks:
     """The per-node slot blocks against the dense joint-to-slot map, on fibers
     of unequal sizes: a point mass, a law with fewer atoms than ``L + 1``,
-    and laws of 3, 5 and 8 atoms.  These levels fit in one block, so each
-    is mapped whole; with a block of one entry, node by node."""
+    and laws of 3, 5 and 8 atoms."""
 
     L = 9
-
-    @pytest.fixture(autouse=True)
-    def level_block(self, block, monkeypatch):
-        if block:
-            monkeypatch.setattr(fock, "_LEVEL_BLOCK", block)
 
     @pytest.fixture
     def sys(self, rng):
@@ -413,7 +406,6 @@ class TestRaggedBlocks:
         return arr
 
     def test_transform_matches_the_dense_map(self, sys, rng):
-        assert sys.model.size**3 <= fock._LEVEL_BLOCK or fock._LEVEL_BLOCK == 1
         proj, _ = self.dense_maps(sys)
         v = fock.random_vector(sys.model, 3, rng)
         xv = xfock.k_transform(v, sys)
