@@ -1,19 +1,22 @@
 """Seeded verification suites shared by the CLI and the acceptance tests.
 
-Each check compares two independently computed quantities and reports a
-residual against one fixed tolerance, :data:`TOL`, or against exactly 0
-where the routes are exact.  A suite is a generator of ``(name, tol,
-samples)``; :func:`run_suite` alone reduces the samples and times each
-check.  Randomness is always drawn from a seeded generator so reports are
-reproducible; suite parameters (grid size, fiber nodes, degree budget)
-default to the desk scale the package is tuned for.
+Each check is a record, a :class:`Pair`: two independently built routes to
+one quantity, the scale that turns their two results into a gap, and a
+tolerance, the one fixed :data:`TOL` or exactly 0 where the routes are
+exact.  A suite is a generator of ``(record, inputs)``: it builds its models
+and draws each check's inputs from a seeded generator, so reports are
+reproducible, and it runs no route.  :func:`run_suite` alone runs the
+records.  Suite parameters (grid size, fiber nodes, degree budget) default
+to the desk scale the package is tuned for.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from . import cumulant, field, fock, jacobi, ncpart, xfock
 from .errors import ConfigError, require_int
 from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fiber, semicircle_fibers
 
-__all__ = ["Check", "run_suite", "SUITE_NAMES", "SuiteParams", "TOL"]
+__all__ = ["Check", "Pair", "run_suite", "SUITE_NAMES", "SuiteParams", "TOL"]
 
 # the gate of every check that is not exact; no parameter or config widens it
 TOL = 1e-10
@@ -37,6 +40,20 @@ class Check:
     @property
     def passed(self) -> bool:
         return bool(self.residual <= self.tol)
+
+
+@dataclass(frozen=True)
+class Pair:
+    """One check: two routes to one quantity, compared input by input.
+
+    Both routes are called with an input's arguments, and ``scale`` maps
+    their two results to a gap: one number, or an array of them.
+    """
+
+    name: str
+    routes: tuple[Callable, Callable]
+    scale: Callable
+    tol: float = TOL
 
 
 @dataclass(frozen=True)
@@ -67,8 +84,26 @@ def _rel_vec(u: fock.FockVector, v: fock.FockVector) -> float:
     return fock.distance(u, v) / max(fock.norm(u), fock.norm(v), 1e-30)
 
 
+def _rel_first(u: fock.FockVector, v: fock.FockVector) -> float:
+    """The distance of two vectors over the norm of the first, the result under test."""
+    return fock.distance(u, v) / max(fock.norm(u), 1e-30)
+
+
+def _gap(a, b):
+    """The absolute gap of two results, entry by entry; results that are
+    sequences (Fock levels, coefficient tables) are compared item by item,
+    the shorter one padded with zeros, so a missing level is a gap too."""
+    if isinstance(a, (list, tuple)):
+        return [np.max(_gap(x, y)) for x, y in itertools.zip_longest(a, b, fillvalue=0.0)]
+    return np.abs(np.subtract(a, b))
+
+
 def _random_grid(m: int, rng: np.random.Generator) -> GridMeasure:
     return make_grid(m, lam=rng.standard_normal(m))
+
+
+def _random_word(n: int, m: int, rng: np.random.Generator) -> list[np.ndarray]:
+    return [rng.standard_normal(m) for _ in range(n)]
 
 
 def _meixner_model(p: SuiteParams, lam=1.0, eta=1.0) -> jacobi.JacobiSystem:
@@ -93,60 +128,48 @@ def _random_fibers(m: int, nodes: int, rng: np.random.Generator) -> list[FiberMe
 def suite_wick(p: SuiteParams):
     rng = np.random.default_rng(p.seed)
 
-    nc_counts = {n: len(ncpart.enumerate_nc(n)) for n in range(1, 11)}
-    for n, direct in nc_counts.items():
-        yield f"nc_count_catalan_n{n}", 0.0, abs(direct - ncpart.catalan(n))
+    # one enumeration per size, read by both checks that count it
+    nc_count = functools.cache(lambda n: len(ncpart.enumerate_nc(n)))
+    gn_count = functools.cache(lambda n: len(ncpart.enumerate_gn(n)))
+    counts = (
+        ("nc_count_brute", nc_count, lambda n: ncpart.brute_noncrossing_count(n)[1]),
+        ("gn_count_brute", gn_count, lambda n: len(ncpart.brute_gn(n))),
+        ("gn_count_recursion", gn_count, ncpart.gn_count_recursion),
+    )
+    for n in range(1, 11):
+        yield Pair(f"nc_count_catalan_n{n}", (nc_count, ncpart.catalan), _gap, tol=0.0), [(n,)]
     for n in range(1, 9):
-        _, brute = ncpart.brute_noncrossing_count(n)
-        yield f"nc_count_brute_n{n}", 0.0, abs(nc_counts[n] - brute)
-        gn = len(ncpart.enumerate_gn(n))
-        yield f"gn_count_brute_n{n}", 0.0, abs(gn - len(ncpart.brute_gn(n)))
-        yield f"gn_count_recursion_n{n}", 0.0, abs(gn - ncpart.gn_count_recursion(n))
+        for label, direct, oracle in counts:
+            yield Pair(f"{label}_n{n}", (direct, oracle), _gap, tol=0.0), [(n,)]
 
     for n in range(1, p.n_max + 1):
-        samples = []
-        for _ in range(3):
-            g = _random_grid(p.m, rng)
-            f = rng.standard_normal((p.m,) * n)
-            mono = field.monomial_apply(f, fock.vacuum(g, n), g)
-            expanded = field.wick_rule_expand(f, g)
-            # scale: the larger norm of the monomial and of its expansion
-            samples.append(_rel_vec(mono, expanded))
-        yield f"wick_rule_n{n}", TOL, samples
+        inputs = [(_random_grid(p.m, rng), rng.standard_normal((p.m,) * n)) for _ in range(3)]
+        yield Pair(f"wick_rule_n{n}", (
+            lambda g, f: field.monomial_apply(f, fock.vacuum(g, f.ndim), g),
+            lambda g, f: field.wick_rule_expand(f, g)), _rel_vec), inputs
 
     for n in range(2, p.n_max + 1):
-        samples = []
-        for parts in range(2, min(3, n) + 1):
-            for comp in ncpart.compositions(n, parts):
-                g = _random_grid(p.m, rng)
-                kernels = [rng.standard_normal((p.m,) * k) for k in comp]
-                joint = _outer(kernels)
-                seq = field.wick_product_sequential(kernels, g)
-                exp = field.wick_product_expand(comp, joint, g)
-                # scale: the larger norm of the sequential and the expanded product
-                samples.append(_rel_vec(seq, exp))
-        yield f"normal_product_rule_n{n}", TOL, samples
+        inputs = [(_random_grid(p.m, rng), [rng.standard_normal((p.m,) * k) for k in comp])
+                  for parts in range(2, min(3, n) + 1) for comp in ncpart.compositions(n, parts)]
+        yield Pair(f"normal_product_rule_n{n}", (
+            lambda g, ks: field.wick_product_sequential(ks, g),
+            lambda g, ks: field.wick_product_expand([k.ndim for k in ks], _outer(ks), g),
+        ), _rel_vec), inputs
 
-    samples = []
+    inputs = []
     for n in range(1, min(p.n_max, 4) + 1):
-        g = _random_grid(p.m, rng)
-        f = rng.standard_normal((p.m,) * n)
+        g, f = _random_grid(p.m, rng), rng.standard_normal((p.m,) * n)
         # levels 0..2 hold content under the budget n + 2
-        v = fock.FockVector(g, fock.random_vector(g, 2, rng).levels, n + 2)
-        explicit = field.wick_apply(f, v, g, form="explicit")
-        recursive = field.wick_apply(f, v, g, form="recursive")
-        # scale: the larger norm of the two forms' results
-        samples.append(_rel_vec(explicit, recursive))
-    yield "wick_forms_agree", TOL, samples
+        inputs.append((g, f, fock.FockVector(g, fock.random_vector(g, 2, rng).levels, n + 2)))
+    yield Pair("wick_forms_agree", (
+        lambda g, f, v: field.wick_apply(f, v, g, form="explicit"),
+        lambda g, f, v: field.wick_apply(f, v, g, form="recursive")), _rel_vec), inputs
 
-    samples = []
-    for n in range(1, p.n_max + 1):
-        g = _random_grid(p.m, rng)
-        f = rng.standard_normal((p.m,) * n)
-        proj = field.wick_apply(f, fock.vacuum(g, n), g)
-        samples.append(np.abs(proj.levels[n] - f).max())
-        samples += [np.abs(proj.levels[k]).max() for k in range(n)]
-    yield "wick_projection_property", TOL, samples
+    # on the vacuum, the Wick product leaves its kernel at the kernel's level alone
+    inputs = [(_random_grid(p.m, rng), rng.standard_normal((p.m,) * n)) for n in range(1, p.n_max + 1)]
+    yield Pair("wick_projection_property", (
+        lambda g, f: field.wick_apply(f, fock.vacuum(g, f.ndim), g).levels,
+        lambda g, f: [0.0] * f.ndim + [f]), _gap), inputs
 
 
 def suite_cumulant(p: SuiteParams):
@@ -154,151 +177,116 @@ def suite_cumulant(p: SuiteParams):
 
     lam_pg = ProductGrid(_random_grid(p.m, rng))
     fib_pg = ProductGrid(make_grid(p.m), _random_fibers(p.m, p.fiber_nodes, rng))
+    moments = (cumulant.moment, cumulant.nc_moment_sum)
     for label, pg in (("lambda", lam_pg), ("fiber", fib_pg)):
-        samples = []
-        for n in range(1, p.degree + 1):
-            fs = [rng.standard_normal(p.m) for _ in range(n)]
-            # scale: the larger of the moment and the partition sum
-            samples.append(_rel(cumulant.moment(fs, pg), cumulant.nc_moment_sum(fs, pg)))
-        yield f"moment_cumulant_{label}", TOL, samples
+        inputs = [(_random_word(n, p.m, rng), pg) for n in range(1, p.degree + 1)]
+        yield Pair(f"moment_cumulant_{label}", moments, _rel), inputs
 
-    samples = []
-    for n in range(2, 5):
-        fs = [rng.standard_normal(p.m) for _ in range(n)]
-        # scale: the larger of the two cumulants, not the moments the
-        # recursion subtracts (the one-cell failure at seed 6)
-        samples.append(
-            _rel(cumulant.cumulant_from_moments(fs, lam_pg), cumulant.cumulant_direct(fs, lam_pg))
-        )
-    yield "cumulant_recursion_vs_direct", TOL, samples
+    # the scale is the larger of the two cumulants, not the moments the
+    # recursion subtracts (the one-cell failure at seed 6)
+    inputs = [(_random_word(n, p.m, rng), lam_pg) for n in range(2, 5)]
+    routes = (cumulant.cumulant_from_moments, cumulant.cumulant_direct)
+    yield Pair("cumulant_recursion_vs_direct", routes, _rel), inputs
 
     # disjointly supported functions: mixed cumulants vanish exactly
     half = p.m // 2
     fa = np.concatenate([np.abs(rng.standard_normal(half)) + 0.5, np.zeros(p.m - half)])
     fb = np.concatenate([np.zeros(half), np.abs(rng.standard_normal(p.m - half)) + 0.5])
-    samples = [
-        abs(cumulant.cumulant_direct(word, lam_pg))
-        for word in ([fa, fb], [fa, fb, fa], [fa, fa, fb, fb], [fa, fb, fa, fb])
-    ]
-    yield "mixed_cumulants_vanish", 0.0, samples
-    samples = [
-        # scale: the larger of the moment and the partition sum
-        _rel(cumulant.moment(word, lam_pg), cumulant.nc_moment_sum(word, lam_pg))
-        for word in ([fa, fb, fa, fb], [fa, fa, fb, fb])
-    ]
-    yield "free_independence_moments", TOL, samples
+    words = [[fa, fb], [fa, fb, fa], [fa, fa, fb, fb], [fa, fb, fa, fb]]
+    routes = (cumulant.cumulant_direct, lambda word, pg: 0.0)
+    yield Pair("mixed_cumulants_vanish", routes, _gap, tol=0.0), [(w, lam_pg) for w in words]
+    yield Pair("free_independence_moments", moments, _rel), [(words[3], lam_pg), (words[2], lam_pg)]
 
-    samples = []
-    fs = [rng.standard_normal(p.m) for _ in range(3)]
-    for cut in range(1, 3):
-        ab = cumulant.moment(fs, lam_pg)
-        ba = cumulant.moment(fs[cut:] + fs[:cut], lam_pg)
-        # scale: the larger of the moments of the word and of its rotation
-        samples.append(_rel(ab, ba))
-    for na, nb in ((2, 2), (2, 4), (3, 3)):
-        a = [rng.standard_normal(p.m) for _ in range(na)]
-        b = [rng.standard_normal(p.m) for _ in range(nb)]
-        # scale: the larger of the moments of ab and ba
-        samples.append(_rel(cumulant.moment(a + b, lam_pg), cumulant.moment(b + a, lam_pg)))
-    yield "traciality", TOL, samples
+    # a word's moment is unchanged when its two halves trade places
+    fs = _random_word(3, p.m, rng)
+    halves = [(fs[:cut], fs[cut:]) for cut in range(1, 3)] + [
+        (_random_word(na, p.m, rng), _random_word(nb, p.m, rng))
+        for na, nb in ((2, 2), (2, 4), (3, 3))
+    ]
+    yield Pair("traciality", (
+        lambda a, b: cumulant.moment(a + b, lam_pg),
+        lambda a, b: cumulant.moment(b + a, lam_pg)), _rel), halves
 
     ones_grid = make_grid(p.m, lam=1.0, eta=1.0)
     # the closed form is the series plus its exact remainder past degree 30;
     # with atoms in [-1.5, 1.5], f = 0.5 keeps |s f| <= 0.75 inside the radius
     # and large enough that a remainder off by one degree misses the gate
-    for label, fv, pg in (("lambda", 0.5, ProductGrid(ones_grid)), ("fiber", 0.5, fib_pg)):
-        tr = cumulant.cumulant_transform(fv * np.ones(p.m), pg, degree=30)
-        yield f"transform_{label}_closed_vs_series", TOL, abs(tr.closed_form - tr.series - tr.remainder)
+    for label, pg in (("lambda", ProductGrid(ones_grid)), ("fiber", fib_pg)):
+        tr = cumulant.cumulant_transform(0.5 * np.ones(p.m), pg, degree=30)
+        yield Pair(f"transform_{label}_closed_vs_series", (
+            lambda tr: tr.closed_form - tr.series, lambda tr: tr.remainder), _gap), [(tr,)]
     # the closed form is the continuous law's; the series reads its moments
     # through degree 28, and an M-atom Gauss rule matches them through 2M - 1
     mei_pg = ProductGrid(ones_grid, semicircle_fibers(ones_grid, max(p.fiber_nodes, 10)))
-    fv = (1.0 / 6.0) * np.ones(p.m)
-    closed = cumulant.meixner_transform_closed_form(fv, ones_grid)
-    series = cumulant.cumulant_transform(fv, mei_pg, degree=30).series
-    yield "transform_meixner_closed_vs_series", TOL, abs(closed - series)
+    yield Pair("transform_meixner_closed_vs_series", (
+        lambda fv: cumulant.meixner_transform_closed_form(fv, ones_grid),
+        lambda fv: cumulant.cumulant_transform(fv, mei_pg, degree=30).series), _gap), [
+        ((1.0 / 6.0) * np.ones(p.m),)]
 
 
 def suite_xfock(p: SuiteParams):
     rng = np.random.default_rng(p.seed + 2)
     sys = _meixner_model(p)
     pg, g = sys.model, sys.grid
+    moments = (lambda word, sys: cumulant.moment(word, sys.model), xfock.xmoment)
 
     # words over a fixed pair of kernels, all patterns up to the budget
-    fa, fb = rng.standard_normal(p.m), rng.standard_normal(p.m)
-    samples = []
-    for d in range(1, p.degree + 1):
-        if d <= 4:
-            words = itertools.product((fa, fb), repeat=d)
-        else:
-            words = ([rng.standard_normal(p.m) for _ in range(d)] for _ in range(8))
-        for word in words:
-            word = list(word)
-            # scale: the larger of the big-Fock and the extended moment
-            samples.append(_rel(cumulant.moment(word, pg), xfock.xmoment(word, sys)))
-    yield "moments_big_fock_vs_extended", TOL, samples
+    fa, fb = _random_word(2, p.m, rng)
+    words = [(list(word), sys) for d in range(1, p.degree + 1) for word in (
+        itertools.product((fa, fb), repeat=d) if d <= 4
+        else (_random_word(d, p.m, rng) for _ in range(8)))]
+    yield Pair("moments_big_fock_vs_extended", moments, _rel), words
 
     # general (non-semicircle) fibers as well
     gen_pg = ProductGrid(g, _random_fibers(p.m, p.fiber_nodes, rng))
     gen_sys = jacobi.JacobiSystem(gen_pg, p.fiber_nodes)
-    samples = []
-    for d in range(1, p.degree + 1):
-        word = [rng.standard_normal(p.m) for _ in range(d)]
-        # scale: the larger of the big-Fock and the extended moment
-        samples.append(_rel(cumulant.moment(word, gen_pg), xfock.xmoment(word, gen_sys)))
-    yield "moments_general_fibers", TOL, samples
+    words = [(_random_word(d, p.m, rng), gen_sys) for d in range(1, p.degree + 1)]
+    yield Pair("moments_general_fibers", moments, _rel), words
 
-    norm_samples, tw_samples = [], []
-    for _ in range(20):
-        v = fock.FockVector(pg, fock.random_vector(pg, 2, rng).levels, 3)
-        f = rng.standard_normal(p.m)
-        lhs = xfock.k_transform(xfock.big_fock_realize(f, v), sys)
-        # one transform serves both checks: its lmax is sys.max_degree either way
-        xv = xfock.k_transform(v, sys, max_degree=lhs.max_level + 1)
-        # scale: the larger of the two norms
-        norm_samples.append(_rel(fock.norm(xv), fock.norm(v)))
-        # scale: the norm of the transformed big-Fock field, the result
-        tw_samples.append(fock.distance(lhs, xfock.xfield(f, xv)) / max(fock.norm(lhs), 1e-30))
-    yield "k_transform_isometry", TOL, norm_samples
-    yield "k_transform_intertwines", TOL, tw_samples
+    # one list of draws feeds both checks of the transform
+    inputs = [(fock.FockVector(pg, fock.random_vector(pg, 2, rng).levels, 3), rng.standard_normal(p.m))
+              for _ in range(20)]
+    yield Pair("k_transform_isometry", (
+        lambda v, f: fock.norm(xfock.k_transform(v, sys)),
+        lambda v, f: fock.norm(v)), _rel), inputs
 
-    samples = []
-    for _ in range(5):
-        v = fock.random_vector(pg, 2, rng)
-        back = xfock.k_inverse(xfock.k_transform(v, sys))
-        # scale: the norm of the input vector
-        samples.append(fock.distance(back, v) / max(fock.norm(v), 1e-30))
-    yield "k_transform_roundtrip", TOL, samples
+    def field_then_transform(v, f):
+        # the field adds a level: this budget is the other side's plus one
+        budget = v.max_level * (sys.max_degree + 1) + 1
+        return xfock.xfield(f, xfock.k_transform(v, sys, max_degree=budget))
 
-    samples = []
-    for n in range(1, 5):
-        fs = [rng.standard_normal(p.m) for _ in range(n)]
-        gs = [rng.standard_normal(p.m) for _ in range(n)]
-        formula = xfock.inner_product_formula(_outer(fs), _outer(gs), sys)
-        left = _xplus_word(fs, sys)
-        right = _xplus_word(gs, sys)
-        # scale: the larger of the formula and the inner product
-        samples.append(_rel(formula, fock.inner(left, right)))
-    yield "inner_product_formula", TOL, samples
+    yield Pair("k_transform_intertwines", (
+        lambda v, f: xfock.k_transform(xfock.big_fock_realize(f, v), sys),
+        field_then_transform), _rel_first), inputs
+
+    inputs = [(fock.random_vector(pg, 2, rng),) for _ in range(5)]
+    yield Pair("k_transform_roundtrip", (
+        lambda v: v,
+        lambda v: xfock.k_inverse(xfock.k_transform(v, sys))), _rel_first), inputs
+
+    inputs = [(_random_word(n, p.m, rng), _random_word(n, p.m, rng)) for n in range(1, 5)]
+    yield Pair("inner_product_formula", (
+        lambda fs, gs: xfock.inner_product_formula(_outer(fs), _outer(gs), sys),
+        lambda fs, gs: fock.inner(_xplus_word(fs, sys), _xplus_word(gs, sys))), _rel), inputs
 
     delta = np.zeros(p.m, dtype=bool)
     delta[: p.m // 2 + 1] = True
     om = fock.vacuum(pg, 1)
-    samples = []
-    for l1 in range(0, 4):
-        for l2 in range(l1 + 1, 5):
-            y = xfock.power_jump(l1, delta, om, sys, orthogonal=False)
-            x = xfock.power_jump(l2, delta, om, sys, orthogonal=True)
-            samples.append(abs(fock.inner(x, y)))
-    yield "power_jump_orthogonality", TOL, samples
 
-    samples = []
-    for l in range(0, 4):
-        x = xfock.power_jump(l, delta, om, sys)
-        lhs = fock.inner(x, x)
-        rhs = float(np.sum(g.weights * delta * sys.g[l]))
-        # scale: the larger of the squared norm and the window weight
-        samples.append(_rel(lhs, rhs))
-    yield "power_jump_norm", TOL, samples
+    def jump(l, orthogonal=True):
+        return xfock.power_jump(l, delta, om, sys, orthogonal=orthogonal)
+
+    def squared_norm(l):
+        x = jump(l)
+        return fock.inner(x, x)
+
+    inputs = [(l1, l2) for l1 in range(0, 4) for l2 in range(l1 + 1, 5)]
+    yield Pair("power_jump_orthogonality", (
+        lambda l1, l2: fock.inner(jump(l2), jump(l1, orthogonal=False)),
+        lambda l1, l2: 0.0), _gap), inputs
+    yield Pair("power_jump_norm", (
+        squared_norm,
+        lambda l: float(np.sum(g.weights * delta * sys.g[l]))), _rel), [(l,) for l in range(4)]
 
 
 def suite_meixner(p: SuiteParams):
@@ -310,59 +298,48 @@ def suite_meixner(p: SuiteParams):
     # recovery through degree 8 needs atoms past the breakdown point
     rec_nodes = max(p.fiber_nodes, 10)
     rec = jacobi.coeffs_from_measure(semicircle_fiber(lam0, eta0, rec_nodes), 8)
-    yield "semicircle_recovers_b", TOL, np.abs(rec.b - lam0)
-    yield "semicircle_recovers_a", TOL, np.abs(rec.a[1:] - eta0)
-    yield "norms_are_eta_powers", TOL, np.abs(rec.g - eta0 ** np.arange(rec.g.size))
+    yield Pair("semicircle_recovers_b", (lambda: rec.b, lambda: lam0), _gap), [()]
+    yield Pair("semicircle_recovers_a", (lambda: rec.a[1:], lambda: eta0), _gap), [()]
+    eta_powers = (lambda: rec.g, lambda: eta0 ** np.arange(rec.g.size))
+    yield Pair("norms_are_eta_powers", eta_powers, _gap), [()]
 
-    point = jacobi.coeffs_from_measure(semicircle_fiber(0.7, 0.0, p.fiber_nodes), p.fiber_nodes)
-    pattern_err = abs(point.b[0] - 0.7) + float(np.abs(point.b[1:]).max())
-    pattern_err += float(np.abs(point.a).max())
-    pattern_err += float(np.abs(point.g - np.eye(1, point.g.size)[0]).max())
-    pattern_err += 0.0 if point.finite_support_n == 1 else 1.0
-    yield "one_atom_zero_pattern", 0.0, pattern_err
+    # one atom: b[0] is the atom, and every other coefficient and norm is exact
+    def one_atom():
+        c = jacobi.coeffs_from_measure(semicircle_fiber(0.7, 0.0, p.fiber_nodes), p.fiber_nodes)
+        return c.b, c.a, c.g, float(c.finite_support_n == 1)
+
+    unit = np.eye(1, p.fiber_nodes + 1)[0]
+    routes = (one_atom, lambda: (0.7 * unit, 0.0 * unit, unit, 1.0))
+    yield Pair("one_atom_zero_pattern", routes, _gap, tol=0.0), [()]
 
     # constant-coefficient actions reduce to the closed slotwise forms
-    samples = []
-    for n in range(1, 4):
-        kern = rng.standard_normal((p.m,) * n)
-        f = rng.standard_normal(p.m)
-        applied = xfock.xfield(f, xfock.kernel_lift(kern, sys, max_degree=n + 1))
-        # the lift is linear, so the two order-(n-1) kernels are lifted as one
-        lowered = _kernel_annihilate(f, kern, g) + _kernel_eta_term(f, kern, g.eta_values)
-        expected = (
-            xfock.kernel_lift(_kernel_create(f, kern), sys, max_degree=n + 1)
-            + xfock.kernel_lift(_kernel_neutral(f, kern, g.lambda_values), sys, max_degree=n + 1)
-            + xfock.kernel_lift(lowered, sys, max_degree=n + 1)
-        )
-        # scale: the norm of the applied field, the result
-        samples.append(fock.distance(applied, expected) / max(fock.norm(applied), 1e-30))
-    yield "representation_second_order_form", TOL, samples
+    inputs = [(rng.standard_normal((p.m,) * n), rng.standard_normal(p.m)) for n in range(1, 4)]
+    yield Pair("representation_second_order_form", (
+        lambda kern, f: xfock.xfield(f, xfock.kernel_lift(kern, sys, max_degree=kern.ndim + 1)),
+        lambda kern, f: _second_order_form(f, kern, sys)), _rel_first), inputs
 
     # a level-inhomogeneous fiber makes the preserving part level-dependent:
-    # the residual is the shortfall of the observed spread below 0.1
+    # the gap is the shortfall of the spread of its two levels below 0.1
     skew = FiberMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
     skew_sys = jacobi.JacobiSystem(ProductGrid(g, [skew] * p.m), p.fiber_nodes)
-    f = np.ones(p.m)
-    r = []
-    for l in (0, 1):
+
+    def xzero_at(l):
         v = xfock.x_vacuum(skew_sys, 3) * 0.0
         xfock.set_component(v, (l,), np.ones(p.m))
-        r.append(float(xfock.component(xfock.xzero(f, v), (l,))[0]))
-    r0, r1 = r
-    yield "xzero_level_dependence", 0.0, [0.0, 0.1 - abs(r0 - r1)]
+        return float(xfock.component(xfock.xzero(np.ones(p.m), v), (l,))[0])
 
-    sigma_delta = 1.0
-    window = np.ones(p.m, dtype=bool)
-    chi = window.astype(float)
-    tri = jacobi.meixner_moments(lam0, eta0, sigma_delta, 8)
+    yield Pair("xzero_level_dependence", (lambda: xzero_at(0), lambda: xzero_at(1)),
+               lambda r0, r1: [0.0, 0.1 - abs(r0 - r1)], tol=0.0), [()]
+
+    tri = jacobi.meixner_moments(lam0, eta0, 1.0, 8)
+    words = [[np.ones(p.m)] * k for k in range(1, 9)]
     for label, route, model in (
         ("big_fock", cumulant.moment, pg),
         ("extended", xfock.xmoment, sys),
         ("nc_sum", cumulant.nc_moment_sum, pg),
     ):
-        # scale: the larger of the closed-form moment and the route's value
-        samples = [_rel(tri[k], route([chi] * k, model)) for k in range(1, 9)]
-        yield f"meixner_moments_vs_{label}", TOL, samples
+        routes = (lambda word, model: tri[len(word)], route)
+        yield Pair(f"meixner_moments_vs_{label}", routes, _rel), [(w, model) for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +358,21 @@ def _xplus_word(fs, sys) -> fock.FockVector:
     for f in reversed(fs):
         v = xfock.xplus(f, v)
     return v
+
+
+def _second_order_form(f, kern, sys) -> fock.FockVector:
+    """The field on a lifted kernel by the closed slotwise forms, lifted term by term."""
+    g = sys.grid
+    lift = functools.partial(xfock.kernel_lift, sys=sys, max_degree=kern.ndim + 1)
+    # the lift is linear, so the two order-(n-1) kernels are lifted as one
+    lowered = _kernel_annihilate(f, kern, g) + _kernel_eta_term(f, kern, g.eta_values)
+    lower = lift(_kernel_neutral(f, kern, g.lambda_values)) + lift(lowered)
+    # the lower lifts stop below the top level, so they are added into the
+    # created lift's own levels and no sum copies its top level
+    expected = lift(_kernel_create(f, kern))
+    for k, level in enumerate(lower.levels):
+        expected.levels[k] += level
+    return expected
 
 
 def _kernel_create(f, kern) -> np.ndarray:
@@ -418,18 +410,22 @@ SUITE_NAMES = tuple(_runners())
 def run_suite(name: str, params: SuiteParams) -> list[Check]:
     """The checks of suite ``name``, in the order the suite yields them.
 
-    A suite yields ``(name, tol, samples)`` for each check and reduces
-    nothing: here each check's residual is the largest of its samples, by
-    ``np.max``, so a NaN sample fails it, and its ``elapsed`` is the time
-    from the suite's previous yield (or its start) to this one.
+    For each record the suite yields, both routes run on each input in
+    turn, and that input's gap, reduced by ``np.max``, is kept before the
+    next input runs.  The check's residual is the largest gap, by
+    ``np.max``, so a NaN from any route fails it.  Its ``elapsed`` is the
+    time from the suite's previous check (or its start) to this one,
+    the drawing of its inputs included.
     """
     runners = _runners()
     if name not in runners:
         raise ValueError(f"unknown suite {name!r}")
     checks = []
     start = time.perf_counter()
-    for check, tol, samples in runners[name](params):
+    for pair, inputs in runners[name](params):
+        a, b = pair.routes
+        gaps = [np.max(pair.scale(a(*args), b(*args))) for args in inputs]
         now = time.perf_counter()
-        checks.append(Check(check, float(np.max(samples)), tol, now - start))
+        checks.append(Check(pair.name, float(np.max(gaps)), pair.tol, now - start))
         start = now
     return checks

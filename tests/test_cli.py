@@ -8,11 +8,12 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from freewick import cli, cumulant, fock, ncpart, xfock
+from freewick import cli, cumulant, field, fock, ncpart, xfock
 from freewick.errors import ConfigError
 
 
@@ -578,6 +579,81 @@ def test_out_of_memory_exits_2(args, capsys, monkeypatch):
     assert out == "" and "error: out of memory: no room" in err
 
 
+# the 69 checks of `verify --suite all`, in report order: exact (tol 0) or at the one gate
+EXACT, TOL = 0.0, 1e-10
+CHECK_TABLE = [
+    ("wick", "nc_count_catalan_n1", EXACT),
+    ("wick", "nc_count_catalan_n2", EXACT),
+    ("wick", "nc_count_catalan_n3", EXACT),
+    ("wick", "nc_count_catalan_n4", EXACT),
+    ("wick", "nc_count_catalan_n5", EXACT),
+    ("wick", "nc_count_catalan_n6", EXACT),
+    ("wick", "nc_count_catalan_n7", EXACT),
+    ("wick", "nc_count_catalan_n8", EXACT),
+    ("wick", "nc_count_catalan_n9", EXACT),
+    ("wick", "nc_count_catalan_n10", EXACT),
+    ("wick", "nc_count_brute_n1", EXACT),
+    ("wick", "gn_count_brute_n1", EXACT),
+    ("wick", "gn_count_recursion_n1", EXACT),
+    ("wick", "nc_count_brute_n2", EXACT),
+    ("wick", "gn_count_brute_n2", EXACT),
+    ("wick", "gn_count_recursion_n2", EXACT),
+    ("wick", "nc_count_brute_n3", EXACT),
+    ("wick", "gn_count_brute_n3", EXACT),
+    ("wick", "gn_count_recursion_n3", EXACT),
+    ("wick", "nc_count_brute_n4", EXACT),
+    ("wick", "gn_count_brute_n4", EXACT),
+    ("wick", "gn_count_recursion_n4", EXACT),
+    ("wick", "nc_count_brute_n5", EXACT),
+    ("wick", "gn_count_brute_n5", EXACT),
+    ("wick", "gn_count_recursion_n5", EXACT),
+    ("wick", "nc_count_brute_n6", EXACT),
+    ("wick", "gn_count_brute_n6", EXACT),
+    ("wick", "gn_count_recursion_n6", EXACT),
+    ("wick", "nc_count_brute_n7", EXACT),
+    ("wick", "gn_count_brute_n7", EXACT),
+    ("wick", "gn_count_recursion_n7", EXACT),
+    ("wick", "nc_count_brute_n8", EXACT),
+    ("wick", "gn_count_brute_n8", EXACT),
+    ("wick", "gn_count_recursion_n8", EXACT),
+    ("wick", "wick_rule_n1", TOL),
+    ("wick", "wick_rule_n2", TOL),
+    ("wick", "wick_rule_n3", TOL),
+    ("wick", "wick_rule_n4", TOL),
+    ("wick", "normal_product_rule_n2", TOL),
+    ("wick", "normal_product_rule_n3", TOL),
+    ("wick", "normal_product_rule_n4", TOL),
+    ("wick", "wick_forms_agree", TOL),
+    ("wick", "wick_projection_property", TOL),
+    ("cumulant", "moment_cumulant_lambda", TOL),
+    ("cumulant", "moment_cumulant_fiber", TOL),
+    ("cumulant", "cumulant_recursion_vs_direct", TOL),
+    ("cumulant", "mixed_cumulants_vanish", EXACT),
+    ("cumulant", "free_independence_moments", TOL),
+    ("cumulant", "traciality", TOL),
+    ("cumulant", "transform_lambda_closed_vs_series", TOL),
+    ("cumulant", "transform_fiber_closed_vs_series", TOL),
+    ("cumulant", "transform_meixner_closed_vs_series", TOL),
+    ("xfock", "moments_big_fock_vs_extended", TOL),
+    ("xfock", "moments_general_fibers", TOL),
+    ("xfock", "k_transform_isometry", TOL),
+    ("xfock", "k_transform_intertwines", TOL),
+    ("xfock", "k_transform_roundtrip", TOL),
+    ("xfock", "inner_product_formula", TOL),
+    ("xfock", "power_jump_orthogonality", TOL),
+    ("xfock", "power_jump_norm", TOL),
+    ("meixner", "semicircle_recovers_b", TOL),
+    ("meixner", "semicircle_recovers_a", TOL),
+    ("meixner", "norms_are_eta_powers", TOL),
+    ("meixner", "one_atom_zero_pattern", EXACT),
+    ("meixner", "representation_second_order_form", TOL),
+    ("meixner", "xzero_level_dependence", EXACT),
+    ("meixner", "meixner_moments_vs_big_fock", TOL),
+    ("meixner", "meixner_moments_vs_extended", TOL),
+    ("meixner", "meixner_moments_vs_nc_sum", TOL),
+]
+
+
 class TestVerify:
     def test_wick_suite_passes(self, capsys):
         code, out = run(["verify", "--suite", "wick", "--n-max", "3"], capsys)
@@ -605,8 +681,9 @@ class TestVerify:
             (xfock, "xmoment", 3, "xfock", "moments_big_fock_vs_extended"),
             (fock, "distance", 1, "wick", "wick_rule_n1"),
             (xfock, "xzero", 1, "meixner", "xzero_level_dependence"),
+            (ncpart, "catalan", 1, "wick", "nc_count_catalan_n1"),
         ],
-        ids=["xmoment", "distance", "xzero"],
+        ids=["xmoment", "distance", "xzero", "catalan"],
     )
     def test_nan_sample_fails_its_check(self, module, name, nth, suite, check, capsys, monkeypatch):
         # one route's NaN, for a single sample, must fail the check it feeds
@@ -624,6 +701,18 @@ class TestVerify:
         failed = [c for c in payload["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == [check] and payload["passed"] is False
         assert failed[0]["residual"] is None
+
+    def test_projection_fails_when_its_level_is_missing(self, capsys, monkeypatch):
+        # a Wick product that returns the zero vector drops the kernel's level:
+        # the check must compare that missing level with the kernel, not skip it
+        monkeypatch.setattr(
+            field, "wick_apply", lambda f, v, g, form="explicit": fock.FockVector(v.base, [0.0], v.max_level)
+        )
+        code, out = run(["verify", "--suite", "wick"], capsys)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert not checks["wick_projection_property"]["passed"]
+        assert checks["wick_projection_property"]["residual"] > 0.1
 
     def test_text_format(self, capsys):
         code, out = run(
@@ -726,6 +815,9 @@ class TestVerify:
         checks = json.loads(out)["checks"]
         assert len(checks) == 69
         assert {c["tol"] for c in checks} == {0.0, 1e-10}
+        # pinned by name, order and tolerance, so no refactor renames,
+        # reorders or un-exacts a check
+        assert [(c["suite"], c["name"], c["tol"]) for c in checks] == CHECK_TABLE
 
     @pytest.mark.parametrize(
         "config,suite",
@@ -748,6 +840,20 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["passed"] is True and payload["checks"]
         assert all(c["passed"] for c in payload["checks"])
+
+    def test_each_check_carries_its_own_time(self, monkeypatch):
+        # the two transform checks share their inputs, and only the
+        # intertwining one realizes the field, so its sleeps land on it
+        realize = xfock.big_fock_realize
+
+        def slow(*args):
+            time.sleep(0.05)
+            return realize(*args)
+
+        monkeypatch.setattr(xfock, "big_fock_realize", slow)
+        checks = {c.name: c for c in cli.suites.run_suite("xfock", cli.suites.SuiteParams())}
+        assert checks["k_transform_intertwines"].elapsed >= 20 * 0.05
+        assert checks["k_transform_isometry"].elapsed < 20 * 0.05
 
     def test_suite_seconds(self, capsys):
         code, out = run(["verify", "--suite", "all"], capsys)

@@ -34,7 +34,8 @@ def write(tmp_path, name, payload, text=None):
 def test_identical_reports_exit_0(report, tmp_path, capsys):
     a = write(tmp_path, "a.json", report)
     assert compare_reports.main([a, a]) == 0
-    assert capsys.readouterr().out.endswith(f"{len(report['checks'])} checks, 0 flipped or gone\n")
+    n = len(report["checks"])
+    assert capsys.readouterr().out.endswith(f"{n} checks, 0 flipped or gone, {n} identical\n")
 
 
 def test_flipped_flag_exits_nonzero(report, tmp_path, capsys):
@@ -62,6 +63,21 @@ def test_drift_is_reported_not_failed(report, tmp_path, capsys):
     a, b = write(tmp_path, "a.json", report), write(tmp_path, "b.json", drifted)
     assert compare_reports.main([a, b]) == 0
     assert capsys.readouterr().out.splitlines()[1].split()[4] == "2"
+
+
+def test_drift_that_rounds_to_1_is_noted_and_counted(report, tmp_path, capsys):
+    # a residual moved by 1e-7 relative prints a ratio of 1, like an identical one
+    drifted = json.loads(json.dumps(report))
+    check = drifted["checks"][1]
+    check["residual"] = report["checks"][1]["residual"] * (1 + 1e-7)
+    a, b = write(tmp_path, "a.json", report), write(tmp_path, "b.json", drifted)
+    assert compare_reports.main([a, b]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    notes = {row.split()[1]: row.split()[4:] for row in lines[1:-1]}
+    assert notes[check["name"]] == ["1", "drift"]
+    assert [name for name, cells in notes.items() if cells != ["1"]] == [check["name"]]
+    n = len(report["checks"])
+    assert lines[-1] == f"{n} checks, 0 flipped or gone, {n - 1} identical"
 
 
 def test_reads_the_bare_nan_of_older_reports(tmp_path, capsys):
