@@ -225,10 +225,13 @@ def _output(path: str | None):
             # refused here, since a replace would succeed where open(path, "w") fails
             if mode is not None and not os.access(target, os.W_OK):
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
-            # O_EXCL never takes over a file there; a new file gets the mode
+            # a random name, which neither a live run nor a killed run's
+            # leftover holds; O_EXCL never takes over a file there, and only
+            # a file this run made is removed.  A new file gets the mode
             # open(path, "w") gives, a replacement the earlier file's
-            tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            name = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            tmp = name
             handle = os.fdopen(fd, "w", encoding="utf-8")
             if mode is not None:
                 os.chmod(fd, stat.S_IMODE(mode))

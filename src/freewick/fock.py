@@ -151,16 +151,8 @@ def neutral(f, v: FockVector) -> FockVector:
     return FockVector(v.base, levels, v.max_level)
 
 
-# entries in one block of first-slot rows: the scratch bound of the level
-# reductions and of the extended field's band writes
+# entries in one block of first-slot rows: the scratch bound of the level reductions
 _LEVEL_BLOCK = 1 << 15
-
-
-def _row_blocks(rows: int, row_size: int) -> list:
-    """Slices of ``rows`` first-slot rows, at most ``_LEVEL_BLOCK`` entries each
-    (one row where a row is longer); one slice when they all fit."""
-    step = max(1, _LEVEL_BLOCK // row_size)
-    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _weighted_sum(x: np.ndarray, w: np.ndarray, first: np.ndarray) -> float:
@@ -182,11 +174,13 @@ def _level_sum(pair, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     """
     if a.ndim == 0:
         return float(pair(a, b))
-    if a[0].size > _LEVEL_BLOCK:
-        return sum(w[i] * _level_sum(pair, a[i], b[i], w) for i in range(a.shape[0]))
+    rows, row_size = a.shape[0], a[0].size
+    if row_size > _LEVEL_BLOCK:
+        return sum(w[i] * _level_sum(pair, a[i], b[i], w) for i in range(rows))
+    step = _LEVEL_BLOCK // row_size
     return sum(
-        _weighted_sum(pair(a[rows], b[rows]), w, w[rows])
-        for rows in _row_blocks(a.shape[0], a[0].size)
+        _weighted_sum(pair(a[i : i + step], b[i : i + step]), w, w[i : i + step])
+        for i in range(0, rows, step)
     )
 
 

@@ -61,10 +61,6 @@ class JacobiNode:
         if n is not None and np.any(self.a[n:] != 0):
             raise ValueError("a coefficients must vanish from the support size on")
 
-    @property
-    def max_degree(self) -> int:
-        return self.b.size - 1
-
 
 def poly_values(b, a, support, s) -> np.ndarray:
     """Monic orthogonal polynomials of degrees ``0..len(b)-1`` at ``s``, stacked.

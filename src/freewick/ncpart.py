@@ -251,17 +251,12 @@ def _nc_interval(start: int, length: int, memo: dict) -> list[tuple[tuple[int, .
     non-crossing condition.  Each partition is ``(block,) + gap_1 + gap_2 +
     ...``, which is already ordered by block minimum.  The block grows in
     lexicographic order and each gap list is lexicographic, so the output is
-    too.  ``memo`` caches every interval for the length of one enumeration.
+    too.  ``memo`` caches every interval for the length of one enumeration;
+    the interval is never empty, and the caller has looked it up there.
     """
-    if length == 0:
-        return _EMPTY
-    key = (start, length)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     out = []
     _nc_grow(out, memo, start + length, (start,), _EMPTY, start)
-    memo[key] = out
+    memo[(start, length)] = out
     return out
 
 

@@ -25,22 +25,24 @@ coefficients these collapse to the closed second-order form of the field
 at a point.  Raising nonzero content past the budget, or shifting it past
 ``L`` where it is not null, raises :class:`CapacityError`.
 
-The field parts are assembled in one pass on each level's
-``(l, t, ...)`` view, with no one-particle matrix and no :mod:`fock`
-field primitive.  Each output level is allocated once.  The Jacobi band
-adds into it a block of ``l`` rows at a time, of about
-``fock._LEVEL_BLOCK`` entries and at least one row; then annihilation
-reads, and creation writes, only the ``l = 0`` block of the first slot,
-which is ``1/(L+1)`` of the level.
+The Jacobi band is built once per field, as a stack of each node's
+``(L+1) x (L+1)`` matrix times ``f`` (:func:`_jacobi_band`), and the
+dense field and the vacuum moments below both apply it.  The field parts
+are assembled in one pass on each level's ``(l, t, ...)`` view, with no
+one-particle matrix and no :mod:`fock` field primitive.  Each output
+level is allocated once; one batched product over the nodes writes the
+band's image of the first slot into it, then annihilation reads, and
+creation writes, only the ``l = 0`` block of the first slot, which is
+``1/(L+1)`` of the level.
 
 Vacuum moments (:func:`xmoment`) build no dense level.  Every part of the
 field keeps a rank-one tensor over {0..L} x T rank-one: creation prepends
 ``f e_0``, annihilation drops the first slot and scales by its weighted dot
-with ``f e_0``, and the Jacobi band maps the first slot elementwise over
-its ``(l, t)`` view.  So each half of a word runs on the vacuum as at most
-``3**ceil(n/2)`` weighted rank-one terms, and the halves meet in slot dots
-weighted with ``w g_l``.  This is code of its own, apart from the
-big-Fock moments of :mod:`cumulant` that the suites compare it with.
+with ``f e_0``, and the band maps the first slot node by node.  So each
+half of a word runs on the vacuum as at most ``3**ceil(n/2)`` weighted
+rank-one terms, and the halves meet in slot dots weighted with ``w g_l``.
+This is code of its own, apart from the big-Fock moments of
+:mod:`cumulant` that the suites compare it with.
 
 The per-slot polynomial transform between this space and the Fock space
 over the joint (node, atom) quadrature is an exact isometry on the grid
@@ -192,15 +194,34 @@ def _check_budget(levels, lmax: int, m: int, max_degree: int) -> None:
                 raise CapacityError(f"level {i} content exceeds the degree budget {max_degree}")
 
 
+def _jacobi_band(sys: JacobiSystem, lmax: int, f: np.ndarray, parts: str) -> np.ndarray:
+    """Each node's Jacobi matrix times ``f``, as an ``(m, L+1, L+1)`` stack.
+
+    Only the bands named in ``parts`` are kept: ``0`` the diagonal ``b_l f``,
+    ``+`` the shift ``l -> l+1`` below it (``f``) and ``-`` the shift back
+    above it (``a_{l+1} f``).  Node ``t``'s matrix maps the first slot's
+    degrees at ``t``; a shift past ``L`` is dropped.
+    """
+    band = np.zeros((sys.grid.size, lmax + 1, lmax + 1))
+    l = np.arange(lmax + 1)
+    if "0" in parts:
+        band[:, l, l] = (sys.b[: lmax + 1] * f).T
+    if "+" in parts:
+        band[:, l[1:], l[:-1]] = f[:, None]
+    if "-" in parts:
+        band[:, l[:-1], l[1:]] = (sys.a[1 : lmax + 1] * f).T
+    return band
+
+
 def _field_part(f, v: FockVector, parts: str) -> FockVector:
     """The field parts named in ``parts`` (``+``, ``0``, ``-``) applied to ``v`` in one pass.
 
-    Each output level is allocated once, and the parts add into its
-    ``(l, t, ...)`` view: first the kept bands of the node's Jacobi matrix
-    times ``f`` on the first slot (``b_l f`` in place, ``f`` up the shift
-    ``l -> l+1`` and ``a_{l+1} f`` down it), a block of ``l`` rows at a
-    time; then annihilation and creation at ``l = 0``, which read and
-    write only the ``l = 0`` block of the first slot.
+    Each output level is allocated once.  The kept bands of the node's
+    Jacobi matrix times ``f`` (:func:`_jacobi_band`) map the first slot
+    of each input level by one batched product over the nodes, written
+    straight into the output level's ``(l, t, ...)`` view; then
+    annihilation and creation at ``l = 0`` add in, reading and writing
+    only the ``l = 0`` block of the first slot.
     """
     sys, lmax = v.base.sys, v.base.lmax
     f = fock._node_values(f, sys.grid)
@@ -214,8 +235,7 @@ def _field_part(f, v: FockVector, parts: str) -> FockVector:
                 _require_null_past(sys, lmax)  # the shift would push it past lmax
         if n > budget and np.any(levels[-1]) and np.any(f):
             raise CapacityError(f"create would push level {budget} content past the budget")
-    bf = sys.b[: lmax + 1] * f if "0" in parts else None
-    af = sys.a[1 : lmax + 1] * f
+    band = _jacobi_band(sys, lmax, f, parts)
     w0f = v.base.weights[:m] * f  # w g_0 f, the weights of the l = 0 block
     out = []
     for k in range(1 + min(n, budget) if raising else n):
@@ -223,7 +243,7 @@ def _field_part(f, v: FockVector, parts: str) -> FockVector:
         y = level.reshape((lmax + 1, m, -1)) if k else None
         if 0 < k < n:
             x = levels[k].reshape((lmax + 1, m, -1))
-            _band_into(y, x, f if raising else None, bf, af if lowering else None)
+            np.matmul(band, x.transpose(1, 0, 2), out=y.transpose(1, 0, 2))
         if lowering and k + 1 < n:
             level += (w0f @ levels[k + 1].reshape((lmax + 1, m, -1))[0]).reshape(level.shape)
         if raising and k:
@@ -232,27 +252,6 @@ def _field_part(f, v: FockVector, parts: str) -> FockVector:
     if raising:
         _check_budget(out, lmax, m, budget)
     return FockVector(v.base, fock._trim(out), budget)
-
-
-def _band_into(y, x, up, bf, af) -> None:
-    """Add the Jacobi band on the first slot's ``(l, t)`` view of ``x`` into ``y``.
-
-    ``bf`` is ``b_l f`` in place, ``up`` is ``f`` on the shift ``l -> l+1``
-    and ``af`` is ``a_{l+1} f`` on the shift back; ``None`` skips a band.
-    A block of ``l`` rows, as :func:`fock._row_blocks` cuts them, is
-    written at a time.
-    """
-    rows = len(x)
-    for block in fock._row_blocks(rows, x[0].size):
-        lo, hi, _ = block.indices(rows)
-        if bf is not None:
-            y[block] += bf[block, :, None] * x[block]
-        if up is not None and hi > 1:
-            start = max(lo, 1)
-            y[start:hi] += up[:, None] * x[start - 1 : hi - 1]
-        if af is not None and lo < rows - 1:
-            stop = min(hi, rows - 1)
-            y[lo:stop] += af[lo:stop, :, None] * x[lo + 1 : stop + 1]
 
 
 def xplus(f, v: FockVector) -> FockVector:
@@ -305,31 +304,30 @@ def _half_terms(fs, sys: JacobiSystem) -> dict:
     Level ``k`` maps to coefficients ``c`` of shape ``(T,)`` and slots ``S``
     of shape ``(T, k, L + 1, m)``: the vector there is the sum over ``t``
     of ``c[t] S[t, 0] (x) ... (x) S[t, k-1]``.  Each step stays within the
-    budget, since it raises the degree by at most one.
+    budget, since it raises the degree by at most one.  The Jacobi band of
+    each factor (:func:`_jacobi_band`) maps every term's first slot in one
+    batched product over the nodes.
     """
     m = sys.grid.size
     lmax = max(0, min(sys.max_degree, len(fs) - 1))
-    b, a = sys.b[: lmax + 1], sys.a[1 : lmax + 1]
     w0 = sys.grid.weights * sys.g[0]
     levels = {0: (np.ones(1), np.empty((1, 0, lmax + 1, m)))}
     for f in fs:
         e0f = np.zeros((lmax + 1, m))
         e0f[0] = f
-        bf, af = b * f, a * f
+        band = _jacobi_band(sys, lmax, f, "+0-")
         out: dict[int, list] = {}
         for k, (c, s) in levels.items():
             # creation prepends f e_0; annihilation drops slot 0 against
-            # w g_0 f e_0; the Jacobi band acts on slot 0 over its (l, t) view
+            # w g_0 f e_0; the Jacobi band maps slot 0 node by node
             terms = [(k + 1, c, np.concatenate((np.broadcast_to(e0f, (c.size, 1) + e0f.shape), s), 1))]
             if k:
                 s0 = s[:, 0]
                 terms.append((k - 1, c * (s0[:, 0] @ (w0 * f)), s[:, 1:]))
                 if np.any(s0[:, lmax, f != 0][c != 0]):
                     _require_null_past(sys, lmax)  # the shift would push it past lmax
-                band = s0 * bf
-                band[:, 1:] += s0[:, :-1] * f
-                band[:, :-1] += s0[:, 1:] * af
-                terms.append((k, c, np.concatenate((band[:, None], s[:, 1:]), 1)))
+                mapped = np.matmul(band, s0.transpose(2, 1, 0)).transpose(2, 1, 0)
+                terms.append((k, c, np.concatenate((mapped[:, None], s[:, 1:]), 1)))
             for level, coef, slots in terms:
                 out.setdefault(level, []).append((coef, slots))
         levels = {

@@ -566,6 +566,29 @@ def test_replaced_out_keeps_its_mode(tmp_path, capsys):
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
 
 
+def test_stale_temporary_is_neither_taken_nor_removed(tmp_path, capsys):
+    # a killed run with this pid left a temporary under the pid-based name
+    path = tmp_path / "r.json"
+    stale = tmp_path / f".r.json.{os.getpid()}.tmp"
+    stale.write_text("stale\n")
+    assert cli.main(["partitions", "--n", "2", "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["count"] == 2
+    assert stale.read_text() == "stale\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "r.json"]
+
+
+def test_temporary_of_another_run_is_not_removed(tmp_path, capsys, monkeypatch):
+    # the name this run draws is already held: it is refused, and the file stays
+    monkeypatch.setattr(cli.os, "urandom", lambda n: bytes(n))
+    held = tmp_path / f".r.json.{bytes(8).hex()}.tmp"
+    held.write_text("live\n")
+    path = tmp_path / "r.json"
+    assert cli.main(["partitions", "--n", "2", "--out", str(path)]) == 2
+    assert f"cannot write {path}" in capsys.readouterr().err
+    assert held.read_text() == "live\n"
+    assert [p.name for p in tmp_path.iterdir()] == [held.name]
+
+
 @pytest.mark.parametrize("args", [SMALL_RUNS[0], SMALL_RUNS[2]], ids=lambda args: args[0])
 def test_out_of_memory_exits_2(args, capsys, monkeypatch):
     # a MemoryError, wherever it is raised, ends the run like a refusal

@@ -159,7 +159,7 @@ def test_moment_and_xmoment_share_no_fock_route(monkeypatch, lam_spec, fiber_spe
         monkeypatch.setattr(field, "monomial_apply", forbidden)
 
     forbid_fock()
-    for name in ("_half_terms", "_pair_terms"):
+    for name in ("_jacobi_band", "_half_terms", "_pair_terms"):
         monkeypatch.setattr(xfock, name, forbidden)
     for spec, m in ((lam_spec, 6), (fiber_spec, 4)):
         fs = [rng.standard_normal(m) for _ in range(5)]

@@ -649,15 +649,11 @@ class TestOnePassField:
         # L = sys.max_degree, with content in its last degree rows
         yield general[3], xfock.k_transform(headroom(general[2], rng), general[3])
 
-    @pytest.mark.parametrize("block", [None, 1, 40])
-    def test_equals_the_sum_of_its_parts(self, block, meixner, general, rng, monkeypatch):
+    def test_equals_the_sum_of_its_parts(self, meixner, general, rng):
         for _, v in self.vectors(meixner, general, rng):
             f = rng.standard_normal(M_GRID)
             parts = xfock.xplus(f, v) + xfock.xzero(f, v) + xfock.xminus(f, v)
-            if block:
-                monkeypatch.setattr(fock, "_LEVEL_BLOCK", block)
             one = xfock.xfield(f, v)
-            monkeypatch.undo()
             assert one.max_level == parts.max_level and len(one.levels) == len(parts.levels)
             assert fock.distance(one, parts) <= 1e-14 * fock.norm(parts)
 
@@ -682,6 +678,40 @@ class TestOnePassField:
             assert raised == raises_capacity(lambda: xfock.xplus(h, v))
             seen.add(raised)
         assert seen == {True, False}
+
+
+def test_band_is_each_nodes_jacobi_matrix_times_f(general, rng):
+    _, _, _, sys = general
+    f, lmax = rng.standard_normal(M_GRID), 4
+    band = xfock._jacobi_band(sys, lmax, f, "+0-")
+    assert band.shape == (M_GRID, lmax + 1, lmax + 1)
+    for t in range(M_GRID):
+        jacobi_t = (np.diag(sys.b[: lmax + 1, t]) + np.diag(np.ones(lmax), -1)
+                    + np.diag(sys.a[1 : lmax + 1, t], 1))
+        assert np.array_equal(band[t], f[t] * jacobi_t)
+    parts = sum(xfock._jacobi_band(sys, lmax, f, part) for part in "+0-")
+    assert np.array_equal(parts, band)
+
+
+def test_band_mutant_fails_a_field_and_a_moment_check(monkeypatch):
+    # xfield and xmoment read the one band builder: a_l in place of a_{l+1}
+    # above the diagonal must fail a check of each
+    band = xfock._jacobi_band
+
+    def mutant(sys, lmax, f, parts):
+        out = band(sys, lmax, f, parts)
+        if "-" in parts:
+            l = np.arange(lmax)
+            out[:, l, l + 1] = (sys.a[:lmax] * f).T
+        return out
+
+    monkeypatch.setattr(xfock, "_jacobi_band", mutant)
+    params = suites.SuiteParams()
+    failed = {c.name for suite in ("xfock", "meixner")
+              for c in suites.run_suite(suite, params) if not c.passed}
+    assert failed & {"k_transform_intertwines", "representation_second_order_form"}
+    assert failed & {"moments_big_fock_vs_extended", "moments_general_fibers",
+                     "meixner_moments_vs_extended"}
 
 
 def test_extended_field_runs_no_fock_field_primitive(meixner, rng, monkeypatch):
