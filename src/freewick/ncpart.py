@@ -12,15 +12,16 @@ be cross-checked:
 * :func:`enumerate_nc` and :func:`enumerate_gn` recurse on the block of
   the smallest element, and :func:`enumerate_gn` settles each block's
   marks as it places it, so it never visits an inadmissible partition;
-* the oracles that ``verify`` runs, :func:`brute_noncrossing_count` and
-  :func:`brute_gn`, walk the non-crossing restricted growth strings (the
-  string of block labels of a set partition), carrying the blocks as they
-  grow; the walk visits the last element's choices in a loop, and
-  :func:`brute_gn` applies the definition to the blocks of each, while
-  the count-only walk counts those choices in closed form instead of
-  visiting them.  No oracle shares a search with the
-  enumerator it checks.  The record-level twin of :func:`enumerate_nc`, a
-  filter over every set partition, lives in the tier-1 tests.
+* the oracles that ``verify`` runs walk the non-crossing restricted
+  growth strings (the string of block labels of a set partition), each by
+  a walk of its own: :func:`brute_gn` carries the blocks as they grow,
+  visits the last element's choices in a loop and applies the definition
+  to the blocks of each, while :func:`brute_noncrossing_count` carries
+  only two integers per prefix, the labels used and the blocks still
+  open, and counts the last two places in closed form.  No oracle shares
+  a search with the enumerator it checks.  The record-level twin of
+  :func:`enumerate_nc`, a filter over every set partition, lives in the
+  tier-1 tests.
 
 The routes carry partitions as plain block tuples, the marked ones as
 ``(blocks, choices)`` pairs, where ``choices`` holds each block's allowed
@@ -406,88 +407,131 @@ def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
 def brute_noncrossing_count(n: int) -> tuple[int, int]:
     """Count-only oracle ``(total set partitions, non-crossing ones)``.
 
-    A pruned depth-first search over restricted growth strings: every
-    non-crossing prefix of length ``n - 1`` is visited, its last place is
-    counted in closed form, and each crossing prefix is counted at once by
-    its number of completions (see :func:`_walk_noncrossing_rgs`), so
-    ``total`` is the Bell number without visiting every set partition.
+    A pruned depth-first search over restricted growth strings that carries
+    only two integers per prefix (see :func:`_count_noncrossing_rgs`): it
+    takes one step per non-crossing prefix of length at most ``n - 2``,
+    counts the last two places in closed form, and counts each crossing
+    prefix at once by its number of completions, so ``total`` is the Bell
+    number without visiting every set partition.
     """
     _check_bound(n, NC_LIMIT)
-    noncrossing, crossing = _walk_noncrossing_rgs(n)
+    noncrossing, crossing = _count_noncrossing_rgs(n)
     return noncrossing + crossing, noncrossing
 
 
-def _walk_noncrossing_rgs(n: int, visit=None) -> tuple[int, int]:
-    """Call ``visit(blocks)`` on every non-crossing restricted growth string.
+def _count_noncrossing_rgs(n: int) -> tuple[int, int]:
+    """The numbers of non-crossing and of crossing restricted growth strings of length ``n``.
 
     A restricted growth string gives each element the label of its block,
-    a new label being one more than the largest so far.  The search grows
-    the string one element at a time and keeps the stack of open blocks,
-    in order of first use.  The next element opens a new block, pushed on
-    top, or joins an open block, which closes (pops) every block above it:
-    a later use of a closed block would make a crossing x1 < y1 < x2 < y2.
-    A crossing prefix is not followed; its completions are counted from the
-    table ``C(r, k) = k*C(r-1, k) + C(r-1, k+1)``, the number of ways to
-    finish a string with ``r`` places left and ``k`` labels used.  Returns
-    the numbers of non-crossing and of crossing strings.
+    a new label being one more than the largest so far.  The walk grows the
+    string one element at a time, as :func:`_walk_noncrossing_rgs` does,
+    but a prefix's completions depend on two numbers only: ``used``, the
+    labels it has used, and ``depth``, how many of their blocks are still
+    open.  The next element opens a block (``used + 1``, ``depth + 1``),
+    joins the ``j``-th open block from the bottom, which closes every block
+    above it (depth ``j``), or joins one of the ``used - depth`` closed
+    blocks, which makes a crossing.  A crossing prefix is not followed; its
+    completions are counted from the table ``C(r, k) = k*C(r-1, k) +
+    C(r-1, k+1)``, the number of ways to finish a string with ``r`` places
+    left and ``k`` labels used.
 
-    ``visit`` receives the blocks as one list of lists, in order of their
-    minimum, changed in place between calls.  With no ``visit`` the walk
-    only counts.  Either way the recursion stops one place early: after a
-    prefix with ``k`` labels used, ``d`` of them open, the last element
-    has ``d + 1`` non-crossing choices and ``k - d`` crossing ones.  The
-    visiting walk visits those ``d + 1`` in a loop, with no call per leaf;
-    the count-only walk counts them in closed form.
+    The walk takes one step per non-crossing prefix of length at most
+    ``n - 2`` and counts the last two places in closed form.  With ``d``
+    blocks open and ``u`` labels used before element ``n - 1``, that
+    element either joins open block ``j``, after which the last element
+    has ``j + 1`` non-crossing choices (one of the ``j`` open blocks or a
+    new one) and ``u - j`` crossing ones, or opens a block, after which it
+    has ``d + 2`` and ``u - d``; or it joins a closed block, after which
+    any of the ``u + 1`` last choices completes a crossing string.  Summed
+    over ``j = 1..d``:
+
+    * non-crossing: ``d(d + 3)/2 + d + 2 = (d + 1)(d + 4)/2``;
+    * crossing: ``(u - d)(u + 1) + d*u - d(d + 1)/2 + u - d``, which is
+      ``(u - d)(u + 2) + d*u - d(d + 1)/2``.
+
+    Nothing is cached: the walk steps through every non-crossing prefix it
+    counts from, so it stays a search over the strings and not a third
+    counting formula beside :func:`catalan` and :func:`gn_count_recursion`.
     """
+    if n == 1:
+        return 1, 0
     # completions[r][k] = C(r, k), for r + k <= n
     completions = [[1] * (n + 1)]
     for r in range(1, n):
         prev = completions[-1]
         completions.append([k * prev[k] + prev[k + 1] for k in range(n - r + 1)])
-    return _rgs_extend(visit, completions, [], [], 1, n)
+    return _rgs_count(completions, 0, 0, n - 1)
 
 
-def _rgs_extend(visit, completions: list, blocks: list, stack: list, x: int, n: int) -> tuple[int, int]:
+def _rgs_count(completions: list, used: int, depth: int, left: int) -> tuple[int, int]:
+    """Non-crossing and crossing completions of a prefix with ``used`` labels, ``depth`` open.
+
+    ``left`` places follow the element this step places; at ``left == 1``
+    that element is ``n - 1``, and both places are counted in closed form.
+    """
+    if left == 1:
+        return (depth + 1) * (depth + 4) // 2, (
+            (used - depth) * (used + 2) + depth * used - depth * (depth + 1) // 2
+        )
+    crossing = (used - depth) * completions[left][used]
+    noncrossing = 0
+    left -= 1
+    for j in range(1, depth + 1):
+        more, crossed = _rgs_count(completions, used, j, left)
+        noncrossing += more
+        crossing += crossed
+    more, crossed = _rgs_count(completions, used + 1, depth + 1, left)
+    return noncrossing + more, crossing + crossed
+
+
+def _walk_noncrossing_rgs(n: int, visit) -> None:
+    """Call ``visit(blocks)`` on every non-crossing restricted growth string.
+
+    The search grows the string one element at a time and keeps the blocks
+    and the stack of open blocks, in order of first use.  The next element
+    opens a new block, pushed on top, or joins an open block, which closes
+    (pops) every block above it: a later use of a closed block would make a
+    crossing x1 < y1 < x2 < y2, so no crossing prefix is ever built.
+    ``visit`` receives the blocks as one list of lists, in order of their
+    minimum, changed in place between calls.  The recursion stops one place
+    early: after a prefix with ``d`` blocks open, the last element has
+    ``d + 1`` non-crossing choices, visited in a loop with no call per leaf.
+    """
+    _rgs_extend(visit, [], [], 1, n)
+
+
+def _rgs_extend(visit, blocks: list, stack: list, x: int, n: int) -> None:
     """Place the elements ``x..n`` after a prefix with ``blocks``, open ones on ``stack``.
 
-    Returns the numbers of non-crossing and crossing completions.  Each
-    descent appends ``x`` to a block and pops it after.  The state is passed
-    in rather than closed over, so the recursion leaves no reference cycle
-    holding ``visit`` and whatever it collects.
+    Each descent appends ``x`` to a block and pops it after.  The state is
+    passed in rather than closed over, so the recursion leaves no reference
+    cycle holding ``visit`` and whatever it collects.
     """
-    used = len(blocks)
-    depth = len(stack)
-    crossing = (used - depth) * completions[n - x][used]
     if x == n:
         # the last element joins an open block or opens one; nothing
         # follows it, so the stack above that block need not close
-        if visit is not None:
-            for block in stack:
-                block.append(x)
-                visit(blocks)
-                block.pop()
-            blocks.append([x])
+        for block in stack:
+            block.append(x)
             visit(blocks)
-            blocks.pop()
-        return depth + 1, crossing
-    noncrossing = 0
-    for j in range(depth):
+            block.pop()
+        blocks.append([x])
+        visit(blocks)
+        blocks.pop()
+        return
+    for j in range(len(stack)):
         closed = stack[j + 1:]
         del stack[j + 1:]
         block = stack[j]
         block.append(x)
-        more, crossed = _rgs_extend(visit, completions, blocks, stack, x + 1, n)
+        _rgs_extend(visit, blocks, stack, x + 1, n)
         block.pop()
-        noncrossing += more
-        crossing += crossed
         stack += closed
     block = [x]
     blocks.append(block)
     stack.append(block)
-    more, crossed = _rgs_extend(visit, completions, blocks, stack, x + 1, n)
+    _rgs_extend(visit, blocks, stack, x + 1, n)
     stack.pop()
     blocks.pop()
-    return noncrossing + more, crossing + crossed
 
 
 def has_nested_plus(blocks: tuple[tuple[int, ...], ...], marks: tuple[int, ...]) -> bool:
@@ -505,10 +549,10 @@ def has_nested_plus(blocks: tuple[tuple[int, ...], ...], marks: tuple[int, ...])
 def brute_gn(n: int) -> list[MarkedPartition]:
     """Filter-based oracle for :func:`enumerate_gn`.
 
-    Walks the non-crossing restricted growth strings, which hand over their
-    blocks, and keeps every mark vector that the definition allows:
-    singletons carry +1, and no +1 block lies strictly inside another
-    block.  Both rules are conjunctions over blocks, so the allowed mark
+    Walks the non-crossing restricted growth strings with
+    :func:`_walk_noncrossing_rgs`, which hands over their blocks, and keeps
+    every mark vector that the definition allows: singletons carry +1, and
+    no +1 block lies strictly inside another block.  Both rules are conjunctions over blocks, so the allowed mark
     vectors are the product of each block's allowed marks, kept as
     ``(blocks, choices)``, sorted by blocks and expanded after the sort.
     The blocks come in order of their minimum; ``reach`` is the furthest

@@ -1,8 +1,12 @@
 import gc
+import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import freewick
 
 settings.register_profile(
     "suite",
@@ -47,3 +51,33 @@ def tridiag_moments(diag, off, k):
         vec = nxt
         out.append(float(vec[0]))
     return np.array(out)
+
+
+PACKAGE = os.path.dirname(freewick.__file__)
+
+
+def code_key(code):
+    """A function's key: its qualified name, or before Python 3.11, which
+    lacks ``co_qualname``, its file and first line."""
+    if hasattr(code, "co_qualname"):
+        return code.co_qualname
+    return code.co_filename, code.co_firstlineno
+
+
+def package_calls(route) -> set:
+    """Keys of the package functions that ``route()`` calls; a comprehension,
+    generator or lambda counts as the function that holds it."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and os.path.dirname(code.co_filename) == PACKAGE:
+            if not code.co_name.startswith("<"):
+                seen.add(code_key(code))
+
+    sys.setprofile(hook)
+    try:
+        route()
+    finally:
+        sys.setprofile(None)
+    return seen

@@ -1,6 +1,4 @@
 import itertools
-import os
-import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import code_key, package_calls
 from freewick import field, fock, grid, ncpart, xfock
 from freewick.errors import CapacityError
 from freewick.ncpart import MarkedPartition, SetPartition
@@ -138,36 +137,6 @@ class TestFieldIsThreeParts:
             assert raised == raises_capacity(lambda: fock.create(h, v))
             seen.add(raised)
         assert seen == {True, False}
-
-
-PACKAGE = os.path.dirname(fock.__file__)
-
-
-def code_key(code):
-    """A function's key: its qualified name, or before Python 3.11, which
-    lacks ``co_qualname``, its file and first line."""
-    if hasattr(code, "co_qualname"):
-        return code.co_qualname
-    return code.co_filename, code.co_firstlineno
-
-
-def package_calls(route) -> set:
-    """Keys of the package functions that ``route()`` calls; a comprehension,
-    generator or lambda counts as the function that holds it."""
-    seen = set()
-
-    def hook(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and os.path.dirname(code.co_filename) == PACKAGE:
-            if not code.co_name.startswith("<"):
-                seen.add(code_key(code))
-
-    sys.setprofile(hook)
-    try:
-        route()
-    finally:
-        sys.setprofile(None)
-    return seen
 
 
 # the functions that the big-Fock field and a Fock primitive may both run

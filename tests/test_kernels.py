@@ -22,7 +22,7 @@ def bell_numbers(nmax):
 
 
 class TestPurePython:
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, ncpart.NC_LIMIT + 1))
     def test_counts(self, n):
         catalan = math.comb(2 * n, n) // (n + 1)
         assert ncpart.brute_noncrossing_count(n) == (bell_numbers(n)[-1], catalan)

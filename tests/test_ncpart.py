@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import itertools
+import math
 import pickle
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import code_key, package_calls
 from freewick import ncpart
 from freewick.errors import EnumerationBoundError
 from freewick.ncpart import MarkedPartition, SetPartition
@@ -313,6 +315,7 @@ class TestOracleBounds:
     )
     def test_past_limit(self, route, limit, monkeypatch):
         monkeypatch.setattr(ncpart, "_walk_noncrossing_rgs", _never_walk)
+        monkeypatch.setattr(ncpart, "_count_noncrossing_rgs", _never_walk)
         for n in (0, limit + 1):
             with pytest.raises(EnumerationBoundError, match=f"outside supported range 1..{limit}"):
                 route(n)
@@ -326,32 +329,53 @@ class TestWalk:
     @staticmethod
     def visited(n):
         seen = []
-        noncrossing, crossing = ncpart._walk_noncrossing_rgs(
-            n, lambda blocks: seen.append(tuple(map(tuple, blocks)))
-        )
-        return seen, noncrossing, crossing
+        ncpart._walk_noncrossing_rgs(n, lambda blocks: seen.append(tuple(map(tuple, blocks))))
+        return seen
 
     def test_n1(self):
-        assert self.visited(1) == ([((1,),)], 1, 0)
-        assert ncpart._walk_noncrossing_rgs(1) == (1, 0)
+        assert self.visited(1) == [((1,),)]
+        assert ncpart._count_noncrossing_rgs(1) == (1, 0)
 
     def test_n2(self):
-        assert self.visited(2) == ([((1, 2),), ((1,), (2,))], 2, 0)
-        assert ncpart._walk_noncrossing_rgs(2) == (2, 0)
+        assert self.visited(2) == [((1, 2),), ((1,), (2,))]
+        assert ncpart._count_noncrossing_rgs(2) == (2, 0)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_closed_form_last_place_matches_visits(self, n):
-        # the count-only walk counts the last place; the visiting walk visits it
-        seen, noncrossing, crossing = self.visited(n)
+        # the count walk counts the last two places; the visiting walk visits them
+        seen = self.visited(n)
+        noncrossing, crossing = ncpart._count_noncrossing_rgs(n)
         total, counted = ncpart.brute_noncrossing_count(n)
         assert len(seen) == noncrossing == counted
-        assert len(seen) + crossing == total
-        assert ncpart._walk_noncrossing_rgs(n) == (noncrossing, crossing)
+        assert len(seen) + crossing == total == bell(n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_count_walk_steps_once_per_noncrossing_prefix(self, n, monkeypatch):
+        # the prefixes of length k are the non-crossing partitions of k
+        # elements, and the walk steps once through each for k <= n - 2;
+        # a memo on its integer state would take fewer steps
+        steps = []
+        step = ncpart._rgs_count
+
+        def counted(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(ncpart, "_rgs_count", counted)
+        assert ncpart.brute_noncrossing_count(n) == (bell(n), ncpart.catalan(n))
+        assert len(steps) == sum(ncpart.catalan(k) for k in range(n - 1))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_visits_each_noncrossing_partition_once(self, n):
-        seen, _, _ = self.visited(n)
-        assert sorted(seen) == [p.blocks for p in ncpart.enumerate_nc(n)]
+        assert sorted(self.visited(n)) == [p.blocks for p in ncpart.enumerate_nc(n)]
+
+
+def bell(n):
+    """Bell number by B(k + 1) = sum_j C(k, j) B(j), independent of the walks."""
+    row = [1]
+    for k in range(n):
+        row.append(sum(math.comb(k, j) * row[j] for j in range(k + 1)))
+    return row[n]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -373,7 +397,8 @@ def test_oracles_and_enumerators_share_no_search(monkeypatch):
     assert ncpart.brute_noncrossing_count(6) == (203, 132)
     assert len(ncpart.brute_gn(6)) == 141
     monkeypatch.undo()
-    for name in ("brute_noncrossing_count", "brute_gn", "_walk_noncrossing_rgs"):
+    oracles = ("brute_noncrossing_count", "brute_gn", "_walk_noncrossing_rgs", "_count_noncrossing_rgs")
+    for name in oracles:
         monkeypatch.setattr(ncpart, name, forbidden)
     assert len(ncpart.enumerate_nc(6)) == 132
     assert len(ncpart.enumerate_gn(6)) == 141
@@ -389,13 +414,48 @@ def test_search_helpers_stay_on_their_side(monkeypatch):
     assert ncpart.brute_noncrossing_count(6) == (203, 132)
     assert len(ncpart.brute_gn(6)) == 141
     monkeypatch.undo()
-    monkeypatch.setattr(ncpart, "_rgs_extend", forbidden)
+    for name in ("_rgs_extend", "_rgs_count"):
+        monkeypatch.setattr(ncpart, name, forbidden)
     assert len(ncpart.enumerate_nc(6)) == 132
     assert len(ncpart.enumerate_gn(6)) == 141
     # the marked enumerator shares no search with the plain one either
-    for name in ("_walk_noncrossing_rgs", "_nc_interval", "_nc_grow"):
+    for name in ("_walk_noncrossing_rgs", "_count_noncrossing_rgs", "_nc_interval", "_nc_grow"):
         monkeypatch.setattr(ncpart, name, forbidden)
     assert len(ncpart.enumerate_gn(6)) == 141
+
+
+# the package functions that the count walk may run with the other
+# partition routes, and those brute_gn may run with enumerate_gn, each with
+# the reason that running it merges no two routes
+COUNT_SHARED = {
+    code_key(ncpart._check_bound.__code__): "refuses an n out of range before any search",
+    # every paused route runs the same wrapper code
+    code_key(ncpart.brute_gn.__code__): "the _collector_paused wrapper: collector policy, no partition data",
+}
+MARKED_SHARED = {
+    **COUNT_SHARED,
+    code_key(ncpart._records.__code__): "builds records of finished block tuples; counts and searches nothing",
+    code_key(ncpart._marked_records.__code__): "expands finished (blocks, choices) into records; searches nothing",
+    code_key(ncpart._drain.__code__): "runs the record builders' C maps for their side effects",
+}
+
+
+def test_recorded_calls_keep_the_oracles_apart():
+    # a call record of each route at n = 8: whatever an oracle runs beyond
+    # the allow-lists would be a step the route it checks runs too
+    routes = (
+        ncpart.brute_noncrossing_count, ncpart.brute_gn, ncpart.enumerate_nc, ncpart.enumerate_gn,
+    )
+    calls = {route.__name__: package_calls(lambda route=route: route(8)) for route in routes}
+    count = calls["brute_noncrossing_count"]
+    assert code_key(ncpart._rgs_count.__code__) in count
+    assert code_key(ncpart._rgs_extend.__code__) in calls["brute_gn"]
+    assert code_key(ncpart._gn_grow.__code__) in calls["enumerate_gn"]
+    for name in ("brute_gn", "enumerate_nc", "enumerate_gn"):
+        shared = count & calls[name]
+        assert shared <= COUNT_SHARED.keys(), (name, shared - COUNT_SHARED.keys())
+    shared = calls["brute_gn"] & calls["enumerate_gn"]
+    assert shared <= MARKED_SHARED.keys(), shared - MARKED_SHARED.keys()
 
 
 class TestRecords:
