@@ -158,25 +158,25 @@ def cumulant_from_moments(fs, pg: ProductGrid) -> float:
     n = len(fs)
     if n < 1:
         raise ValueError("cumulant order must be at least 1")
-    memo: dict[tuple[int, ...], float] = {}
+    return _solved_cumulant(tuple(range(n)), fs, pg, {})
 
-    def cum(idx: tuple[int, ...]) -> float:
-        got = memo.get(idx)
-        if got is not None:
-            return got
-        value = moment([fs[i] for i in idx], pg)
-        k = len(idx)
-        for p in ncpart.enumerate_nc(k):
-            if len(p.blocks) == 1:
-                continue
-            term = 1.0
-            for block in p.blocks:
-                term *= cum(tuple(idx[x - 1] for x in block))
-            value -= term
-        memo[idx] = value
-        return value
 
-    return cum(tuple(range(n)))
+def _solved_cumulant(idx: tuple[int, ...], fs, pg: ProductGrid, memo: dict) -> float:
+    """The cumulant of the subword ``idx`` of ``fs``, each subword solved once
+    into ``memo``; the state is passed in, so no reference cycle outlives the call."""
+    got = memo.get(idx)
+    if got is not None:
+        return got
+    value = moment([fs[i] for i in idx], pg)
+    for p in ncpart.enumerate_nc(len(idx)):
+        if len(p.blocks) == 1:
+            continue
+        term = 1.0
+        for block in p.blocks:
+            term *= _solved_cumulant(tuple(idx[x - 1] for x in block), fs, pg, memo)
+        value -= term
+    memo[idx] = value
+    return value
 
 
 @dataclass(frozen=True)

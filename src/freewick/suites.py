@@ -29,6 +29,9 @@ __all__ = ["Check", "Pair", "run_suite", "SUITE_NAMES", "SuiteParams", "TOL"]
 # the gate of every check that is not exact; no parameter or config widens it
 TOL = 1e-10
 
+# the coefficients of the Meixner-regime model that the suites check
+_MEIXNER_POINT = {"lam": 1.0, "eta": 1.0}
+
 
 @dataclass(frozen=True)
 class Check:
@@ -106,8 +109,8 @@ def _random_word(n: int, m: int, rng: np.random.Generator) -> list[np.ndarray]:
     return [rng.standard_normal(m) for _ in range(n)]
 
 
-def _meixner_model(p: SuiteParams, lam=1.0, eta=1.0) -> jacobi.JacobiSystem:
-    g = make_grid(p.m, lam=lam, eta=eta)
+def _meixner_model(p: SuiteParams) -> jacobi.JacobiSystem:
+    g = make_grid(p.m, **_MEIXNER_POINT)
     pg = ProductGrid(g, semicircle_fibers(g, p.fiber_nodes))
     return jacobi.JacobiSystem(pg, p.fiber_nodes)
 
@@ -207,7 +210,7 @@ def suite_cumulant(p: SuiteParams):
         lambda a, b: cumulant.moment(a + b, lam_pg),
         lambda a, b: cumulant.moment(b + a, lam_pg)), _rel), halves
 
-    ones_grid = make_grid(p.m, lam=1.0, eta=1.0)
+    ones_grid = make_grid(p.m, **_MEIXNER_POINT)
     # the closed form is the series plus its exact remainder past degree 30;
     # with atoms in [-1.5, 1.5], f = 0.5 keeps |s f| <= 0.75 inside the radius
     # and large enough that a remainder off by one degree misses the gate
@@ -291,8 +294,8 @@ def suite_xfock(p: SuiteParams):
 
 def suite_meixner(p: SuiteParams):
     rng = np.random.default_rng(p.seed + 3)
-    lam0, eta0 = 1.0, 1.0
-    sys = _meixner_model(p, lam=lam0, eta=eta0)
+    lam0, eta0 = _MEIXNER_POINT["lam"], _MEIXNER_POINT["eta"]
+    sys = _meixner_model(p)
     pg, g = sys.model, sys.grid
 
     # recovery through degree 8 needs atoms past the breakdown point
@@ -360,42 +363,32 @@ def _xplus_word(fs, sys) -> fock.FockVector:
     return v
 
 
+def _second_order_kernels(f, kern, g: GridMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The field of ``f`` on the order-n chaos kernel ``kern`` by its
+    second-order form, as the kernels of orders n + 1, n and n - 1: the
+    created ``f (x) kern``; ``kern`` times ``lambda f`` on its first slot;
+    and the contraction with ``w f``, plus ``eta f`` times ``kern`` on the
+    diagonal of its first two slots (none on an order-1 kernel)."""
+    n = kern.ndim
+    neutral = (g.lambda_values * f).reshape((-1,) + (1,) * (n - 1)) * kern
+    lowered = np.tensordot(g.weights * f, kern, axes=(0, 0))
+    if n >= 2:
+        diag = np.moveaxis(np.diagonal(kern, axis1=0, axis2=1), -1, 0)
+        lowered += (g.eta_values * f).reshape((-1,) + (1,) * (n - 2)) * diag
+    return np.multiply.outer(f, kern), neutral, lowered
+
+
 def _second_order_form(f, kern, sys) -> fock.FockVector:
     """The field on a lifted kernel by the closed slotwise forms, lifted term by term."""
-    g = sys.grid
+    created, neutral, lowered = _second_order_kernels(f, kern, sys.grid)
     lift = functools.partial(xfock.kernel_lift, sys=sys, max_degree=kern.ndim + 1)
-    # the lift is linear, so the two order-(n-1) kernels are lifted as one
-    lowered = _kernel_annihilate(f, kern, g) + _kernel_eta_term(f, kern, g.eta_values)
-    lower = lift(_kernel_neutral(f, kern, g.lambda_values)) + lift(lowered)
     # the lower lifts stop below the top level, so they are added into the
     # created lift's own levels and no sum copies its top level
-    expected = lift(_kernel_create(f, kern))
+    lower = lift(neutral) + lift(lowered)
+    expected = lift(created)
     for k, level in enumerate(lower.levels):
         expected.levels[k] += level
     return expected
-
-
-def _kernel_create(f, kern) -> np.ndarray:
-    return np.multiply.outer(f, kern)
-
-
-def _kernel_neutral(f, kern, lam) -> np.ndarray:
-    shape = (-1,) + (1,) * (kern.ndim - 1)
-    return (lam * f).reshape(shape) * kern
-
-
-def _kernel_annihilate(f, kern, g) -> np.ndarray:
-    return np.tensordot(g.weights * f, kern, axes=(0, 0))
-
-
-def _kernel_eta_term(f, kern, eta) -> np.ndarray:
-    # second-order contraction: evaluate the first two slots on the diagonal;
-    # vanishes on order-1 kernels
-    if kern.ndim < 2:
-        return np.asarray(0.0)
-    diag = np.moveaxis(np.diagonal(kern, axis1=0, axis2=1), -1, 0)
-    shape = (-1,) + (1,) * (kern.ndim - 2)
-    return (eta * f).reshape(shape) * diag
 
 
 def _runners() -> dict:

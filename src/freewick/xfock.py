@@ -23,7 +23,8 @@ it by ``b_l f``; lowering annihilates at ``l = 0`` and shifts
 ``l -> l-1`` times ``a_l f``.  With level-independent
 coefficients these collapse to the closed second-order form of the field
 at a point.  Raising nonzero content past the budget, or shifting it past
-``L`` where it is not null, raises :class:`CapacityError`.
+``L`` where it is not null, raises :class:`CapacityError`; a raising step
+refuses on its input's components, before it allocates any output level.
 
 The Jacobi band is built once per field, as a stack of each node's
 ``(L+1) x (L+1)`` matrix times ``f`` (:func:`_jacobi_band`), and the
@@ -121,10 +122,14 @@ def _blocks(v: FockVector, i: int) -> np.ndarray:
     return v.levels[i].reshape((v.base.lmax + 1, v.base.sys.grid.size) * i)
 
 
+def _slot_depth(sys: JacobiSystem, max_degree: int) -> int:
+    """``L`` under the degree budget ``max_degree``: the most one slot can hold, if tabulated."""
+    return max(0, min(sys.max_degree, max_degree - 1))
+
+
 def x_vacuum(sys: JacobiSystem, max_degree: int) -> FockVector:
     """The vacuum, with degree budget ``max_degree``."""
-    space = _slot_space(sys, max(0, min(sys.max_degree, max_degree - 1)))
-    return FockVector(space, [1.0], max_degree)
+    return FockVector(_slot_space(sys, _slot_depth(sys, max_degree)), [1.0], max_degree)
 
 
 def component(v: FockVector, ls) -> np.ndarray:
@@ -185,12 +190,12 @@ def _require_null_past(sys: JacobiSystem, lmax: int) -> None:
         raise CapacityError(f"nonzero content past degree {lmax} exceeds the budget or tabulation")
 
 
-def _check_budget(levels, lmax: int, m: int, max_degree: int) -> None:
-    """Raise unless every nonzero component has degree at most ``max_degree``."""
+def _check_budget(levels, lmax: int, m: int, max_degree: int, raised: int) -> None:
+    """Raise unless every nonzero component, ``raised`` degrees up, fits ``max_degree``."""
     for i, arr in enumerate(levels):
-        if i * (lmax + 1) > max_degree:
+        if i * (lmax + 1) + raised > max_degree:
             nonzero = _nonzero_components(arr, lmax, m, i)
-            if np.any(nonzero[np.indices(nonzero.shape).sum(axis=0) + i > max_degree]):
+            if np.any(nonzero[np.indices(nonzero.shape).sum(axis=0) + i + raised > max_degree]):
                 raise CapacityError(f"level {i} content exceeds the degree budget {max_degree}")
 
 
@@ -229,12 +234,13 @@ def _field_part(f, v: FockVector, parts: str) -> FockVector:
     levels, budget = v.levels, v.max_level
     n = len(levels)
     raising, lowering = "+" in parts, "-" in parts
-    if raising:
+    if raising and np.any(f):
         for arr in levels[1:]:
             if np.any(arr.reshape((lmax + 1, m, -1))[lmax, f != 0]):
                 _require_null_past(sys, lmax)  # the shift would push it past lmax
-        if n > budget and np.any(levels[-1]) and np.any(f):
-            raise CapacityError(f"create would push level {budget} content past the budget")
+        # creation puts each nonzero component one degree up, past the reach
+        # of any other part: so the input decides, before any level is allocated
+        _check_budget(levels, lmax, m, budget, 1)
     band = _jacobi_band(sys, lmax, f, parts)
     w0f = v.base.weights[:m] * f  # w g_0 f, the weights of the l = 0 block
     out = []
@@ -249,8 +255,6 @@ def _field_part(f, v: FockVector, parts: str) -> FockVector:
         if raising and k:
             y[0] += f[:, None] * levels[k - 1].reshape(1, -1)
         out.append(level)
-    if raising:
-        _check_budget(out, lmax, m, budget)
     return FockVector(v.base, fock._trim(out), budget)
 
 
@@ -309,7 +313,7 @@ def _half_terms(fs, sys: JacobiSystem) -> dict:
     batched product over the nodes.
     """
     m = sys.grid.size
-    lmax = max(0, min(sys.max_degree, len(fs) - 1))
+    lmax = _slot_depth(sys, len(fs))
     w0 = sys.grid.weights * sys.g[0]
     levels = {0: (np.ones(1), np.empty((1, 0, lmax + 1, m)))}
     for f in fs:
@@ -479,7 +483,8 @@ def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None)
     size = (lmax + 1) * sys.grid.size
     levels = [_per_node(a, blocks.proj, blocks.spans, blocks.slots, size)
               for a in v.levels[: top + 1]]
-    _check_budget(levels, lmax, sys.grid.size, max_degree)
+    # the output's degrees depend on the node supports, so the output decides
+    _check_budget(levels, lmax, sys.grid.size, max_degree, 0)
     return FockVector(_slot_space(sys, lmax), levels, max_degree)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -263,6 +264,19 @@ class TestCumulantFromMoments:
         a = cumulant.cumulant_from_moments(fs, fiber_spec)
         b = cumulant.cumulant_direct(fs, fiber_spec)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0)
+
+    def test_leaves_no_cyclic_garbage(self, lam_spec, rng):
+        # the solved subwords are freed by reference counting when the call returns
+        fs = [rng.standard_normal(6) for _ in range(4)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            cumulant.cumulant_from_moments(fs, lam_spec)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestFreeIndependence:

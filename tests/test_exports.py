@@ -56,18 +56,35 @@ def _public(tree: ast.Module) -> list[str]:
     return [n.name for n in tree.body if isinstance(n, _DEFS) and not n.name.startswith("_")]
 
 
-def _bound(func) -> set[str]:
-    """Names a function binds: its parameters, its stores and its nested definitions."""
-    args = func.args
-    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
-    names = {a.arg for a in params if a is not None}
-    body = [func.body] if isinstance(func, ast.Lambda) else func.body
-    for node in (n for stmt in body for n in ast.walk(stmt)):
+def _bound(tree: ast.Module) -> dict[ast.AST, set[str]]:
+    """Names each function in ``tree`` binds: its parameters, and the stores
+    and definitions anywhere in its body, nested functions' bodies included.
+
+    One pass over the tree: a function's body is collected into a set of
+    its own, which then joins the enclosing body's set.
+    """
+    table = {}
+
+    def collect(node, names):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, _DEFS):
             names.add(node.name)
-    return names
+        if not isinstance(node, _FUNCS):
+            for child in ast.iter_child_nodes(node):
+                collect(child, names)
+            return
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
+        inner = set()
+        for child in ast.iter_child_nodes(node):
+            collect(child, inner if child in body else names)
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        table[node] = inner | {a.arg for a in params if a is not None}
+        names |= inner
+
+    collect(tree, set())
+    return table
 
 
 def _references(module: str, tree: ast.Module) -> list[tuple[str | None, str]]:
@@ -86,6 +103,7 @@ def _references(module: str, tree: ast.Module) -> list[tuple[str | None, str]]:
         for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1 and not n.module
         for a in n.names
     }
+    bound = _bound(tree)
     refs = []
 
     def visit(node, owner, scopes, inner=None):
@@ -107,7 +125,7 @@ def _references(module: str, tree: ast.Module) -> list[tuple[str | None, str]]:
             for child in outer:
                 visit(child, owner, scopes)
             for child in body:
-                visit(child, inner or owner, scopes + [_bound(node)])
+                visit(child, inner or owner, scopes + [bound[node]])
         elif isinstance(node, ast.ClassDef):
             for child in node.decorator_list + node.bases + node.keywords:
                 visit(child, owner, scopes)

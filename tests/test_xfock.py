@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -483,6 +484,24 @@ class TestBudgetRefusals:
         with pytest.raises(CapacityError, match="content exceeds the degree budget 3"):
             xfock.xfield(np.ones(4), v)
 
+    def test_field_refuses_before_it_allocates(self, rng):
+        # at m = 40 one output level 3 over the slots {0..2} x 40 is 13.8 MB;
+        # the refusal reads the input alone, so it peaks far below that
+        g = grid.make_grid(40, lam=1.0, eta=1.0)
+        sys = JacobiSystem(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 6)
+        v = xfock.x_vacuum(sys, 3) * 0.0
+        xfock.set_component(v, (0, 1), rng.standard_normal((40, 40)))
+        f = np.ones(40)
+        level3 = v.base.size**3 * 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="content exceeds the degree budget 3"):
+                xfock.xfield(f, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < level3
+
     def test_set_component_past_budget_raises(self, sys, rng):
         v = xfock.x_vacuum(sys, 3) * 0.0
         with pytest.raises(CapacityError, match="exceeds degree budget 3"):
@@ -712,6 +731,21 @@ def test_band_mutant_fails_a_field_and_a_moment_check(monkeypatch):
     assert failed & {"k_transform_intertwines", "representation_second_order_form"}
     assert failed & {"moments_big_fock_vs_extended", "moments_general_fibers",
                      "meixner_moments_vs_extended"}
+
+
+@pytest.mark.parametrize("table", ["eta_values", "lambda_values"])
+def test_kernel_step_mutants_fail_the_second_order_form(table, monkeypatch):
+    # the kernel step read at eta = 0 drops its eta f diagonal term, and at
+    # lambda = 0 its lambda f term: each must fail the check at the default config
+    kernels = suites._second_order_kernels
+
+    def mutant(f, kern, g):
+        return kernels(f, kern, dataclasses.replace(g, **{table: np.zeros(g.nodes.size)}))
+
+    monkeypatch.setattr(suites, "_second_order_kernels", mutant)
+    (check,) = [c for c in suites.run_suite("meixner", suites.SuiteParams())
+                if c.name == "representation_second_order_form"]
+    assert not check.passed, check.residual
 
 
 def test_extended_field_runs_no_fock_field_primitive(meixner, rng, monkeypatch):
