@@ -35,8 +35,8 @@ from operator import attrgetter
 import numpy as np
 
 from . import cumulant, jacobi, ncpart, suites, xfock
-from .errors import CapacityError, ConfigError, FreewickError, require_int
-from .grid import FiberMeasure, GridMeasure, ProductGrid, make_grid, semicircle_fibers
+from .errors import CapacityError, ConfigError, EnumerationBoundError, FreewickError, require_int
+from .grid import FiberMeasure, ProductGrid, make_grid, semicircle_fibers
 
 log = logging.getLogger("freewick")
 
@@ -52,22 +52,22 @@ def _setup_logging() -> None:
 # the keys a config may set; the verify suites read only the first three
 _SUITE_KEYS = frozenset({"m", "fiber_nodes", "degree"})
 _CONFIG_KEYS = _SUITE_KEYS | {"interval", "lambda", "eta", "fibers"}
+_MODEL_KEYS = _CONFIG_KEYS - {"degree"}
 
 
 @dataclass
 class ModelConfig:
     """Validated model description behind ``moments``."""
 
-    m: int = 6
+    m: int = suites.SuiteParams.m
     interval: tuple[float, float] = (0.0, 1.0)
-    lam: object = 1.0
-    eta: object = 1.0
+    lam: object = suites._MEIXNER_POINT["lam"]
+    eta: object = suites._MEIXNER_POINT["eta"]
     fibers: list | None = None
-    fiber_nodes: int = 8
-    degree: int = 6
+    fiber_nodes: int = suites.SuiteParams.fiber_nodes
 
     def __post_init__(self):
-        for name in ("m", "fiber_nodes", "degree"):
+        for name in ("m", "fiber_nodes"):
             require_int(name, getattr(self, name), 1)
         if len(self.interval) != 2:
             raise ConfigError("interval must be a pair [a, b]")
@@ -333,21 +333,24 @@ def cmd_partitions(args) -> int:
     return 0
 
 
-def _parse_word(config: ModelConfig, grid: GridMeasure, args) -> list[np.ndarray]:
-    factors = []
+def _parse_word(config: ModelConfig, args) -> list[tuple[float, float]]:
+    """The window ``(a, b)`` of each factor, by default the whole interval
+    (its midpoint nodes lie below ``b``), refused past ``NC_LIMIT`` factors."""
+    windows = [config.interval]
     if args.word:
+        windows = []
         for piece in args.word.split(","):
             try:
                 a, b = (float(x) for x in piece.split(":"))
             except ValueError as exc:
                 raise ConfigError(f"bad factor {piece!r}, expected 'a:b'") from exc
-            factors.append(grid.indicator(a, b))
-    else:
-        a, b = config.interval
-        factors.append(grid.indicator(a, b))  # midpoint nodes all lie below b
+            windows.append((a, b))
     if args.power < 1:
         raise ConfigError("power must be positive")
-    return factors * args.power
+    n = len(windows) * args.power
+    if n > ncpart.NC_LIMIT:
+        raise EnumerationBoundError(f"word length {n} exceeds {ncpart.NC_LIMIT}, the nc_sum bound")
+    return windows * args.power
 
 
 def _memory_limit() -> int:
@@ -375,40 +378,30 @@ def _require_memory(nbytes: int, what: str) -> None:
 
 
 def cmd_moments(args) -> int:
-    config = ModelConfig.from_dict(load_config(args.config))
+    config = ModelConfig.from_dict(load_config(args.config, reads=_MODEL_KEYS))
+    windows = _parse_word(config, args)
     pg = config.build_model()
-    grid = pg.grid
-    word = _parse_word(config, grid, args)
-    if len(word) > 2 * config.degree:
-        raise ConfigError(f"word length {len(word)} exceeds twice the degree budget")
-
-    top = (len(word) + 1) // 2  # the Fock level each half of the split word reaches
-    routes = {"big_fock": lambda: cumulant.moment(word, pg)}
-    # with point masses only, g_l = 0 for l >= 1: the extended space is then
+    word = [pg.grid.indicator(a, b) for a, b in windows]
+    n = len(word)
+    # each route with its charge in bytes, checked before any runs.
+    # With point masses only, g_l = 0 for l >= 1: the extended space is then
     # the Fock space over T that big_fock already runs on
+    routes = {"big_fock": (cumulant.moment_bytes(n, pg), lambda: cumulant.moment(word, pg))}
     if any(fb.size > 1 for fb in pg.fibers):
-        # xmoment reads the laws' recurrences through degree top - 1, so its
-        # slots are {0..top-1} x T; a half word runs on the vacuum as at most
-        # 3**top rank-one terms of top such slots, and the halves pair in
-        # blocks of two scratch arrays; its tracemalloc peak measures 0.15 to
-        # 0.25 times this past the fixed overhead of small words
-        terms = 3**top * top * top * grid.size + 2 * xfock._PAIR_BLOCK
-        _require_memory(8 * terms, "the extended Fock term lists")
-        sys_ = jacobi.JacobiSystem(pg, top)
-        routes["extended_fock"] = lambda: xfock.xmoment(word, sys_)
-    # a half word runs on the vacuum as at most 3**top rank-one terms of top
-    # slots; the route's tracemalloc peak measures 0.2 to 0.9 times this
-    _require_memory(8 * 3**top * top * pg.size, "the rank-one term lists")
-    routes["nc_sum"] = lambda: cumulant.nc_moment_sum(word, pg)
+        routes["extended_fock"] = (xfock.xmoment_bytes(n, pg), lambda: xfock.xmoment(
+            word, jacobi.JacobiSystem(pg, (n + 1) // 2)))
+    routes["nc_sum"] = (cumulant.nc_moment_sum_bytes(n), lambda: cumulant.nc_moment_sum(word, pg))
+    for name, (nbytes, _) in routes.items():
+        _require_memory(nbytes, f"the {name} route")
     paths, route_seconds = {}, {}
-    for name, route in routes.items():
+    for name, (_, route) in routes.items():
         started = time.perf_counter()
         paths[name] = route()
         route_seconds[name] = time.perf_counter() - started
     values = np.array(list(paths.values()))
     # np.max keeps a NaN route, where max over a generator can drop it
     max_gap = float(np.max(np.abs(values[:, None] - values)))
-    payload = {"word_length": len(word), "paths": paths, "route_seconds": route_seconds,
+    payload = {"word_length": n, "paths": paths, "route_seconds": route_seconds,
                "max_gap": max_gap}
     rows = [[k, repr(v)] for k, v in paths.items()] + [["max_gap", repr(max_gap)]]
     _emit(args, payload, (["path", "value"], rows), in_table=("paths", "max_gap"))

@@ -36,9 +36,11 @@ from .grid import GridMeasure, ProductGrid
 
 __all__ = [
     "moment",
+    "moment_bytes",
     "cumulant_direct",
     "cumulant_from_moments",
     "nc_moment_sum",
+    "nc_moment_sum_bytes",
     "cumulant_transform",
     "meixner_transform_closed_form",
     "TransformResult",
@@ -46,12 +48,8 @@ __all__ = [
 
 
 def moment(fs, pg: ProductGrid) -> float:
-    """Vacuum expectation of the field word with the given node functions.
-
-    Each half of the word runs on the vacuum as a list of rank-one terms
-    and the two lists meet in the inner product; no dense Fock level is
-    built and no :mod:`fock` or :mod:`field` code runs.
-    """
+    """Vacuum expectation of the field word with the given node functions,
+    by the module's rank-one term lists; no :mod:`field` code runs."""
     fs = [pg.lift(f) for f in fs]
     if not fs:
         return 1.0
@@ -63,6 +61,13 @@ def moment(fs, pg: ProductGrid) -> float:
 
 # pairs of terms contracted at once in :func:`_pair`, bounding its scratch
 _PAIR_BLOCK = 1 << 16
+
+
+def moment_bytes(n: int, pg: ProductGrid) -> int:
+    """Bytes :func:`moment` may hold for ``n`` factors: ``3**top`` terms of
+    ``top = ceil(n/2)`` slots over the joint nodes, and two pairing blocks."""
+    top = (n + 1) // 2
+    return 8 * (3**top * top * pg.size + 2 * _PAIR_BLOCK)
 
 
 def _rank_one_terms(fs, pg: ProductGrid) -> dict:
@@ -145,6 +150,12 @@ def nc_moment_sum(fs, pg: ProductGrid) -> float:
                 break
         total += term
     return total
+
+
+def nc_moment_sum_bytes(n: int) -> int:
+    """Bytes :func:`nc_moment_sum` may hold for ``n`` factors: its records,
+    measured at 158 to 196 bytes each, and 64 KiB for the rest."""
+    return 256 * ncpart.catalan(n) + 2**16
 
 
 def cumulant_from_moments(fs, pg: ProductGrid) -> float:

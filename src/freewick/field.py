@@ -8,12 +8,12 @@ factor immediately precedes a creation factor; the resulting operator
 applied to the vacuum reproduces the kernel at its own level and nothing
 else, which is what makes it the orthogonal projection of the monomial.
 
-The expansion of a monomial over admissible marked non-crossing partitions
-(:func:`wick_rule_expand`) and the analogous expansion for a product of
-Wick products (:func:`wick_product_expand`) are implemented over reduced
-kernels: each block collapses to a single integration variable weighted by
-a power of the coefficient table, exactly as in quadrature the discrete
-delta collapses repeated slots.  The Wick product is linear in its kernel,
+The expansion of a product of Wick products over marked non-crossing
+partitions (:func:`wick_product_expand`), and at unit orders that of a
+monomial (:func:`wick_rule_expand`), runs over reduced kernels: each block
+collapses to a single integration variable weighted by a power of the
+coefficient table, as in quadrature the discrete delta collapses repeated
+slots.  The Wick product is linear in its kernel,
 so the reduced kernels are summed per order (the number of +1 blocks) and
 each order's sum is Wick-ordered once: an order-n expansion makes at most
 n + 1 Wick products, however many partitions it walks.
@@ -252,46 +252,24 @@ def _reduce(kappa: ncpart.MarkedPartition, f: np.ndarray, powers) -> np.ndarray:
     return np.einsum(sub, *operands)
 
 
-def _expand(partitions, f: np.ndarray, g, v: FockVector) -> FockVector:
-    # the Wick product is linear in its kernel: sum the reduced kernels per
-    # order (number of +1 blocks), then one Wick product per order
-    powers = _power_table(g, f.ndim)
-    by_order: dict[int, np.ndarray] = {}
-    for kappa in partitions:
-        red = _reduce(kappa, f, powers)
-        k = red.ndim
-        by_order[k] = by_order[k] + red if k in by_order else red
-    out = fock.FockVector(v.base, [0.0], v.max_level)
-    for k in sorted(by_order):
-        out = out + wick_apply(by_order[k], v, g)
-    return out
-
-
 def wick_rule_expand(f, g, v: FockVector | None = None) -> FockVector:
     """Expand a monomial as the sum of Wick products over admissible partitions.
 
-    The kernel is reduced once per partition of ``G_n``; the reduced kernels
-    are summed per order and each sum is Wick-ordered once (the Wick product
-    is linear in its kernel).  Must reproduce :func:`monomial_apply` exactly
-    (to roundoff); applied to the vacuum by default.
+    It is :func:`wick_product_expand` at unit orders, where every
+    partition of ``G_n`` contributes.  Must reproduce :func:`monomial_apply`
+    exactly (to roundoff); applied to the vacuum by default.
     """
-    f = _kernel(f, g)
-    n = f.ndim
-    if n < 1:
+    if np.ndim(f) < 1:
         raise ValueError("kernel order must be at least 1")
-    if v is None:
-        v = fock.vacuum(g, n)
-    return _expand(ncpart.enumerate_gn(n), f, g, v)
+    return wick_product_expand((1,) * np.ndim(f), f, g, v)
 
 
 def wick_product_expand(orders, f, g, v: FockVector | None = None) -> FockVector:
     """Expand a product of Wick products over the constrained partition family.
 
     ``orders`` splits the kernel axes into consecutive groups, one per Wick
-    factor; only partitions whose blocks meet each group at most once
-    contribute.  As in :func:`wick_rule_expand`, their reduced kernels are
-    summed per order before one Wick product per order.  Must match
-    sequentially applying the factors.
+    factor; only partitions of ``G_n`` whose blocks meet each group at most
+    once contribute.  Must match sequentially applying the factors.
     """
     orders = tuple(int(k) for k in orders)
     if any(k < 1 for k in orders):
@@ -304,15 +282,20 @@ def wick_product_expand(orders, f, g, v: FockVector | None = None) -> FockVector
     group = tuple(j for j, k in enumerate(orders) for _ in range(k))
     if v is None:
         v = fock.vacuum(g, n)
-    admissible = (
-        kappa
-        for kappa in ncpart.enumerate_gn(n)
-        if all(
-            len({group[p - 1] for p in block}) == len(block)
-            for block in kappa.partition.blocks
-        )
-    )
-    return _expand(admissible, f, g, v)
+    powers = _power_table(g, n)
+    by_order: dict[int, np.ndarray] = {}
+    for kappa in ncpart.enumerate_gn(n):
+        # unit orders admit every partition
+        if len(orders) < n and any(len({group[p - 1] for p in block}) < len(block)
+                                   for block in kappa.partition.blocks):
+            continue
+        red = _reduce(kappa, f, powers)
+        k = red.ndim
+        by_order[k] = by_order[k] + red if k in by_order else red
+    out = fock.FockVector(v.base, [0.0], v.max_level)
+    for k in sorted(by_order):
+        out = out + wick_apply(by_order[k], v, g)
+    return out
 
 
 def wick_product_sequential(kernels, g, v: FockVector | None = None) -> FockVector:

@@ -46,9 +46,10 @@ This is code of its own, apart from the big-Fock moments of
 :mod:`cumulant` that the suites compare it with.
 
 The per-slot polynomial transform between this space and the Fock space
-over the joint (node, atom) quadrature is an exact isometry on the grid
-and intertwines the two realizations of the field; both facts are what the
-verification suites check numerically.  The map is block-diagonal by
+over the joint (node, atom) quadrature is an isometry in exact arithmetic
+and intertwines the two realizations of the field, as the verification
+suites check; the recurrence-built float table loses orthogonality on laws
+of many atoms (ROADMAP item 4).  The map is block-diagonal by
 node, since slot ``l*m + t`` reads only node ``t``'s atoms, so the
 transform and its inverse apply per-node slot blocks of ``(L+1) x N_t``
 to each axis of a level, and no dense map is built.  Both sides come
@@ -79,6 +80,7 @@ __all__ = [
     "xminus",
     "xfield",
     "xmoment",
+    "xmoment_bytes",
     "big_fock_realize",
     "k_transform",
     "k_inverse",
@@ -282,10 +284,8 @@ def xmoment(fs, sys: JacobiSystem) -> float:
     """Vacuum expectation of a field word, computed in this realization.
 
     Splits the word in half (the field is self-adjoint for the weighted
-    inner product) so the degree budget stays at half the word length.
-    Each half runs on the vacuum as rank-one term lists and the two lists
-    meet in the weighted inner product; no dense level is built and no
-    :mod:`fock` code runs.
+    inner product) so the degree budget stays at half the word length; the
+    halves run as the module's rank-one term lists, with no :mod:`fock` code.
     """
     fs = [np.asarray(f, dtype=float) for f in fs]
     n = len(fs)
@@ -299,6 +299,13 @@ def xmoment(fs, sys: JacobiSystem) -> float:
 
 # pairs of terms contracted at once in :func:`_pair_terms`, bounding its scratch
 _PAIR_BLOCK = 1 << 16
+
+
+def xmoment_bytes(n: int, pg) -> int:
+    """Bytes :func:`xmoment` may hold for ``n`` factors over ``pg``: ``3**top``
+    terms of ``top = ceil(n/2)`` slots over {0..top-1} x T, and two pairing blocks."""
+    top = (n + 1) // 2
+    return 8 * (3**top * top * top * pg.grid.size + 2 * _PAIR_BLOCK)
 
 
 def _half_terms(fs, sys: JacobiSystem) -> dict:
@@ -468,11 +475,12 @@ def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None)
 
     Each slot of a level-``i`` array over the joint quadrature is expanded
     in the node's monic polynomials, by the per-node slot blocks of
-    :func:`_slot_maps`.  Exact isometry on the grid (the polynomials are
-    orthogonal for the discrete node laws).  The result spans every
-    tabulated degree, ``L = sys.max_degree``, so its budget must exceed
-    ``L``; the default is ``max(i, 1) * (L + 1)`` for the top nonzero level
-    ``i``.
+    :func:`_slot_maps`.  An isometry in exact arithmetic (the polynomials
+    are orthogonal for the discrete node laws); the float table loses
+    orthogonality on many-atom laws (ROADMAP item 4).  The result spans
+    every tabulated degree, ``L = sys.max_degree``, so its budget must
+    exceed ``L``; the default is ``max(i, 1) * (L + 1)`` for the top
+    nonzero level ``i``.
     """
     _require_model(v, sys)
     blocks = _slot_maps(sys)

@@ -1,12 +1,14 @@
 import gc
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import freewick
+from freewick import cli
 
 settings.register_profile(
     "suite",
@@ -81,3 +83,22 @@ def package_calls(route) -> set:
     finally:
         sys.setprofile(None)
     return seen
+
+
+def charge_models() -> dict:
+    """The models on which each moment route is held to its memory charge:
+    the default model of ``moments``, and two two-atom laws on two nodes."""
+    two_laws = [{"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]},
+                {"atoms": [-0.5, 0.5], "weights": [0.5, 0.5]}]
+    return {"default": cli.ModelConfig().build_model(),
+            "two_laws": cli.ModelConfig(m=2, fibers=two_laws).build_model()}
+
+
+def peak_bytes(route) -> int:
+    """The tracemalloc peak of ``route()``, in bytes."""
+    tracemalloc.start()
+    try:
+        route()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -47,18 +47,29 @@ def _reached(*args, **kwargs):
     raise AssertionError("a moment route ran")
 
 
+def _forbid_routes(monkeypatch):
+    """Make every moment route, and the extended route's system, fail if reached."""
+    for module, name in ((cli.cumulant, "moment"), (cli.cumulant, "nc_moment_sum"),
+                         (cli.xfock, "xmoment"), (cli.jacobi, "JacobiSystem")):
+        monkeypatch.setattr(module, name, _reached)
+
+
 def _capped(nbytes, args):
-    """Run the CLI in a new interpreter under an ``RLIMIT_AS`` of ``nbytes``; its exit code."""
+    """Run the CLI in a new interpreter under an ``RLIMIT_AS`` of ``nbytes``;
+    its exit code and what it wrote to stderr."""
     out = run_fresh(
-        "import resource\n"
+        "import contextlib, io, json, resource\n"
         "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
         f"soft = {nbytes} if hard == resource.RLIM_INFINITY else min({nbytes}, hard)\n"
         "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
         "from freewick import cli\n"
         f"assert cli._memory_limit() <= {nbytes}\n"
-        f"print(cli.main({args!r}))"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    code = cli.main({args!r})\n"
+        "print(json.dumps([code, err.getvalue()]))"
     )
-    return int(out.strip())
+    return tuple(json.loads(out.splitlines()[-1]))
 
 
 TWO_LAWS = [
@@ -291,16 +302,17 @@ class TestMoments:
             assert abs(value - 122024.9) < 1e-6
 
     def test_word_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
-        # a half of this length-30 word at m=12 runs as up to 3**15 rank-one
-        # terms of 15 slots over {0..14} x 12 nodes (289 GiB); it is refused
-        # before any route runs
-        monkeypatch.setattr(cli.cumulant, "moment", _reached)
-        monkeypatch.setattr(cli.cumulant, "nc_moment_sum", _reached)
-        monkeypatch.setattr(cli.xfock, "xmoment", _reached)
+        # a half of this length-14 word runs as up to 3**7 rank-one terms of
+        # 7 slots over the 64 m joint nodes of 64-atom laws, 7.8 MB per grid
+        # node: m is set to put that past physical memory, and the word is
+        # refused before any route runs
+        _forbid_routes(monkeypatch)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"m": 12, "degree": 15}))
-        code, _ = run(["moments", "--config", str(cfg), "--power", "30"], capsys)
-        assert code == 2
+        cfg.write_text(json.dumps({"m": memory // (8 * 3**7 * 7 * 64) + 1, "fiber_nodes": 64}))
+        assert cli.main(["moments", "--config", str(cfg), "--power", "14"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "the big_fock route would take" in err
 
     def test_big_fock_runs_past_dense_level_size(self, tmp_path, capsys):
         # a dense level 5 over 80 nodes would take 24.4 GiB; the rank-one
@@ -339,7 +351,7 @@ class TestMoments:
         "args, reason",
         [
             (["--power", "0"], "power must be positive"),
-            (["--power", "13"], "word length 13 exceeds twice the degree budget"),
+            (["--power", "15"], "word length 15 exceeds 14"),
         ],
         ids=["power", "word_length"],
     )
@@ -348,6 +360,45 @@ class TestMoments:
         assert cli.main(["moments", *args]) == 2
         out, err = capsys.readouterr()
         assert out == "" and reason in err
+
+    def test_degree_refused_by_name(self, tmp_path, capsys, monkeypatch):
+        # the word bound is the non-crossing sum's own: no degree widens it,
+        # and moments reads none
+        _forbid_routes(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degree": 8}))
+        assert cli.main(["moments", "--config", str(cfg), "--power", "15"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "degree" in err
+
+    @pytest.mark.parametrize(
+        "args", [["--power", "15"], ["--word", "0:0.5,0.5:1,0:1", "--power", "5"],
+                 ["--power", str(10**12)]],
+        ids=["power", "word", "huge_power"],
+    )
+    def test_word_past_nc_limit_refused_before_any_work(self, args, capsys, monkeypatch):
+        # refused before any model is built, any charge is made or any route runs
+        _forbid_routes(monkeypatch)
+        for name in ("moment_bytes", "nc_moment_sum_bytes"):
+            monkeypatch.setattr(cli.cumulant, name, _reached)
+        monkeypatch.setattr(cli.xfock, "xmoment_bytes", _reached)
+        monkeypatch.setattr(cli.ModelConfig, "build_model", _reached)
+        assert cli.main(["moments", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"exceeds {ncpart.NC_LIMIT}" in err
+
+    def test_fourteen_factors_admitted(self, capsys, monkeypatch):
+        # every route is charged and run at the non-crossing sum's bound; the
+        # routes are constants here, since nc_sum takes seconds at 14
+        for module, name, value in ((cli.cumulant, "moment", 1.0), (cli.xfock, "xmoment", 2.0),
+                                    (cli.cumulant, "nc_moment_sum", 4.0)):
+            monkeypatch.setattr(module, name, lambda *args, value=value: value)
+        code, out = run(["moments", "--power", str(ncpart.NC_LIMIT)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["word_length"] == 14
+        assert payload["paths"] == {"big_fock": 1.0, "extended_fock": 2.0, "nc_sum": 4.0}
+        assert payload["max_gap"] == 3.0
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -364,44 +415,45 @@ class TestMoments:
     )
     def test_routes_refused_past_memory_limit(self, config, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_memory_limit", lambda: 64)
-        monkeypatch.setattr(cli.cumulant, "moment", _reached)
-        monkeypatch.setattr(cli.cumulant, "nc_moment_sum", _reached)
-        monkeypatch.setattr(cli.xfock, "xmoment", _reached)
+        _forbid_routes(monkeypatch)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, _ = run(["moments", "--config", str(cfg), "--power", "4"], capsys)
         assert code == 2
 
     def test_extended_route_charged_past_one_level(self, tmp_path, capsys, monkeypatch):
-        # with four-atom laws, the default word to the 16th power charges the
-        # extended route 3**8 terms of 8 slots over {0..7} x 6 nodes (21 MB),
-        # twice the big-Fock term lists over the 24 joint nodes (10 MB); a
-        # limit between the two refuses the extended route, before any runs
+        # with four-atom laws, the default word to the 10th power charges the
+        # extended route 3**5 terms of 5 slots over {0..4} x 320 nodes and
+        # its pairing blocks (16.6 MB), more than the big-Fock term lists over
+        # the 1280 joint nodes (13.5 MB); a limit between the two refuses the
+        # extended route, before any runs
         monkeypatch.setattr(cli, "_memory_limit", lambda: 15 * 10**6)
-        monkeypatch.setattr(cli.cumulant, "moment", _reached)
-        monkeypatch.setattr(cli.cumulant, "nc_moment_sum", _reached)
-        monkeypatch.setattr(cli.xfock, "xmoment", _reached)
+        _forbid_routes(monkeypatch)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"fiber_nodes": 4, "degree": 8}))
-        assert cli.main(["moments", "--config", str(cfg), "--power", "16"]) == 2
-        assert "the extended Fock term lists would take" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"m": 320, "fiber_nodes": 4}))
+        assert cli.main(["moments", "--config", str(cfg), "--power", "10"]) == 2
+        assert "the extended_fock route would take" in capsys.readouterr().err
 
     def test_address_space_limit_refuses_extended_route(self, tmp_path):
-        # the term lists of this length-24 word take 4.9 GB (3**12 terms of
-        # 12 slots over {0..11} x 8 nodes): past a 3 GB RLIMIT_AS, so it is
-        # refused before the first allocation
+        # the extended term lists of this length-14 word take 3.4 GB (3**7
+        # terms of 7 slots over {0..6} x 4000 nodes): past a 3 GB RLIMIT_AS,
+        # so it is refused before the first allocation; the big-Fock term
+        # lists over the 16000 joint nodes of four-atom laws take 2.0 GB
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lambda": 0.7, "eta": 0.4, "m": 8, "degree": 12}))
-        args = ["moments", "--config", str(cfg), "--word", "0:0.6,0.3:1", "--power", "12"]
-        assert _capped(3 * 10**9, args) == 2
+        cfg.write_text(json.dumps({"lambda": 0.7, "eta": 0.4, "m": 4000, "fiber_nodes": 4}))
+        args = ["moments", "--config", str(cfg), "--word", "0:0.6,0.3:1", "--power", "7"]
+        code, err = _capped(3 * 10**9, args)
+        assert code == 2 and "the extended_fock route would take" in err
 
     def test_mapped_address_space_counts_against_limit(self, tmp_path):
-        # the term lists of this length-20 word take 379 MB: under a 400 MB
+        # the extended term lists of this length-12 word take 379 MB (3**6
+        # terms of 6 slots over {0..5} x 1800 nodes): under a 400 MB
         # RLIMIT_AS, but not under what the imports have left of it
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lambda": 0.7, "eta": 0.4, "m": 8, "degree": 12}))
-        args = ["moments", "--config", str(cfg), "--word", "0:0.6,0.3:1", "--power", "10"]
-        assert _capped(4 * 10**8, args) == 2
+        cfg.write_text(json.dumps({"lambda": 0.7, "eta": 0.4, "m": 1800, "fiber_nodes": 4}))
+        args = ["moments", "--config", str(cfg), "--word", "0:0.6,0.3:1", "--power", "6"]
+        code, err = _capped(4 * 10**8, args)
+        assert code == 2 and "would take" in err
 
     def test_extended_route_at_scale_under_address_space_limit(self, tmp_path):
         # m = 24 to the 8th power: four dense levels over {0..3} x 24 nodes
@@ -410,7 +462,7 @@ class TestMoments:
         cfg.write_text(json.dumps({"m": 24}))
         out = tmp_path / "out.json"
         args = ["moments", "--config", str(cfg), "--power", "8", "--out", str(out)]
-        assert _capped(15 * 10**8, args) == 0
+        assert _capped(15 * 10**8, args)[0] == 0
         payload = json.loads(out.read_text())
         assert set(payload["paths"]) == {"big_fock", "extended_fock", "nc_sum"}
         assert payload["max_gap"] < 1e-10

@@ -9,6 +9,8 @@ from freewick import cumulant, field, fock, grid, jacobi, ncpart, suites, xfock
 from freewick.grid import ProductGrid
 from freewick.errors import DomainBoundError
 
+from conftest import charge_models, peak_bytes
+
 
 @pytest.fixture
 def lam_spec(rng):
@@ -148,6 +150,25 @@ class TestMomentEdges:
         assert spec.size == 192
         assert _close(got, jacobi.meixner_moments(1.0, 1.0, 1.0, 8)[8])
         assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("model", ["default", "two_laws"])
+def test_moment_peak_within_its_charge(model):
+    # the charge moments checks before the route runs holds for every word
+    # length the route is admitted at
+    pg = charge_models()[model]
+    f = pg.grid.indicator(0.0, 1.0)
+    for n in range(1, ncpart.NC_LIMIT + 1):
+        assert peak_bytes(lambda: cumulant.moment([f] * n, pg)) <= cumulant.moment_bytes(n, pg), n
+
+
+@pytest.mark.parametrize("model", ["default", "two_laws"])
+def test_nc_moment_sum_peak_within_its_charge(model):
+    # its records dominate from n = 8; past 10 the route takes seconds
+    pg = charge_models()[model]
+    f = pg.grid.indicator(0.0, 1.0)
+    for n in range(1, 11):
+        assert peak_bytes(lambda: cumulant.nc_moment_sum([f] * n, pg)) <= cumulant.nc_moment_sum_bytes(n), n
 
 
 def test_moment_and_xmoment_share_no_fock_route(monkeypatch, lam_spec, fiber_spec, rng):

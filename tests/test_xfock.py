@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freewick import cumulant, field, fock, grid, jacobi, suites, xfock
+from freewick import cumulant, field, fock, grid, jacobi, ncpart, suites, xfock
 from freewick.errors import CapacityError
 from freewick.grid import ProductGrid
 from freewick.jacobi import JacobiSystem
+
+from conftest import charge_models, peak_bytes
 
 
 M_GRID = 5
@@ -239,6 +241,17 @@ class TestRankOneMoments:
             tracemalloc.stop()
         assert abs(got - jacobi.meixner_moments(1.0, 1.0, 1.0, 8)[8]) <= 1e-10 * 269
         assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("model", ["default", "two_laws"])
+def test_xmoment_peak_within_its_charge(model):
+    # the charge moments checks before the route runs holds for every word
+    # length the route is admitted at, on the system moments builds for it
+    pg = charge_models()[model]
+    f = pg.grid.indicator(0.0, 1.0)
+    for n in range(1, ncpart.NC_LIMIT + 1):
+        sys = JacobiSystem(pg, (n + 1) // 2)
+        assert peak_bytes(lambda: xfock.xmoment([f] * n, sys)) <= xfock.xmoment_bytes(n, pg), n
 
 
 class TestKTransform:
