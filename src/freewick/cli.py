@@ -42,11 +42,16 @@ log = logging.getLogger("freewick")
 
 
 def _setup_logging() -> None:
-    # FREEWICK_LOG is the only environment knob: it sets the log level
+    # FREEWICK_LOG is the only environment knob: it sets the log level, and
+    # an unknown level is refused before the root logger is touched
     level = os.environ.get("FREEWICK_LOG")
-    if level:
-        logging.basicConfig(level=level.upper(), stream=sys.stderr,
-                            format="%(levelname)s %(name)s: %(message)s")
+    if not level:
+        return
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        raise ConfigError(f"FREEWICK_LOG={level!r} is not one of debug, info, warning, "
+                          "error, critical")
+    logging.basicConfig(level=level.upper(), stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s")
 
 
 # the keys a config may set; the verify suites read only the first three
@@ -398,13 +403,15 @@ def cmd_moments(args) -> int:
         started = time.perf_counter()
         paths[name] = route()
         route_seconds[name] = time.perf_counter() - started
-    values = np.array(list(paths.values()))
-    # np.max keeps a NaN route, where max over a generator can drop it
-    max_gap = float(np.max(np.abs(values[:, None] - values)))
-    payload = {"word_length": n, "paths": paths, "route_seconds": route_seconds,
-               "max_gap": max_gap}
-    rows = [[k, repr(v)] for k, v in paths.items()] + [["max_gap", repr(max_gap)]]
-    _emit(args, payload, (["path", "value"], rows), in_table=("paths", "max_gap"))
+    # the largest gap of two routes, on the verify checks' relative scale
+    # and absolute; np.max keeps a NaN route, where max can drop it
+    values = list(paths.values())
+    gaps = {"max_gap": list(itertools.starmap(suites._rel, itertools.combinations(values, 2))),
+            "max_abs_gap": np.abs(np.subtract.outer(values, values))}
+    gaps = {k: float(np.max(v)) for k, v in gaps.items()}
+    payload = {"word_length": n, "paths": paths, "route_seconds": route_seconds, **gaps}
+    rows = [[k, repr(v)] for k, v in {**paths, **gaps}.items()]
+    _emit(args, payload, (["path", "value"], rows), in_table=("paths", *gaps))
     return 0
 
 
@@ -472,10 +479,9 @@ def _common_output(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
         with _output(args.out) as args.handle:
             return args.func(args)
     except ConfigError as exc:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import ncpart
 from .errors import DomainBoundError
-from .grid import GridMeasure, ProductGrid
+from .grid import GridMeasure, ProductGrid, _on_nodes
 
 __all__ = [
     "moment",
@@ -116,7 +116,7 @@ def _pair(left: dict, right: dict, w: np.ndarray) -> float:
 
 def cumulant_direct(fs, pg: ProductGrid) -> float:
     """Closed-form joint cumulant of node functions; zero at order 1."""
-    fs = [np.asarray(f, dtype=float) for f in fs]
+    fs = [_on_nodes(f, pg.grid.size, 1) for f in fs]
     n = len(fs)
     if n < 1:
         raise ValueError("cumulant order must be at least 1")
@@ -133,7 +133,7 @@ def nc_moment_sum(fs, pg: ProductGrid) -> float:
     most ``2**n`` blocks, against one factor per block of every one of the
     Catalan-many partitions.
     """
-    fs = [np.asarray(f, dtype=float) for f in fs]
+    fs = [_on_nodes(f, pg.grid.size, 1) for f in fs]
     n = len(fs)
     if n == 0:
         return 1.0
@@ -165,7 +165,7 @@ def cumulant_from_moments(fs, pg: ProductGrid) -> float:
     the closed form :func:`cumulant_direct` is the oracle it is tested
     against.
     """
-    fs = [np.asarray(f, dtype=float) for f in fs]
+    fs = [_on_nodes(f, pg.grid.size, 1) for f in fs]
     n = len(fs)
     if n < 1:
         raise ValueError("cumulant order must be at least 1")
@@ -212,9 +212,7 @@ def cumulant_transform(fvals, pg: ProductGrid, degree: int = 30) -> TransformRes
     bound from the nodewise radius condition.  Raises if the radius bound fails anywhere,
     since the series may then diverge.
     """
-    f = np.asarray(fvals, dtype=complex)
-    if f.shape != pg.grid.nodes.shape:
-        raise ValueError("values must align with grid nodes")
+    f = _on_nodes(fvals, pg.grid.size, 1, complex)
     if degree < 2:
         raise ValueError("series degree must be at least 2")
     w = pg.grid.weights
@@ -241,7 +239,7 @@ def meixner_transform_closed_form(fvals, grid: GridMeasure) -> complex:
     Uses the grid's coefficient tables as per-node mean and variance; the
     square root takes its principal branch, valid near zero.
     """
-    f = np.asarray(fvals, dtype=complex)
+    f = _on_nodes(fvals, grid.size, 1, complex)
     lam = grid.lambda_values
     eta = grid.eta_values
     root = np.sqrt((1.0 - lam * f) ** 2 - 4.0 * f**2 * eta)

@@ -36,6 +36,7 @@ import numpy as np
 from . import fock, ncpart
 from .errors import CapacityError
 from .fock import FockVector
+from .grid import _on_nodes
 
 __all__ = [
     "monomial_apply",
@@ -55,15 +56,6 @@ def _model(v: FockVector, g):
     return v.base
 
 
-def _kernel(f, base) -> np.ndarray:
-    """``f`` as a float array; every axis must have the length of ``base``."""
-    f = np.asarray(f, dtype=float)
-    shape = (base.size,) * f.ndim
-    if f.shape != shape:
-        raise ValueError(f"kernel has shape {f.shape}; over this base it must be {shape}")
-    return f
-
-
 def monomial_apply(f, v: FockVector, g=None) -> FockVector:
     """Apply the monomial with kernel ``f``, one field factor per kernel axis.
 
@@ -72,7 +64,7 @@ def monomial_apply(f, v: FockVector, g=None) -> FockVector:
     along as leading batch axes, so there is no loop over node tuples.
     """
     g = _model(v, g)
-    f = _kernel(f, g)
+    f = _on_nodes(f, g.size)
     return _to_vector(_peel(_lift(f, v), ("+-0",) * f.ndim, g), v.base)
 
 
@@ -153,7 +145,7 @@ def wick_apply(f, v: FockVector, g=None, form: str = "explicit") -> FockVector:
     level and zero elsewhere.
     """
     g = _model(v, g)
-    f = _kernel(f, g)
+    f = _on_nodes(f, g.size)
     n = f.ndim
     if n == 0:
         return v * float(f)
@@ -275,7 +267,7 @@ def wick_product_expand(orders, f, g, v: FockVector | None = None) -> FockVector
     if any(k < 1 for k in orders):
         raise ValueError("factor orders must be positive")
     n = sum(orders)
-    f = _kernel(f, g)
+    f = _on_nodes(f, g.size)
     if f.ndim != n:
         raise ValueError("kernel order must equal the sum of the factor orders")
     # group[p - 1] is the factor that element p belongs to

@@ -41,6 +41,7 @@ import operator
 import numpy as np
 
 from .errors import CapacityError
+from .grid import _on_nodes
 
 __all__ = [
     "FockVector",
@@ -66,14 +67,11 @@ class FockVector:
 
     def __init__(self, base, levels, max_level=None):
         self.base = base
-        self.levels = [np.asarray(a, dtype=float) for a in levels]
+        m = base.size
+        self.levels = [_on_nodes(a, m, k) for k, a in enumerate(levels)]
         self.max_level = len(self.levels) - 1 if max_level is None else int(max_level)
         if not 0 < len(self.levels) <= self.max_level + 1:
             raise ValueError(f"stored levels must be 0..k with k <= the budget {self.max_level}")
-        m = base.size
-        for k, arr in enumerate(self.levels):
-            if arr.shape != (m,) * k:
-                raise ValueError(f"level {k} must have shape {(m,) * k}")
 
     def _compat(self, other: "FockVector") -> None:
         a, b = self.base, other.base
@@ -114,13 +112,6 @@ def top_level(v: FockVector) -> int:
     return -1
 
 
-def _node_values(f, base) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape != (base.size,):
-        raise ValueError(f"node values must have shape {(base.size,)}, got {f.shape}")
-    return f
-
-
 def _trim(levels: list) -> list:
     """``levels`` without the all-zero levels at its top; level 0 stays."""
     while len(levels) > 1 and not np.any(levels[-1]):
@@ -130,7 +121,7 @@ def _trim(levels: list) -> list:
 
 def create(f, v: FockVector) -> FockVector:
     """Prepend a slot sampled from ``f``: level k of ``v`` feeds level k+1."""
-    f = _node_values(f, v.base)
+    f = _on_nodes(f, v.base.size, 1)
     if len(v.levels) > v.max_level and np.any(v.levels[-1]) and np.any(f):
         raise CapacityError(f"create would push level {v.max_level} content past the budget")
     levels = [0.0] + [np.multiply.outer(f, a) for a in v.levels[: v.max_level]]
@@ -139,14 +130,14 @@ def create(f, v: FockVector) -> FockVector:
 
 def annihilate(f, v: FockVector) -> FockVector:
     """Contract the first slot against ``f`` with quadrature weights."""
-    wf = v.base.weights * _node_values(f, v.base)
+    wf = v.base.weights * _on_nodes(f, v.base.size, 1)
     levels = [(wf @ a.reshape(wf.size, -1)).reshape(a.shape[1:]) for a in v.levels[1:]]
     return FockVector(v.base, levels or [0.0], v.max_level)
 
 
 def neutral(f, v: FockVector) -> FockVector:
     """Multiply the first slot pointwise by ``f``; kills level 0."""
-    f = _node_values(f, v.base)
+    f = _on_nodes(f, v.base.size, 1)
     levels = [0.0] + [f.reshape((-1,) + (1,) * (a.ndim - 1)) * a for a in v.levels[1:]]
     return FockVector(v.base, levels, v.max_level)
 

@@ -33,6 +33,18 @@ __all__ = [
 _NORMALIZATION_TOL = 1e-12
 
 
+def _on_nodes(f, size: int, order: int | None = None, dtype=float) -> np.ndarray:
+    """``f`` as a ``dtype`` array of ``order`` axes of length ``size``, any
+    order when ``order`` is None: the one check that values sit over a base
+    of ``size`` nodes.  Anything else, a broadcastable shape included, is
+    refused with ``ValueError``."""
+    f = np.asarray(f, dtype=dtype)
+    shape = (size,) * (f.ndim if order is None else order)
+    if f.shape != shape:
+        raise ValueError(f"values over {size} nodes must have shape {shape}, got {f.shape}")
+    return f
+
+
 @dataclass(frozen=True)
 class GridMeasure:
     """Nodes and weights for the base measure plus tabulated coefficients.
@@ -137,9 +149,7 @@ def _tabulate(spec, nodes: np.ndarray) -> np.ndarray:
     arr = np.asarray(spec, dtype=float)
     if arr.ndim == 0:
         return np.full(nodes.shape, float(arr))
-    if arr.shape != nodes.shape:
-        raise ValueError("tabulated coefficients must align with grid nodes")
-    return arr
+    return _on_nodes(arr, nodes.size, 1)
 
 
 def make_grid(m: int, interval=(0.0, 1.0), lam=0.0, eta=0.0) -> GridMeasure:
@@ -193,10 +203,7 @@ class ProductGrid:
 
     def lift(self, fvals) -> np.ndarray:
         """Extend node values on the base grid to the joint nodes."""
-        fvals = np.asarray(fvals, dtype=float)
-        if fvals.shape != (self.grid.size,):
-            raise ValueError("values must align with the base grid nodes")
-        return fvals[self.tindex]
+        return _on_nodes(fvals, self.grid.size, 1)[self.tindex]
 
     def coefficient_moment(self, order: int) -> np.ndarray:
         """Per-node order-th raw moment of the node law, replacing ``lambda**order``."""

@@ -50,7 +50,10 @@ class Pair:
     """One check: two routes to one quantity, compared input by input.
 
     Both routes are called with an input's arguments, and ``scale`` maps
-    their two results to a gap: one number, or an array of them.
+    their two results to a gap: one number, or an array of them.  A route
+    reads only its arguments and the models its suite built: a suite
+    computes no route result while it draws, so every route runs inside
+    its check.
     """
 
     name: str
@@ -73,8 +76,10 @@ class SuiteParams:
             require_int(name, getattr(self, name), low)
         require_int("fiber_nodes", self.fiber_nodes, 4,
                     ": the xfock suite reads the node polynomials up to degree 4")
-        if self.n_max > 6:
-            raise ConfigError("n_max must lie in 1..6 (expansion cost grows fast)")
+        for name, high, why in (("degree", ncpart.NC_LIMIT, "the nc_sum bound"),
+                                ("n_max", 6, "expansion cost grows fast")):
+            if getattr(self, name) > high:
+                raise ConfigError(f"{name} must lie in 1..{high} ({why})")
 
 
 def _rel(a: float, b: float) -> float:
@@ -214,10 +219,11 @@ def suite_cumulant(p: SuiteParams):
     # the closed form is the series plus its exact remainder past degree 30;
     # with atoms in [-1.5, 1.5], f = 0.5 keeps |s f| <= 0.75 inside the radius
     # and large enough that a remainder off by one degree misses the gate
+    transform = functools.partial(cumulant.cumulant_transform, degree=30)
     for label, pg in (("lambda", ProductGrid(ones_grid)), ("fiber", fib_pg)):
-        tr = cumulant.cumulant_transform(0.5 * np.ones(p.m), pg, degree=30)
         yield Pair(f"transform_{label}_closed_vs_series", (
-            lambda tr: tr.closed_form - tr.series, lambda tr: tr.remainder), _gap), [(tr,)]
+            lambda f, pg: (tr := transform(f, pg)).closed_form - tr.series,
+            lambda f, pg: transform(f, pg).remainder), _gap), [(0.5 * np.ones(p.m), pg)]
     # the closed form is the continuous law's; the series reads its moments
     # through degree 28, and an M-atom Gauss rule matches them through 2M - 1
     mei_pg = ProductGrid(ones_grid, semicircle_fibers(ones_grid, max(p.fiber_nodes, 10)))
@@ -299,12 +305,12 @@ def suite_meixner(p: SuiteParams):
     pg, g = sys.model, sys.grid
 
     # recovery through degree 8 needs atoms past the breakdown point
-    rec_nodes = max(p.fiber_nodes, 10)
-    rec = jacobi.coeffs_from_measure(semicircle_fiber(lam0, eta0, rec_nodes), 8)
-    yield Pair("semicircle_recovers_b", (lambda: rec.b, lambda: lam0), _gap), [()]
-    yield Pair("semicircle_recovers_a", (lambda: rec.a[1:], lambda: eta0), _gap), [()]
-    eta_powers = (lambda: rec.g, lambda: eta0 ** np.arange(rec.g.size))
-    yield Pair("norms_are_eta_powers", eta_powers, _gap), [()]
+    fiber = [(semicircle_fiber(lam0, eta0, max(p.fiber_nodes, 10)),)]
+    rec = functools.partial(jacobi.coeffs_from_measure, max_degree=8)
+    yield Pair("semicircle_recovers_b", (lambda fb: rec(fb).b, lambda fb: lam0), _gap), fiber
+    yield Pair("semicircle_recovers_a", (lambda fb: rec(fb).a[1:], lambda fb: eta0), _gap), fiber
+    eta_powers = (lambda fb: rec(fb).g, lambda fb: eta0 ** np.arange(8 + 1))
+    yield Pair("norms_are_eta_powers", eta_powers, _gap), fiber
 
     # one atom: b[0] is the atom, and every other coefficient and norm is exact
     def one_atom():
@@ -334,14 +340,13 @@ def suite_meixner(p: SuiteParams):
     yield Pair("xzero_level_dependence", (lambda: xzero_at(0), lambda: xzero_at(1)),
                lambda r0, r1: [0.0, 0.1 - abs(r0 - r1)], tol=0.0), [()]
 
-    tri = jacobi.meixner_moments(lam0, eta0, 1.0, 8)
     words = [[np.ones(p.m)] * k for k in range(1, 9)]
     for label, route, model in (
         ("big_fock", cumulant.moment, pg),
         ("extended", xfock.xmoment, sys),
         ("nc_sum", cumulant.nc_moment_sum, pg),
     ):
-        routes = (lambda word, model: tri[len(word)], route)
+        routes = (lambda word, model: jacobi.meixner_moments(lam0, eta0, 1.0, 8)[len(word)], route)
         yield Pair(f"meixner_moments_vs_{label}", routes, _rel), [(w, model) for w in words]
 
 

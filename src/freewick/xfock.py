@@ -68,6 +68,7 @@ import numpy as np
 from . import field, fock
 from .errors import CapacityError
 from .fock import FockVector
+from .grid import _on_nodes
 from .jacobi import JacobiSystem, poly_values
 from .ncpart import compositions
 
@@ -156,9 +157,7 @@ def set_component(v: FockVector, ls, arr) -> None:
         raise ValueError(f"invalid multi-index {ls}")
     if multi_index_degree(ls) > v.max_level:
         raise CapacityError(f"multi-index {ls} exceeds degree budget {v.max_level}")
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != (m,) * i:
-        raise ValueError(f"component {ls} must have shape {(m,) * i}")
+    arr = _on_nodes(arr, m, i)
     if max(ls) > space.lmax:
         _require_null_past(space.sys, space.lmax)
         return
@@ -231,8 +230,8 @@ def _field_part(f, v: FockVector, parts: str) -> FockVector:
     only the ``l = 0`` block of the first slot.
     """
     sys, lmax = v.base.sys, v.base.lmax
-    f = fock._node_values(f, sys.grid)
     m = sys.grid.size
+    f = _on_nodes(f, m, 1)
     levels, budget = v.levels, v.max_level
     n = len(levels)
     raising, lowering = "+" in parts, "-" in parts
@@ -287,7 +286,7 @@ def xmoment(fs, sys: JacobiSystem) -> float:
     inner product) so the degree budget stays at half the word length; the
     halves run as the module's rank-one term lists, with no :mod:`fock` code.
     """
-    fs = [np.asarray(f, dtype=float) for f in fs]
+    fs = [_on_nodes(f, sys.grid.size, 1) for f in fs]
     n = len(fs)
     if n == 0:
         return 1.0
@@ -519,9 +518,8 @@ def inner_product_formula(fk, gk, sys: JacobiSystem) -> float:
     kernels are sampled with slot ``j`` repeated ``l_j + 1`` times and the
     product is integrated against the per-slot weights ``w g_{l_j}``.
     """
-    fk = np.asarray(fk, dtype=float)
-    gk = np.asarray(gk, dtype=float)
-    if fk.shape != gk.shape or fk.ndim < 1:
+    fk, gk = _on_nodes(fk, sys.grid.size), _on_nodes(gk, sys.grid.size)
+    if fk.ndim != gk.ndim or fk.ndim < 1:
         raise ValueError("kernels must have equal positive order")
     wg = sys.grid.weights * sys.g
     total = 0.0
@@ -540,7 +538,7 @@ def kernel_lift(kern, sys: JacobiSystem, max_degree: int | None = None) -> FockV
     ``l_j + 1`` times; this is the image of the order-n projection in the
     multi-index picture.
     """
-    kern = np.asarray(kern, dtype=float)
+    kern = _on_nodes(kern, sys.grid.size)
     n = kern.ndim
     out = x_vacuum(sys, n if max_degree is None else max_degree) * (kern if n == 0 else 0.0)
     for ls in multi_indices_exact(n):

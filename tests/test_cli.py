@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import math
 import os
 import stat
@@ -211,7 +212,7 @@ class TestMoments:
         code, out = run(["moments", "--power", "4"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["max_gap"] < 1e-10
+        assert payload["max_abs_gap"] < 1e-10
         for value in payload["paths"].values():
             assert abs(value - 4.0) < 1e-10
 
@@ -222,11 +223,13 @@ class TestMoments:
         code, out = run(["moments", "--power", "2"], capsys)
         assert code == 0
         payload = strict_json(out)
-        assert payload["paths"]["nc_sum"] is None and payload["max_gap"] is None
+        assert payload["paths"]["nc_sum"] is None
+        assert payload["max_gap"] is None and payload["max_abs_gap"] is None
         assert payload["paths"]["big_fock"] == pytest.approx(1.0)
         code, out = run(["moments", "--power", "2", "--format", "text"], capsys)
         assert code == 0
-        assert ["max_gap", "nan"] in [line.split() for line in out.splitlines()]
+        rows = [line.split() for line in out.splitlines()]
+        assert ["max_gap", "nan"] in rows and ["max_abs_gap", "nan"] in rows
 
     def test_text_format(self, tmp_path, capsys):
         # a literal pin: the route table, then the payload's other entries;
@@ -237,14 +240,15 @@ class TestMoments:
                         capsys)
         assert code == 0
         lines = out.splitlines()
-        assert [line.split(":")[0] for line in lines[5:7]] == [
+        assert [line.split(":")[0] for line in lines[6:8]] == [
             "route_seconds.big_fock", "route_seconds.nc_sum"
         ]
-        assert lines[:5] + lines[7:] == [
-            "path      value",
-            "big_fock  3.0",
-            "nc_sum    3.0",
-            "max_gap   0.0",
+        assert lines[:6] + lines[8:] == [
+            "path         value",
+            "big_fock     3.0",
+            "nc_sum       3.0",
+            "max_gap      0.0",
+            "max_abs_gap  0.0",
             "word_length: 4",
         ]
 
@@ -268,7 +272,7 @@ class TestMoments:
         assert code == 0
         payload = json.loads(out)
         assert set(payload["paths"]) == {"big_fock", "extended_fock", "nc_sum"}
-        assert payload["max_gap"] < 1e-10
+        assert payload["max_abs_gap"] < 1e-10
 
     def test_laws_tabulated_below_half_word(self, tmp_path, capsys):
         # shifts past the tabulated degree carry null content (g and a vanish
@@ -284,7 +288,7 @@ class TestMoments:
             assert code == 0
             payload = json.loads(out)
             assert set(payload["paths"]) == routes
-            assert payload["max_gap"] < 1e-10
+            assert payload["max_abs_gap"] < 1e-10
 
     def test_fibers_tabulated_to_half_word(self, tmp_path, capsys):
         # fiber_nodes sizes only the semicircle laws: ten-atom laws given as
@@ -297,7 +301,7 @@ class TestMoments:
         assert code == 0
         payload = json.loads(out)
         assert set(payload["paths"]) == {"big_fock", "extended_fock", "nc_sum"}
-        assert payload["max_gap"] < 1e-10
+        assert payload["max_abs_gap"] < 1e-10
         for value in payload["paths"].values():
             assert abs(value - 122024.9) < 1e-6
 
@@ -323,7 +327,7 @@ class TestMoments:
         assert code == 0
         payload = json.loads(out)
         assert set(payload["paths"]) == {"big_fock", "nc_sum"}
-        assert payload["max_gap"] < 1e-10
+        assert payload["max_abs_gap"] < 1e-10
 
     def test_route_seconds(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -398,7 +402,8 @@ class TestMoments:
         payload = json.loads(out)
         assert payload["word_length"] == 14
         assert payload["paths"] == {"big_fock": 1.0, "extended_fock": 2.0, "nc_sum": 4.0}
-        assert payload["max_gap"] == 3.0
+        # the largest gap is relative, 3/4 between 1 and 4; the absolute one is 3
+        assert payload["max_gap"] == 0.75 and payload["max_abs_gap"] == 3.0
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -465,7 +470,7 @@ class TestMoments:
         assert _capped(15 * 10**8, args)[0] == 0
         payload = json.loads(out.read_text())
         assert set(payload["paths"]) == {"big_fock", "extended_fock", "nc_sum"}
-        assert payload["max_gap"] < 1e-10
+        assert payload["max_abs_gap"] < 1e-10
 
 
 BAD_CONFIGS = [
@@ -530,6 +535,20 @@ def test_unwritable_out_exits_2(args, target, tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == "" and f"cannot write {path}" in err
     assert [p.name for p in tmp_path.iterdir()] == []
+
+
+def test_unknown_log_level_exits_2(capsys, monkeypatch):
+    # refused with its accepted levels, before any work and before the root
+    # logger gains a handler or a level
+    root = logging.getLogger()
+    before = (list(root.handlers), root.level)
+    monkeypatch.setenv("FREEWICK_LOG", "bogus")
+    monkeypatch.setattr(cli.ncpart, "enumerate_nc", _reached)
+    assert cli.main(["partitions", "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: FREEWICK_LOG='bogus'") and "debug, info" in err
+    assert (list(root.handlers), root.level) == before
 
 
 def test_read_only_out_is_kept(tmp_path, capsys, monkeypatch):
@@ -865,6 +884,16 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == "" and "fiber_nodes" in err
 
+    def test_degree_past_nc_limit_refused_before_any_suite(self, tmp_path, capsys, monkeypatch):
+        # the cumulant suite's words reach degree factors, and nc_moment_sum
+        # enumerates at most NC_LIMIT of them: refused before any suite runs
+        monkeypatch.setattr(cli.suites, "run_suite", _reached)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degree": ncpart.NC_LIMIT + 1}))
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "config error: degree must lie in 1..14" in err
+
     @pytest.mark.parametrize(
         "config",
         [{"lambda": 3.0, "eta": 0.0}, {"interval": [0.0, 2.0]}, {"fibers": TWO_LAWS, "m": 2}],
@@ -958,10 +987,11 @@ class TestVerify:
         {"degree": 2.5},
         {"fiber_nodes": 8.0},
         {"m": True},
+        {"degree": 15},
     ],
     ids=[
         "fiber_nodes2", "fiber_nodes3", "n_max0", "n_max7", "seed-1", "m0", "degree0",
-        "m6.5", "seed1.5", "n_max2.5", "degree2.5", "fiber_nodes8.0", "m_true",
+        "m6.5", "seed1.5", "n_max2.5", "degree2.5", "fiber_nodes8.0", "m_true", "degree15",
     ],
 )
 def test_suite_params_refuse_what_suites_cannot_run(params):

@@ -143,6 +143,7 @@ class TestFieldIsThreeParts:
 SHARED = {
     code_key(fock.FockVector.__init__.__code__): "the vector container; it checks level shapes",
     code_key(grid.ProductGrid.size.fget.__code__): "a grid property: the number of joint nodes",
+    code_key(grid._on_nodes.__code__): "the one validator of values over a base; it computes nothing",
 }
 
 

@@ -33,9 +33,9 @@ REFUSALS = {
     "tabulate_no_segments": (
         lambda: grid.make_grid(3, lam={"values": [1.0]}), ValueError, "supply 'segments'"),
     "tabulate_misaligned": (
-        lambda: grid.make_grid(3, lam=ONE), ValueError, "must align with grid nodes"),
+        lambda: grid.make_grid(3, lam=ONE), ValueError, "must have shape (3,), got (2,)"),
     "lift_wrong_shape": (
-        lambda: PG.lift(ONE), ValueError, "align with the base grid nodes"),
+        lambda: PG.lift(ONE), ValueError, "must have shape (3,), got (2,)"),
     "semicircle_no_node": (
         lambda: grid.semicircle_fiber(0.0, 1.0, 0), ValueError, "at least one quadrature node"),
     # jacobi
@@ -71,7 +71,19 @@ REFUSALS = {
     "cumulant_from_moments_empty": (
         lambda: cumulant.cumulant_from_moments([], PG), ValueError, "order must be at least 1"),
     "transform_misaligned": (
-        lambda: cumulant.cumulant_transform(ONE, PG), ValueError, "align with grid nodes"),
+        lambda: cumulant.cumulant_transform(ONE, PG), ValueError, "must have shape (3,), got (2,)"),
+    "cumulant_direct_wrong_shape": (
+        lambda: cumulant.cumulant_direct([[1.0], [1.0]], PG), ValueError,
+        "must have shape (3,), got (1,)"),
+    "nc_moment_sum_wrong_shape": (
+        lambda: cumulant.nc_moment_sum([[1.0], [1.0]], PG), ValueError,
+        "must have shape (3,), got (1,)"),
+    "cumulant_from_moments_wrong_shape": (
+        lambda: cumulant.cumulant_from_moments([[1.0], [1.0]], PG), ValueError,
+        "must have shape (3,), got (1,)"),
+    "meixner_closed_form_wrong_shape": (
+        lambda: cumulant.meixner_transform_closed_form([0.1], G), ValueError,
+        "must have shape (3,), got (1,)"),
     "transform_low_degree": (
         lambda: cumulant.cumulant_transform(np.zeros(3), PG, degree=1), ValueError,
         "degree must be at least 2"),
@@ -95,6 +107,14 @@ REFUSALS = {
         lambda: xfock.set_component(x_vacuum(), (), 1.0), ValueError, "invalid multi-index ()"),
     "component_wrong_shape": (
         lambda: xfock.set_component(x_vacuum(), (0,), ONE), ValueError, "must have shape (3,)"),
+    "xmoment_wrong_shape": (
+        lambda: xfock.xmoment([[1.0], [1.0]], SYS), ValueError, "must have shape (3,), got (1,)"),
+    "inner_formula_wrong_shape": (
+        lambda: xfock.inner_product_formula(np.ones((2, 2)), np.ones((2, 2)), SYS), ValueError,
+        "must have shape (3, 3), got (2, 2)"),
+    "kernel_lift_wrong_shape": (
+        lambda: xfock.kernel_lift(np.ones((2, 2)), SYS), ValueError,
+        "must have shape (3, 3), got (2, 2)"),
     "inner_formula_unequal": (
         lambda: xfock.inner_product_formula(np.ones(3), np.ones((3, 3)), SYS), ValueError,
         "equal positive order"),
