@@ -47,7 +47,7 @@ def _setup_logging() -> None:
     level = os.environ.get("FREEWICK_LOG")
     if not level:
         return
-    if not isinstance(logging.getLevelName(level.upper()), int):
+    if level.upper() not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
         raise ConfigError(f"FREEWICK_LOG={level!r} is not one of debug, info, warning, "
                           "error, critical")
     logging.basicConfig(level=level.upper(), stream=sys.stderr,

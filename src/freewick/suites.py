@@ -305,11 +305,12 @@ def suite_meixner(p: SuiteParams):
     pg, g = sys.model, sys.grid
 
     # recovery through degree 8 needs atoms past the breakdown point
+    degree = 8
     fiber = [(semicircle_fiber(lam0, eta0, max(p.fiber_nodes, 10)),)]
-    rec = functools.partial(jacobi.coeffs_from_measure, max_degree=8)
+    rec = functools.partial(jacobi.coeffs_from_measure, max_degree=degree)
     yield Pair("semicircle_recovers_b", (lambda fb: rec(fb).b, lambda fb: lam0), _gap), fiber
     yield Pair("semicircle_recovers_a", (lambda fb: rec(fb).a[1:], lambda fb: eta0), _gap), fiber
-    eta_powers = (lambda fb: rec(fb).g, lambda fb: eta0 ** np.arange(8 + 1))
+    eta_powers = (lambda fb: rec(fb).g, lambda fb: eta0 ** np.arange(degree + 1))
     yield Pair("norms_are_eta_powers", eta_powers, _gap), fiber
 
     # one atom: b[0] is the atom, and every other coefficient and norm is exact

@@ -537,17 +537,18 @@ def test_unwritable_out_exits_2(args, target, tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == []
 
 
-def test_unknown_log_level_exits_2(capsys, monkeypatch):
+@pytest.mark.parametrize("level", ["bogus", "warn", "notset"])
+def test_unknown_log_level_exits_2(level, capsys, monkeypatch):
     # refused with its accepted levels, before any work and before the root
-    # logger gains a handler or a level
+    # logger gains a handler or a level; logging's aliases are not levels here
     root = logging.getLogger()
     before = (list(root.handlers), root.level)
-    monkeypatch.setenv("FREEWICK_LOG", "bogus")
+    monkeypatch.setenv("FREEWICK_LOG", level)
     monkeypatch.setattr(cli.ncpart, "enumerate_nc", _reached)
     assert cli.main(["partitions", "--n", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("config error: FREEWICK_LOG='bogus'") and "debug, info" in err
+    assert err.startswith(f"config error: FREEWICK_LOG={level!r}") and "debug, info" in err
     assert (list(root.handlers), root.level) == before
 
 
