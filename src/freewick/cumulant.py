@@ -77,20 +77,19 @@ def _rank_one_terms(fs, pg: ProductGrid) -> dict:
     of shape ``(T, k, N)``: the vector there is the sum over ``t`` of
     ``c[t] S[t, 0] (x) ... (x) S[t, k-1]``.
     """
-    w, lam = pg.weights, pg.lambda_values
     levels = {0: (np.ones(1), np.empty((1, 0, pg.size)))}
     for f in fs:
-        wf, lf = w * f, lam * f
+        wf, lf = pg.weights * f, pg.lambda_values * f
         out: dict[int, list] = {}
         for k, (c, s) in levels.items():
             # creation prepends f; annihilation drops slot 0 against w f;
             # the neutral part multiplies slot 0 by lambda f
-            terms = [(k + 1, c, np.concatenate((np.broadcast_to(f, (c.size, 1, f.size)), s), 1))]
+            created = np.empty((c.size, k + 1, f.size))
+            created[:, 0], created[:, 1:] = f, s
+            out.setdefault(k + 1, []).append((c, created))
             if k:
-                terms.append((k - 1, c * (s[:, 0] @ wf), s[:, 1:]))
-                terms.append((k, c, np.concatenate(((s[:, 0] * lf)[:, None], s[:, 1:]), 1)))
-            for level, coef, slots in terms:
-                out.setdefault(level, []).append((coef, slots))
+                out.setdefault(k - 1, []).append((c * (s[:, 0] @ wf), s[:, 1:]))
+                out.setdefault(k, []).append((c, np.concatenate(((s[:, 0] * lf)[:, None], s[:, 1:]), 1)))
         levels = {
             k: (np.concatenate([c for c, _ in parts]), np.concatenate([s for _, s in parts]))
             for k, parts in out.items()

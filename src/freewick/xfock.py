@@ -26,40 +26,35 @@ at a point.  Raising nonzero content past the budget, or shifting it past
 ``L`` where it is not null, raises :class:`CapacityError`; a raising step
 refuses on its input's components, before it allocates any output level.
 
-The Jacobi band is built once per field, as a stack of each node's
-``(L+1) x (L+1)`` matrix times ``f`` (:func:`_jacobi_band`), and the
-dense field and the vacuum moments below both apply it.  The field parts
-are assembled in one pass on each level's ``(l, t, ...)`` view, with no
-one-particle matrix and no :mod:`fock` field primitive.  Each output
-level is allocated once; one batched product over the nodes writes the
-band's image of the first slot into it, then annihilation reads, and
-creation writes, only the ``l = 0`` block of the first slot, which is
-``1/(L+1)`` of the level.
+Each node's ``(L+1) x (L+1)`` Jacobi matrix times ``f`` is one band
+(:func:`_jacobi_band`), built once per field from matrices kept per
+system; the dense field (:func:`_field_part`) and the vacuum moments both
+apply it, with no one-particle matrix and no :mod:`fock` field primitive.
 
 Vacuum moments (:func:`xmoment`) build no dense level.  Every part of the
 field keeps a rank-one tensor over {0..L} x T rank-one: creation prepends
-``f e_0``, annihilation drops the first slot and scales by its weighted dot
-with ``f e_0``, and the band maps the first slot node by node.  So each
-half of a word runs on the vacuum as at most ``3**ceil(n/2)`` weighted
-rank-one terms, and the halves meet in slot dots weighted with ``w g_l``.
-This is code of its own, apart from the big-Fock moments of
-:mod:`cumulant` that the suites compare it with.
+``f e_0``, annihilation drops the first slot against ``f e_0``, and the
+band maps the first slot node by node.  So each half of a word runs on the
+vacuum as at most ``3**ceil(n/2)`` weighted rank-one terms, and the halves
+meet in slot dots weighted with ``w g_l``.  This is code of its own, apart
+from the big-Fock moments of :mod:`cumulant` that the suites compare it with.
 
 The per-slot polynomial transform between this space and the Fock space
 over the joint (node, atom) quadrature is an isometry in exact arithmetic
 and intertwines the two realizations of the field, as the verification
 suites check; the recurrence-built float table loses orthogonality on laws
-of many atoms (ROADMAP item 4).  The map is block-diagonal by
-node, since slot ``l*m + t`` reads only node ``t``'s atoms, so the
-transform and its inverse apply per-node slot blocks of ``(L+1) x N_t``
-to each axis of a level, and no dense map is built.  Both sides come
-from one model, the system's ``model``: the operators that act there
-refuse any other.
+of many atoms (ROADMAP item 4).  Slot ``l*m + t`` reads only node ``t``'s
+atoms, so the map is block-diagonal by node and no dense map is built: the
+transform and its inverse map each axis of a node's slab by one batched
+product per run of adjacent nodes of equal atom count (:func:`_slot_maps`).
+Both sides come from one model, the system's ``model``: the operators that
+act there refuse any other.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import string
 from collections import namedtuple
 
@@ -200,23 +195,30 @@ def _check_budget(levels, lmax: int, m: int, max_degree: int, raised: int) -> No
                 raise CapacityError(f"level {i} content exceeds the degree budget {max_degree}")
 
 
-def _jacobi_band(sys: JacobiSystem, lmax: int, f: np.ndarray, parts: str) -> np.ndarray:
-    """Each node's Jacobi matrix times ``f``, as an ``(m, L+1, L+1)`` stack.
+@functools.lru_cache(maxsize=64)  # keyed by identity, as _slot_space
+def _band_template(sys: JacobiSystem, lmax: int, parts: str) -> np.ndarray:
+    """Each node's Jacobi matrix, as a read-only ``(m, L+1, L+1)`` stack.
 
-    Only the bands named in ``parts`` are kept: ``0`` the diagonal ``b_l f``,
-    ``+`` the shift ``l -> l+1`` below it (``f``) and ``-`` the shift back
-    above it (``a_{l+1} f``).  Node ``t``'s matrix maps the first slot's
+    Only the bands named in ``parts`` are kept: ``0`` the diagonal ``b_l``,
+    ``+`` the shift ``l -> l+1`` below it (ones) and ``-`` the shift back
+    above it (``a_{l+1}``).  Node ``t``'s matrix maps the first slot's
     degrees at ``t``; a shift past ``L`` is dropped.
     """
     band = np.zeros((sys.grid.size, lmax + 1, lmax + 1))
     l = np.arange(lmax + 1)
     if "0" in parts:
-        band[:, l, l] = (sys.b[: lmax + 1] * f).T
+        band[:, l, l] = sys.b[: lmax + 1].T
     if "+" in parts:
-        band[:, l[1:], l[:-1]] = f[:, None]
+        band[:, l[1:], l[:-1]] = 1.0
     if "-" in parts:
-        band[:, l[:-1], l[1:]] = (sys.a[1 : lmax + 1] * f).T
+        band[:, l[:-1], l[1:]] = sys.a[1 : lmax + 1].T
+    band.flags.writeable = False
     return band
+
+
+def _jacobi_band(sys: JacobiSystem, lmax: int, f: np.ndarray, parts: str) -> np.ndarray:
+    """The kept bands of each node's Jacobi matrix times ``f``, a fresh array."""
+    return _band_template(sys, lmax, parts) * f[:, None, None]
 
 
 def _field_part(f, v: FockVector, parts: str) -> FockVector:
@@ -314,32 +316,27 @@ def _half_terms(fs, sys: JacobiSystem) -> dict:
     Level ``k`` maps to coefficients ``c`` of shape ``(T,)`` and slots ``S``
     of shape ``(T, k, L + 1, m)``: the vector there is the sum over ``t``
     of ``c[t] S[t, 0] (x) ... (x) S[t, k-1]``.  Each step stays within the
-    budget, since it raises the degree by at most one.  The Jacobi band of
-    each factor (:func:`_jacobi_band`) maps every term's first slot in one
-    batched product over the nodes.
+    budget, since it raises the degree by at most one.
     """
-    m = sys.grid.size
-    lmax = _slot_depth(sys, len(fs))
+    m, lmax = sys.grid.size, _slot_depth(sys, len(fs))
     w0 = sys.grid.weights * sys.g[0]
     levels = {0: (np.ones(1), np.empty((1, 0, lmax + 1, m)))}
     for f in fs:
-        e0f = np.zeros((lmax + 1, m))
-        e0f[0] = f
         band = _jacobi_band(sys, lmax, f, "+0-")
         out: dict[int, list] = {}
         for k, (c, s) in levels.items():
             # creation prepends f e_0; annihilation drops slot 0 against
             # w g_0 f e_0; the Jacobi band maps slot 0 node by node
-            terms = [(k + 1, c, np.concatenate((np.broadcast_to(e0f, (c.size, 1) + e0f.shape), s), 1))]
+            created = np.zeros((c.size, k + 1, lmax + 1, m))
+            created[:, 0, 0], created[:, 1:] = f, s
+            out.setdefault(k + 1, []).append((c, created))
             if k:
                 s0 = s[:, 0]
-                terms.append((k - 1, c * (s0[:, 0] @ (w0 * f)), s[:, 1:]))
+                out.setdefault(k - 1, []).append((c * (s0[:, 0] @ (w0 * f)), s[:, 1:]))
                 if np.any(s0[:, lmax, f != 0][c != 0]):
                     _require_null_past(sys, lmax)  # the shift would push it past lmax
                 mapped = np.matmul(band, s0.transpose(2, 1, 0)).transpose(2, 1, 0)
-                terms.append((k, c, np.concatenate((mapped[:, None], s[:, 1:]), 1)))
-            for level, coef, slots in terms:
-                out.setdefault(level, []).append((coef, slots))
+                out.setdefault(k, []).append((c, np.concatenate((mapped[:, None], s[:, 1:]), 1)))
         levels = {
             k: (np.concatenate([c for c, _ in parts]), np.concatenate([s for _, s in parts]))
             for k, parts in out.items()
@@ -390,96 +387,105 @@ def _poly_table(sys: JacobiSystem, lmax: int) -> np.ndarray:
     return poly_values(sys.b[: lmax + 1, t], sys.a[: lmax + 1, t], sys.support[t], s)
 
 
-# per node t: its atoms' span of the joint axis, its slots t::m of the slot
-# axis, and the projection onto and synthesis from its polynomials, each
-# (L+1) x N_t
-_SlotBlocks = namedtuple("_SlotBlocks", "spans slots proj synth")
+# per node t: its atoms' span and its slots t::m; per run of adjacent nodes of n
+# atoms each: its nodes, their atoms' span, and their blocks stacked (nodes, L+1, n)
+_SlotBlocks = namedtuple("_SlotBlocks", "spans slots runs")
+_Run = namedtuple("_Run", "nodes span proj synth")
 
 
-# JacobiSystem hashes by identity, so the cache keys on the object and holds
-# it: an id is never reused while its entry lives
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=4)  # keyed by identity, as _slot_space
 def _slot_maps(sys: JacobiSystem) -> _SlotBlocks:
     """Each node's projection onto and synthesis from its polynomials.
 
-    The map between the joint axis and the slots ``l*m + t`` is
-    block-diagonal by node: slot ``l*m + t`` reads only node ``t``'s atoms,
-    which span ``spans[t]`` of the joint axis; its slots are ``slots[t]``
-    of the slot axis.  Synthesis row ``l`` of node ``t`` is ``p_l`` on those
-    atoms; the projection row is that times the atom weights over
-    ``g_l(t)`` (zero where ``g_l(t)`` vanishes).  The tabulated degree must
-    span every fiber.  Built once per system and shared, so the blocks come
-    back read-only.
+    Slot ``l*m + t`` reads only node ``t``'s atoms.  Synthesis row ``l`` of
+    node ``t`` is ``p_l`` on those atoms; the projection row is that times
+    the atom weights over ``g_l(t)`` (zero where ``g_l(t)`` vanishes).
+    Adjacent nodes of as many atoms form a run, whose blocks are stacked:
+    equal fibers make one run.  The tabulated degree must span every fiber.
+    Built once per system and shared, so the stacks come back read-only.
     """
-    pg = sys.model
-    lmax, largest = sys.max_degree, max(fb.size for fb in pg.fibers)
-    if lmax < largest - 1:
-        raise ValueError(
-            f"system tabulated to degree {lmax} cannot span fibers with {largest} atoms"
-        )
-    table = _poly_table(sys, lmax)
-    bounds = np.cumsum([0] + [fb.size for fb in pg.fibers])
+    pg, lmax = sys.model, sys.max_degree
+    sizes = [fb.size for fb in pg.fibers]
+    if lmax < max(sizes) - 1:
+        raise ValueError(f"system tabulated to degree {lmax} cannot span fibers with {max(sizes)} atoms")
+    synth, g = _poly_table(sys, lmax), sys.g[:, pg.tindex]
+    proj = np.divide(synth * pg.fweights, g, out=np.zeros_like(synth), where=g > 0.0)
+    bounds, runs, t = np.cumsum([0] + sizes).tolist(), [], 0
+    for n, run in itertools.groupby(sizes):
+        nodes = slice(t, t + len(list(run)))
+        span = slice(bounds[nodes.start], bounds[nodes.stop])
+        cut = (lmax + 1, nodes.stop - t, n)
+        stacks = [np.ascontiguousarray(x[:, span].reshape(cut).swapaxes(0, 1)) for x in (proj, synth)]
+        for stack in stacks:
+            stack.flags.writeable = False
+        runs.append(_Run(nodes, span, *stacks))
+        t = nodes.stop
     spans = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
-    proj, synth = [], []
-    for t, span in enumerate(spans):
-        s = np.ascontiguousarray(table[:, span])
-        g = sys.g[:, t : t + 1]
-        p = np.divide(s * pg.fweights[span], g, out=np.zeros_like(s), where=g > 0.0)
-        p.flags.writeable = s.flags.writeable = False
-        proj.append(p)
-        synth.append(s)
-    slots = tuple(slice(t, None, pg.grid.size) for t in range(pg.grid.size))
-    return _SlotBlocks(spans, slots, tuple(proj), tuple(synth))
+    slots = tuple(slice(t, None, len(sizes)) for t in range(len(sizes)))
+    return _SlotBlocks(spans, slots, tuple(runs))
 
 
-def _per_node(arr: np.ndarray, mats, srcs, dsts, size: int) -> np.ndarray:
-    """Apply a block-diagonal map to every axis of ``arr``.
+def _per_node(arr: np.ndarray, blocks: _SlotBlocks, width: int, forward: bool) -> np.ndarray:
+    """Apply the map of ``blocks`` to every axis of ``arr``: ``forward``, the
+    joint axis onto the slots of degree below ``width``, else those back.
 
-    On each axis the entries ``srcs[t]`` map by ``mats[t]`` to the entries
-    ``dsts[t]`` of an axis of ``size``, which the ``dsts`` cover once.  The
-    level is cut by node on its first axis: node ``t``'s slab takes one
+    The level is cut by node on its first axis: node ``t``'s slab takes one
     pass per other axis, each mapping the last axis and putting its result
     first (:func:`_last_first`), so after them the slab's axes are back in
-    order; its own product then writes only the rows ``dsts[t]`` of the
-    result.  So the result is the one array of a level's size made here;
-    the others are a slab in size, and the allocator reuses their memory
-    from node to node.
+    order; its own block then writes only node ``t``'s rows of the result.
+    A slot slab is first copied with its other axes node-major, so a run's
+    slots are one span.  So the result is the one array of a level's size
+    made here; the others are a slab in size, two at a time.
     """
     if arr.ndim == 0:
         return arr
+    m = len(blocks.slots)
+    if forward:
+        mats = [p for run in blocks.runs for p in run.proj]
+        cuts, size = zip(blocks.spans, blocks.slots), width * m
+    else:
+        mats = [s[:width].T for run in blocks.runs for s in run.synth]
+        cuts, size = zip(blocks.slots, blocks.spans), blocks.spans[-1].stop
+        # each (l, t) pair of axes past the first swapped to (t, l)
+        node_major = [0] + [j + 1 if j % 2 else j - 1 for j in range(1, 2 * arr.ndim - 1)]
     out = np.empty((size,) * arr.ndim)
-    rows = out.reshape(size, -1)
-    for mat, src, dst in zip(mats, srcs, dsts):
+    for mat, (src, dst) in zip(mats, cuts):
         slab = arr[src]
+        if not forward:
+            pairs = slab.reshape((width,) + (width, m) * (arr.ndim - 1))
+            slab = pairs.transpose(node_major).copy().reshape(slab.shape)
         for _ in range(1, arr.ndim):
-            slab = _last_first(slab, mats, srcs, dsts, size)
-        np.matmul(mat, slab.reshape(-1, slab.shape[-1]).T, out=rows[dst])
+            slab = _last_first(slab, blocks, width, forward)
+        np.matmul(mat, slab.reshape(-1, slab.shape[-1]).T, out=out.reshape(size, -1)[dst])
     return out
 
 
-def _last_first(arr: np.ndarray, mats, srcs, dsts, size: int) -> np.ndarray:
+def _last_first(arr: np.ndarray, blocks: _SlotBlocks, width: int, forward: bool) -> np.ndarray:
     """The map of :func:`_per_node` on the last axis of ``arr``, whose result
-    axis comes first: ``mats[t]`` times the transposed columns ``srcs[t]``
-    is written straight into the rows ``dsts[t]``, one matrix product per
-    node."""
+    axis comes first: one batched product per run, written into its rows."""
     x = arr.reshape(-1, arr.shape[-1])
-    out = np.empty((size, len(x)))
-    for mat, src, dst in zip(mats, srcs, dsts):
-        np.matmul(mat, x[:, src].T, out=out[dst])
-    return out.reshape((size,) + arr.shape[:-1])
+    n = len(x)
+    out = np.empty((width * len(blocks.slots) if forward else blocks.spans[-1].stop, n))
+    for run in blocks.runs:
+        count = len(run.proj)
+        if forward:  # the run's atoms onto its rows l*m + t
+            mats, cols = run.proj, x[:, run.span]
+            rows = out.reshape(width, -1, n)[:, run.nodes].swapaxes(0, 1)
+        else:  # its node-major slots onto its atoms' rows
+            mats, rows = run.synth[:, :width].swapaxes(1, 2), out[run.span].reshape(count, -1, n)
+            cols = x[:, run.nodes.start * width : run.nodes.stop * width]
+        np.matmul(mats, cols.reshape(n, count, -1).transpose(1, 2, 0), out=rows)
+    return out.reshape((-1,) + arr.shape[:-1])
 
 
 def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None) -> FockVector:
     """Per-slot change of basis from atom samples to polynomial coefficients.
 
     Each slot of a level-``i`` array over the joint quadrature is expanded
-    in the node's monic polynomials, by the per-node slot blocks of
-    :func:`_slot_maps`.  An isometry in exact arithmetic (the polynomials
-    are orthogonal for the discrete node laws); the float table loses
-    orthogonality on many-atom laws (ROADMAP item 4).  The result spans
-    every tabulated degree, ``L = sys.max_degree``, so its budget must
-    exceed ``L``; the default is ``max(i, 1) * (L + 1)`` for the top
-    nonzero level ``i``.
+    in the node's monic polynomials, by the slot blocks of :func:`_slot_maps`.
+    The result spans every tabulated degree, ``L = sys.max_degree``, so its
+    budget must exceed ``L``; the default is ``max(i, 1) * (L + 1)`` for the
+    top nonzero level ``i``.
     """
     _require_model(v, sys)
     blocks = _slot_maps(sys)
@@ -487,9 +493,7 @@ def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None)
     max_degree = max(top, 1) * (lmax + 1) if max_degree is None else max_degree
     if max_degree <= lmax:
         raise ValueError(f"degree budget {max_degree} cannot hold the slots 0..{lmax}")
-    size = (lmax + 1) * sys.grid.size
-    levels = [_per_node(a, blocks.proj, blocks.spans, blocks.slots, size)
-              for a in v.levels[: top + 1]]
+    levels = [_per_node(a, blocks, lmax + 1, True) for a in v.levels[: top + 1]]
     # the output's degrees depend on the node supports, so the output decides
     _check_budget(levels, lmax, sys.grid.size, max_degree, 0)
     return FockVector(_slot_space(sys, lmax), levels, max_degree)
@@ -497,11 +501,9 @@ def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None)
 
 def k_inverse(xv: FockVector) -> FockVector:
     """Reconstruct the vector over the system's model from polynomial coefficients."""
-    sys = xv.base.sys
-    blocks = _slot_maps(sys)
-    mats = [s[: xv.base.lmax + 1].T for s in blocks.synth]
-    levels = [_per_node(a, mats, blocks.slots, blocks.spans, sys.model.size) for a in xv.levels]
-    return FockVector(sys.model, levels)
+    blocks = _slot_maps(xv.base.sys)
+    levels = [_per_node(a, blocks, xv.base.lmax + 1, False) for a in xv.levels]
+    return FockVector(xv.base.sys.model, levels)
 
 
 def _diagonal(kern: np.ndarray, ls) -> np.ndarray:
@@ -564,9 +566,6 @@ def power_jump(l: int, delta, v: FockVector, sys: JacobiSystem, orthogonal: bool
     delta = np.asarray(delta)
     if delta.dtype != bool or delta.shape != (pg.grid.size,):
         raise ValueError("the window must be a boolean mask over the base grid nodes")
-    if orthogonal:
-        vals = _poly_table(sys, l)[l]
-    else:
-        vals = pg.svalues**l
+    vals = _poly_table(sys, l)[l] if orthogonal else pg.svalues**l
     kern = delta[pg.tindex] * vals
     return field.monomial_apply(kern, v)

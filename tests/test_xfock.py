@@ -351,30 +351,37 @@ class TestKTransform:
 
     def test_slot_maps_built_once_per_system(self, meixner, general, rng):
         _, _, pg, sys = meixner
+
+        def stacks(blocks):
+            return [x for run in blocks.runs for x in (run.proj, run.synth)]
+
         blocks = xfock._slot_maps(sys)
         xfock.k_inverse(xfock.k_transform(headroom(pg, rng), sys))
         again = xfock._slot_maps(sys)
-        assert all(a is b for a, b in zip(again.proj + again.synth, blocks.proj + blocks.synth))
-        assert not any(a.flags.writeable for a in blocks.proj + blocks.synth)
+        assert len(stacks(again)) == len(stacks(blocks)) > 0
+        assert all(a is b for a, b in zip(stacks(again), stacks(blocks)))
+        assert not any(a.flags.writeable for a in stacks(blocks))
         # another system, even of the same model, gets blocks of its own
-        assert xfock._slot_maps(general[3]).proj[0] is not blocks.proj[0]
-        assert xfock._slot_maps(JacobiSystem(pg, M_FIBER)).proj[0] is not blocks.proj[0]
+        assert xfock._slot_maps(general[3]).runs[0].proj is not blocks.runs[0].proj
+        assert xfock._slot_maps(JacobiSystem(pg, M_FIBER)).runs[0].proj is not blocks.runs[0].proj
 
     def test_transform_scratch_is_a_node_slab(self, meixner, rng):
         # the result is the one level-sized array: the rest is two arrays of
         # one node's slab, 1/5 of the level here each, where a level-sized
         # array per axis, as a transform axis by axis makes, takes 2 to 2.8
-        # times the result
+        # times the result; the inverse first copies its slab node-major, and
+        # that copy is the first of its two
         _, _, pg, sys = meixner
         v = fock.random_vector(pg, 3, rng)
-        xfock.k_transform(v, sys)  # the slot blocks, built once
-        tracemalloc.start()
-        try:
-            xv = xfock.k_transform(v, sys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.6 * xv.levels[3].nbytes
+        xv = xfock.k_transform(v, sys)  # the slot blocks, built once
+        for transform in (lambda: xfock.k_transform(v, sys), lambda: xfock.k_inverse(xv)):
+            tracemalloc.start()
+            try:
+                result = transform()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.6 * result.levels[3].nbytes
 
     def test_requires_spanning_degree(self, meixner, rng):
         _, _, pg, _ = meixner
@@ -385,17 +392,20 @@ class TestKTransform:
 
 
 class TestRaggedBlocks:
-    """The per-node slot blocks against the dense joint-to-slot map, on fibers
-    of unequal sizes: a point mass, a law with fewer atoms than ``L + 1``,
-    and laws of 3, 5 and 8 atoms."""
+    """The stacked slot blocks against the dense joint-to-slot map, on every
+    layout the runs of equal atom counts can take: fibers of unequal sizes
+    (a point mass, laws with fewer atoms than ``L + 1``, and laws of 3, 5
+    and 8 atoms; one run per node), five equal laws (one run), one cell,
+    and runs of two and three nodes side by side."""
 
     L = 9
 
-    @pytest.fixture
-    def sys(self, rng):
-        g = grid.make_grid(5, lam=0.3, eta=0.5)
+    @pytest.fixture(params=[[3, 1, 8, 2, 5], [5] * 5, [6], [2, 2, 6, 6, 6]],
+                    ids=["ragged", "equal", "one-cell", "runs"])
+    def sys(self, request, rng):
+        g = grid.make_grid(len(request.param), lam=0.3, eta=0.5)
         fibers = []
-        for n in [3, 1, 8, 2, 5]:
+        for n in request.param:
             w = rng.uniform(0.2, 1.0, size=n)
             fibers.append(grid.FiberMeasure(np.sort(rng.uniform(-1.5, 1.5, size=n)), w / w.sum()))
         return JacobiSystem(ProductGrid(g, fibers), self.L)
@@ -435,7 +445,7 @@ class TestRaggedBlocks:
         _, synth = self.dense_maps(sys)
         xv = xfock.x_vacuum(sys, 3)
         for _ in range(3):
-            xv = xfock.xfield(rng.standard_normal(5), xv)
+            xv = xfock.xfield(rng.standard_normal(sys.grid.size), xv)
         assert xv.base.lmax == 2 < sys.max_degree and len(xv.levels) == 4
         back = xfock.k_inverse(xv)
         assert back.base is sys.model
@@ -715,14 +725,29 @@ class TestOnePassField:
 def test_band_is_each_nodes_jacobi_matrix_times_f(general, rng):
     _, _, _, sys = general
     f, lmax = rng.standard_normal(M_GRID), 4
+
+    def assert_jacobi_times_f(band):
+        assert band.shape == (M_GRID, lmax + 1, lmax + 1)
+        for t in range(M_GRID):
+            jacobi_t = (np.diag(sys.b[: lmax + 1, t]) + np.diag(np.ones(lmax), -1)
+                        + np.diag(sys.a[1 : lmax + 1, t], 1))
+            assert np.array_equal(band[t], f[t] * jacobi_t)
+
     band = xfock._jacobi_band(sys, lmax, f, "+0-")
-    assert band.shape == (M_GRID, lmax + 1, lmax + 1)
-    for t in range(M_GRID):
-        jacobi_t = (np.diag(sys.b[: lmax + 1, t]) + np.diag(np.ones(lmax), -1)
-                    + np.diag(sys.a[1 : lmax + 1, t], 1))
-        assert np.array_equal(band[t], f[t] * jacobi_t)
+    assert_jacobi_times_f(band)
     parts = sum(xfock._jacobi_band(sys, lmax, f, part) for part in "+0-")
     assert np.array_equal(parts, band)
+    # each call returns an array of its own: a caller that writes into its
+    # band, as the mutant below does, leaves the next call's band unchanged
+    again = xfock._jacobi_band(sys, lmax, f, "+0-")
+    assert band.flags.writeable and again.flags.writeable
+    assert not np.shares_memory(band, again)
+    band[:] = np.nan
+    again[:, 0, 0] = 7.0
+    assert_jacobi_times_f(xfock._jacobi_band(sys, lmax, f, "+0-"))
+    # the node matrices behind them are built once per (system, L, parts), read-only
+    template = xfock._band_template(sys, lmax, "+0-")
+    assert template is xfock._band_template(sys, lmax, "+0-") and not template.flags.writeable
 
 
 def test_band_mutant_fails_a_field_and_a_moment_check(monkeypatch):
