@@ -7,10 +7,11 @@ class FreewickError(Exception):
 
 
 class CapacityError(FreewickError):
-    """A creation/raising step would exceed the allocated level or degree budget.
+    """A raising step would push nonzero content past a vector's level
+    budget, or past the slot depth ``L`` where that content is not null.
 
-    Budgets are computed from polynomial degree up front; exceeding one is a
-    caller bug, never something to truncate silently.
+    Budgets are set up front, from the number of fields a caller applies;
+    exceeding one is a caller bug, never something to truncate silently.
     """
 
 

@@ -39,12 +39,13 @@ all scratch (memo tables, unsorted work lists) is freed by reference
 counting when the call that built it returns, not at a later
 garbage-collector pass.
 
-Since they make no cycles, the routes (:func:`enumerate_nc`,
-:func:`enumerate_gn`, :func:`enumerate_interval`,
-:func:`brute_noncrossing_count` and :func:`brute_gn`) run with the cyclic
-garbage collector paused (:func:`_collector_paused`).  Every record is a
-tracked container, so with the collector on, the records a route builds
-set off collections that rescan them all and free nothing.
+Since they make no cycles, the routes that build records
+(:func:`enumerate_nc`, :func:`enumerate_gn`, :func:`enumerate_interval`
+and :func:`brute_gn`) run with the cyclic garbage collector paused
+(:func:`_collector_paused`).  Every record is a tracked container, so
+with the collector on, the records a route builds set off collections
+that rescan them all and free nothing.  The count oracle
+:func:`brute_noncrossing_count` builds no record and runs unpaused.
 
 All functions are pure: the enumerators return fresh lists of immutable
 records.  The collector switch is process-wide, so a thread that turns the
@@ -403,7 +404,6 @@ def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
 # brute-force oracles
 # ---------------------------------------------------------------------------
 
-@_collector_paused
 def brute_noncrossing_count(n: int) -> tuple[int, int]:
     """Count-only oracle ``(total set partitions, non-crossing ones)``.
 

@@ -12,9 +12,11 @@ Each (system, ``L``) has one slot space, built once, so :func:`fock.inner`,
 two systems do not mix.  Level ``i`` has shape
 ``((L+1)m,)*i``; its multi-index component ``(l_1, ..., l_i)`` is the
 slice at those ``l``, of degree ``sum(l) + i``.  The vector's
-``max_level`` is its degree budget, a capacity check rather than an
-allocation: ``L`` is the smaller of the system's tabulated degree and
-``max_level - 1``.
+``max_level`` is its level budget, the rule of every
+:class:`fock.FockVector`: memory stays bounded by the level count.  A
+budget of ``n`` is room for ``n`` fields on the vacuum, whose components
+reach degree ``n``, so ``L`` is the smaller of the system's tabulated
+degree and ``n - 1``.
 
 The field is creation and annihilation at ``l = 0`` plus the node's
 Jacobi matrix times ``f`` on the first slot.  Raising creates at
@@ -22,9 +24,9 @@ Jacobi matrix times ``f`` on the first slot.  Raising creates at
 it by ``b_l f``; lowering annihilates at ``l = 0`` and shifts
 ``l -> l-1`` times ``a_l f``.  With level-independent
 coefficients these collapse to the closed second-order form of the field
-at a point.  Raising nonzero content past the budget, or shifting it past
-``L`` where it is not null, raises :class:`CapacityError`; a raising step
-refuses on its input's components, before it allocates any output level.
+at a point.  Raising nonzero content at the budget's level, or shifting it
+past ``L`` where it is not null, raises :class:`CapacityError`; a raising
+step refuses on its input, before it allocates any output level.
 
 Each node's ``(L+1) x (L+1)`` Jacobi matrix times ``f`` is one band
 (:func:`_jacobi_band`), built once per field from matrices kept per
@@ -100,10 +102,6 @@ def _slot_space(sys: JacobiSystem, lmax: int) -> _SlotSpace:
     return _SlotSpace(sys, lmax, weights.size, weights)
 
 
-def multi_index_degree(ls: tuple[int, ...]) -> int:
-    return sum(ls) + len(ls)
-
-
 def multi_indices_exact(n: int):
     """All multi-indices of degree exactly n (compositions, parts shifted by 1)."""
     for i in range(1, n + 1):
@@ -121,12 +119,12 @@ def _blocks(v: FockVector, i: int) -> np.ndarray:
 
 
 def _slot_depth(sys: JacobiSystem, max_degree: int) -> int:
-    """``L`` under the degree budget ``max_degree``: the most one slot can hold, if tabulated."""
+    """``L`` with room for ``max_degree`` fields: the most one slot can hold, if tabulated."""
     return max(0, min(sys.max_degree, max_degree - 1))
 
 
 def x_vacuum(sys: JacobiSystem, max_degree: int) -> FockVector:
-    """The vacuum, with degree budget ``max_degree``."""
+    """The vacuum, with room for ``max_degree`` fields: its level budget."""
     return FockVector(_slot_space(sys, _slot_depth(sys, max_degree)), [1.0], max_degree)
 
 
@@ -150,8 +148,8 @@ def set_component(v: FockVector, ls, arr) -> None:
     m = space.sys.grid.size
     if any(l < 0 for l in ls) or not ls:
         raise ValueError(f"invalid multi-index {ls}")
-    if multi_index_degree(ls) > v.max_level:
-        raise CapacityError(f"multi-index {ls} exceeds degree budget {v.max_level}")
+    if i > v.max_level:
+        raise CapacityError(f"multi-index {ls} exceeds level budget {v.max_level}")
     arr = _on_nodes(arr, m, i)
     if max(ls) > space.lmax:
         _require_null_past(space.sys, space.lmax)
@@ -163,19 +161,6 @@ def set_component(v: FockVector, ls, arr) -> None:
     v.levels[i] = blocks.reshape(v.levels[i].shape)
 
 
-def _nonzero_components(arr: np.ndarray, lmax: int, m: int, i: int) -> np.ndarray:
-    """Whether each component ``(l_1, ..., l_i)`` of the level-``i`` array
-    ``arr`` holds a nonzero entry, as a boolean array of shape ``(lmax+1,)*i``.
-
-    The ``t`` axes are reduced one at a time, the first slot's first, so
-    every reduction runs over contiguous rows.
-    """
-    nonzero = arr != 0
-    for j in range(1, i + 1):
-        nonzero = nonzero.reshape(((lmax + 1) ** j, m, -1)).any(axis=1)
-    return nonzero.reshape((lmax + 1,) * i)
-
-
 def _require_null_past(sys: JacobiSystem, lmax: int) -> None:
     """Raise unless content past degree ``lmax`` is null.
 
@@ -184,15 +169,6 @@ def _require_null_past(sys: JacobiSystem, lmax: int) -> None:
     """
     if np.any(sys.support > lmax + 1):
         raise CapacityError(f"nonzero content past degree {lmax} exceeds the budget or tabulation")
-
-
-def _check_budget(levels, lmax: int, m: int, max_degree: int, raised: int) -> None:
-    """Raise unless every nonzero component, ``raised`` degrees up, fits ``max_degree``."""
-    for i, arr in enumerate(levels):
-        if i * (lmax + 1) + raised > max_degree:
-            nonzero = _nonzero_components(arr, lmax, m, i)
-            if np.any(nonzero[np.indices(nonzero.shape).sum(axis=0) + i + raised > max_degree]):
-                raise CapacityError(f"level {i} content exceeds the degree budget {max_degree}")
 
 
 @functools.lru_cache(maxsize=64)  # keyed by identity, as _slot_space
@@ -229,7 +205,8 @@ def _field_part(f, v: FockVector, parts: str) -> FockVector:
     of each input level by one batched product over the nodes, written
     straight into the output level's ``(l, t, ...)`` view; then
     annihilation and creation at ``l = 0`` add in, reading and writing
-    only the ``l = 0`` block of the first slot.
+    only the ``l = 0`` block of the first slot.  Creation alone feeds a
+    new top level, so it writes that block in place.
     """
     sys, lmax = v.base.sys, v.base.lmax
     m = sys.grid.size
@@ -238,12 +215,12 @@ def _field_part(f, v: FockVector, parts: str) -> FockVector:
     n = len(levels)
     raising, lowering = "+" in parts, "-" in parts
     if raising and np.any(f):
+        # the input decides, before any level is allocated, as in fock.create
+        if n > budget and np.any(levels[budget]):
+            raise CapacityError(f"raising would push level {budget} content past the budget")
         for arr in levels[1:]:
             if np.any(arr.reshape((lmax + 1, m, -1))[lmax, f != 0]):
                 _require_null_past(sys, lmax)  # the shift would push it past lmax
-        # creation puts each nonzero component one degree up, past the reach
-        # of any other part: so the input decides, before any level is allocated
-        _check_budget(levels, lmax, m, budget, 1)
     band = _jacobi_band(sys, lmax, f, parts)
     w0f = v.base.weights[:m] * f  # w g_0 f, the weights of the l = 0 block
     out = []
@@ -255,7 +232,9 @@ def _field_part(f, v: FockVector, parts: str) -> FockVector:
             np.matmul(band, x.transpose(1, 0, 2), out=y.transpose(1, 0, 2))
         if lowering and k + 1 < n:
             level += (w0f @ levels[k + 1].reshape((lmax + 1, m, -1))[0]).reshape(level.shape)
-        if raising and k:
+        if raising and k == n:
+            np.multiply.outer(f, levels[k - 1].ravel(), out=y[0])
+        elif raising and k:
             y[0] += f[:, None] * levels[k - 1].reshape(1, -1)
         out.append(level)
     return FockVector(v.base, fock._trim(out), budget)
@@ -285,7 +264,7 @@ def xmoment(fs, sys: JacobiSystem) -> float:
     """Vacuum expectation of a field word, computed in this realization.
 
     Splits the word in half (the field is self-adjoint for the weighted
-    inner product) so the degree budget stays at half the word length; the
+    inner product) so each half needs room for half the word's fields; the
     halves run as the module's rank-one term lists, with no :mod:`fock` code.
     """
     fs = [_on_nodes(f, sys.grid.size, 1) for f in fs]
@@ -312,11 +291,12 @@ def xmoment_bytes(n: int, pg) -> int:
 def _half_terms(fs, sys: JacobiSystem) -> dict:
     """The fields of ``fs``, first one first, on ``x_vacuum`` as rank-one terms.
 
-    The budget is ``len(fs)``, so ``L = min(sys.max_degree, len(fs) - 1)``.
-    Level ``k`` maps to coefficients ``c`` of shape ``(T,)`` and slots ``S``
-    of shape ``(T, k, L + 1, m)``: the vector there is the sum over ``t``
-    of ``c[t] S[t, 0] (x) ... (x) S[t, k-1]``.  Each step stays within the
-    budget, since it raises the degree by at most one.
+    There is room for ``len(fs)`` fields, so ``L = min(sys.max_degree,
+    len(fs) - 1)``.  Level ``k`` maps to coefficients ``c`` of shape
+    ``(T,)`` and slots ``S`` of shape ``(T, k, L + 1, m)``: the vector
+    there is the sum over ``t`` of ``c[t] S[t, 0] (x) ... (x) S[t, k-1]``.
+    Each step stays within that room, since it raises the degree by at
+    most one.
     """
     m, lmax = sys.grid.size, _slot_depth(sys, len(fs))
     w0 = sys.grid.weights * sys.g[0]
@@ -483,20 +463,16 @@ def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None)
 
     Each slot of a level-``i`` array over the joint quadrature is expanded
     in the node's monic polynomials, by the slot blocks of :func:`_slot_maps`.
-    The result spans every tabulated degree, ``L = sys.max_degree``, so its
-    budget must exceed ``L``; the default is ``max(i, 1) * (L + 1)`` for the
-    top nonzero level ``i``.
+    The result spans every tabulated degree, ``L = sys.max_degree``.  It
+    keeps the input's level budget, unless ``max_degree`` gives room for
+    that many fields instead.
     """
     _require_model(v, sys)
     blocks = _slot_maps(sys)
     lmax, top = sys.max_degree, max(fock.top_level(v), 0)
-    max_degree = max(top, 1) * (lmax + 1) if max_degree is None else max_degree
-    if max_degree <= lmax:
-        raise ValueError(f"degree budget {max_degree} cannot hold the slots 0..{lmax}")
     levels = [_per_node(a, blocks, lmax + 1, True) for a in v.levels[: top + 1]]
-    # the output's degrees depend on the node supports, so the output decides
-    _check_budget(levels, lmax, sys.grid.size, max_degree, 0)
-    return FockVector(_slot_space(sys, lmax), levels, max_degree)
+    budget = v.max_level if max_degree is None else max_degree
+    return FockVector(_slot_space(sys, lmax), levels, budget)
 
 
 def k_inverse(xv: FockVector) -> FockVector:
@@ -538,7 +514,8 @@ def kernel_lift(kern, sys: JacobiSystem, max_degree: int | None = None) -> FockV
 
     Component ``(l_1..l_i)`` is the kernel sampled with slot ``j`` repeated
     ``l_j + 1`` times; this is the image of the order-n projection in the
-    multi-index picture.
+    multi-index picture.  ``max_degree``, the order by default, is the
+    room for that many fields: the result's level budget.
     """
     kern = _on_nodes(kern, sys.grid.size)
     n = kern.ndim

@@ -429,11 +429,11 @@ def test_search_helpers_stay_on_their_side(monkeypatch):
 # the reason that running it merges no two routes
 COUNT_SHARED = {
     code_key(ncpart._check_bound.__code__): "refuses an n out of range before any search",
-    # every paused route runs the same wrapper code
-    code_key(ncpart.brute_gn.__code__): "the _collector_paused wrapper: collector policy, no partition data",
 }
 MARKED_SHARED = {
     **COUNT_SHARED,
+    # every paused route runs the same wrapper code
+    code_key(ncpart.brute_gn.__code__): "the _collector_paused wrapper: collector policy, no partition data",
     code_key(ncpart._records.__code__): "builds records of finished block tuples; counts and searches nothing",
     code_key(ncpart._marked_records.__code__): "expands finished (blocks, choices) into records; searches nothing",
     code_key(ncpart._drain.__code__): "runs the record builders' C maps for their side effects",
@@ -508,7 +508,9 @@ class TestRecords:
         assert not {id(mp.partition) for mp in direct} & {id(mp.partition) for mp in brute}
 
 
-# every route that runs with the cyclic collector paused, with its bound
+# every partition route, with its bound: those that build records run with
+# the cyclic collector paused, the count oracle unpaused, and each must
+# leave the collector as it found it
 PAUSED_ROUTES = [
     (ncpart.enumerate_nc, ncpart.NC_LIMIT),
     (ncpart.enumerate_gn, ncpart.MARKED_LIMIT),

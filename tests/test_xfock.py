@@ -88,11 +88,11 @@ class TestGradedActions:
         xfock.set_component(v, (1, 0), rng.standard_normal((M_GRID, M_GRID)))
         deg = 3
         for ls in components(xfock.xplus(f, v)):
-            assert xfock.multi_index_degree(ls) == deg + 1
+            assert sum(ls) + len(ls) == deg + 1
         for ls in components(xfock.xzero(f, v)):
-            assert xfock.multi_index_degree(ls) == deg
+            assert sum(ls) + len(ls) == deg
         for ls in components(xfock.xminus(f, v)):
-            assert xfock.multi_index_degree(ls) == deg - 1
+            assert sum(ls) + len(ls) == deg - 1
 
     def test_meixner_preserving_part_is_uniform(self, meixner, rng):
         # constant recurrence coefficients: one multiplier at every level
@@ -301,7 +301,7 @@ class TestKTransform:
             v = headroom(pg, rng)
             f = rng.standard_normal(M_GRID)
             lhs = xfock.k_transform(xfock.big_fock_realize(f, v), sys)
-            rhs = xfock.xfield(f, xfock.k_transform(v, sys, max_degree=lhs.max_level + 1))
+            rhs = xfock.xfield(f, xfock.k_transform(v, sys))
             num = fock.norm(lhs - rhs)
             assert num <= 1e-10 * max(fock.norm(lhs), 1.0)
 
@@ -315,20 +315,21 @@ class TestKTransform:
         # transformed field words applied to the vacuum agree componentwise
         # at reachable degrees; beyond the word length the exact content is
         # zero and only weighted-norm noise remains (tiny squared norms
-        # amplify roundoff in raw coefficients); both sides are built at one
-        # budget, so they share a slot space
+        # amplify roundoff in raw coefficients); the right side has room
+        # for every tabulated degree, as the transform spans, so both sides
+        # share a slot space
         g, _, pg, sys = general
         fs = [rng.standard_normal(M_GRID) for _ in range(3)]
         big = fock.vacuum(pg, 3)
         for f in reversed(fs):
             big = xfock.big_fock_realize(f, big)
         lhs = xfock.k_transform(big, sys)
-        rhs = xfock.x_vacuum(sys, lhs.max_level)
+        rhs = xfock.x_vacuum(sys, sys.max_degree + 1)
         for f in reversed(fs):
             rhs = xfock.xfield(f, rhs)
         assert rhs.base is lhs.base
         for ls in set(components(lhs)) | set(components(rhs)):
-            if xfock.multi_index_degree(ls) <= 3:
+            if sum(ls) + len(ls) <= 3:
                 diff = np.abs(xfock.component(lhs, ls) - xfock.component(rhs, ls)).max()
                 assert diff < 1e-10, ls
         assert abs(float(lhs.levels[0]) - float(rhs.levels[0])) < 1e-10
@@ -490,8 +491,17 @@ class TestOneModel:
             assert fock.norm(back - v) <= 1e-10 * fock.norm(v)
 
 
+def refusal_peak(call) -> int:
+    """The tracemalloc peak of ``call``, which must raise :class:`CapacityError`."""
+    def refused():
+        with pytest.raises(CapacityError, match="past the budget"):
+            call()
+
+    return peak_bytes(refused)
+
+
 class TestBudgetRefusals:
-    """Content past a degree budget is refused, never truncated."""
+    """Content past a level budget is refused, never truncated."""
 
     @pytest.fixture
     def sys(self):
@@ -499,49 +509,53 @@ class TestBudgetRefusals:
         return JacobiSystem(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 6)
 
     def test_field_past_budget_raises(self, sys, rng):
-        # (0, 1) has degree 3 = the budget; creation and the first-slot shift
-        # raise it to degree 4, inside L = 2, so only the budget check sees it
+        # (0, 0, 0) fills level 3 = the budget; creation would raise it to
+        # level 4, and its first slot, at l = 0, shifts inside L = 2, so only
+        # the level budget sees it
         v = xfock.x_vacuum(sys, 3) * 0.0
         assert v.base.lmax == 2
-        xfock.set_component(v, (0, 1), rng.standard_normal((4, 4)))
-        with pytest.raises(CapacityError, match="content exceeds the degree budget 3"):
+        xfock.set_component(v, (0, 0, 0), rng.standard_normal((4, 4, 4)))
+        with pytest.raises(CapacityError, match="level 3 content past the budget"):
             xfock.xfield(np.ones(4), v)
 
     def test_field_refuses_before_it_allocates(self, rng):
-        # at m = 40 one output level 3 over the slots {0..2} x 40 is 13.8 MB;
-        # the refusal reads the input alone, so it peaks far below that
+        # at m = 40 one level 3 over the slots {0..2} x 40 is 13.8 MB; the
+        # refusal reads the input alone, so it peaks far below that
         g = grid.make_grid(40, lam=1.0, eta=1.0)
         sys = JacobiSystem(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), 6)
         v = xfock.x_vacuum(sys, 3) * 0.0
-        xfock.set_component(v, (0, 1), rng.standard_normal((40, 40)))
-        f = np.ones(40)
+        xfock.set_component(v, (0, 0, 0), rng.standard_normal((40, 40, 40)))
         level3 = v.base.size**3 * 8
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError, match="content exceeds the degree budget 3"):
-                xfock.xfield(f, v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < level3
+        assert refusal_peak(lambda: xfock.xfield(np.ones(40), v)) < level3
 
     def test_set_component_past_budget_raises(self, sys, rng):
         v = xfock.x_vacuum(sys, 3) * 0.0
-        with pytest.raises(CapacityError, match="exceeds degree budget 3"):
-            xfock.set_component(v, (1, 1), rng.standard_normal((4, 4)))
+        with pytest.raises(CapacityError, match="exceeds level budget 3"):
+            xfock.set_component(v, (0, 0, 0, 0), rng.standard_normal((4,) * 4))
+        xfock.set_component(v, (2, 2, 2), rng.standard_normal((4,) * 3))
 
-    def test_k_transform_budget_must_span_the_slots(self, meixner, rng):
+    def test_k_transform_keeps_the_budget(self, meixner, rng):
         _, _, pg, sys = meixner
-        v = fock.random_vector(pg, 1, rng)
-        with pytest.raises(ValueError, match="cannot hold the slots"):
-            xfock.k_transform(v, sys, max_degree=sys.max_degree)
-        assert xfock.k_transform(v, sys, max_degree=sys.max_degree + 1).max_level == sys.max_degree + 1
+        for budget in (1, 3):
+            v = fock.FockVector(pg, fock.random_vector(pg, 1, rng).levels, budget)
+            assert xfock.k_transform(v, sys).max_level == budget
+            assert xfock.k_transform(v, sys, max_degree=7).max_level == 7
 
     def test_k_transform_of_the_vacuum(self, meixner):
         _, _, pg, sys = meixner
         xv = xfock.k_transform(2.5 * fock.vacuum(pg, 3), sys)
-        assert xv.base.lmax == sys.max_degree and xv.max_level == sys.max_degree + 1
+        assert xv.base.lmax == sys.max_degree and xv.max_level == 3
         assert len(xv.levels) == 1 and float(xv.levels[0]) == 2.5
+
+    def test_field_past_a_transformed_budget_refuses_before_it_allocates(self, meixner, rng):
+        # the transform keeps its input's budget 2, so a field on its full
+        # level 2 is refused, reading the input alone: one level 3 over its
+        # slots {0..8} x 5 would be 729 kB
+        _, _, pg, sys = meixner
+        xv = xfock.k_transform(fock.random_vector(pg, 2, rng), sys)
+        assert xv.max_level == 2 and len(xv.levels) == 3
+        level3 = xv.base.size**3 * 8
+        assert refusal_peak(lambda: xfock.xfield(rng.standard_normal(M_GRID), xv)) < level3 / 10
 
 
 class TestInnerProductFormula:
@@ -699,11 +713,27 @@ class TestOnePassField:
             assert one.max_level == parts.max_level and len(one.levels) == len(parts.levels)
             assert fock.distance(one, parts) <= 1e-14 * fock.norm(parts)
 
+    def test_new_top_level_is_written_in_place(self, rng):
+        # creation alone feeds the new top level, and writes it into the
+        # level with no (m x rest) temporary: at m = 12 the third field on
+        # the vacuum peaks at 1.37 times its level 3, and 1.70 with one
+        g = grid.make_grid(12, lam=1.0, eta=1.0)
+        sys = JacobiSystem(ProductGrid(g, grid.semicircle_fibers(g, M_FIBER)), M_FIBER)
+        v = xfock.x_vacuum(sys, 3)
+        for _ in range(2):
+            v = xfock.xfield(rng.standard_normal(12), v)
+        f = rng.standard_normal(12)
+        xfock.xfield(f, v)  # the band template, built once
+        out = []
+        peak = peak_bytes(lambda: out.append(xfock.xfield(f, v)))
+        assert len(out[0].levels) == 4
+        assert peak < 1.5 * out[0].levels[3].nbytes
+
     def test_raises_where_the_raising_part_does(self, meixner, rng):
         _, _, _, sys = meixner
         f = rng.standard_normal(M_GRID)
-        over_budget = xfock.x_vacuum(sys, 3) * 0.0  # (0, 1) raises to degree 4
-        xfock.set_component(over_budget, (0, 1), rng.standard_normal((M_GRID, M_GRID)))
+        over_budget = xfock.x_vacuum(sys, 3) * 0.0  # (0, 0, 0) raises to level 4
+        xfock.set_component(over_budget, (0, 0, 0), rng.standard_normal((M_GRID,) * 3))
         past_l = xfock.x_vacuum(sys, 3) * 0.0  # L = 2: (2,) shifts past it
         xfock.set_component(past_l, (2,), rng.standard_normal(M_GRID))
         cases = [
