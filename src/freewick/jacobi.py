@@ -116,11 +116,15 @@ def coeffs_from_measure(fiber: FiberMeasure, max_degree: int) -> JacobiNode:
     return JacobiNode(b, a, poly_values(b, a, finite_n or np.inf, atoms) ** 2 @ weights, finite_n)
 
 
-def norms(node: JacobiNode, rtol: float = 1e-10) -> np.ndarray:
-    """Squared norms g[0..L], cross-checked against the product of the a's."""
+def norms(node: JacobiNode) -> np.ndarray:
+    """Squared norms g[0..L], cross-checked against the product of the a's.
+
+    The quadrature norms and the running product must agree to 1e-10,
+    relative and absolute, the package's check tolerance, or this raises.
+    """
     prod = np.ones_like(node.g)
     prod[1:] = np.cumprod(node.a[1:])
-    if not np.allclose(node.g, prod, rtol=rtol, atol=rtol):
+    if not np.allclose(node.g, prod, rtol=1e-10, atol=1e-10):
         raise ArithmeticError("quadrature norms disagree with the coefficient product")
     return node.g.copy()
 

@@ -15,13 +15,15 @@ be cross-checked:
 * the oracles that ``verify`` runs walk the non-crossing restricted
   growth strings (the string of block labels of a set partition), each by
   a walk of its own: :func:`brute_gn` carries the blocks as they grow,
-  visits the last element's choices in a loop and applies the definition
-  to the blocks of each, while :func:`brute_noncrossing_count` carries
-  only two integers per prefix, the labels used and the blocks still
-  open, and counts the last two places in closed form.  No oracle shares
-  a search with the enumerator it checks.  The record-level twin of
-  :func:`enumerate_nc`, a filter over every set partition, lives in the
-  tier-1 tests.
+  never follows a join that would close an open singleton (that singleton
+  would be nested in every completion, and a nested singleton admits no
+  mark), visits the last element's choices in a loop and applies the
+  definition to the blocks of each, while
+  :func:`brute_noncrossing_count` carries only two integers per prefix,
+  the labels used and the blocks still open, and counts the last two
+  places in closed form.  No oracle shares a search with the enumerator
+  it checks.  The record-level twin of :func:`enumerate_nc`, a filter
+  over every set partition, lives in the tier-1 tests.
 
 The routes carry partitions as plain block tuples, the marked ones as
 ``(blocks, choices)`` pairs, where ``choices`` holds each block's allowed
@@ -485,17 +487,20 @@ def _rgs_count(completions: list, used: int, depth: int, left: int) -> tuple[int
 
 
 def _walk_noncrossing_rgs(n: int, visit) -> None:
-    """Call ``visit(blocks)`` on every non-crossing restricted growth string.
+    """Call ``visit(blocks)`` on every non-crossing growth string with no nested singleton.
 
     The search grows the string one element at a time and keeps the blocks
     and the stack of open blocks, in order of first use.  The next element
     opens a new block, pushed on top, or joins an open block, which closes
     (pops) every block above it: a later use of a closed block would make a
     crossing x1 < y1 < x2 < y2, so no crossing prefix is ever built.
+    A join never closes a singleton (see :func:`_rgs_extend`), so no prefix
+    with a nested singleton is built either: these are the partitions that
+    admit a marking in :func:`enumerate_gn`'s family.
     ``visit`` receives the blocks as one list of lists, in order of their
     minimum, changed in place between calls.  The recursion stops one place
-    early: after a prefix with ``d`` blocks open, the last element has
-    ``d + 1`` non-crossing choices, visited in a loop with no call per leaf.
+    early: the last element's choices are visited in a loop with no call
+    per leaf.
     """
     _rgs_extend(visit, [], [], 1, n)
 
@@ -503,14 +508,28 @@ def _walk_noncrossing_rgs(n: int, visit) -> None:
 def _rgs_extend(visit, blocks: list, stack: list, x: int, n: int) -> None:
     """Place the elements ``x..n`` after a prefix with ``blocks``, open ones on ``stack``.
 
+    ``x`` joins an open block from the bottom up, then opens a new one.  A
+    join to ``stack[j]`` puts every block above it inside that block's
+    span, where it stays in every completion; so ``x`` joins only from the
+    topmost open singleton up, since a nested singleton admits no mark.
+    The rule is exact: a singleton ``{k}`` nested in a block ``B`` was on
+    the stack above ``B`` from ``k`` on, and the join that first put it
+    inside a block closed it while it was still a singleton.
     Each descent appends ``x`` to a block and pops it after.  The state is
     passed in rather than closed over, so the recursion leaves no reference
     cycle holding ``visit`` and whatever it collects.
     """
+    # the lowest block x may join: the topmost open singleton, or the bottom
+    low = 0
+    for j in range(len(stack) - 1, 0, -1):
+        if len(stack[j]) == 1:
+            low = j
+            break
     if x == n:
-        # the last element joins an open block or opens one; nothing
-        # follows it, so the stack above that block need not close
-        for block in stack:
+        # the last element joins an open block from ``low`` up or opens
+        # one; nothing follows it, so the stack above that block need not
+        # close
+        for block in stack[low:]:
             block.append(x)
             visit(blocks)
             block.pop()
@@ -518,7 +537,7 @@ def _rgs_extend(visit, blocks: list, stack: list, x: int, n: int) -> None:
         visit(blocks)
         blocks.pop()
         return
-    for j in range(len(stack)):
+    for j in range(low, len(stack)):
         closed = stack[j + 1:]
         del stack[j + 1:]
         block = stack[j]
@@ -552,38 +571,36 @@ def brute_gn(n: int) -> list[MarkedPartition]:
     Walks the non-crossing restricted growth strings with
     :func:`_walk_noncrossing_rgs`, which hands over their blocks, and keeps
     every mark vector that the definition allows: singletons carry +1, and
-    no +1 block lies strictly inside another block.  Both rules are conjunctions over blocks, so the allowed mark
-    vectors are the product of each block's allowed marks, kept as
-    ``(blocks, choices)``, sorted by blocks and expanded after the sort.
-    The blocks come in order of their minimum; ``reach`` is the furthest
-    end of the blocks before ``b``, so ``reach > b[-1]`` says exactly that
-    some block with a smaller minimum ends after ``b``, i.e. that ``b`` is
-    nested.  A nested singleton admits no mark and rejects the partition,
-    which a first pass finds before any choices are built; a nested larger
-    block admits only -1; any other admits either mark.
+    no +1 block lies strictly inside another block.  The walk never builds
+    a nested singleton, since a join that would close an open singleton
+    nests it in every completion, and a nested singleton admits no mark; so
+    it skips only partitions that the definition rejects whole.  Both
+    rules are conjunctions over blocks, so the allowed mark vectors are the
+    product of each block's allowed marks, kept as ``(blocks, choices)``,
+    sorted by blocks and expanded after the sort.  The blocks come in order
+    of their minimum; ``reach`` is the furthest end of the blocks before
+    ``b``, so ``reach > b[-1]`` says exactly that some block with a smaller
+    minimum ends after ``b``, i.e. that ``b`` is nested.  The definition is
+    still applied to every partition the walk visits: a nested singleton
+    would reject it, a nested larger block admits only -1, and any other
+    block admits either mark.
     """
     _check_bound(n, MARKED_LIMIT)
     out = []
 
     def keep(blocks):
-        # a nested singleton rejects the partition before any choices are built
-        reach = 0
-        for b in blocks:
-            end = b[-1]
-            if reach < end:
-                reach = end
-            elif len(b) == 1:
-                return
         # allowed marks per block, +1 first
         choices = []
         reach = 0
         for b in blocks:
             end = b[-1]
-            if reach > end:
-                choices.append((-1,))
-            else:
+            if reach < end:
                 choices.append((1,) if len(b) == 1 else (1, -1))
                 reach = end
+            elif len(b) == 1:
+                return
+            else:
+                choices.append((-1,))
         out.append((tuple(map(tuple, blocks)), tuple(choices)))
 
     _walk_noncrossing_rgs(n, keep)

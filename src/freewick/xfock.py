@@ -458,21 +458,20 @@ def _last_first(arr: np.ndarray, blocks: _SlotBlocks, width: int, forward: bool)
     return out.reshape((-1,) + arr.shape[:-1])
 
 
-def k_transform(v: FockVector, sys: JacobiSystem, max_degree: int | None = None) -> FockVector:
+def k_transform(v: FockVector, sys: JacobiSystem) -> FockVector:
     """Per-slot change of basis from atom samples to polynomial coefficients.
 
     Each slot of a level-``i`` array over the joint quadrature is expanded
     in the node's monic polynomials, by the slot blocks of :func:`_slot_maps`.
-    The result spans every tabulated degree, ``L = sys.max_degree``.  It
-    keeps the input's level budget, unless ``max_degree`` gives room for
-    that many fields instead.
+    The result spans every tabulated degree, ``L = sys.max_degree``, and
+    keeps the input's level budget: a field on the result has room for as
+    many levels as it had on the input.
     """
     _require_model(v, sys)
     blocks = _slot_maps(sys)
     lmax, top = sys.max_degree, max(fock.top_level(v), 0)
     levels = [_per_node(a, blocks, lmax + 1, True) for a in v.levels[: top + 1]]
-    budget = v.max_level if max_degree is None else max_degree
-    return FockVector(_slot_space(sys, lmax), levels, budget)
+    return FockVector(_slot_space(sys, lmax), levels, v.max_level)
 
 
 def k_inverse(xv: FockVector) -> FockVector:
